@@ -6,6 +6,14 @@ domain.  Buchberger uses the Gebauer-Moeller pair update and normal (minimal
 lcm) selection, returns a reduced basis, and counts reduction steps against
 an optional budget.
 
+Inside reduction monomials are packed ints (``_Packing``): the order's
+weight fields above the exponent fields, so a product is an int add, the
+order is int comparison and divisibility is a guard-bit mask.  Division
+takes leading terms off a heap, and Buchberger appends each new element to
+one packed reducer list.  Over GF(p), products of polynomials and the dense
+normal-form, multiplication-matrix and quotient-algebra arithmetic run as
+``% p`` kernels on plain ints; QQ takes the generic Domain path.
+
 Counting distinct solutions never leaves the base field: a random linear
 form u gets a multiplication matrix on the standard monomial basis, its
 characteristic polynomial is the eliminant of u, and the degree of the
@@ -18,7 +26,10 @@ which avoids one Groebner run per root.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 
 from .errors import (
     AgreementError,
@@ -63,11 +74,17 @@ def mono_degree(a):
 
 
 class MonomialOrder:
-    """Total order on exponent tuples via a sort key (larger key = larger)."""
+    """Total order on exponent tuples via a sort key (larger key = larger).
 
-    def __init__(self, name: str, key):
+    ``rows(n)`` gives integer weight rows that, compared before the
+    exponents themselves, rank n-variable monomials the same way; they lay
+    out the packed form used inside reduction (``_Packing``).
+    """
+
+    def __init__(self, name: str, key, rows):
         self.name = name
         self.key = key
+        self.rows = rows
 
     def __repr__(self):
         return self.name
@@ -79,16 +96,50 @@ class MonomialOrder:
         return hash(self.name)
 
 
-LEX = MonomialOrder("lex", lambda e: e)
-GREVLEX = MonomialOrder("grevlex", lambda e: (sum(e), tuple(-x for x in reversed(e))))
+LEX = MonomialOrder("lex", lambda e: e, lambda n: [])
+# grevlex ranks by the partial sums (deg, e_1 + ... + e_{n-1}, ..., e_1)
+GREVLEX = MonomialOrder(
+    "grevlex",
+    lambda e: (sum(e), tuple(-x for x in reversed(e))),
+    lambda n: [[1] * k + [0] * (n - k) for k in range(n, 0, -1)],
+)
+
+_FIELD = 32  # bits per packed field; the top bit of each guards overflow
 
 
-def order_from_str(s: str) -> MonomialOrder:
-    if s == "lex":
-        return LEX
-    if s == "grevlex":
-        return GREVLEX
-    raise UsageError(f"unknown monomial order {s!r}")
+class _Packing:
+    """Monomials of one ring as ints: the order's weight rows, then e_1..e_n.
+
+    Each row sum is one 32-bit field, most significant first.  Packing is
+    additive, so a product is one integer add; comparing ints compares in
+    the monomial order; and with the guard bits of the exponent fields,
+    a | b reads ((b | guard) - a) & guard == guard.
+    """
+
+    def __init__(self, order: MonomialOrder, n: int):
+        rows = order.rows(n) + [[int(i == j) for j in range(n)] for i in range(n)]
+        top = len(rows) - 1
+        self.weights = [sum(r[i] << _FIELD * (top - k) for k, r in enumerate(rows)) for i in range(n)]
+        bit = 1 << _FIELD - 1
+        self.guard = sum(bit << _FIELD * k for k in range(n))
+        self.overflow = sum(bit << _FIELD * k for k in range(top + 1))
+        self.n = n
+
+    def pack(self, e):
+        if sum(e) >= 1 << _FIELD - 1:
+            raise UsageError(f"monomial degree {sum(e)} exceeds the packed range")
+        return sum(w * x for w, x in zip(self.weights, e))
+
+    def unpack(self, m):
+        mask = (1 << _FIELD) - 1
+        return tuple(m >> _FIELD * (self.n - 1 - i) & mask for i in range(self.n))
+
+    def terms(self, poly):
+        """Packed term dict of a MultiPoly, in descending order."""
+        return dict(sorted(((self.pack(e), c) for e, c in poly.terms.items()), reverse=True))
+
+    def poly(self, dom, vars_, terms):
+        return MultiPoly(dom, vars_, {self.unpack(m): c for m, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +264,15 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if isinstance(dom, PrimeField):  # % p kernel: one reduction per product term
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    e = tuple(map(add, ea, eb))
+                    out[e] = out.get(e, 0) + ca * cb
+            return MultiPoly(dom, self.vars, {e: c % dom.p for e, c in out.items()})
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 s = dom.add(out.get(e, dom.zero), dom.mul(ca, cb))
                 if dom.is_zero(s):
                     out.pop(e, None)
@@ -385,6 +442,10 @@ class IdealBasis:
     def contains_one(self):
         return any(g.total_degree() == 0 and not g.is_zero for g in self.gens)
 
+    @cached_property
+    def leading_exponents(self):
+        return tuple(g.leading(self.order)[0] for g in self.gens)
+
 
 def spoly(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
     ef, cf = f.leading(order)
@@ -396,49 +457,57 @@ def spoly(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
     return mf * f - mg * g
 
 
-def _reduce_terms(terms: dict, reducers, order, dom, budget=None):
-    """Full reduction of a term dict by (lt, inv_lc, terms) reducers."""
-    h = dict(terms)
+def _reduce_terms(h: dict, reducers, dom, packing: _Packing, budget=None):
+    """Full reduction of a packed term dict (consumed) by packed reducers.
+
+    Reducers are (lt, inv_lc, tail), tail a list of (monomial, coefficient);
+    the first whose lt divides the leading term is used.  Leading terms come
+    off a max-heap, so each term is keyed once, when it is inserted.  The
+    remainder comes out in descending order.
+    """
+    p = dom.p if isinstance(dom, PrimeField) else 0
+    zero = dom.zero
+    guard, overflow = packing.guard, packing.overflow
+    heap = [-m for m in h]
+    heapq.heapify(heap)
     rem: dict = {}
-    steps = 0
-    key = order.key
-    while h:
-        lm = max(h, key=key)
-        lc = h.pop(lm)
-        hit = None
-        for lt, inv_lc, gterms in reducers:
-            if mono_divides(lt, lm):
-                hit = (lt, inv_lc, gterms)
+    while heap:
+        m = -heapq.heappop(heap)
+        lc = h.pop(m, None)
+        if lc is None:
+            continue  # cancelled, or a second entry for a term already taken
+        if m & overflow:
+            raise UsageError("monomial degree exceeds the packed range")
+        for lt, inv_lc, tail in reducers:
+            if ((m | guard) - lt) & guard == guard:
                 break
-        if hit is None:
-            rem[lm] = lc
+        else:
+            rem[m] = lc
             continue
-        lt, inv_lc, gterms = hit
-        shift = mono_div(lm, lt)
+        shift = m - lt
         c = dom.mul(lc, inv_lc)
-        for e, ce in gterms.items():
-            if e == lt:
-                continue
-            e2 = tuple(x + y for x, y in zip(e, shift))
-            s = dom.sub(h.get(e2, dom.zero), dom.mul(c, ce))
-            if dom.is_zero(s):
-                h.pop(e2, None)
+        for t, ct in tail:
+            t += shift
+            old = h.get(t)
+            if old is None:
+                heapq.heappush(heap, -t)
+                old = zero
+            s = (old - c * ct) % p if p else dom.sub(old, dom.mul(c, ct))
+            if s == zero:
+                h.pop(t, None)
             else:
-                h[e2] = s
-        steps += 1
+                h[t] = s
         if budget is not None:
             budget[0] -= 1
             if budget[0] < 0:
                 raise BudgetExhaustedError("reduction budget exhausted")
-    return rem, steps
+    return rem
 
 
-def _prep_reducers(polys, order):
-    out = []
-    for g in polys:
-        lt, lc = g.leading(order)
-        out.append((lt, g.dom.inv(lc), g.terms))
-    return out
+def _monic(terms: dict, dom) -> dict:
+    """A descending packed term dict scaled so its leading coefficient is 1."""
+    inv = dom.inv(next(iter(terms.values())))
+    return {m: dom.mul(c, inv) for m, c in terms.items()}
 
 
 def normal_form(f: MultiPoly, basis: IdealBasis) -> MultiPoly:
@@ -446,12 +515,15 @@ def normal_form(f: MultiPoly, basis: IdealBasis) -> MultiPoly:
     gens = [g for g in basis.gens if not g.is_zero]
     if not gens:
         return f
-    red = _prep_reducers(gens, basis.order)
-    rem, _ = _reduce_terms(f.terms, red, basis.order, f.dom)
-    return MultiPoly(f.dom, f.vars, rem)
+    pk = _Packing(basis.order, len(f.vars))
+    red = []
+    for g in gens:
+        (lt, lc), *tail = pk.terms(g).items()
+        red.append((lt, f.dom.inv(lc), tail))
+    return pk.poly(f.dom, f.vars, _reduce_terms(pk.terms(f), red, f.dom, pk))
 
 
-def _gm_update(lts, pairs, k):
+def _gm_update(lts, pairs, k, packing: _Packing):
     """Gebauer-Moeller pair update after appending generator k."""
     t = lts[k]
     lcms = {i: mono_lcm(lts[i], t) for i in range(k)}
@@ -461,11 +533,11 @@ def _gm_update(lts, pairs, k):
         if not (mono_divides(t, lij) and lcms[i] != lij and lcms[j] != lij):
             kept.add((i, j))
     # keep only minimal new lcms
-    cand = []
-    for i in range(k):
-        li = lcms[i]
-        if not any(lcms[j] != li and mono_divides(lcms[j], li) for j in lcms):
-            cand.append(i)
+    packed = [packing.pack(lcms[i]) for i in range(k)]
+    g = packing.guard
+    cand = [
+        i for i, li in enumerate(packed) if not any(lj != li and ((li | g) - lj) & g == g for lj in packed)
+    ]
     by_lcm: dict = {}
     for i in cand:
         by_lcm.setdefault(lcms[i], []).append(i)
@@ -481,7 +553,11 @@ def buchberger(
     order: MonomialOrder = GREVLEX,
     budget: int | None = None,
 ) -> IdealBasis:
-    """Reduced Groebner basis, normal selection + Gebauer-Moeller update."""
+    """Reduced Groebner basis, normal selection + Gebauer-Moeller update.
+
+    The basis is kept as one list of packed monic reducers, appended to as
+    elements join; MultiPolys are built only for the reduced basis.
+    """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise UsageError("empty generating set")
@@ -495,17 +571,22 @@ def buchberger(
     counter = [budget if budget is not None else -1]
     track = counter if budget is not None else None
 
-    basis: list[MultiPoly] = []
-    lts: list = []
+    pk = _Packing(order, len(vars_))
+    red: list = []  # (lt, 1, tail) per basis element, packed
+    lts: list = []  # leading exponent tuples, for the pair update
+
+    def join(rem):
+        rem = _monic(rem, dom)
+        (lt, one), *tail = rem.items()
+        red.append((lt, one, tail))
+        lts.append(pk.unpack(lt))
+
     pairs: set = set()
     for g in gens:
-        red = _prep_reducers(basis, order) if basis else []
-        rem, _ = _reduce_terms(g.terms, red, order, dom, track)
+        rem = _reduce_terms(pk.terms(g), red, dom, pk, track)
         if rem:
-            h = MultiPoly(dom, vars_, rem).monic(order)
-            basis.append(h)
-            lts.append(h.leading(order)[0])
-            pairs = _gm_update(lts, pairs, len(basis) - 1)
+            join(rem)
+            pairs = _gm_update(lts, pairs, len(lts) - 1, pk)
 
     heap = []
     tick = 0
@@ -519,17 +600,24 @@ def buchberger(
         if (i, j) not in in_heap:
             continue
         in_heap.discard((i, j))
-        s = spoly(basis[i], basis[j], order)
-        if s.is_zero:
+        # S-polynomial of two monic elements: the leading terms cancel
+        l = pk.pack(mono_lcm(lts[i], lts[j]))
+        (lti, _, taili), (ltj, _, tailj) = red[i], red[j]
+        s = {t + l - lti: c for t, c in taili}
+        for t, c in tailj:
+            t += l - ltj
+            v = dom.sub(s.get(t, dom.zero), c)
+            if dom.is_zero(v):
+                s.pop(t, None)
+            else:
+                s[t] = v
+        if not s:
             continue
-        red = _prep_reducers(basis, order)
-        rem, _ = _reduce_terms(s.terms, red, order, dom, track)
+        rem = _reduce_terms(s, red, dom, pk, track)
         if not rem:
             continue
-        h = MultiPoly(dom, vars_, rem).monic(order)
-        basis.append(h)
-        lts.append(h.leading(order)[0])
-        new_pairs = _gm_update(lts, in_heap, len(basis) - 1)
+        join(rem)
+        new_pairs = _gm_update(lts, in_heap, len(lts) - 1, pk)
         for p in new_pairs - in_heap:
             heapq.heappush(heap, (order.key(mono_lcm(lts[p[0]], lts[p[1]])), tick, *p))
             tick += 1
@@ -537,23 +625,22 @@ def buchberger(
 
     # minimalize: drop generators whose LT is divisible by another LT
     keep = []
-    for i, g in enumerate(basis):
+    for i in range(len(red)):
         if not any(
             j != i and mono_divides(lts[j], lts[i]) and (lts[j] != lts[i] or j < i)
-            for j in range(len(basis))
+            for j in range(len(red))
         ):
             keep.append(i)
-    minimal = [basis[i] for i in keep]
     # interreduce tails
     reduced = []
-    for i, g in enumerate(minimal):
-        others = [minimal[j] for j in range(len(minimal)) if j != i]
-        red = _prep_reducers(others, order) if others else []
-        rem, _ = _reduce_terms(g.terms, red, order, dom)
+    for i in keep:
+        lt, one, tail = red[i]
+        rem = _reduce_terms({lt: one, **dict(tail)}, [red[j] for j in keep if j != i], dom, pk)
         if rem:
-            reduced.append(MultiPoly(dom, vars_, rem).monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
-    return IdealBasis(vars=vars_, order=order, gens=tuple(reduced), is_gb=True)
+            reduced.append(_monic(rem, dom))
+    reduced.sort(key=lambda r: next(iter(r)), reverse=True)
+    gens_out = tuple(pk.poly(dom, vars_, r) for r in reduced)
+    return IdealBasis(vars=vars_, order=order, gens=gens_out, is_gb=True)
 
 
 # ---------------------------------------------------------------------------
@@ -570,18 +657,8 @@ def quotient_dimension(basis: IdealBasis):
     _require_gb(basis)
     if basis.contains_one():
         return 0
-    n = len(basis.vars)
-    lts = [g.leading(basis.order)[0] for g in basis.gens]
-    bounds = [None] * n
-    for e in lts:
-        support = [i for i in range(n) if e[i]]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or e[i] < bounds[i]:
-                bounds[i] = e[i]
-    if any(b is None for b in bounds):
-        return None
-    return len(_staircase(lts, bounds))
+    std = _staircase(basis)
+    return None if std is None else len(std)
 
 
 def standard_monomials(basis: IdealBasis):
@@ -589,8 +666,16 @@ def standard_monomials(basis: IdealBasis):
     _require_gb(basis)
     if basis.contains_one():
         return []
+    std = _staircase(basis)
+    if std is None:
+        raise MathError("quotient algebra is infinite dimensional")
+    return sorted(std, key=basis.order.key)
+
+
+def _staircase(basis: IdealBasis):
+    """Monomials outside the leading-term ideal, or None when infinitely many."""
+    lts = basis.leading_exponents
     n = len(basis.vars)
-    lts = [g.leading(basis.order)[0] for g in basis.gens]
     bounds = [None] * n
     for e in lts:
         support = [i for i in range(n) if e[i]]
@@ -598,31 +683,10 @@ def standard_monomials(basis: IdealBasis):
             i = support[0]
             if bounds[i] is None or e[i] < bounds[i]:
                 bounds[i] = e[i]
-    if any(b is None for b in bounds):
-        raise MathError("quotient algebra is infinite dimensional")
-    std = _staircase(lts, bounds)
-    std.sort(key=basis.order.key)
-    return std
-
-
-def _staircase(lts, bounds):
-    n = len(bounds)
-    out = []
-    e = [0] * n
-
-    def rec(i):
-        if i == n:
-            ee = tuple(e)
-            if not any(mono_divides(t, ee) for t in lts):
-                out.append(ee)
-            return
-        for k in range(bounds[i]):
-            e[i] = k
-            rec(i + 1)
-        e[i] = 0
-
-    rec(0)
-    return out
+    if None in bounds:
+        return None
+    box = itertools.product(*(range(b) for b in bounds))
+    return [e for e in box if not any(mono_divides(t, e) for t in lts)]
 
 
 def multiplication_matrix(basis: IdealBasis, u: MultiPoly):
@@ -632,11 +696,25 @@ def multiplication_matrix(basis: IdealBasis, u: MultiPoly):
     return _mult_matrix_on(basis, u, std), std
 
 
+def _combine(dom, pairs, D):
+    """Dense sum of c * vec over (c, vec) pairs; a % p kernel over GF(p)."""
+    if isinstance(dom, PrimeField):
+        acc = [0] * D
+        for c, vec in pairs:
+            acc = [a + c * v for a, v in zip(acc, vec)]
+        return [a % dom.p for a in acc]
+    acc = [dom.zero] * D
+    for c, vec in pairs:
+        for k, v in enumerate(vec):
+            if not dom.is_zero(v):
+                acc[k] = dom.add(acc[k], dom.mul(c, v))
+    return acc
+
+
 def _nf_cache_for(basis: IdealBasis):
-    order = basis.order
     dom = basis.gens[0].dom if basis.gens else None
-    gb = [(g.leading(order)[0], g.terms) for g in basis.gens]
-    return {"order": order, "dom": dom, "gb": gb, "cache": {}, "index": None}
+    gb = [(lt, g.terms) for lt, g in zip(basis.leading_exponents, basis.gens)]
+    return {"dom": dom, "gb": gb, "cache": {}}
 
 
 def _nf_vector(ctx, std_index, target):
@@ -645,7 +723,6 @@ def _nf_vector(ctx, std_index, target):
     if target in cache:
         return cache[target]
     dom = ctx["dom"]
-    order = ctx["order"]
     gb = ctx["gb"]
     D = len(std_index)
     stack = [target]
@@ -669,45 +746,25 @@ def _nf_vector(ctx, std_index, target):
             raise MathError("monomial outside standard set has no reducer")
         lt, terms = hit
         shift = mono_div(e, lt)
-        children = []
-        missing = []
-        for et, ct in terms.items():
-            if et == lt:
-                continue
-            e2 = tuple(x + y for x, y in zip(et, shift))
-            children.append((e2, ct))
-            if e2 not in cache:
-                missing.append(e2)
+        children = [(mono_mul(et, shift), ct) for et, ct in terms.items() if et != lt]
+        missing = [e2 for e2, _ in children if e2 not in cache]
         if missing:
             stack.extend(missing)
             continue
-        vec = [dom.zero] * D
-        for e2, ct in children:
-            cvec = cache[e2]
-            nct = dom.neg(ct)
-            for idx in range(D):
-                if not dom.is_zero(cvec[idx]):
-                    vec[idx] = dom.add(vec[idx], dom.mul(nct, cvec[idx]))
-        cache[e] = vec
+        cache[e] = _combine(dom, [(dom.neg(ct), cache[e2]) for e2, ct in children], D)
         stack.pop()
     return cache[target]
 
 
 def _mult_matrix_on(basis: IdealBasis, u: MultiPoly, std):
     dom = u.dom
-    D = len(std)
     std_index = {e: i for i, e in enumerate(std)}
     ctx = _nf_cache_for(basis)
-    cols = []
-    for b in std:
-        col = [dom.zero] * D
-        for e, c in u.terms.items():
-            vec = _nf_vector(ctx, std_index, mono_mul(e, b))
-            for i in range(D):
-                if not dom.is_zero(vec[i]):
-                    col[i] = dom.add(col[i], dom.mul(c, vec[i]))
-        cols.append(col)
-    return [[cols[j][i] for j in range(D)] for i in range(D)]
+    cols = [
+        _combine(dom, [(c, _nf_vector(ctx, std_index, mono_mul(e, b))) for e, c in u.terms.items()], len(std))
+        for b in std
+    ]
+    return [list(row) for row in zip(*cols)]
 
 
 class QuotientAlgebra(Domain):
@@ -757,22 +814,10 @@ class QuotientAlgebra(Domain):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        base = self.base
-        acc = [base.zero] * self.dim
-        for i, x in enumerate(a):
-            if base.is_zero(x):
-                continue
-            row = self._table[i]
-            for j, y in enumerate(b):
-                if base.is_zero(y):
-                    continue
-                c = base.mul(x, y)
-                vec = row[j]
-                for k in range(self.dim):
-                    t = vec[k]
-                    if not base.is_zero(t):
-                        acc[k] = base.add(acc[k], base.mul(c, t))
-        return tuple(acc)
+        base, table = self.base, self._table
+        bs = [(j, y) for j, y in enumerate(b) if not base.is_zero(y)]
+        pairs = [(base.mul(x, y), table[i][j]) for i, x in enumerate(a) if not base.is_zero(x) for j, y in bs]
+        return tuple(_combine(base, pairs, self.dim))
 
     def is_zero(self, a):
         return all(self.base.is_zero(c) for c in a)
@@ -787,14 +832,8 @@ class QuotientAlgebra(Domain):
         """Image of a polynomial in the quotient."""
         if f.dom != self.base or f.vars != self.vars:
             raise FieldMismatchError("polynomial over a different ring")
-        base = self.base
-        acc = [base.zero] * self.dim
-        for e, c in f.terms.items():
-            vec = _nf_vector(self._ctx, self._index, e)
-            for k in range(self.dim):
-                if not base.is_zero(vec[k]):
-                    acc[k] = base.add(acc[k], base.mul(c, vec[k]))
-        return tuple(acc)
+        pairs = [(c, _nf_vector(self._ctx, self._index, e)) for e, c in f.terms.items()]
+        return tuple(_combine(self.base, pairs, self.dim))
 
     def to_multipoly(self, a) -> MultiPoly:
         terms = {}
@@ -806,17 +845,9 @@ class QuotientAlgebra(Domain):
     def mult_matrix(self, a):
         """Matrix of multiplication by the element a on the standard basis."""
         base = self.base
-        D = self.dim
-        m = [[base.zero] * D for _ in range(D)]
-        for k, c in enumerate(a):
-            if base.is_zero(c):
-                continue
-            for j in range(D):
-                vec = self._table[k][j]
-                for i in range(D):
-                    if not base.is_zero(vec[i]):
-                        m[i][j] = base.add(m[i][j], base.mul(c, vec[i]))
-        return m
+        nz = [(k, c) for k, c in enumerate(a) if not base.is_zero(c)]
+        cols = [_combine(base, [(c, self._table[k][j]) for k, c in nz], self.dim) for j in range(self.dim)]
+        return [list(row) for row in zip(*cols)]
 
     def __repr__(self):
         return f"{self.base!r}[{','.join(self.vars)}]/I(dim {self.dim})"

@@ -5,13 +5,15 @@ Jacobians, and characteristic polynomials of multiplication operators.  The
 characteristic polynomial goes through a Hessenberg reduction (similarity
 transforms, so the polynomial is unchanged) followed by the standard
 recurrence, O(n^3) field operations total, which keeps 100-200 dimensional
-quotient algebras tractable in exact arithmetic.
+quotient algebras tractable in exact arithmetic.  Over GF(p) it runs as a
+kernel on plain ints with ``% p``, one list comprehension per row step and
+the column steps of one stage applied together.
 """
 
 from __future__ import annotations
 
 from .errors import MathError, UsageError
-from .exactalg import Domain, UniPoly, bareiss_det
+from .exactalg import Domain, PrimeField, UniPoly, bareiss_det
 
 
 def solve_linear(rows, rhs, dom: Domain):
@@ -54,6 +56,8 @@ def char_poly(rows, dom: Domain, var: str = "t") -> UniPoly:
         raise UsageError("char_poly expects a square matrix")
     if n == 0:
         return UniPoly.const(dom, var, dom.one)
+    if isinstance(dom, PrimeField):
+        return UniPoly(dom, var, _char_poly_mod(rows, dom.p))
     h = [list(r) for r in rows]
     # similarity reduction to upper Hessenberg form
     for j in range(n - 2):
@@ -97,6 +101,44 @@ def char_poly(rows, dom: Domain, var: str = "t") -> UniPoly:
                     cur[k] = dom.sub(cur[k], dom.mul(coef, pi[k]))
         polys.append(cur)
     return UniPoly(dom, var, polys[n])
+
+
+def _char_poly_mod(rows, p):
+    """char_poly over GF(p) on plain ints: same Hessenberg steps, % p."""
+    n = len(rows)
+    h = [list(r) for r in rows]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[j + 1], h[piv] = h[piv], h[j + 1]
+            for r in h:
+                r[j + 1], r[piv] = r[piv], r[j + 1]
+        inv = pow(h[j + 1][j], -1, p)
+        hj1 = h[j + 1]
+        fs = [(i, h[i][j] * inv % p) for i in range(j + 2, n) if h[i][j]]
+        for i, f in fs:  # columns left of j are already zero in rows j+1..n-1
+            h[i][j:] = [(a - f * b) % p for a, b in zip(h[i][j:], hj1[j:])]
+        # the column steps commute, so they are applied together
+        if fs:
+            for r in h:
+                r[j + 1] = (r[j + 1] + sum([f * r[i] for i, f in fs])) % p
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        cur = [0] + prev  # t * p_{m-1}
+        cur[: m + 1] = [a - h[m][m] * b for a, b in zip(cur, prev)]
+        run = 1
+        for i in range(m - 1, -1, -1):
+            run = run * h[i + 1][i] % p
+            if not run:
+                break
+            coef = h[i][m] * run % p
+            if coef:
+                cur[: i + 1] = [a - coef * b for a, b in zip(cur, polys[i])]
+        polys.append([a % p for a in cur])
+    return polys[n]
 
 
 def mat_mul(a, b, dom: Domain):

@@ -282,24 +282,13 @@ class Tau32Report:
     degree: int
 
 
-def _to_unipoly(f: MultiPoly, var: str) -> UniPoly:
-    """A MultiPoly using only one variable slot, as a UniPoly."""
-    i = f.vars.index(var)
-    cs = [f.dom.zero] * (f.total_degree() + 1)
-    for e, c in f.terms.items():
-        if any(e[j] for j in range(len(e)) if j != i):
-            raise UsageError(f"{f!r} involves more than {var}")
-        cs[e[i]] = c
-    return UniPoly(f.dom, var, cs)
-
-
 def _distinct_on_line(sys: Tau32FiberSystem, rng):
     """Distinct projective solutions on z = 0 and how many have zero Jacobian."""
     dom = sys.dom
     f1, f2 = (h.substitute({"z": dom.zero}).drop_vars(("z",)) for h in sys.hgens)
     if f1.is_zero or f2.is_zero:
         raise MathError("a generator vanishes on the infinity line")
-    u1, u2 = (_to_unipoly(f.substitute({"alpha": dom.one}).drop_vars(("alpha",)), "beta") for f in (f1, f2))
+    u1, u2 = (f.substitute({"alpha": dom.one}).drop_vars(("alpha",)).to_unipoly("beta") for f in (f1, f2))
     g = poly_gcd(u1, u2)
     count = squarefree_part(g).degree
     # the alpha = 0 corner (0 : 1 : 0)

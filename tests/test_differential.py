@@ -1,0 +1,142 @@
+"""Differential checks of the GF(p) core against independent references.
+
+Buchberger is compared with sympy's Groebner bases mod p, and the GF(p)
+characteristic polynomial kernel with the generic Domain path, a Bareiss
+determinant of t*I - M and sympy's DomainMatrix.  Skipped without sympy;
+the package itself never imports it.
+"""
+
+import itertools
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.domains import GF as SympyGF  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from multspec.exactalg import GF, Domain, PolyRing, UniPoly  # noqa: E402
+from multspec.groebner import GREVLEX, LEX, MultiPoly, buchberger, quotient_dimension  # noqa: E402
+from multspec.linalg import char_poly, det  # noqa: E402
+
+# ---------------------------------------------------------------------------
+# buchberger against sympy.groebner(..., modulus=p)
+
+
+def _random_system(rng, F, nvars):
+    """nvars random polynomials in nvars variables: zero-dimensional for
+    almost every draw, and sparse enough that the bases differ in shape."""
+    vars_ = ("x", "y", "z")[:nvars]
+    gens = []
+    for _ in range(nvars):
+        d = rng.randint(2, 4 if nvars == 2 else 3)
+        monos = [e for e in itertools.product(range(d + 1), repeat=nvars) if sum(e) <= d]
+        top = [e for e in monos if sum(e) == d]
+        chosen = set(rng.sample(monos, rng.randint(2, len(monos)))) | {rng.choice(top)}
+        gens.append(MultiPoly(F, vars_, {e: F.rand_nonzero(rng) for e in chosen}))
+    return vars_, gens
+
+
+def _sympy_basis(vars_, gens, p, order):
+    syms = sympy.symbols(vars_)
+    exprs = [
+        sum(c * sympy.prod(s**k for s, k in zip(syms, e)) for e, c in g.terms.items())
+        for g in gens
+    ]
+    gb = sympy.groebner(exprs, *syms, modulus=p, order=order)
+    # sympy prints residues in (-p/2, p/2]; ours are in [0, p)
+    return {frozenset((e, int(c) % p) for e, c in g.terms()) for g in gb.polys}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_buchberger_matches_sympy_grevlex(seed):
+    rng = random.Random(9000 + seed)
+    p = (101, 32003)[seed % 2]
+    F = GF(p)
+    vars_, gens = _random_system(rng, F, 2 + seed % 2)
+    gb = buchberger(gens, GREVLEX)
+    assert quotient_dimension(gb) is not None
+    ours = {frozenset(g.terms.items()) for g in gb.gens}
+    assert ours == _sympy_basis(vars_, gens, p, "grevlex")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_buchberger_matches_sympy_lex(seed):
+    rng = random.Random(9100 + seed)
+    F = GF(101)
+    vars_, gens = _random_system(rng, F, 2)
+    gb = buchberger(gens, LEX)
+    ours = {frozenset(g.terms.items()) for g in gb.gens}
+    assert ours == _sympy_basis(vars_, gens, 101, "lex")
+
+
+# ---------------------------------------------------------------------------
+# char_poly: GF(p) kernel against the generic path, Bareiss and sympy
+
+
+class PlainGF(Domain):
+    """GF(p) behind the generic Domain interface (not a PrimeField), so
+    char_poly takes its generic path."""
+
+    is_field = True
+    zero = 0
+    one = 1
+
+    def __init__(self, p):
+        self.p = p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+
+def _bareiss_char_poly(m, F):
+    t = UniPoly.gen(F, "t")
+    n = len(m)
+    rows = [[UniPoly.const(F, "t", F.neg(x)) for x in r] for r in m]
+    for i in range(n):
+        rows[i][i] = rows[i][i] + t
+    return det(rows, PolyRing(F, "t"))
+
+
+def _matrices(rng, p):
+    """Dense, sparse and structured matrices, dimensions 1 to 40."""
+    rand = lambda: rng.randrange(p)  # noqa: E731
+    for n in (1, 2, 3, 5, 8, 13, 21, 40):
+        yield "dense", [[rand() for _ in range(n)] for _ in range(n)]
+        yield "sparse", [[rand() if rng.random() < 0.15 else 0 for _ in range(n)] for _ in range(n)]
+    for n in (4, 9, 40):
+        # anti-diagonal: every column's first nonzero sits below the subdiagonal
+        anti = [[rand() if j >= n - 1 - i else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            anti[i][n - 1 - i] = rng.randrange(1, p)
+        yield "row swap", anti
+        # upper triangular: every column is already zero below the subdiagonal
+        yield "zero column", [[rand() if j >= i else 0 for j in range(n)] for i in range(n)]
+        # block diagonal: the step at the block boundary meets a zero column
+        k = n // 2
+        yield "blocks", [[rand() if (i < k) == (j < k) else 0 for j in range(n)] for i in range(n)]
+
+
+def test_char_poly_kernel_matches_generic_bareiss_and_sympy():
+    rng = random.Random(77)
+    for p in (101, 1000003):
+        F, plain, K = GF(p), PlainGF(p), SympyGF(p)
+        for kind, m in _matrices(rng, p):
+            n = len(m)
+            got = char_poly(m, F)
+            assert got.degree == n, kind
+            assert got.coeffs == char_poly(m, plain).coeffs, (kind, n)
+            if n <= 8:
+                assert got == _bareiss_char_poly(m, F), (kind, n)
+            if n <= 13:
+                ref = DomainMatrix([[K(x) for x in r] for r in m], (n, n), K).charpoly()
+                assert list(got.coeffs) == [int(c) % p for c in reversed(ref)], (kind, n)

@@ -1,0 +1,28 @@
+"""Byte-identical command output for a fixed-seed corpus.
+
+Each file under tests/data/golden/ is the exact standard output of one
+seeded command, recorded before the GF(p) core was rewritten for speed.
+Any change to a count, a random draw or the JSON layout shows up here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from multspec.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+CORPUS = {
+    "deg-tau32": ["deg-tau32", "--draws", "1", "--seed", "1"],
+    "poly-classes": ["poly-classes", "-d", "4", "--lambdas=-5,5,4", "--seed", "3"],
+    "sigma2-check": ["sigma2-check", "-d", "4", "--lambdas=-5,5,4", "--seed", "3"],
+    "relation": ["relation", "--map", "(z^3+2*z+1)/(z^2-3)"],
+    "sigma": ["sigma", "--map", "z^3+a*z+b", "-a", "2", "-b", "-1", "-n", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_output_matches_golden(name, capsys):
+    assert main(CORPUS[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()

@@ -226,7 +226,7 @@ def test_jacobian_det_at():
         jacobian_det_at([g1], ("x", "y"), [0, 0])
 
 
-def test_budget_exhaustion():
+def budget_system():
     F = GF(101)
     rng = random.Random(37)
     gens = []
@@ -236,8 +236,34 @@ def test_budget_exhaustion():
             e = tuple(rng.randint(0, 3) for _ in range(3))
             t[e] = F.rand(rng)
         gens.append(MultiPoly(F, ("x", "y", "z"), t))
+    return gens
+
+
+def test_budget_exhaustion():
     with pytest.raises(BudgetExhaustedError):
-        buchberger(gens, GREVLEX, budget=2)
+        buchberger(budget_system(), GREVLEX, budget=2)
+
+
+def test_budget_counts_every_reduction_step():
+    # 1250 reduction steps, counted with the linear-scan reduction this
+    # package used before heap-ordered reduction: same steps, same order
+    gens = budget_system()
+    with pytest.raises(BudgetExhaustedError):
+        buchberger(gens, GREVLEX, budget=1249)
+    assert buchberger(gens, GREVLEX, budget=1250) == buchberger(gens, GREVLEX)
+
+
+def test_packed_monomial_range_is_guarded():
+    F = GF(101)
+    vars_ = ("x", "y")
+    with pytest.raises(UsageError):
+        buchberger([MultiPoly(F, vars_, {(2**31, 0): 1, (0, 0): 1})], GREVLEX)
+    # lex division raises exponents past its inputs: x^2 by x + 100 y^(2^30)
+    g = MultiPoly(F, vars_, {(1, 0): 1, (0, 2**30): 100})
+    basis = IdealBasis(vars=vars_, order=LEX, gens=(g,), is_gb=True)
+    assert normal_form(MultiPoly(F, vars_, {(1, 0): 1}), basis).terms == {(0, 2**30): 1}
+    with pytest.raises(UsageError):
+        normal_form(MultiPoly(F, vars_, {(2, 0): 1}), basis)
 
 
 def test_buchberger_over_qq():

@@ -17,7 +17,6 @@ from multspec.exactalg import GF, QQ, fp_roots, poly_gcd, random_prime, squarefr
 from multspec.groebner import GREVLEX, buchberger, jacobian_det_at, quotient_dimension
 from multspec.rat3 import (
     Deg3Invariants,
-    _to_unipoly,
     build_tau32_system,
     closed_form_coefficients,
     deg_tau32_report,
@@ -187,7 +186,7 @@ def test_build_tau32_system_shapes():
         for _ in range(3):
             c = F.rand(rng)
             u1, u2 = (
-                _to_unipoly(g.substitute({other: c}).drop_vars((other,)), var)
+                g.substitute({other: c}).drop_vars((other,)).to_unipoly(var)
                 for g in (g1, g2)
             )
             if u1.is_zero or u2.is_zero:
