@@ -22,6 +22,10 @@ class MathError(MultSpecError):
     """A mathematical validation failed (degenerate input, failed check)."""
 
 
+class InvariantError(MathError):
+    """A theorem-level check failed: a fault in the program, never retried."""
+
+
 class DegenerateMapError(MathError):
     """Coefficients do not define a morphism of the stated degree."""
 

@@ -635,6 +635,8 @@ def squarefree_part(f: UniPoly) -> UniPoly:
     if g.degree == 0:
         return f
     w = f.divmod(g)[0]  # roots of multiplicity not divisible by char, once each
+    if dom.char == 0 or dom.char > f.degree:
+        return w  # no multiplicity can be divisible by the characteristic
     rest = squarefree_part(g)
     return (w * rest.divmod(poly_gcd(w, rest))[0]).monic()
 

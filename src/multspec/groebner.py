@@ -18,7 +18,9 @@ Counting distinct solutions never leaves the base field: a random linear
 form u gets a multiplication matrix on the standard monomial basis, its
 characteristic polynomial is the eliminant of u, and the degree of the
 squarefree part counts distinct points over the algebraic closure.  Two
-independent draws of u must agree.  Rational points are extracted from left
+independent draws of u must agree.  A basis keeps its staircase and one
+cache of normal-form vectors, so the matrices of later forms reuse the
+normal forms of x_i * b computed for the first.  Rational points are extracted from left
 eigenvectors of the multiplication matrix (the evaluation functionals),
 which avoids one Groebner run per root.
 """
@@ -446,6 +448,31 @@ class IdealBasis:
     def leading_exponents(self):
         return tuple(g.leading(self.order)[0] for g in self.gens)
 
+    @cached_property
+    def staircase(self):
+        """Monomials outside the leading-term ideal, ascending in the order;
+        None when there are infinitely many."""
+        if self.contains_one():
+            return ()
+        lts = self.leading_exponents
+        n = len(self.vars)
+        bounds = [None] * n
+        for e in lts:
+            support = [i for i in range(n) if e[i]]
+            if len(support) == 1:
+                i = support[0]
+                if bounds[i] is None or e[i] < bounds[i]:
+                    bounds[i] = e[i]
+        if None in bounds:
+            return None
+        box = itertools.product(*(range(b) for b in bounds))
+        return tuple(sorted((e for e in box if not any(mono_divides(t, e) for t in lts)), key=self.order.key))
+
+    @cached_property
+    def normal_forms(self):
+        """The one normal-form context of this (zero-dimensional) basis."""
+        return _NormalForms(self)
+
 
 def spoly(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
     ef, cf = f.leading(order)
@@ -655,45 +682,27 @@ def _require_gb(basis: IdealBasis):
 def quotient_dimension(basis: IdealBasis):
     """Dimension of the quotient algebra, or None when infinite."""
     _require_gb(basis)
-    if basis.contains_one():
-        return 0
-    std = _staircase(basis)
+    std = basis.staircase
     return None if std is None else len(std)
 
 
 def standard_monomials(basis: IdealBasis):
     """Monomials outside the leading-term ideal, ascending in the order."""
     _require_gb(basis)
-    if basis.contains_one():
-        return []
-    std = _staircase(basis)
-    if std is None:
+    if basis.staircase is None:
         raise MathError("quotient algebra is infinite dimensional")
-    return sorted(std, key=basis.order.key)
-
-
-def _staircase(basis: IdealBasis):
-    """Monomials outside the leading-term ideal, or None when infinitely many."""
-    lts = basis.leading_exponents
-    n = len(basis.vars)
-    bounds = [None] * n
-    for e in lts:
-        support = [i for i in range(n) if e[i]]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or e[i] < bounds[i]:
-                bounds[i] = e[i]
-    if None in bounds:
-        return None
-    box = itertools.product(*(range(b) for b in bounds))
-    return [e for e in box if not any(mono_divides(t, e) for t in lts)]
+    return list(basis.staircase)
 
 
 def multiplication_matrix(basis: IdealBasis, u: MultiPoly):
     """Matrix of multiplication by u on the standard monomial basis."""
-    _require_gb(basis)
     std = standard_monomials(basis)
-    return _mult_matrix_on(basis, u, std), std
+    nf = basis.normal_forms
+    cols = [
+        _combine(u.dom, [(c, nf.vector(mono_mul(e, b))) for e, c in u.terms.items()], len(std))
+        for b in std
+    ]
+    return [list(row) for row in zip(*cols)], std
 
 
 def _combine(dom, pairs, D):
@@ -711,60 +720,56 @@ def _combine(dom, pairs, D):
     return acc
 
 
-def _nf_cache_for(basis: IdealBasis):
-    dom = basis.gens[0].dom if basis.gens else None
-    gb = [(lt, g.terms) for lt, g in zip(basis.leading_exponents, basis.gens)]
-    return {"dom": dom, "gb": gb, "cache": {}}
+class _NormalForms:
+    """Normal forms of monomials as dense vectors over the standard monomials.
 
+    Built once per basis (``IdealBasis.normal_forms``) and filled in as
+    monomials are asked for, so every multiplication matrix, eliminant and
+    quotient algebra on that basis shares the vectors already computed.
+    Cached vectors are shared: callers must not mutate them.
+    """
 
-def _nf_vector(ctx, std_index, target):
-    """Normal form of a monomial as a dense vector over standard monomials."""
-    cache = ctx["cache"]
-    if target in cache:
+    def __init__(self, basis: IdealBasis):
+        self.dom = basis.gens[0].dom if basis.gens else None
+        self.gb = [(lt, g.terms) for lt, g in zip(basis.leading_exponents, basis.gens)]
+        self.index = {e: i for i, e in enumerate(basis.staircase)}
+        self.cache = {}
+
+    def vector(self, target):
+        cache = self.cache
+        if target in cache:
+            return cache[target]
+        dom, index = self.dom, self.index
+        D = len(index)
+        stack = [target]
+        while stack:
+            e = stack[-1]
+            if e in cache:
+                stack.pop()
+                continue
+            if e in index:
+                vec = [dom.zero] * D
+                vec[index[e]] = dom.one
+                cache[e] = vec
+                stack.pop()
+                continue
+            hit = None
+            for lt, terms in self.gb:
+                if mono_divides(lt, e):
+                    hit = (lt, terms)
+                    break
+            if hit is None:
+                raise MathError("monomial outside standard set has no reducer")
+            lt, terms = hit
+            shift = mono_div(e, lt)
+            children = [(mono_mul(et, shift), ct) for et, ct in terms.items() if et != lt]
+            missing = [e2 for e2, _ in children if e2 not in cache]
+            if missing:
+                stack.extend(missing)
+                continue
+            cache[e] = _combine(dom, [(dom.neg(ct), cache[e2]) for e2, ct in children], D)
+            stack.pop()
         return cache[target]
-    dom = ctx["dom"]
-    gb = ctx["gb"]
-    D = len(std_index)
-    stack = [target]
-    while stack:
-        e = stack[-1]
-        if e in cache:
-            stack.pop()
-            continue
-        if e in std_index:
-            vec = [dom.zero] * D
-            vec[std_index[e]] = dom.one
-            cache[e] = vec
-            stack.pop()
-            continue
-        hit = None
-        for lt, terms in gb:
-            if mono_divides(lt, e):
-                hit = (lt, terms)
-                break
-        if hit is None:
-            raise MathError("monomial outside standard set has no reducer")
-        lt, terms = hit
-        shift = mono_div(e, lt)
-        children = [(mono_mul(et, shift), ct) for et, ct in terms.items() if et != lt]
-        missing = [e2 for e2, _ in children if e2 not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
-        cache[e] = _combine(dom, [(dom.neg(ct), cache[e2]) for e2, ct in children], D)
-        stack.pop()
-    return cache[target]
-
-
-def _mult_matrix_on(basis: IdealBasis, u: MultiPoly, std):
-    dom = u.dom
-    std_index = {e: i for i, e in enumerate(std)}
-    ctx = _nf_cache_for(basis)
-    cols = [
-        _combine(dom, [(c, _nf_vector(ctx, std_index, mono_mul(e, b))) for e, c in u.terms.items()], len(std))
-        for b in std
-    ]
-    return [list(row) for row in zip(*cols)]
 
 
 class QuotientAlgebra(Domain):
@@ -791,8 +796,8 @@ class QuotientAlgebra(Domain):
         self.vars = basis.vars
         self.std = standard_monomials(basis)
         self.dim = len(self.std)
-        self._index = {e: i for i, e in enumerate(self.std)}
-        self._ctx = _nf_cache_for(basis)
+        self._nf = basis.normal_forms
+        self._index = self._nf.index
         one = [self.base.zero] * self.dim
         one[self._index[(0,) * len(self.vars)]] = self.base.one
         self.zero = (self.base.zero,) * self.dim
@@ -800,7 +805,7 @@ class QuotientAlgebra(Domain):
         self._table = [[None] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i, self.dim):
-                v = tuple(_nf_vector(self._ctx, self._index, mono_mul(self.std[i], self.std[j])))
+                v = self._nf.vector(mono_mul(self.std[i], self.std[j]))
                 self._table[i][j] = v
                 self._table[j][i] = v
 
@@ -832,7 +837,7 @@ class QuotientAlgebra(Domain):
         """Image of a polynomial in the quotient."""
         if f.dom != self.base or f.vars != self.vars:
             raise FieldMismatchError("polynomial over a different ring")
-        pairs = [(c, _nf_vector(self._ctx, self._index, e)) for e, c in f.terms.items()]
+        pairs = [(c, self._nf.vector(e)) for e, c in f.terms.items()]
         return tuple(_combine(self.base, pairs, self.dim))
 
     def to_multipoly(self, a) -> MultiPoly:
@@ -950,15 +955,14 @@ def solve_rational_points(basis: IdealBasis, rng, verify_count: bool = True):
         raise UsageError("rational point extraction works over prime fields")
     if basis.contains_one():
         return []
-    std = standard_monomials(basis)
-    D = len(std)
+    D = len(standard_monomials(basis))
     if D == 0:
         return []
-    std_index = {e: i for i, e in enumerate(std)}
+    nf = basis.normal_forms
     one_exp = (0,) * len(basis.vars)
-    if one_exp not in std_index:
+    if one_exp not in nf.index:
         raise MathError("constant monomial missing from standard basis")
-    j0 = std_index[one_exp]
+    j0 = nf.index[one_exp]
 
     # E squarefree iff the scheme is reduced AND u separates; a fresh u fixes
     # the second failure mode, so retry a few forms before giving up
@@ -979,11 +983,8 @@ def solve_rational_points(basis: IdealBasis, rng, verify_count: bool = True):
     roots = fp_roots(esf, rng)
 
     # normal forms of the coordinate functions, for coordinate read-off
-    ctx = _nf_cache_for(basis)
-    coord_vecs = []
-    for i in range(len(basis.vars)):
-        exp = tuple(1 if j == i else 0 for j in range(len(basis.vars)))
-        coord_vecs.append(_nf_vector(ctx, std_index, exp))
+    n = len(basis.vars)
+    coord_vecs = [nf.vector(tuple(int(j == i) for j in range(n))) for i in range(n)]
 
     points = []
     for theta in roots:

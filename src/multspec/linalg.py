@@ -139,34 +139,3 @@ def _char_poly_mod(rows, p):
                 cur[: i + 1] = [a - coef * b for a, b in zip(cur, polys[i])]
         polys.append([a % p for a in cur])
     return polys[n]
-
-
-def mat_mul(a, b, dom: Domain):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[dom.zero] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = dom.zero
-            for t in range(k):
-                acc = dom.add(acc, dom.mul(a[i][t], b[t][j]))
-            out[i][j] = acc
-    return out
-
-
-def mat_inverse(rows, dom: Domain):
-    """Inverse of a square matrix over a field; MathError when singular."""
-    n = len(rows)
-    cols = []
-    for j in range(n):
-        e = [dom.one if i == j else dom.zero for i in range(n)]
-        cols.append(solve_linear(rows, e, dom))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def random_invertible(n: int, dom: Domain, rng):
-    """Random n x n invertible matrix over a field domain."""
-    for _ in range(64):
-        m = [[dom.rand(rng) for _ in range(n)] for _ in range(n)]
-        if not dom.is_zero(det(m, dom)):
-            return m
-    raise MathError("failed to draw an invertible matrix")

@@ -9,8 +9,10 @@ lambda_alpha is always derived, never chosen.
 The level-2 fiber system couples alpha with a 2-periodic point beta:
 phi^2(beta) = beta and (phi^2)'(beta) = lambda_beta, cleared of
 denominators and homogenized in (alpha : beta : z).  Counting its points
-(Bezout with multiplicity, distinct, degenerate, Jacobian-simple) at
-agreeing random specializations measures the fiber degree.
+(distinct, degenerate, Jacobian-simple) at agreeing random specializations
+measures the fiber degree; the count with multiplicity is Bezout's 9 * 16,
+taken from the theorem once the intersection is known to be finite.  A
+failed theorem-level check raises InvariantError and is never retried.
 
 Reconstruction from (fixed points, multipliers) solves the Vandermonde
 system (1 - lambda_i) q(z_i) = p'(z_i) for the denominator of z - p/q,
@@ -25,6 +27,7 @@ from .dynamics import ProjMap, ProjPoint, multiplier_at_point
 from .errors import (
     DegenerateInputError,
     DegenerateMapError,
+    InvariantError,
     MathError,
     UsageError,
 )
@@ -46,7 +49,7 @@ from .groebner import (
     eliminant_of_form,
     quotient_dimension,
 )
-from .linalg import random_invertible, solve_linear
+from .linalg import solve_linear
 
 # ---------------------------------------------------------------------------
 # invariants of a marked degree-3 map
@@ -324,7 +327,7 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
         raise MathError("fiber system is not zero-dimensional")
     n_affine = distinct_point_count(basis, rng)
     jac = g1.derivative("alpha") * g2.derivative("beta") - g1.derivative("beta") * g2.derivative("alpha")
-    basis_j = buchberger([g1, g2, jac], GREVLEX, budget)
+    basis_j = buchberger([*basis.gens, jac], GREVLEX, budget)
     n_affine_zero_jac = distinct_point_count(basis_j, rng)
     n_line, n_line_zero_jac, line_jac = _distinct_on_line(sys, rng)
     distinct = n_affine + n_line
@@ -336,35 +339,31 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
     for pt in pts:
         for h in sys.hgens:
             if not dom.is_zero(h.eval(pt)):
-                raise MathError(f"degenerate point {pt} misses the system")
+                raise InvariantError(f"degenerate point {pt} misses the system")
         # every degenerate point has multiplicity >= 2, so a singular Jacobian
         if dom.is_zero(pt[2]):
             sing = dom.is_zero(line_jac.eval((pt[1], dom.zero)))
         else:
             sing = dom.is_zero(jac.eval(pt[:2]))
         if not sing:
-            raise MathError(f"expected a singular point at {pt}")
+            raise InvariantError(f"expected a singular point at {pt}")
 
-    bezout = None
-    for _ in range(6):
-        m = random_invertible(3, dom, rng)
-        moved = [h.linear_change(m).substitute({"z": dom.one}).drop_vars(("z",)) for h in sys.hgens]
-        moved_basis = buchberger(moved, GREVLEX, budget)
-        dim = quotient_dimension(moved_basis)
-        if dim is not None:
-            bezout = dim
-            break
-    if bezout is None:
-        raise MathError("no coordinate change made the system finite")
+    # Bezout's theorem: the affine part of the intersection is finite (the
+    # quotient dimension above is not None) and so is its part on z = 0
+    # (_distinct_on_line raises if a generator vanishes on that line), so the
+    # projective curves share no component and meet in deg h1 * deg h2
+    # points counted with multiplicity.
+    h1, h2 = sys.hgens
+    bezout = h1.total_degree() * h2.total_degree()
 
     alpha_form = MultiPoly.gen(dom, sys.vars, "alpha")
     alpha_values = squarefree_part(eliminant_of_form(basis, alpha_form)).degree
 
     degree = distinct - 6
     if degree != simple:
-        raise MathError(f"simple count {simple} disagrees with distinct - degenerate {degree}")
+        raise InvariantError(f"simple count {simple} disagrees with distinct - degenerate {degree}")
     if not (distinct <= bezout and simple + 6 <= distinct):
-        raise MathError("count sanity failed")
+        raise InvariantError("count sanity failed")
     return Tau32Draw(
         prime=dom.char,
         lambdas=(l0, l1, linf, lbeta),
@@ -381,7 +380,8 @@ def deg_tau32_report(rng, draws: int = 3, bits: int = 30, budget=None) -> Tau32R
     """Fiber counts at independent random (prime, multiplier) draws.
 
     Each draw uses a fresh prime and random generic multipliers; all draws
-    must agree on every reported count.
+    must agree on every reported count.  An unlucky draw is drawn again; a
+    broken invariant (InvariantError) propagates.
     """
     out = []
     for _ in range(draws):
@@ -398,7 +398,9 @@ def deg_tau32_report(rng, draws: int = 3, bits: int = 30, budget=None) -> Tau32R
                 continue
             try:
                 out.append(deg_tau32_single(F, ls[0], ls[1], ls[2], lbeta, rng, budget))
-            except (MathError, DegenerateInputError):
+            except InvariantError:
+                raise
+            except MathError:
                 continue
             break
         else:

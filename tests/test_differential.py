@@ -1,9 +1,10 @@
 """Differential checks of the GF(p) core against independent references.
 
-Buchberger is compared with sympy's Groebner bases mod p, and the GF(p)
+Buchberger is compared with sympy's Groebner bases mod p, the GF(p)
 characteristic polynomial kernel with the generic Domain path, a Bareiss
-determinant of t*I - M and sympy's DomainMatrix.  Skipped without sympy;
-the package itself never imports it.
+determinant of t*I - M and sympy's DomainMatrix, and squarefree parts with
+sympy's ``sqf_part``.  Skipped without sympy; the package itself never
+imports it.
 """
 
 import itertools
@@ -15,7 +16,9 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import GF as SympyGF  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from multspec.exactalg import GF, Domain, PolyRing, UniPoly  # noqa: E402
+from fractions import Fraction  # noqa: E402
+
+from multspec.exactalg import GF, QQ, Domain, PolyRing, UniPoly, squarefree_part  # noqa: E402
 from multspec.groebner import GREVLEX, LEX, MultiPoly, buchberger, quotient_dimension  # noqa: E402
 from multspec.linalg import char_poly, det  # noqa: E402
 
@@ -140,3 +143,48 @@ def test_char_poly_kernel_matches_generic_bareiss_and_sympy():
             if n <= 13:
                 ref = DomainMatrix([[K(x) for x in r] for r in m], (n, n), K).charpoly()
                 assert list(got.coeffs) == [int(c) % p for c in reversed(ref)], (kind, n)
+
+
+# ---------------------------------------------------------------------------
+# squarefree_part against sympy's sqf_part
+
+
+def _sympy_sqf_part(f: UniPoly):
+    x = sympy.Symbol("x")
+    if f.dom == QQ:
+        ref = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x, domain="QQ")
+        return [Fraction(int(c.p), int(c.q)) for c in reversed(ref.sqf_part().monic().all_coeffs())]
+    p = f.dom.p
+    ref = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p)
+    return [int(c) % p for c in reversed(ref.sqf_part().monic().all_coeffs())]
+
+
+def _factored(rng, dom, factors, top_mult):
+    """Product of random factors of degree 1..3, each to a power 1..top_mult,
+    and the powers used."""
+    f = UniPoly.const(dom, "x", dom.one)
+    mults = [rng.randint(1, top_mult) for _ in range(factors)]
+    for m in mults:
+        deg = rng.randint(1, 3)
+        cs = [dom.from_int(rng.randint(-3, 3)) for _ in range(deg)] + [dom.one]
+        f = f * UniPoly(dom, "x", cs) ** m
+    return f, mults
+
+
+def test_squarefree_part_matches_sympy():
+    rng = random.Random(88)
+    recursive = 0  # small-characteristic cases: degree >= p, a power divisible by p
+    for dom in (GF(3), GF(5), GF(10007), QQ):
+        for _ in range(12):
+            f, mults = _factored(rng, dom, rng.randint(1, 3), 10)
+            assert list(squarefree_part(f).coeffs) == _sympy_sqf_part(f), (dom, f)
+            p = dom.char
+            recursive += bool(p and f.degree >= p and any(m % p == 0 for m in mults))
+    assert recursive >= 3
+    # (x + 1)^3 (x^2 + 1)^6 (x + 2) over GF(3)
+    F = GF(3)
+    x, one = UniPoly.gen(F, "x"), UniPoly.const(F, "x", 1)
+    f = (x + one) ** 3 * (x * x + one) ** 6 * (x + one + one)
+    want = (x + one) * (x * x + one) * (x + one + one)
+    assert squarefree_part(f) == want
+    assert list(want.coeffs) == _sympy_sqf_part(f)

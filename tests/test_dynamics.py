@@ -19,7 +19,8 @@ from multspec.dynamics import (
 )
 from multspec.errors import DegenerateMapError, MathError, UsageError
 from multspec.exactalg import GF, QQ, UniPoly, derivative, poly_gcd
-from multspec.linalg import mat_mul
+
+from matrix_helpers import mat_mul
 
 
 def poly_map(dom, ints):

@@ -18,8 +18,10 @@ from multspec.groebner import (
     jacobian_det_at,
     mono_divides,
     mono_lcm,
+    multiplication_matrix,
     normal_form,
     quotient_dimension,
+    random_linear_form,
     solve_rational_points,
     spoly,
     standard_monomials,
@@ -80,7 +82,7 @@ def test_substitute_and_homogenize():
 def test_linear_change_composes_to_identity():
     rng = random.Random(31)
     F = GF(101)
-    from multspec.linalg import mat_inverse, random_invertible
+    from matrix_helpers import mat_inverse, random_invertible
 
     f = mp(F, ("x", "y"), {(3, 0): 2, (1, 2): 5, (0, 1): 9})
     m = random_invertible(2, F, rng)
@@ -167,6 +169,36 @@ def test_eliminant_of_explicit_form():
     assert e.degree == 3
     for r in (1, 2, 3):
         assert e.eval(F.from_int(r)) == 0
+
+
+def test_eliminants_on_a_cached_basis_match_a_fresh_basis():
+    # two dense cubics in x, y: a 9-point quotient
+    rng = random.Random(35)
+    F = GF(32003)
+    monos = [(i, j) for i in range(4) for j in range(4 - i)]
+    gens = [MultiPoly(F, ("x", "y"), {e: F.rand_nonzero(rng) for e in monos}) for _ in range(2)]
+    gb = buchberger(gens, GREVLEX)
+    assert quotient_dimension(gb) == 9
+    Q = QuotientAlgebra(gb)  # fills the basis's normal-form cache first
+    forms = [random_linear_form(gb.vars, F, rng) for _ in range(2)]
+    cached = [eliminant_of_form(gb, u) for u in forms]
+    assert Q._nf is gb.normal_forms  # one context per basis
+    fresh = [eliminant_of_form(IdealBasis(gb.vars, gb.order, gb.gens, is_gb=True), u) for u in forms]
+    assert cached == fresh
+    assert [char_poly(Q.mult_matrix(Q.project(u)), F) for u in forms] == fresh
+
+
+def test_multiplication_matrix_is_not_shared():
+    F = GF(101)
+    gb = buchberger(gens_xy(F), GREVLEX)
+    x = MultiPoly.gen(F, gb.vars, "x")
+    m, std = multiplication_matrix(gb, x)
+    want = ([list(r) for r in m], list(std))
+    for row in m:
+        row[:] = [F.add(c, 1) for c in row]
+    std.reverse()
+    assert multiplication_matrix(gb, x) == want
+    assert eliminant_of_form(gb, x) == char_poly(want[0], F)
 
 
 def test_distinct_point_count_three_points():

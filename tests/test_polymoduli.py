@@ -12,7 +12,6 @@ from multspec.errors import (
     UsageError,
 )
 from multspec.exactalg import GF, QQ, UniPoly, compose, derivative, fp_roots, random_prime
-from multspec.linalg import mat_mul
 from multspec.polymoduli import (
     PolyNormalForm,
     _config_basis,
@@ -31,6 +30,8 @@ from multspec.polymoduli import (
     tau31_phi_ab,
     two_cycle_power_sums,
 )
+
+from matrix_helpers import mat_mul
 
 D4_LAMBDAS = [-5, 5, 4, Fraction(-7, 5)]
 D5_LAMBDAS = [-2, -3, -4, 8, Fraction(689, 269)]

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from multspec import groebner, rat3
 from multspec.dynamics import (
     Mobius,
     ProjMap,
@@ -12,7 +14,7 @@ from multspec.dynamics import (
     period_polynomial,
     random_map,
 )
-from multspec.errors import DegenerateInputError, MathError, UsageError
+from multspec.errors import DegenerateInputError, InvariantError, MathError, UsageError
 from multspec.exactalg import GF, QQ, fp_roots, poly_gcd, random_prime, squarefree_part
 from multspec.groebner import GREVLEX, buchberger, jacobian_det_at, quotient_dimension
 from multspec.rat3 import (
@@ -27,6 +29,9 @@ from multspec.rat3 import (
     normal_form_map,
     reconstruct_from_fixed_data,
 )
+from multspec.reproduce import run_criterion
+
+from matrix_helpers import random_invertible
 
 
 def qq(*xs):
@@ -257,17 +262,67 @@ def test_degenerate_points_are_singular():
         assert F.is_zero(jacobian_det_at(line, ("beta", "z"), (pt[1], F.zero)))
 
 
+PINNED_F = GF(655773373)
+PINNED = [PINNED_F.from_int(c) for c in (308421828, 105282126, 482813204, 12336038)]
+
+
 def test_deg_tau32_single_counts():
     rng = random.Random(3)
-    F = GF(655773373)
-    ls = [F.from_int(308421828), F.from_int(105282126), F.from_int(482813204)]
-    draw = deg_tau32_single(F, ls[0], ls[1], ls[2], F.from_int(12336038), rng)
+    F = PINNED_F
+    draw = deg_tau32_single(F, *PINNED, rng)
     assert draw.bezout == 144
     assert draw.distinct == 18
     assert draw.degenerate == 6
     assert draw.simple == 12
     assert draw.degree == 12
     assert draw.alpha_values == 8
+    # the Groebner route to Bezout's count: a random change of coordinates
+    # moves every intersection point off z = 0, so the affine quotient of
+    # the moved system counts all of them with multiplicity
+    sysm = build_tau32_system(F, *PINNED)
+    m = random_invertible(3, F, random.Random(4))
+    moved = [h.linear_change(m).dehomogenize("z") for h in sysm.hgens]
+    h1, h2 = sysm.hgens
+    assert quotient_dimension(buchberger(moved, GREVLEX)) == draw.bezout == h1.total_degree() * h2.total_degree()
+
+
+def test_deg_tau32_single_work_counts(monkeypatch):
+    """One draw: 2 Groebner bases, one quotient context each, 5 eliminants."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(rat3, "buchberger", counting("buchberger", groebner.buchberger))
+    eliminant = counting("eliminant_of_form", groebner.eliminant_of_form)
+    monkeypatch.setattr(rat3, "eliminant_of_form", eliminant)
+    monkeypatch.setattr(groebner, "eliminant_of_form", eliminant)
+    monkeypatch.setattr(groebner, "_NormalForms", counting("context", groebner._NormalForms))
+    deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
+    assert calls == {"buchberger": 2, "context": 2, "eliminant_of_form": 5}
+
+
+def test_broken_invariant_fails_instead_of_retrying(monkeypatch):
+    # the first draw's count of singular affine points (the second count it
+    # makes) off by one breaks simple = distinct - degenerate
+    real = rat3.distinct_point_count
+    seen = Counter()
+
+    def off_by_one_once(basis, rng):
+        seen["calls"] += 1
+        return real(basis, rng) + (seen["calls"] == 2)
+
+    monkeypatch.setattr(rat3, "distinct_point_count", off_by_one_once)
+    with pytest.raises(InvariantError, match="simple count 11 disagrees with distinct - degenerate 12"):
+        deg_tau32_report(random.Random(0xC0FFEE), draws=1)
+    seen.clear()
+    result = run_criterion(7)
+    assert not result.passed
+    assert "simple count 11 disagrees with distinct - degenerate 12" in result.detail
 
 
 def test_deg_tau32_report_agreement():
