@@ -9,6 +9,7 @@ disagreement), 2 for usage problems, 3 when a step budget runs out.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -49,6 +50,7 @@ def _add_common(p):
     p.add_argument("--config", default=None, help="flat key/value experiment file")
 
 
+@functools.cache  # parse_known_args leaves the parser unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="multspec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

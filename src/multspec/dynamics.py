@@ -6,19 +6,21 @@ resultant, stored as full coefficient tuples in descending powers of X
 coefficient of the concatenated tuple is 1, which makes equality of
 coefficient vectors meaningful.
 
-The n-multiplier spectrum is read off a characteristic polynomial
-Res_z(Phi_n, w * Den^2 - Num) where Phi_n is the monic vanishing polynomial
-of the affine n-periodic points and Num/Den^2 is the derivative of the n-th
-iterate.  The map is first conjugated so that no n-periodic point sits at
-infinity; the conjugating candidates come from a fixed internal sequence, so
-results never depend on caller seeds (they are conjugation invariants).
-The resultant is sampled at d^n + 2 values of w and interpolated whenever
-the field is large enough (Phi_n monic makes specialization exact), with a
-generic bivariate resultant as the small-field fallback.
+The n-multiplier spectrum is read off the characteristic polynomial
+prod (w - mu(P)) over the roots P of Phi_n, the monic vanishing polynomial
+of the affine n-periodic points, where mu = Num/Den^2 is the derivative of
+the n-th iterate.  The map is first conjugated so that no n-periodic point
+sits at infinity; the conjugating candidates come from a fixed internal
+sequence, so results never depend on caller seeds (they are conjugation
+invariants).  Den is then a unit modulo Phi_n.  Over GF(p) the polynomial
+is the characteristic polynomial of multiplication by mu on k[z]/(Phi_n);
+over QQ it is Res_z(Phi_n, w * Den^2 - Num), sampled at d^n + 2 values of w
+and interpolated (Phi_n monic makes specialization exact).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -31,16 +33,18 @@ from .errors import (
 )
 from .exactalg import (
     Domain,
-    PolyRing,
     QQ,
     UniPoly,
+    ZZ,
     bareiss_det,
     derivative,
     interpolate,
+    inverse_mod,
     poly_gcd,
     resultant,
     sylvester_matrix,
 )
+from .linalg import char_poly
 
 # ---------------------------------------------------------------------------
 # binary forms as full descending coefficient tuples
@@ -99,12 +103,20 @@ def _affine(coeffs, dom, var="z") -> UniPoly:
     return UniPoly(dom, var, list(reversed(coeffs)))
 
 
-def _form_resultant(num, den, dom, d):
+def _forms_share_root(num, den, dom, d) -> bool:
+    """Whether the degree-d forms have a common root on P^1 (resultant 0)."""
+    if dom == QQ:
+        # only whether the resultant vanishes matters: clear one common
+        # denominator and run Bareiss over ZZ instead of on Fractions
+        m = math.lcm(*(c.denominator for c in num + den))
+        num = [c.numerator * (m // c.denominator) for c in num]
+        den = [c.numerator * (m // c.denominator) for c in den]
+        dom = ZZ
     f = _affine(num, dom)
     g = _affine(den, dom)
     if f.is_zero or g.is_zero:
-        return dom.zero
-    return bareiss_det(sylvester_matrix(f, g, d, d), dom)
+        return True
+    return dom.is_zero(bareiss_det(sylvester_matrix(f, g, d, d), dom))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +236,7 @@ class ProjMap:
         inv = dom.inv(first)
         num = [dom.mul(c, inv) for c in num]
         den = [dom.mul(c, inv) for c in den]
-        if check and dom.is_zero(_form_resultant(num, den, dom, d)):
+        if check and _forms_share_root(num, den, dom, d):
             raise DegenerateMapError("forms share a root: not a degree-d morphism")
         self.dom = dom
         self.d = d
@@ -377,7 +389,7 @@ def multiplier_char_poly(phi: ProjMap, n: int) -> UniPoly:
     target = phi.d ** n + 1
     num = derivative(nn) * dd - nn * derivative(dd)
     den2 = dd * dd
-    if dom.char == 0 or dom.char >= target + 1:
+    if dom.char == 0:
         # sample w, take exact univariate resultants, interpolate
         xs = [dom.from_int(k) for k in range(target + 1)]
         ys = []
@@ -389,14 +401,15 @@ def multiplier_char_poly(phi: ProjMap, n: int) -> UniPoly:
                 ys.append(resultant(phin, g))
         r = interpolate(xs, ys, dom, "w")
     else:
-        # small field: one bivariate resultant instead of interpolation
-        ring = PolyRing(dom, "w")
-
-        def lift(p, shift):
-            return p.map_coeffs(ring, lambda c: UniPoly(dom, "w", [dom.zero] * shift + [c]))
-
-        g = lift(den2, 1) - lift(num, 0)
-        r = resultant(lift(phin, 0), g)
+        # Den is a unit mod Phi_n, so mu = Num / Den^2 lives in k[z]/(Phi_n);
+        # its multiplication matrix (column i is z^i * mu) has characteristic
+        # polynomial prod (w - mu(P)) over the roots of Phi_n with multiplicity
+        mu = (num.divmod(phin)[1] * inverse_mod(den2, phin)).divmod(phin)[1]
+        cols = []
+        for _ in range(target):
+            cols.append([mu.coeff(i) for i in range(target)])
+            mu = mu.shift(1).divmod(phin)[1]
+        r = char_poly([list(row) for row in zip(*cols)], dom, "w")
     if r.is_zero or r.degree != target:
         raise MathError("multiplier characteristic polynomial has wrong degree")
     return r.monic()

@@ -3,13 +3,10 @@
 Scalars live in one of three coefficient domains: the rationals QQ (values
 are `fractions.Fraction`), a prime field GF(p) (values are ints in [0, p)),
 or the integer ring ZZ used internally to keep resultants fraction-free.
-`PolyRing` wraps any of these as a coefficient domain whose elements are
-themselves polynomials, which is how resultants with one free parameter are
-computed.
 
 Polynomials are immutable dense coefficient tuples in ascending order.  The
 zero polynomial has degree -1.  Resultants go through a subresultant
-polynomial remainder sequence (fraction-free over ZZ and ZZ[t]); a Bareiss
+polynomial remainder sequence (fraction-free over ZZ); a Bareiss
 determinant of the Sylvester matrix is kept as the reference path and for
 homogeneous resultants where formal degrees matter.
 """
@@ -238,39 +235,6 @@ def GF(p: int) -> PrimeField:
     if dom is None:
         dom = _GF_CACHE[p] = PrimeField(p)
     return dom
-
-
-class PolyRing(Domain):
-    """Univariate polynomials over `base` acting as a coefficient domain."""
-
-    def __init__(self, base: Domain, var: str):
-        self.base = base
-        self.var = var
-        self.char = base.char
-        self.zero = UniPoly.zero(base, var)
-        self.one = UniPoly.const(base, var, base.one)
-
-    def is_zero(self, a):
-        return a.is_zero
-
-    def exact_div(self, a, b):
-        return a.exact_div(b)
-
-    def from_int(self, n):
-        return UniPoly.const(self.base, self.var, self.base.from_int(n))
-
-    def __repr__(self):
-        return f"{self.base!r}[{self.var}]"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and other.base == self.base
-            and other.var == self.var
-        )
-
-    def __hash__(self):
-        return hash(("PolyRing", self.base, self.var))
 
 
 def _coerce_same(f: "UniPoly", g: "UniPoly"):
@@ -739,11 +703,11 @@ def _signed(dom, value, s):
 
 
 def resultant(f: UniPoly, g: UniPoly):
-    """Res(f, g) at actual degrees; scalar for scalar domains, else UniPoly.
+    """Res(f, g) at actual degrees, an element of the coefficient domain.
 
-    Over QQ (and QQ[t] coefficients) the computation clears denominators and
-    runs the fraction-free sequence over ZZ, rescaling by the cleared
-    contents: Res(c*f, e*g) = c^deg(g) * e^deg(f) * Res(f, g).
+    Over QQ the computation clears denominators and runs the fraction-free
+    sequence over ZZ, rescaling by the cleared contents:
+    Res(c*f, e*g) = c^deg(g) * e^deg(f) * Res(f, g).
     """
     _coerce_same(f, g)
     dom = f.dom
@@ -760,25 +724,6 @@ def resultant(f: UniPoly, g: UniPoly):
         gz, cg = _clear_denominators(g)
         r = _prs_resultant(fz, gz)
         return Fraction(r) / (Fraction(cf) ** g.degree * Fraction(cg) ** f.degree)
-    if isinstance(dom, PolyRing) and dom.base == QQ:
-        zdom = PolyRing(ZZ, dom.var)
-        cf = cg = 1
-        fcs, gcs = [], []
-        for c in f.coeffs:
-            _, d = _clear_denominators(c)
-            cf = cf * d // _gcd_int(cf, d)
-        for c in g.coeffs:
-            _, d = _clear_denominators(c)
-            cg = cg * d // _gcd_int(cg, d)
-        for c in f.coeffs:
-            fcs.append(c.scale(Fraction(cf)).map_coeffs(ZZ, lambda q: int(q)))
-        for c in g.coeffs:
-            gcs.append(c.scale(Fraction(cg)).map_coeffs(ZZ, lambda q: int(q)))
-        fz = UniPoly(zdom, f.var, fcs)
-        gz = UniPoly(zdom, g.var, gcs)
-        r = _prs_resultant(fz, gz)
-        scale = Fraction(1) / (Fraction(cf) ** g.degree * Fraction(cg) ** f.degree)
-        return r.map_coeffs(QQ, Fraction).scale(scale)
     return _prs_resultant(f, g)
 
 
@@ -798,6 +743,21 @@ def pow_mod(base: UniPoly, e: int, mod: UniPoly) -> UniPoly:
         b = (b * b).divmod(mod)[1]
         e >>= 1
     return r
+
+
+def inverse_mod(a: UniPoly, mod: UniPoly) -> UniPoly:
+    """a^-1 mod `mod` over a field domain, by the extended Euclidean algorithm."""
+    if not a.dom.is_field:
+        raise UsageError("inverse_mod requires a field domain")
+    r0, r1 = mod, a.divmod(mod)[1]
+    t0, t1 = UniPoly.zero(a.dom, a.var), UniPoly.const(a.dom, a.var, a.dom.one)
+    while not r1.is_zero:
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
+    if r0.degree != 0:
+        raise MathError("polynomial is not invertible modulo the given modulus")
+    return t0.scale(a.dom.inv(r0.lc))
 
 
 def fp_roots(f: UniPoly, rng) -> list[int]:

@@ -1,0 +1,80 @@
+"""Polynomial routes that only the tests use.
+
+`PolyRing` makes univariate polynomials a coefficient domain, so that a
+resultant or a determinant can carry one free variable.  The two
+`*_multiplier_char_poly` functions are the resultant routes to the
+multiplier characteristic polynomial, Res_z(Phi_n, w * Den^2 - Num) made
+monic: one samples w and interpolates (it needs more than d^n + 1 field
+elements), the other takes a single resultant over k[w].  They serve as
+oracles for `dynamics.multiplier_char_poly`, which over GF(p) takes the
+characteristic polynomial of a multiplication matrix instead.
+"""
+
+from multspec.dynamics import _good_position
+from multspec.exactalg import Domain, UniPoly, derivative, interpolate, resultant
+
+
+class PolyRing(Domain):
+    """Univariate polynomials over `base` acting as a coefficient domain."""
+
+    def __init__(self, base: Domain, var: str):
+        self.base = base
+        self.var = var
+        self.char = base.char
+        self.zero = UniPoly.zero(base, var)
+        self.one = UniPoly.const(base, var, base.one)
+
+    def is_zero(self, a):
+        return a.is_zero
+
+    def exact_div(self, a, b):
+        return a.exact_div(b)
+
+    def from_int(self, n):
+        return UniPoly.const(self.base, self.var, self.base.from_int(n))
+
+    def __repr__(self):
+        return f"{self.base!r}[{self.var}]"
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PolyRing)
+            and other.base == self.base
+            and other.var == self.var
+        )
+
+    def __hash__(self):
+        return hash(("PolyRing", self.base, self.var))
+
+
+def _multiplier_data(phi, n):
+    """Phi_n, Num and Den^2 for the conjugate of phi that multiplier_char_poly uses."""
+    _, phin, nn, dd = _good_position(phi, n)
+    return phin, derivative(nn) * dd - nn * derivative(dd), dd * dd
+
+
+def sampled_multiplier_char_poly(phi, n):
+    """The resultant at w = 0, ..., d^n + 1, interpolated."""
+    dom = phi.dom
+    phin, num, den2 = _multiplier_data(phi, n)
+    target = phin.degree
+    if dom.char and dom.char <= target:
+        raise ValueError(f"GF({dom.char}) has too few sample points for degree {target}")
+    xs = [dom.from_int(k) for k in range(target + 1)]
+    ys = []
+    for c in xs:
+        g = den2.scale(c) - num
+        ys.append(dom.zero if g.is_zero else resultant(phin, g))
+    return interpolate(xs, ys, dom, "w").monic()
+
+
+def bivariate_multiplier_char_poly(phi, n):
+    """One resultant with coefficients in k[w]."""
+    dom = phi.dom
+    phin, num, den2 = _multiplier_data(phi, n)
+    ring = PolyRing(dom, "w")
+
+    def lift(p, shift):
+        return p.map_coeffs(ring, lambda c: UniPoly(dom, "w", [dom.zero] * shift + [c]))
+
+    return resultant(lift(phin, 0), lift(den2, 1) - lift(num, 0)).monic()

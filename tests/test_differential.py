@@ -2,9 +2,10 @@
 
 Buchberger is compared with sympy's Groebner bases mod p, the GF(p)
 characteristic polynomial kernel with the generic Domain path, a Bareiss
-determinant of t*I - M and sympy's DomainMatrix, and squarefree parts with
-sympy's ``sqf_part``.  Skipped without sympy; the package itself never
-imports it.
+determinant of t*I - M and sympy's DomainMatrix, squarefree parts with
+sympy's ``sqf_part``, and resultants with sympy's ``resultant``.  sigma_n
+must commute with reduction mod p and be invariant under conjugation.
+Skipped without sympy; the package itself never imports it.
 """
 
 import itertools
@@ -18,9 +19,13 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from fractions import Fraction  # noqa: E402
 
-from multspec.exactalg import GF, QQ, Domain, PolyRing, UniPoly, squarefree_part  # noqa: E402
+from multspec.dynamics import Mobius, ProjMap, conjugate, random_map, sigma_n  # noqa: E402
+from multspec.errors import DegenerateMapError  # noqa: E402
+from multspec.exactalg import GF, QQ, Domain, UniPoly, random_prime, resultant, squarefree_part  # noqa: E402
 from multspec.groebner import GREVLEX, LEX, MultiPoly, buchberger, quotient_dimension  # noqa: E402
 from multspec.linalg import char_poly, det  # noqa: E402
+
+from poly_oracles import PolyRing  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # buchberger against sympy.groebner(..., modulus=p)
@@ -188,3 +193,87 @@ def test_squarefree_part_matches_sympy():
     want = (x + one) * (x * x + one) * (x + one + one)
     assert squarefree_part(f) == want
     assert list(want.coeffs) == _sympy_sqf_part(f)
+
+
+# ---------------------------------------------------------------------------
+# resultants against sympy
+
+
+def _sympy_poly(f: UniPoly):
+    x = sympy.Symbol("x")
+    if f.dom == QQ:
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x, domain="QQ")
+    return sympy.Poly(list(reversed(f.coeffs)), x, modulus=f.dom.p)
+
+
+def test_resultant_matches_sympy():
+    rng = random.Random(99)
+    for dom in (QQ, GF(3), GF(7), GF(1000003)):
+        rand = (lambda: QQ.rand(rng, 9)) if dom == QQ else (lambda: dom.rand(rng))  # noqa: E731
+        zeros = 0
+        for _ in range(25):
+            f = UniPoly(dom, "x", [rand() for _ in range(rng.randint(1, 7))] + [dom.one])
+            g = UniPoly(dom, "x", [rand() for _ in range(rng.randint(0, 6))] + [rand() or dom.one])
+            if rng.random() < 0.3:  # a common factor: the resultant vanishes
+                h = UniPoly(dom, "x", [rand(), dom.one])
+                f, g = f * h, g * h
+            if f.degree < g.degree:
+                # sympy 1.14 returns Res(g, f) when deg f < deg g, off by
+                # (-1)^(deg f * deg g); the higher degree goes first on both sides
+                f, g = g, f
+            got = resultant(f, g)
+            ref = _sympy_poly(f).resultant(_sympy_poly(g))
+            if dom == QQ:
+                assert got == Fraction(int(ref.p), int(ref.q)), (f, g)
+            else:
+                assert got == int(ref) % dom.p, (dom, f, g)
+            zeros += dom.is_zero(got)
+        assert zeros >= 3
+
+
+# ---------------------------------------------------------------------------
+# sigma_n: reduction mod p and Mobius conjugation
+
+# (4, 3) is left out: over QQ its 65 resultants take minutes
+_LEVELS = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2))
+_PRIMES = (3, 5, 7, 11, 13, 101, 1000003)
+
+
+def test_sigma_commutes_with_reduction_mod_p():
+    rng = random.Random(111)
+    for d, n in _LEVELS:
+        for _ in range(2):
+            while True:
+                num = [rng.randint(-3, 3) for _ in range(d + 1)]
+                den = [rng.randint(-3, 3) for _ in range(d + 1)]
+                try:
+                    sq = sigma_n(ProjMap(QQ, [Fraction(c) for c in num], [Fraction(c) for c in den]), n)
+                    break
+                except DegenerateMapError:
+                    continue
+            good = 0
+            for p in _PRIMES:
+                F = GF(p)
+                try:
+                    phi_p = ProjMap(F, [F.from_int(c) for c in num], [F.from_int(c) for c in den])
+                except DegenerateMapError:
+                    continue  # bad reduction: the forms share a root mod p
+                good += 1
+                want = [F.from_rational(v) for v in sq.values]
+                assert list(sigma_n(phi_p, n).values) == want, (num, den, n, p)
+            assert good >= 4, (num, den)
+
+
+def test_sigma_invariant_under_mobius_conjugation_mod_p():
+    rng = random.Random(222)
+    for p in (3, 5, 7, 101, random_prime(rng, 30)):
+        F = GF(p)
+        for d, n in _LEVELS:
+            phi = random_map(F, d, rng)
+            while True:
+                try:
+                    m = Mobius(F, F.rand(rng), F.rand(rng), F.rand(rng), F.rand(rng))
+                    break
+                except DegenerateMapError:
+                    continue
+            assert sigma_n(conjugate(phi, m), n) == sigma_n(phi, n), (p, d, n)

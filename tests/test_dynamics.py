@@ -17,10 +17,12 @@ from multspec.dynamics import (
     sigma_n,
     tau,
 )
+from multspec.dynamics import _good_position
 from multspec.errors import DegenerateMapError, MathError, UsageError
-from multspec.exactalg import GF, QQ, UniPoly, derivative, poly_gcd
+from multspec.exactalg import GF, QQ, UniPoly, derivative, poly_gcd, random_prime
 
 from matrix_helpers import mat_mul
+from poly_oracles import bivariate_multiplier_char_poly, sampled_multiplier_char_poly
 
 
 def poly_map(dom, ints):
@@ -68,6 +70,13 @@ def test_projmap_construction_and_scaling():
     # shared root z = 1 between z^2 - 1 and z^2 - 3z + 2
     with pytest.raises(DegenerateMapError):
         ProjMap(QQ, [Fraction(1), Fraction(0), Fraction(-1)], [Fraction(1), Fraction(-3), Fraction(2)])
+    # (z - 1/2)(z + 3) and (z - 1/2)(2z/3 + 1): fractions, shared root 1/2
+    with pytest.raises(DegenerateMapError):
+        ProjMap(QQ, [Fraction(1), Fraction(5, 2), Fraction(-3, 2)], [Fraction(2, 3), Fraction(2, 3), Fraction(-1, 2)])
+    # both forms drop degree: shared root at infinity
+    with pytest.raises(DegenerateMapError):
+        ProjMap(QQ, [Fraction(0), Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(1, 3), Fraction(2)])
+    assert ProjMap(QQ, [Fraction(1), Fraction(5, 2), Fraction(-3, 2)], [Fraction(2, 3), Fraction(2, 3), Fraction(1, 2)]).d == 2
     lo = UniPoly.from_ints(QQ, "z", [1, 1])  # 1 + z
     hi = UniPoly.from_ints(QQ, "z", [0, 0, 1])  # z^2
     m = ProjMap.from_affine(lo, hi)
@@ -180,7 +189,8 @@ def test_sigma_conjugation_invariance():
 
 def test_char_poly_integer_map_reduces_mod_p():
     # the same integer map over QQ (interpolated resultant) and over GF(3)
-    # (bivariate fallback) must give matching sigma values mod 3
+    # (multiplication matrix, in a field smaller than its 5 period-2
+    # points) must give matching sigma values mod 3
     ints = [1, 0, 1]  # z^2 + 1
     sv_q = sigma_n(poly_map(QQ, ints), 2)
     sv_3 = sigma_n(poly_map(GF(3), ints), 2)
@@ -188,6 +198,58 @@ def test_char_poly_integer_map_reduces_mod_p():
     for vq, v3 in zip(sv_q.values, sv_3.values):
         assert vq.denominator == 1
         assert F.from_int(int(vq)) == v3
+
+
+# --- oracles: the resultant routes multiplier_char_poly used over GF(p) ---
+
+
+def parabolic_map(F, d, rng):
+    """Random degree-d map z + (z - a)^2 k(z) / g(z): z = a is a fixed point
+    of multiplier 1, so a repeated root of every period polynomial."""
+    z = UniPoly.gen(F, "z")
+    a = UniPoly.const(F, "z", F.rand(rng))
+    while True:
+        g = UniPoly(F, "z", [F.rand(rng) for _ in range(d)])
+        k = UniPoly(F, "z", [F.rand(rng) for _ in range(d - 1)])
+        try:
+            return ProjMap.from_affine(z * g + (z - a) * (z - a) * k, g, d)
+        except DegenerateMapError:
+            continue
+
+
+def oracle_cases(F, rng):
+    """A random map and a map with a repeated periodic point at each (d, n)."""
+    for d, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)):
+        for phi in (random_map(F, d, rng), parabolic_map(F, d, rng)):
+            yield phi, n
+
+
+def has_repeated_root(phi, n):
+    phin = _good_position(phi, n)[1]
+    return poly_gcd(phin, derivative(phin)).degree > 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_char_poly_matches_bivariate_resultant(p):
+    # p <= d^n + 1 for most cases: the range the bivariate resultant served
+    rng = random.Random(700 + p)
+    F = GF(p)
+    repeated = 0
+    for phi, n in oracle_cases(F, rng):
+        assert multiplier_char_poly(phi, n) == bivariate_multiplier_char_poly(phi, n)
+        repeated += has_repeated_root(phi, n)
+    assert repeated >= 7
+
+
+@pytest.mark.parametrize("bits", [7, 20, 30])
+def test_char_poly_matches_sampled_resultant(bits):
+    rng = random.Random(800 + bits)
+    F = GF(random_prime(rng, bits))
+    repeated = 0
+    for phi, n in oracle_cases(F, rng):
+        assert multiplier_char_poly(phi, n) == sampled_multiplier_char_poly(phi, n)
+        repeated += has_repeated_root(phi, n)
+    assert repeated >= 7
 
 
 # --- independent oracle: power sums via multiplication traces ---

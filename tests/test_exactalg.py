@@ -8,7 +8,6 @@ from multspec.exactalg import (
     GF,
     QQ,
     ZZ,
-    PolyRing,
     UniPoly,
     bareiss_det,
     compose,
@@ -17,6 +16,7 @@ from multspec.exactalg import (
     field_to_str,
     fp_roots,
     interpolate,
+    inverse_mod,
     is_prime,
     poly_gcd,
     pow_mod,
@@ -28,6 +28,8 @@ from multspec.exactalg import (
     squarefree_part,
     sylvester_matrix,
 )
+
+from poly_oracles import PolyRing
 
 
 def rand_poly(dom, var, deg, rng, monic=False):
@@ -296,6 +298,25 @@ def test_pow_mod_and_fp_roots():
     g = pow_mod(x, F.p, f)
     for r in known:
         assert g.eval(r) == r
+
+
+def test_inverse_mod():
+    rng = random.Random(12)
+    for F in (GF(3), GF(101), QQ):
+        for _ in range(10):
+            m = rand_poly(F, "x", rng.randint(1, 6), rng, monic=True)
+            a = rand_poly(F, "x", rng.randint(0, 9), rng)
+            one = UniPoly.const(F, "x", F.one)
+            if poly_gcd(a, m) != one:
+                with pytest.raises(MathError):
+                    inverse_mod(a, m)
+                continue
+            inv = inverse_mod(a, m)
+            assert inv.degree < m.degree and (a * inv).divmod(m)[1] == one
+    F = GF(101)
+    m = poly_from_roots(F, "x", [3, 7])
+    with pytest.raises(MathError):
+        inverse_mod(poly_from_roots(F, "x", [7, 9, 9]), m)
 
 
 def test_fp_roots_complete():

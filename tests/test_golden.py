@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from multspec.cli import main
+from multspec.cli import build_parser, main, run_command
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -26,3 +26,17 @@ CORPUS = {
 def test_output_matches_golden(name, capsys):
     assert main(CORPUS[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_one_parser_serves_every_call():
+    # the parser is built once per process; usage errors raised inside it
+    # and a different call order must leave every document unchanged
+    names = sorted(CORPUS)
+    for name in names + ["sigma -n two", "frobnicate"] + names[::-1]:
+        if name in CORPUS:
+            code, text = run_command(CORPUS[name])
+            assert (code, text + "\n") == (0, (GOLDEN / f"{name}.json").read_text()), name
+        else:
+            code, text = run_command(name.split())
+            assert code == 2 and '"kind": "usage"' in text, name
+    assert build_parser() is build_parser()
