@@ -653,16 +653,6 @@ def bareiss_det(rows, dom: Domain):
     return dom.neg(det) if sign < 0 else det
 
 
-def resultant_bareiss(f: UniPoly, g: UniPoly):
-    """Reference resultant: Bareiss on the Sylvester matrix."""
-    _coerce_same(f, g)
-    if f.is_zero or g.is_zero:
-        if f.is_zero and g.is_zero:
-            raise MathError("resultant of two zero polynomials")
-        return f.dom.zero
-    return bareiss_det(sylvester_matrix(f, g), f.dom)
-
-
 def _prs_resultant(f: UniPoly, g: UniPoly):
     """Subresultant PRS resultant over an integral domain with exact_div."""
     dom = f.dom

@@ -10,9 +10,10 @@ Inside reduction monomials are packed ints (``_Packing``): the order's
 weight fields above the exponent fields, so a product is an int add, the
 order is int comparison and divisibility is a guard-bit mask.  Division
 takes leading terms off a heap, and Buchberger appends each new element to
-one packed reducer list.  Over GF(p), products of polynomials and the dense
-normal-form, multiplication-matrix and quotient-algebra arithmetic run as
-``% p`` kernels on plain ints; QQ takes the generic Domain path.
+one packed reducer list; each S-pair keeps its packed lcm from the moment
+it is made.  Over GF(p), products of polynomials, the dense normal-form and
+multiplication-matrix arithmetic and the sparse quotient-algebra products
+run as ``% p`` kernels on plain ints; QQ takes the generic Domain path.
 
 Counting distinct solutions never leaves the base field: a random linear
 form u gets a multiplication matrix on the standard monomial basis, its
@@ -31,7 +32,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, mul
 
 from .errors import (
     AgreementError,
@@ -44,14 +45,13 @@ from .errors import (
 )
 from .exactalg import Domain, PrimeField, UniPoly, fp_roots, poly_gcd, pow_mod, squarefree_part
 from .linalg import char_poly as _char_poly
-from .linalg import det as _det
 
 # ---------------------------------------------------------------------------
 # monomials as exponent tuples
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
@@ -64,15 +64,7 @@ def mono_div(b, a):
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
-def mono_degree(a):
-    return sum(a)
+    return tuple(map(max, a, b))
 
 
 class MonomialOrder:
@@ -130,7 +122,7 @@ class _Packing:
     def pack(self, e):
         if sum(e) >= 1 << _FIELD - 1:
             raise UsageError(f"monomial degree {sum(e)} exceeds the packed range")
-        return sum(w * x for w, x in zip(self.weights, e))
+        return sum(map(mul, self.weights, e))
 
     def unpack(self, m):
         mask = (1 << _FIELD) - 1
@@ -365,18 +357,6 @@ class MultiPoly:
         vars2 = tuple(self.vars[i] for i in keep)
         return MultiPoly(self.dom, vars2, {tuple(e[i] for i in keep): c for e, c in self.terms.items()})
 
-    def extend_vars(self, vars2):
-        """Reinterpret over a superset of variables (by name)."""
-        pos = [tuple(vars2).index(v) for v in self.vars]
-        n = len(vars2)
-        out = {}
-        for e, c in self.terms.items():
-            e2 = [0] * n
-            for p, k in zip(pos, e):
-                e2[p] = k
-            out[tuple(e2)] = c
-        return MultiPoly(self.dom, tuple(vars2), out)
-
     def homogenize(self, hvar: str):
         d = self.total_degree()
         vars2 = self.vars + (hvar,)
@@ -384,9 +364,6 @@ class MultiPoly:
         for e, c in self.terms.items():
             out[e + (d - sum(e),)] = c
         return MultiPoly(self.dom, vars2, out)
-
-    def dehomogenize(self, name: str):
-        return self.substitute({name: self.dom.one}).drop_vars([name])
 
     def linear_change(self, mat):
         """x_i -> sum_j mat[i][j] x_j, exact expansion."""
@@ -474,16 +451,6 @@ class IdealBasis:
         return _NormalForms(self)
 
 
-def spoly(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    ef, cf = f.leading(order)
-    eg, cg = g.leading(order)
-    l = mono_lcm(ef, eg)
-    dom = f.dom
-    mf = MultiPoly(dom, f.vars, {mono_div(l, ef): dom.inv(cf)})
-    mg = MultiPoly(dom, g.vars, {mono_div(l, eg): dom.inv(cg)})
-    return mf * f - mg * g
-
-
 def _reduce_terms(h: dict, reducers, dom, packing: _Packing, budget=None):
     """Full reduction of a packed term dict (consumed) by packed reducers.
 
@@ -537,42 +504,42 @@ def _monic(terms: dict, dom) -> dict:
     return {m: dom.mul(c, inv) for m, c in terms.items()}
 
 
-def normal_form(f: MultiPoly, basis: IdealBasis) -> MultiPoly:
-    """Remainder of f on full division by the basis generators."""
-    gens = [g for g in basis.gens if not g.is_zero]
-    if not gens:
-        return f
-    pk = _Packing(basis.order, len(f.vars))
-    red = []
-    for g in gens:
-        (lt, lc), *tail = pk.terms(g).items()
-        red.append((lt, f.dom.inv(lc), tail))
-    return pk.poly(f.dom, f.vars, _reduce_terms(pk.terms(f), red, f.dom, pk))
+def _gm_update(red, lts, pairs, lcm_of, packing: _Packing):
+    """Gebauer-Moeller pair update after appending the last generator k.
 
-
-def _gm_update(lts, pairs, k, packing: _Packing):
-    """Gebauer-Moeller pair update after appending generator k."""
-    t = lts[k]
-    lcms = {i: mono_lcm(lts[i], t) for i in range(k)}
+    ``lcm_of`` holds the packed lcm of every pair's leading terms, stored
+    when the pair is made.  Returns the kept pairs, old ones first in the
+    order of ``pairs``, and the new pairs (i, k) by ascending i.
+    """
+    k = len(lts) - 1
+    t, pt = lts[k], red[k][0]
+    guard = packing.guard
+    new = [packing.pack(mono_lcm(lts[i], t)) for i in range(k)]
     kept = set()
     for i, j in pairs:
-        lij = mono_lcm(lts[i], lts[j])
-        if not (mono_divides(t, lij) and lcms[i] != lij and lcms[j] != lij):
+        lij = lcm_of[i, j]
+        # criterion B: t | lcm(i, j), which differs from lcm(i, k) and lcm(j, k)
+        if not (((lij | guard) - pt) & guard == guard and new[i] != lij and new[j] != lij):
             kept.add((i, j))
-    # keep only minimal new lcms
-    packed = [packing.pack(lcms[i]) for i in range(k)]
-    g = packing.guard
-    cand = [
-        i for i, li in enumerate(packed) if not any(lj != li and ((li | g) - lj) & g == g for lj in packed)
-    ]
+    # the minimal new lcms; a proper divisor is smaller in the order, so each
+    # lcm is tested only against the smaller minimal ones
+    minimal: set = set()
+    for l in sorted(set(new)):
+        if not any(((l | guard) - m) & guard == guard for m in minimal):
+            minimal.add(l)
     by_lcm: dict = {}
-    for i in cand:
-        by_lcm.setdefault(lcms[i], []).append(i)
-    for lcm_val, idxs in by_lcm.items():
-        if any(mono_coprime(lts[i], t) for i in idxs):
+    for i, l in enumerate(new):
+        if l in minimal:
+            by_lcm.setdefault(l, []).append(i)
+    fresh = []
+    for l, idxs in by_lcm.items():
+        # coprime leading terms (lcm = product) make the whole class redundant
+        if any(l == red[i][0] + pt for i in idxs):
             continue
+        lcm_of[idxs[0], k] = l
         kept.add((idxs[0], k))
-    return kept
+        fresh.append((idxs[0], k))
+    return kept, fresh
 
 
 def buchberger(
@@ -583,7 +550,8 @@ def buchberger(
     """Reduced Groebner basis, normal selection + Gebauer-Moeller update.
 
     The basis is kept as one list of packed monic reducers, appended to as
-    elements join; MultiPolys are built only for the reduced basis.
+    elements join; MultiPolys are built only for the reduced basis.  Pairs
+    wait on a heap keyed by their packed lcm, which sorts like the order.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -601,6 +569,7 @@ def buchberger(
     pk = _Packing(order, len(vars_))
     red: list = []  # (lt, 1, tail) per basis element, packed
     lts: list = []  # leading exponent tuples, for the pair update
+    lcm_of: dict = {}  # pair -> packed lcm of its leading terms
 
     def join(rem):
         rem = _monic(rem, dom)
@@ -613,22 +582,20 @@ def buchberger(
         rem = _reduce_terms(pk.terms(g), red, dom, pk, track)
         if rem:
             join(rem)
-            pairs = _gm_update(lts, pairs, len(lts) - 1, pk)
+            pairs, _ = _gm_update(red, lts, pairs, lcm_of, pk)
 
-    heap = []
-    tick = 0
-    for (i, j) in pairs:
-        heapq.heappush(heap, (order.key(mono_lcm(lts[i], lts[j])), tick, i, j))
-        tick += 1
-    in_heap = set(pairs)
+    # ties between equal lcms go to the pair pushed first
+    heap = [(lcm_of[p], tick, *p) for tick, p in enumerate(pairs)]
+    heapq.heapify(heap)
+    tick = len(heap)
+    in_heap = pairs
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        l, _, i, j = heapq.heappop(heap)
         if (i, j) not in in_heap:
             continue
         in_heap.discard((i, j))
         # S-polynomial of two monic elements: the leading terms cancel
-        l = pk.pack(mono_lcm(lts[i], lts[j]))
         (lti, _, taili), (ltj, _, tailj) = red[i], red[j]
         s = {t + l - lti: c for t, c in taili}
         for t, c in tailj:
@@ -644,20 +611,19 @@ def buchberger(
         if not rem:
             continue
         join(rem)
-        new_pairs = _gm_update(lts, in_heap, len(lts) - 1, pk)
-        for p in new_pairs - in_heap:
-            heapq.heappush(heap, (order.key(mono_lcm(lts[p[0]], lts[p[1]])), tick, *p))
+        in_heap, fresh = _gm_update(red, lts, in_heap, lcm_of, pk)
+        for p in fresh:
+            heapq.heappush(heap, (lcm_of[p], tick, *p))
             tick += 1
-        in_heap = new_pairs
 
     # minimalize: drop generators whose LT is divisible by another LT
-    keep = []
-    for i in range(len(red)):
-        if not any(
-            j != i and mono_divides(lts[j], lts[i]) and (lts[j] != lts[i] or j < i)
-            for j in range(len(red))
-        ):
-            keep.append(i)
+    guard = pk.guard
+    plts = [r[0] for r in red]
+    keep = [
+        i
+        for i, a in enumerate(plts)
+        if not any(j != i and ((a | guard) - b) & guard == guard and (b != a or j < i) for j, b in enumerate(plts))
+    ]
     # interreduce tails
     reduced = []
     for i in keep:
@@ -720,6 +686,22 @@ def _combine(dom, pairs, D):
     return acc
 
 
+def _sparse_sum(dom, pairs, D):
+    """Dense sum of c * row over (c, row) pairs, each row a sparse list of
+    (index, coefficient); over GF(p) one ``% p`` per coordinate at the end."""
+    if isinstance(dom, PrimeField):
+        acc = [0] * D
+        for c, row in pairs:
+            for k, v in row:
+                acc[k] += c * v
+        return [a % dom.p for a in acc]
+    acc = [dom.zero] * D
+    for c, row in pairs:
+        for k, v in row:
+            acc[k] = dom.add(acc[k], dom.mul(c, v))
+    return acc
+
+
 class _NormalForms:
     """Normal forms of monomials as dense vectors over the standard monomials.
 
@@ -775,11 +757,14 @@ class _NormalForms:
 class QuotientAlgebra(Domain):
     """F[x_1..x_n]/I as a coefficient ring, for zero-dimensional I.
 
-    Elements are dense coordinate tuples over the standard monomial basis;
-    products go through a multiplication table built once, so no reduction
-    happens per operation.  This is a ring with zero divisors, not a field:
-    only Domain ring operations are available, which is enough to evaluate
-    polynomial expressions simultaneously at every point of the scheme.
+    Elements are coordinate tuples over the standard monomial basis b_1..b_D.
+    The structure constants, the normal forms of the products b_i * b_j, are
+    built once as sparse (index, coefficient) lists: a product sums only the
+    nonzero x_i * y_j * c_ijk terms and needs no reduction (over GF(p), one
+    ``% p`` per coordinate at the end).  This is a ring with zero divisors,
+    not a field: only Domain ring operations are available, which is enough
+    to evaluate polynomial expressions simultaneously at every point of the
+    scheme.
     """
 
     is_field = False
@@ -791,23 +776,22 @@ class QuotientAlgebra(Domain):
         if basis.contains_one():
             raise UsageError("quotient algebra of the unit ideal is trivial")
         self.basis = basis
-        self.base = basis.gens[0].dom
-        self.char = self.base.char
+        base = self.base = basis.gens[0].dom
+        self.char = base.char
         self.vars = basis.vars
-        self.std = standard_monomials(basis)
-        self.dim = len(self.std)
+        std = self.std = standard_monomials(basis)
+        self.dim = len(std)
         self._nf = basis.normal_forms
         self._index = self._nf.index
-        one = [self.base.zero] * self.dim
-        one[self._index[(0,) * len(self.vars)]] = self.base.one
-        self.zero = (self.base.zero,) * self.dim
+        one = [base.zero] * self.dim
+        one[self._index[(0,) * len(self.vars)]] = base.one
+        self.zero = (base.zero,) * self.dim
         self.one = tuple(one)
-        self._table = [[None] * self.dim for _ in range(self.dim)]
+        table = self._table = [[None] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i, self.dim):
-                v = self._nf.vector(mono_mul(self.std[i], self.std[j]))
-                self._table[i][j] = v
-                self._table[j][i] = v
+                v = self._nf.vector(mono_mul(std[i], std[j]))
+                table[i][j] = table[j][i] = [(k, c) for k, c in enumerate(v) if not base.is_zero(c)]
 
     def add(self, a, b):
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
@@ -822,7 +806,7 @@ class QuotientAlgebra(Domain):
         base, table = self.base, self._table
         bs = [(j, y) for j, y in enumerate(b) if not base.is_zero(y)]
         pairs = [(base.mul(x, y), table[i][j]) for i, x in enumerate(a) if not base.is_zero(x) for j, y in bs]
-        return tuple(_combine(base, pairs, self.dim))
+        return tuple(_sparse_sum(base, pairs, self.dim))
 
     def is_zero(self, a):
         return all(self.base.is_zero(c) for c in a)
@@ -849,9 +833,9 @@ class QuotientAlgebra(Domain):
 
     def mult_matrix(self, a):
         """Matrix of multiplication by the element a on the standard basis."""
-        base = self.base
+        base, table = self.base, self._table
         nz = [(k, c) for k, c in enumerate(a) if not base.is_zero(c)]
-        cols = [_combine(base, [(c, self._table[k][j]) for k, c in nz], self.dim) for j in range(self.dim)]
+        cols = [_sparse_sum(base, [(c, table[k][j]) for k, c in nz], self.dim) for j in range(self.dim)]
         return [list(row) for row in zip(*cols)]
 
     def __repr__(self):
@@ -903,42 +887,6 @@ def distinct_point_count(basis: IdealBasis, rng, attempts: int = 6) -> int:
         if len(counts) >= 2 and counts[-1] == counts[-2]:
             return counts[-1]
     raise AgreementError(f"eliminant degrees kept disagreeing: {counts}")
-
-
-def eliminate(gens_or_basis, keep, budget: int | None = None) -> IdealBasis:
-    """Elimination ideal basis in the kept variables (lex block order)."""
-    if isinstance(gens_or_basis, IdealBasis):
-        gens = list(gens_or_basis.gens)
-    else:
-        gens = list(gens_or_basis)
-    if not gens:
-        raise UsageError("empty generating set")
-    vars_ = gens[0].vars
-    keep = tuple(keep)
-    for v in keep:
-        if v not in vars_:
-            raise UsageError(f"unknown variable {v!r}")
-    dropped = tuple(v for v in vars_ if v not in keep)
-    new_order_vars = dropped + keep
-    gens2 = [g.extend_vars(new_order_vars) for g in gens]
-    gb = buchberger(gens2, LEX, budget=budget)
-    kept_gens = []
-    for g in gb.gens:
-        if all(all(e[i] == 0 for i in range(len(dropped))) for e in g.terms):
-            kept_gens.append(g.drop_vars(dropped))
-    return IdealBasis(vars=keep, order=LEX, gens=tuple(kept_gens), is_gb=True)
-
-
-def jacobian_det_at(gens, vars_, point):
-    """det of the Jacobian of gens w.r.t. vars_ evaluated at point."""
-    gens = list(gens)
-    if len(gens) != len(vars_):
-        raise UsageError("jacobian requires as many generators as variables")
-    dom = gens[0].dom
-    rows = []
-    for g in gens:
-        rows.append([g.derivative(v).eval(point) for v in vars_])
-    return _det(rows, dom)
 
 
 def solve_rational_points(basis: IdealBasis, rng, verify_count: bool = True):

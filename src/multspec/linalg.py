@@ -13,7 +13,7 @@ the column steps of one stage applied together.
 from __future__ import annotations
 
 from .errors import MathError, UsageError
-from .exactalg import Domain, PrimeField, UniPoly, bareiss_det
+from .exactalg import Domain, PrimeField, UniPoly
 
 
 def solve_linear(rows, rhs, dom: Domain):
@@ -40,11 +40,6 @@ def solve_linear(rows, rhs, dom: Domain):
                 f = m[i][k]
                 m[i] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(m[i], m[k])]
     return [m[i][n] for i in range(n)]
-
-
-def det(rows, dom: Domain):
-    """Determinant over any integral domain (fraction-free)."""
-    return bareiss_det(rows, dom)
 
 
 def char_poly(rows, dom: Domain, var: str = "t") -> UniPoly:

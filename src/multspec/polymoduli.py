@@ -355,15 +355,18 @@ class Sigma2Report:
     invariant_power: int | None = None
 
 
-def two_cycle_power_sums(basis: IdealBasis, d: int, kmax: int):
-    """sum of k-th powers of the 2-cycle multipliers, k = 1..kmax, as
-    elements of the configuration quotient algebra.
+def two_cycle_power_sums(basis: IdealBasis, d: int):
+    """The configuration quotient algebra Q = F[z]/I, and an iterator over
+    g_1, g_2, ...: g_k is the sum of the k-th powers of the 2-cycle
+    multipliers, as an element of Q.
 
-    All arithmetic happens in F[z]/I, which evaluates the sums at every
+    All arithmetic happens in Q, which evaluates the sums at every
     configuration simultaneously, so no point needs rational coordinates.
     The maps are polynomials, so the second iterate is monic and both the
-    2-periodic factor and the Newton power sums of its roots come out of
-    ring operations alone.
+    2-periodic factor psi and the Newton power sums of its roots come out
+    of ring operations alone.  With hbar = (phi^2)' mod psi, g_k pairs the
+    coefficients of hbar^k mod psi with those power sums; each g_k costs
+    one more power of hbar, taken only when g_k is asked for.
     """
     if len(basis.vars) != d - 1:
         raise UsageError("basis must be the eliminated configuration system")
@@ -382,13 +385,14 @@ def two_cycle_power_sums(basis: IdealBasis, d: int, kmax: int):
     phi2 = compose(phi, phi)
     psi = (phi2 - z).monic_divmod(phi - z)[0]
     m = psi.degree  # d^2 - d points on genuine 2-cycles
-    # Newton identities, division free: e_j = (-1)^j coeff_(m-j) of psi
-    e = [Q.one] + [Q.zero] * m
-    for j in range(1, m + 1):
+    # Newton identities, division free: e_j = (-1)^j coeff_(m-j) of psi;
+    # powers of hbar mod psi have degree < m, so p_0..p_(m-1) suffice
+    e = [Q.one] + [Q.zero] * (m - 1)
+    for j in range(1, m):
         c = psi.coeff(m - j)
         e[j] = c if j % 2 == 0 else Q.neg(c)
-    p = [Q.from_int(m)] + [Q.zero] * m
-    for k in range(1, m + 1):
+    p = [Q.from_int(m)] + [Q.zero] * (m - 1)
+    for k in range(1, m):
         acc = Q.zero
         sign = base.one
         for i in range(1, k):
@@ -399,23 +403,26 @@ def two_cycle_power_sums(basis: IdealBasis, d: int, kmax: int):
         acc = Q.add(acc, ke if sign == base.one else Q.neg(ke))
         p[k] = acc
     hbar = derivative(phi2).monic_divmod(psi)[1]
-    out = []
-    power = hbar
-    for _ in range(kmax):
-        g = Q.zero
-        for j in range(power.degree + 1):
-            g = Q.add(g, Q.mul(power.coeff(j), p[j]))
-        out.append(g)
-        power = (power * hbar).monic_divmod(psi)[1]
-    return Q, out
+
+    def sums():
+        power = hbar
+        while True:
+            g = Q.zero
+            for j in range(power.degree + 1):
+                g = Q.add(g, Q.mul(power.coeff(j), p[j]))
+            yield g
+            power = (power * hbar).monic_divmod(psi)[1]
+
+    return Q, sums()
 
 
 def _invariant_certificate(basis: IdealBasis, d: int, classes: int, kmax: int = 3):
-    """Count distinct 2-cycle power-sum values; matching the class count
-    certifies pairwise distinct level-2 spectra."""
-    Q, sums = two_cycle_power_sums(basis, d, kmax)
+    """Count distinct 2-cycle power-sum values, one power at a time up to
+    kmax; matching the class count certifies pairwise distinct level-2
+    spectra, and no later power is computed."""
+    Q, sums = two_cycle_power_sums(basis, d)
     best = 0
-    for k, g in enumerate(sums, start=1):
+    for k, g in zip(range(1, kmax + 1), sums):
         E = _char_poly(Q.mult_matrix(g), Q.base)
         count = squarefree_part(E).degree
         if count > classes:

@@ -163,17 +163,6 @@ def closed_form_coefficients(dom: Domain, l0, l1, linf, alpha):
     return (c3, c2, c1, dom.zero), (dom.zero, d2, d1, d0)
 
 
-def normal_form_map(inv: Deg3Invariants) -> ProjMap:
-    """The map built from the closed-form coefficients; equals the chain route."""
-    num, den = closed_form_coefficients(inv.dom, inv.l0, inv.l1, inv.linf, inv.alpha)
-    try:
-        phi = ProjMap(inv.dom, num, den)
-    except DegenerateMapError as e:
-        raise DegenerateInputError(f"parameters degenerate the map: {e}") from e
-    _check_marked_map(phi, inv)
-    return phi
-
-
 # ---------------------------------------------------------------------------
 # the level-2 fiber system in (alpha, beta)
 

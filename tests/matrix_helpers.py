@@ -2,8 +2,8 @@
 random invertible matrices over a field domain."""
 
 from multspec.errors import MathError
-from multspec.exactalg import Domain
-from multspec.linalg import det, solve_linear
+from multspec.exactalg import Domain, bareiss_det
+from multspec.linalg import solve_linear
 
 
 def mat_mul(a, b, dom: Domain):
@@ -32,6 +32,6 @@ def random_invertible(n: int, dom: Domain, rng):
     """Random n x n invertible matrix over a field domain."""
     for _ in range(64):
         m = [[dom.rand(rng) for _ in range(n)] for _ in range(n)]
-        if not dom.is_zero(det(m, dom)):
+        if not dom.is_zero(bareiss_det(m, dom)):
             return m
     raise MathError("failed to draw an invertible matrix")

@@ -8,10 +8,23 @@ monic: one samples w and interpolates (it needs more than d^n + 1 field
 elements), the other takes a single resultant over k[w].  They serve as
 oracles for `dynamics.multiplier_char_poly`, which over GF(p) takes the
 characteristic polynomial of a multiplication matrix instead.
+`resultant_bareiss` is the determinant of the Sylvester matrix, an oracle
+for the subresultant `resultant`; `normal_form_map` builds a marked cubic
+from the closed-form coefficients, an oracle for the chain route
+`rat3.map_from_invariants`.
 """
 
-from multspec.dynamics import _good_position
-from multspec.exactalg import Domain, UniPoly, derivative, interpolate, resultant
+from multspec.dynamics import ProjMap, _good_position
+from multspec.exactalg import (
+    Domain,
+    UniPoly,
+    bareiss_det,
+    derivative,
+    interpolate,
+    resultant,
+    sylvester_matrix,
+)
+from multspec.rat3 import Deg3Invariants, _check_marked_map, closed_form_coefficients
 
 
 class PolyRing(Domain):
@@ -78,3 +91,18 @@ def bivariate_multiplier_char_poly(phi, n):
         return p.map_coeffs(ring, lambda c: UniPoly(dom, "w", [dom.zero] * shift + [c]))
 
     return resultant(lift(phin, 0), lift(den2, 1) - lift(num, 0)).monic()
+
+
+def resultant_bareiss(f: UniPoly, g: UniPoly):
+    """Reference resultant: Bareiss on the Sylvester matrix."""
+    if f.is_zero or g.is_zero:
+        return f.dom.zero
+    return bareiss_det(sylvester_matrix(f, g), f.dom)
+
+
+def normal_form_map(inv: Deg3Invariants) -> ProjMap:
+    """The map built from the closed-form coefficients."""
+    num, den = closed_form_coefficients(inv.dom, inv.l0, inv.l1, inv.linf, inv.alpha)
+    phi = ProjMap(inv.dom, num, den)
+    _check_marked_map(phi, inv)
+    return phi

@@ -21,9 +21,9 @@ from fractions import Fraction  # noqa: E402
 
 from multspec.dynamics import Mobius, ProjMap, conjugate, random_map, sigma_n  # noqa: E402
 from multspec.errors import DegenerateMapError  # noqa: E402
-from multspec.exactalg import GF, QQ, Domain, UniPoly, random_prime, resultant, squarefree_part  # noqa: E402
+from multspec.exactalg import GF, QQ, Domain, UniPoly, bareiss_det, random_prime, resultant, squarefree_part  # noqa: E402
 from multspec.groebner import GREVLEX, LEX, MultiPoly, buchberger, quotient_dimension  # noqa: E402
-from multspec.linalg import char_poly, det  # noqa: E402
+from multspec.linalg import char_poly  # noqa: E402
 
 from poly_oracles import PolyRing  # noqa: E402
 
@@ -112,7 +112,7 @@ def _bareiss_char_poly(m, F):
     rows = [[UniPoly.const(F, "t", F.neg(x)) for x in r] for r in m]
     for i in range(n):
         rows[i][i] = rows[i][i] + t
-    return det(rows, PolyRing(F, "t"))
+    return bareiss_det(rows, PolyRing(F, "t"))
 
 
 def _matrices(rng, p):

@@ -22,14 +22,13 @@ from multspec.exactalg import (
     pow_mod,
     random_prime,
     resultant,
-    resultant_bareiss,
     scalar_from_str,
     scalar_to_str,
     squarefree_part,
     sylvester_matrix,
 )
 
-from poly_oracles import PolyRing
+from poly_oracles import PolyRing, resultant_bareiss
 
 
 def rand_poly(dom, var, deg, rng, monic=False):

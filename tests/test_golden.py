@@ -16,7 +16,10 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 CORPUS = {
     "deg-tau32": ["deg-tau32", "--draws", "1", "--seed", "1"],
     "poly-classes": ["poly-classes", "-d", "4", "--lambdas=-5,5,4", "--seed", "3"],
+    "poly-classes-d5": ["poly-classes", "-d", "5", "--lambdas=-2,-3,-4,8", "--seed", "1"],
     "sigma2-check": ["sigma2-check", "-d", "4", "--lambdas=-5,5,4", "--seed", "3"],
+    # d = 5 certifies by power sums in the quotient algebra (invariant-trace)
+    "sigma2-check-d5": ["sigma2-check", "-d", "5", "--lambdas=-5,5,-4,-2,29/9", "--seed", "1"],
     "relation": ["relation", "--map", "(z^3+2*z+1)/(z^2-3)"],
     "sigma": ["sigma", "--map", "z^3+a*z+b", "-a", "2", "-b", "-1", "-n", "2"],
 }

@@ -14,19 +14,18 @@ from multspec.groebner import (
     buchberger,
     distinct_point_count,
     eliminant_of_form,
-    eliminate,
-    jacobian_det_at,
     mono_divides,
     mono_lcm,
     multiplication_matrix,
-    normal_form,
     quotient_dimension,
     random_linear_form,
     solve_rational_points,
-    spoly,
     standard_monomials,
 )
 from multspec.linalg import char_poly
+from multspec.polymoduli import _config_basis, build_fixed_config_system
+
+from groebner_oracles import dehomogenize, eliminate, jacobian_det_at, normal_form, spoly
 
 
 def mp(dom, vars_, s_terms):
@@ -76,7 +75,7 @@ def test_substitute_and_homogenize():
     h = f.homogenize("w")
     assert h.vars == ("x", "y", "w")
     assert all(sum(e) == 2 for e in h.terms)
-    assert h.dehomogenize("w") == f
+    assert dehomogenize(h, "w") == f
 
 
 def test_linear_change_composes_to_identity():
@@ -357,6 +356,41 @@ def test_quotient_algebra_mult_matrix_matches_eliminant():
     assert char_poly(m, F) == e
     want = [F.from_int(c) for c in (-6, 11, -6, 1)]
     assert list(e.coeffs) == want
+
+
+def test_quotient_algebra_sparse_products_on_the_d5_configurations():
+    # the 24-dimensional quotient of the d = 5 fixed-point configuration
+    # system: most structure constants are zero
+    rng = random.Random(47)
+    F = GF(1000033)
+    lams = [F.from_rational(l) for l in (-2, -3, -4, 8, Fraction(689, 269))]
+    gb = _config_basis(build_fixed_config_system(F, 5, lams))
+    Q = QuotientAlgebra(gb)
+    assert Q.dim == 24
+
+    def rand_mp():
+        t = {}
+        for _ in range(rng.randint(1, 6)):
+            e = tuple(rng.randint(0, 3) for _ in gb.vars)
+            t[e] = F.rand_nonzero(rng)
+        return MultiPoly(F, gb.vars, t)
+
+    for _ in range(10):
+        f, g = rand_mp(), rand_mp()
+        assert Q.mul(Q.project(f), Q.project(g)) == Q.project(f * g)
+        assert Q.mult_matrix(Q.project(f)) == multiplication_matrix(gb, f)[0]
+
+
+def test_quotient_algebra_over_qq():
+    g1 = MultiPoly(QQ, ("x", "y"), {(2, 0): Fraction(1), (0, 1): Fraction(-3, 2)})
+    g2 = MultiPoly(QQ, ("x", "y"), {(0, 2): Fraction(1), (1, 0): Fraction(-1, 3)})
+    gb = buchberger([g1, g2], GREVLEX)
+    Q = QuotientAlgebra(gb)
+    assert Q.dim == 4
+    f = MultiPoly(QQ, gb.vars, {(3, 1): Fraction(2, 7), (0, 0): Fraction(5)})
+    g = MultiPoly(QQ, gb.vars, {(1, 2): Fraction(-1, 2), (2, 0): Fraction(1)})
+    assert Q.mul(Q.project(f), Q.project(g)) == Q.project(f * g)
+    assert Q.mult_matrix(Q.project(f)) == multiplication_matrix(gb, f)[0]
 
 
 def test_quotient_algebra_eval_at_points():

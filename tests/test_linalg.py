@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from multspec.errors import MathError
-from multspec.exactalg import GF, QQ, UniPoly
-from multspec.linalg import char_poly, det, solve_linear
+from multspec.exactalg import GF, QQ, UniPoly, bareiss_det
+from multspec.linalg import char_poly, solve_linear
 
 from matrix_helpers import mat_inverse, mat_mul, random_invertible
 from poly_oracles import PolyRing
@@ -42,7 +42,7 @@ def test_char_poly_against_bareiss_determinant():
                     c = UniPoly.const(F, "t", F.neg(m[i][j]))
                     row.append(c + t if i == j else c)
                 rows.append(row)
-            want = det(rows, R)
+            want = bareiss_det(rows, R)
             assert char_poly(m, F) == want
 
 
@@ -55,7 +55,7 @@ def test_char_poly_trace_and_det():
     assert p.degree == n and p.lc == 1
     tr = sum(m[i][i] for i in range(n)) % 103
     assert p.coeff(n - 1) == F.neg(tr)
-    assert p.coeff(0) == F.mul(F.pow(F.neg(F.one), n), det(m, F))
+    assert p.coeff(0) == F.mul(F.pow(F.neg(F.one), n), bareiss_det(m, F))
 
 
 def test_mat_inverse_round_trip():

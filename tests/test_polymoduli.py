@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from multspec import polymoduli
 from multspec.dynamics import ProjPoint, multiplier_at_point, sigma_n
 from multspec.errors import (
+    BudgetExhaustedError,
     DegenerateInputError,
     EliminantNotSplitError,
     MathError,
@@ -12,6 +14,7 @@ from multspec.errors import (
     UsageError,
 )
 from multspec.exactalg import GF, QQ, UniPoly, compose, derivative, fp_roots, random_prime
+from multspec.groebner import quotient_dimension
 from multspec.polymoduli import (
     PolyNormalForm,
     _config_basis,
@@ -222,7 +225,8 @@ def test_two_cycle_power_sums_match_matrix_traces():
     rng = random.Random(12)
     F, lams, sys, pts = _find_split_d4(rng)
     basis = _config_basis(sys)
-    Q, sums = two_cycle_power_sums(basis, 4, 2)
+    Q, sums = two_cycle_power_sums(basis, 4)
+    sums = [next(sums), next(sums)]
 
     def trace_sums(pt, kmax):
         # companion matrix of the 2-periodic factor; g_k = tr((phi2)'(C)^k)
@@ -266,7 +270,51 @@ def test_two_cycle_power_sums_match_matrix_traces():
     with pytest.raises(MathError):
         _invariant_certificate(basis, 4, 0)  # invariants always take a value
     with pytest.raises(UsageError):
-        two_cycle_power_sums(basis, 5, 2)
+        two_cycle_power_sums(basis, 5)
+
+
+def _d5_basis():
+    F = GF(1000033)
+    sys = build_fixed_config_system(F, 5, [F.from_rational(l) for l in D5_LAMBDAS])
+    return sys, _config_basis(sys)
+
+
+def test_invariant_certificate_builds_only_the_powers_it_tests(monkeypatch):
+    _, basis = _d5_basis()
+    drawn = []
+
+    def counting_sums(basis, d):
+        Q, sums = two_cycle_power_sums(basis, d)
+        return Q, (drawn.append(g) or g for g in sums)
+
+    divmods = []
+    monic_divmod = UniPoly.monic_divmod
+
+    def counting_divmod(f, g):
+        divmods.append(g.degree)
+        return monic_divmod(f, g)
+
+    monkeypatch.setattr(polymoduli, "two_cycle_power_sums", counting_sums)
+    monkeypatch.setattr(UniPoly, "monic_divmod", counting_divmod)
+    # psi = (phi^2 - z) / (phi - z), hbar = (phi^2)' mod psi (deg psi = 20),
+    # then one product mod psi per further power: hbar^2 for g_2, no hbar^3
+    assert _invariant_certificate(basis, 5, 6) == (True, 2)
+    assert len(drawn) == 2 and divmods == [5, 20, 20]
+    # with no certificate in reach it stops at kmax = 3: no hbar^4
+    drawn.clear()
+    divmods.clear()
+    assert _invariant_certificate(basis, 5, 7) == (False, 6)
+    assert len(drawn) == 3 and divmods == [5, 20, 20, 20]
+
+
+def test_config_basis_d5_reduction_steps():
+    # 3164 reduction steps, counted before the pair update stored packed
+    # lcms: the same S-pairs are reduced, in the same order
+    sys, basis = _d5_basis()
+    assert quotient_dimension(basis) == 24
+    with pytest.raises(BudgetExhaustedError):
+        _config_basis(sys, budget=3163)
+    assert _config_basis(sys, budget=3164) == basis
 
 
 def test_sigma2_discrimination_d4_rational_points():

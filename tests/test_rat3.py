@@ -16,7 +16,7 @@ from multspec.dynamics import (
 )
 from multspec.errors import DegenerateInputError, InvariantError, MathError, UsageError
 from multspec.exactalg import GF, QQ, fp_roots, poly_gcd, random_prime, squarefree_part
-from multspec.groebner import GREVLEX, buchberger, jacobian_det_at, quotient_dimension
+from multspec.groebner import GREVLEX, buchberger, quotient_dimension
 from multspec.rat3 import (
     Deg3Invariants,
     build_tau32_system,
@@ -26,12 +26,13 @@ from multspec.rat3 import (
     degenerate_points,
     lambda_alpha,
     map_from_invariants,
-    normal_form_map,
     reconstruct_from_fixed_data,
 )
 from multspec.reproduce import run_criterion
 
+from groebner_oracles import dehomogenize, jacobian_det_at
 from matrix_helpers import random_invertible
+from poly_oracles import normal_form_map
 
 
 def qq(*xs):
@@ -281,7 +282,7 @@ def test_deg_tau32_single_counts():
     # the moved system counts all of them with multiplicity
     sysm = build_tau32_system(F, *PINNED)
     m = random_invertible(3, F, random.Random(4))
-    moved = [h.linear_change(m).dehomogenize("z") for h in sysm.hgens]
+    moved = [dehomogenize(h.linear_change(m), "z") for h in sysm.hgens]
     h1, h2 = sysm.hgens
     assert quotient_dimension(buchberger(moved, GREVLEX)) == draw.bezout == h1.total_degree() * h2.total_degree()
 
