@@ -4,7 +4,10 @@ A map is a pair of homogeneous degree-d binary forms (F, G) with nonzero
 resultant, stored as full coefficient tuples in descending powers of X
 (num[0] is the X^d coefficient).  Construction scales so the first nonzero
 coefficient of the concatenated tuple is 1, which makes equality of
-coefficient vectors meaningful.
+coefficient vectors meaningful.  Composition, conjugation and iteration
+multiply forms as UniPolys in Y: the tuple of F, descending in X, is the
+ascending coefficient list of F(1, Y).  A product drops vanishing top Y
+coefficients, so results are padded back to their formal degree.
 
 The n-multiplier spectrum is read off the characteristic polynomial
 prod (w - mu(P)) over the roots P of Phi_n, the monic vanishing polynomial
@@ -20,7 +23,6 @@ and interpolated (Phi_n monic makes specialization exact).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -35,19 +37,15 @@ from .exactalg import (
     Domain,
     QQ,
     UniPoly,
-    ZZ,
-    bareiss_det,
     derivative,
     interpolate,
     inverse_mod,
-    poly_gcd,
     resultant,
-    sylvester_matrix,
 )
 from .linalg import char_poly
 
 # ---------------------------------------------------------------------------
-# binary forms as full descending coefficient tuples
+# binary forms: F = sum c_i X^(d-i) Y^i is the UniPoly F(1, Y) in "y"
 
 
 def form_eval(coeffs, dom, x, y):
@@ -65,37 +63,24 @@ def form_eval(coeffs, dom, x, y):
     return acc
 
 
-def _form_mul(a, b, dom):
-    out = [dom.zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if dom.is_zero(ca):
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = dom.add(out[i + j], dom.mul(ca, cb))
-    return out
+def _form(coeffs, dom) -> UniPoly:
+    return UniPoly(dom, "y", coeffs)
 
 
-def _form_add(a, b, dom):
-    if len(a) != len(b):
-        raise MathError("form degree mismatch")
-    return [dom.add(x, y) for x, y in zip(a, b)]
+def _padded(f: UniPoly, d: int):
+    """Coefficient list of the form f of formal degree d."""
+    return list(f.coeffs) + [f.dom.zero] * (d + 1 - len(f.coeffs))
 
 
-def _form_scale(a, c, dom):
-    return [dom.mul(x, c) for x in a]
-
-
-def _form_compose(coeffs, p, q, dom):
-    """C(P, Q) for C of formal degree len(coeffs)-1 and forms P, Q."""
-    acc = [coeffs[0]]
-    qpow = [dom.one]
+def _form_compose(coeffs, p: UniPoly, q: UniPoly) -> UniPoly:
+    """C(P, Q) for the form C with coefficient list `coeffs` and forms P, Q."""
+    dom = p.dom
+    acc = _form(coeffs[:1], dom)
+    qpow = _form([dom.one], dom)
     for c in coeffs[1:]:
-        acc = _form_mul(acc, p, dom)
-        qpow = _form_mul(qpow, q, dom)
-        if not dom.is_zero(c):
-            tail = _form_scale(qpow, c, dom)
-            tail = [dom.zero] * (len(acc) - len(tail)) + tail
-            acc = _form_add(acc, tail, dom)
+        acc = acc * p
+        qpow = qpow * q
+        acc = acc + qpow.scale(c)
     return acc
 
 
@@ -104,19 +89,16 @@ def _affine(coeffs, dom, var="z") -> UniPoly:
 
 
 def _forms_share_root(num, den, dom, d) -> bool:
-    """Whether the degree-d forms have a common root on P^1 (resultant 0)."""
-    if dom == QQ:
-        # only whether the resultant vanishes matters: clear one common
-        # denominator and run Bareiss over ZZ instead of on Fractions
-        m = math.lcm(*(c.denominator for c in num + den))
-        num = [c.numerator * (m // c.denominator) for c in num]
-        den = [c.numerator * (m // c.denominator) for c in den]
-        dom = ZZ
+    """Whether the degree-d forms have a common root on P^1.
+
+    They share infinity when both affine parts have degree below d;
+    otherwise their resultant is, up to a nonzero factor, Res(f, g).
+    """
     f = _affine(num, dom)
     g = _affine(den, dom)
-    if f.is_zero or g.is_zero:
+    if f.degree < d and g.degree < d:
         return True
-    return dom.is_zero(bareiss_det(sylvester_matrix(f, g, d, d), dom))
+    return dom.is_zero(resultant(f, g))
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +284,14 @@ def conjugate(phi: ProjMap, m: Mobius) -> ProjMap:
     if phi.dom != m.dom:
         raise FieldMismatchError("map and Mobius over different fields")
     dom = phi.dom
-    mx = [m.a, m.b]
-    my = [m.c, m.d]
-    f1 = _form_compose(list(phi.num), mx, my, dom)
-    g1 = _form_compose(list(phi.den), mx, my, dom)
+    mx = _form([m.a, m.b], dom)
+    my = _form([m.c, m.d], dom)
+    f1 = _form_compose(phi.num, mx, my)
+    g1 = _form_compose(phi.den, mx, my)
     # postcompose with the adjugate of m (projective inverse)
-    num = _form_add(_form_scale(f1, m.d, dom), _form_scale(g1, dom.neg(m.b), dom), dom)
-    den = _form_add(_form_scale(f1, dom.neg(m.c), dom), _form_scale(g1, m.a, dom), dom)
-    return ProjMap(dom, num, den, check=False)
+    num = f1.scale(m.d) - g1.scale(m.b)
+    den = g1.scale(m.a) - f1.scale(m.c)
+    return ProjMap(dom, _padded(num, phi.d), _padded(den, phi.d), check=False)
 
 
 def iterate(phi: ProjMap, n: int) -> ProjMap:
@@ -317,13 +299,11 @@ def iterate(phi: ProjMap, n: int) -> ProjMap:
     if n < 1:
         raise UsageError("iteration count must be >= 1")
     dom = phi.dom
-    num, den = list(phi.num), list(phi.den)
+    num, den = _form(phi.num, dom), _form(phi.den, dom)
     for _ in range(n - 1):
-        num, den = (
-            _form_compose(list(phi.num), num, den, dom),
-            _form_compose(list(phi.den), num, den, dom),
-        )
-    return ProjMap(dom, num, den, check=False)
+        num, den = _form_compose(phi.num, num, den), _form_compose(phi.den, num, den)
+    d = phi.d ** n
+    return ProjMap(dom, _padded(num, d), _padded(den, d), check=False)
 
 
 def period_polynomial(phi: ProjMap, n: int) -> UniPoly:
@@ -341,14 +321,15 @@ def period_polynomial(phi: ProjMap, n: int) -> UniPoly:
 
 
 _REPOSITION_SEED = 0x5EEDBA5E
+_REPOSITION_BUDGET = 32
 
 
-def _reposition_candidates(dom, budget: int = 32):
+def _reposition_candidates(dom):
     """Fixed deterministic Mobius sequence, identity first."""
     yield Mobius.identity(dom)
     rng = random.Random(_REPOSITION_SEED)
     produced = 1
-    while produced < budget:
+    while produced < _REPOSITION_BUDGET:
         a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
         try:
             yield Mobius.from_ints(dom, a, b, c, d)
@@ -368,11 +349,8 @@ def _good_position(phi: ProjMap, n: int):
         v = nn - z * dd
         if v.is_zero or v.degree != target:
             continue
-        phin = v.monic()
-        if poly_gcd(phin, dd).degree != 0:
-            # impossible for a morphism; kept as a cheap sanity check
-            raise MathError("period polynomial shares a root with denominator")
-        return psi, phin, nn, dd
+        # Phi_n and Den share no root: it would be a root of both coprime forms of phi^n
+        return psi, v.monic(), nn, dd
     raise RepositionError(f"no conjugate kept Per_{n} affine within budget")
 
 

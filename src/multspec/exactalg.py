@@ -5,10 +5,10 @@ are `fractions.Fraction`), a prime field GF(p) (values are ints in [0, p)),
 or the integer ring ZZ used internally to keep resultants fraction-free.
 
 Polynomials are immutable dense coefficient tuples in ascending order.  The
-zero polynomial has degree -1.  Resultants go through a subresultant
-polynomial remainder sequence (fraction-free over ZZ); a Bareiss
-determinant of the Sylvester matrix is kept as the reference path and for
-homogeneous resultants where formal degrees matter.
+zero polynomial has degree -1.  One long-division loop (`UniPoly._divide`)
+serves division over a field, division by a monic divisor over any ring and
+pseudo-division over ZZ.  Resultants go through a subresultant polynomial
+remainder sequence (fraction-free over ZZ).
 """
 
 from __future__ import annotations
@@ -399,68 +399,38 @@ class UniPoly:
         inv = dom.inv(self.lc)
         return self.scale(inv)
 
+    def _divide(self, other, quotient_coeff):
+        """Long division of self by other, the loop under divmod, monic_divmod
+        and prem; quotient_coeff(c) cancels the leading coefficient c."""
+        _coerce_same(self, other)
+        dom = self.dom
+        sub, mul = dom.sub, dom.mul
+        db = other.degree
+        q = [dom.zero] * max(0, self.degree - db + 1)
+        r = list(self.coeffs)
+        for i in range(len(r) - 1, db - 1, -1):
+            if dom.is_zero(r[i]):
+                continue
+            f = q[i - db] = quotient_coeff(r[i])
+            for j, c in enumerate(other.coeffs, i - db):
+                r[j] = sub(r[j], mul(f, c))
+        return UniPoly(dom, self.var, q), UniPoly(dom, self.var, r)
+
     def divmod(self, other):
         """Quotient and remainder over a field domain."""
-        _coerce_same(self, other)
         dom = self.dom
         if not dom.is_field:
             raise UsageError("divmod requires a field domain")
         if other.is_zero:
             raise MathError("polynomial division by zero")
-        q = [dom.zero] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        db, lb = other.degree, other.lc
-        inv = dom.inv(lb)
-        for i in range(len(r) - 1, db - 1, -1):
-            if dom.is_zero(r[i]):
-                continue
-            f = dom.mul(r[i], inv)
-            q[i - db] = f
-            for j, c in enumerate(other.coeffs):
-                r[i - db + j] = dom.sub(r[i - db + j], dom.mul(f, c))
-        return UniPoly(dom, self.var, q), UniPoly(dom, self.var, r)
+        inv = dom.inv(other.lc)
+        return self._divide(other, lambda c: dom.mul(c, inv))
 
     def monic_divmod(self, other):
         """Quotient and remainder by a monic divisor; ring operations only."""
-        _coerce_same(self, other)
-        dom = self.dom
-        if other.is_zero or other.lc != dom.one:
+        if other.is_zero or other.lc != other.dom.one:
             raise UsageError("monic_divmod needs a monic divisor")
-        q = [dom.zero] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        db = other.degree
-        for i in range(len(r) - 1, db - 1, -1):
-            if dom.is_zero(r[i]):
-                continue
-            f = r[i]
-            q[i - db] = f
-            for j, c in enumerate(other.coeffs):
-                r[i - db + j] = dom.sub(r[i - db + j], dom.mul(f, c))
-        return UniPoly(dom, self.var, q), UniPoly(dom, self.var, r)
-
-    def exact_div(self, other):
-        """Exact polynomial division over any domain; raises when inexact."""
-        _coerce_same(self, other)
-        dom = self.dom
-        if other.is_zero:
-            raise MathError("polynomial division by zero")
-        if self.is_zero:
-            return self
-        if self.degree < other.degree:
-            raise MathError("inexact polynomial division")
-        q = [dom.zero] * (self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        db = other.degree
-        for i in range(len(r) - 1, db - 1, -1):
-            if dom.is_zero(r[i]):
-                continue
-            f = dom.exact_div(r[i], other.lc)
-            q[i - db] = f
-            for j, c in enumerate(other.coeffs):
-                r[i - db + j] = dom.sub(r[i - db + j], dom.mul(f, c))
-        if any(not dom.is_zero(c) for c in r):
-            raise MathError("inexact polynomial division")
-        return UniPoly(dom, self.var, q)
+        return self._divide(other, lambda c: c)
 
     def eval(self, c):
         dom = self.dom
@@ -468,9 +438,6 @@ class UniPoly:
         for a in reversed(self.coeffs):
             acc = dom.add(dom.mul(acc, c), a)
         return acc
-
-    def rename(self, var: str):
-        return UniPoly(self.dom, var, self.coeffs)
 
     def map_coeffs(self, dom: Domain, fn):
         return UniPoly(dom, self.var, [fn(c) for c in self.coeffs])
@@ -554,23 +521,17 @@ def _gcd_qq(f: UniPoly, g: UniPoly) -> UniPoly:
 
 
 def prem(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g."""
-    _coerce_same(f, g)
-    dom = f.dom
+    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g.
+
+    f is scaled by that power first, so every division step is exact.
+    """
     if g.is_zero:
         raise MathError("pseudo-division by zero")
     if f.degree < g.degree:
         return f
-    lb = g.lc
-    n = f.degree - g.degree + 1
-    r = f
-    while not r.is_zero and r.degree >= g.degree:
-        k = r.degree - g.degree
-        r = r.scale(lb) - g.shift(k).scale(r.lc)
-        n -= 1
-    if n > 0:
-        r = r.scale(dom.pow(lb, n))
-    return r
+    dom, lb = f.dom, g.lc
+    scaled = f.scale(dom.pow(lb, f.degree - g.degree + 1))
+    return scaled._divide(g, lambda c: dom.exact_div(c, lb))[1]
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
@@ -607,50 +568,6 @@ def squarefree_part(f: UniPoly) -> UniPoly:
 
 # ---------------------------------------------------------------------------
 # resultants
-
-
-def sylvester_matrix(f: UniPoly, g: UniPoly, m: int | None = None, n: int | None = None):
-    """Sylvester matrix rows for formal degrees m, n (default actual)."""
-    m = f.degree if m is None else m
-    n = g.degree if n is None else n
-    dom = f.dom
-    size = m + n
-    rows = []
-    fc = [f.coeff(m - i) for i in range(m + 1)]  # descending, padded
-    gc = [g.coeff(n - i) for i in range(n + 1)]
-    for i in range(n):
-        rows.append([dom.zero] * i + fc + [dom.zero] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([dom.zero] * i + gc + [dom.zero] * (size - i - n - 1))
-    return rows
-
-
-def bareiss_det(rows, dom: Domain):
-    """Fraction-free determinant over an integral domain."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return dom.one
-    sign = 1
-    prev = dom.one
-    for k in range(n - 1):
-        if dom.is_zero(m[k][k]):
-            for i in range(k + 1, n):
-                if not dom.is_zero(m[i][k]):
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return dom.zero
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                t = dom.sub(dom.mul(m[i][j], piv), dom.mul(m[i][k], m[k][j]))
-                m[i][j] = dom.exact_div(t, prev)
-            m[i][k] = dom.zero
-        prev = piv
-    det = m[n - 1][n - 1]
-    return dom.neg(det) if sign < 0 else det
 
 
 def _prs_resultant(f: UniPoly, g: UniPoly):
@@ -762,10 +679,11 @@ def fp_roots(f: UniPoly, rng) -> list[int]:
         return []
     xp = pow_mod(x, dom.p, f)
     g = poly_gcd(f, xp - x)
-    return sorted(_split_linear(g, rng))
+    return sorted(split_linear(g, rng))
 
 
-def _split_linear(g: UniPoly, rng) -> list[int]:
+def split_linear(g: UniPoly, rng) -> list[int]:
+    """Roots of g over GF(p), g a product of distinct linear factors."""
     dom = g.dom
     if g.degree <= 0:
         return []
@@ -779,7 +697,7 @@ def _split_linear(g: UniPoly, rng) -> list[int]:
         h = pow_mod(x + UniPoly.const(dom, g.var, a), half, g) - one
         d = poly_gcd(g, h)
         if 0 < d.degree < g.degree:
-            return _split_linear(d, rng) + _split_linear(g.divmod(d)[0], rng)
+            return split_linear(d, rng) + split_linear(g.divmod(d)[0], rng)
 
 
 def interpolate(xs, ys, dom: Domain, var: str) -> UniPoly:
@@ -804,14 +722,6 @@ def interpolate(xs, ys, dom: Domain, var: str) -> UniPoly:
 
 # ---------------------------------------------------------------------------
 # string codecs for scalars and field descriptors
-
-
-def scalar_to_str(dom: Domain, a) -> str:
-    if dom == QQ:
-        return str(a)
-    if isinstance(dom, PrimeField):
-        return f"{a % dom.p} mod {dom.p}"
-    return str(a)
 
 
 def scalar_from_str(dom: Domain, s: str):

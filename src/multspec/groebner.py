@@ -43,8 +43,8 @@ from .errors import (
     NonSimpleSolutionError,
     UsageError,
 )
-from .exactalg import Domain, PrimeField, UniPoly, fp_roots, poly_gcd, pow_mod, squarefree_part
-from .linalg import char_poly as _char_poly
+from .exactalg import Domain, PrimeField, UniPoly, poly_gcd, pow_mod, split_linear, squarefree_part
+from .linalg import char_poly as _char_poly, row_reduce
 
 # ---------------------------------------------------------------------------
 # monomials as exponent tuples
@@ -824,13 +824,6 @@ class QuotientAlgebra(Domain):
         pairs = [(c, self._nf.vector(e)) for e, c in f.terms.items()]
         return tuple(_combine(self.base, pairs, self.dim))
 
-    def to_multipoly(self, a) -> MultiPoly:
-        terms = {}
-        for e, c in zip(self.std, a):
-            if not self.base.is_zero(c):
-                terms[e] = c
-        return MultiPoly(self.base, self.vars, terms)
-
     def mult_matrix(self, a):
         """Matrix of multiplication by the element a on the standard basis."""
         base, table = self.base, self._table
@@ -867,7 +860,10 @@ def eliminant_of_form(basis: IdealBasis, u: MultiPoly, var: str = "t") -> UniPol
     return _char_poly(m, u.dom, var)
 
 
-def distinct_point_count(basis: IdealBasis, rng, attempts: int = 6) -> int:
+_COUNT_ATTEMPTS = 6
+
+
+def distinct_point_count(basis: IdealBasis, rng) -> int:
     """Number of distinct solutions over the algebraic closure.
 
     Degree of the squarefree part of the eliminant of a random separating
@@ -880,7 +876,7 @@ def distinct_point_count(basis: IdealBasis, rng, attempts: int = 6) -> int:
         raise MathError("system is not zero dimensional")
     dom = basis.gens[0].dom
     counts = []
-    for _ in range(attempts):
+    for _ in range(_COUNT_ATTEMPTS):
         u = random_linear_form(basis.vars, dom, rng)
         e = eliminant_of_form(basis, u)
         counts.append(squarefree_part(e).degree)
@@ -889,13 +885,15 @@ def distinct_point_count(basis: IdealBasis, rng, attempts: int = 6) -> int:
     raise AgreementError(f"eliminant degrees kept disagreeing: {counts}")
 
 
-def solve_rational_points(basis: IdealBasis, rng, verify_count: bool = True):
+def solve_rational_points(basis: IdealBasis, rng):
     """All solutions with coordinates in the base prime field.
 
     Requires the eliminant of a separating form to split into distinct
     linear factors over GF(p); raises EliminantNotSplitError otherwise so
-    callers can retry with another prime.  Points are read off left
-    eigenvectors of the multiplication matrix (evaluation functionals).
+    callers can retry with another prime.  A squarefree eliminant of degree
+    D that splits proves D distinct rational points, so they are not
+    recounted.  Points are read off left eigenvectors of the multiplication
+    matrix (evaluation functionals).
     """
     _require_gb(basis)
     dom = basis.gens[0].dom
@@ -928,7 +926,7 @@ def solve_rational_points(basis: IdealBasis, rng, verify_count: bool = True):
     frob = pow_mod(x, dom.p, esf)
     if poly_gcd(esf, frob - x).degree != esf.degree:
         raise EliminantNotSplitError("eliminant does not split over GF(p)")
-    roots = fp_roots(esf, rng)
+    roots = sorted(split_linear(esf, rng))
 
     # normal forms of the coordinate functions, for coordinate read-off
     n = len(basis.vars)
@@ -952,12 +950,6 @@ def solve_rational_points(basis: IdealBasis, rng, verify_count: bool = True):
         points.append(pt)
     if len(set(points)) != len(points):
         raise NonSimpleSolutionError("separating form failed to separate")
-    if verify_count:
-        check = distinct_point_count(basis, rng)
-        if check != len(points):
-            raise EliminantNotSplitError(
-                f"rational points {len(points)} != distinct count {check}"
-            )
     return points
 
 
@@ -972,32 +964,13 @@ def _dot(dom, a, b):
 def _kernel_vector(rows, dom):
     """One nonzero kernel vector; raises when nullity != 1."""
     n = len(rows)
-    m = [list(r) for r in rows]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if not dom.is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = dom.inv(m[r][c])
-        m[r] = [dom.mul(x, inv) for x in m[r]]
-        for i in range(n):
-            if i != r and not dom.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
+    m, pivots = row_reduce(rows, dom)
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         raise NonSimpleSolutionError(f"kernel dimension {len(free)} != 1")
     fc = free[0]
     v = [dom.zero] * n
     v[fc] = dom.one
-    for c, pr in pivots.items():
-        v[c] = dom.neg(m[pr][fc])
+    for r, c in enumerate(pivots):
+        v[c] = dom.neg(m[r][fc])
     return v

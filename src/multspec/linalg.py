@@ -1,8 +1,8 @@
 """Exact dense linear algebra over field domains.
 
-Small matrices only: linear solves for reconstruction, determinants for
-Jacobians, and characteristic polynomials of multiplication operators.  The
-characteristic polynomial goes through a Hessenberg reduction (similarity
+Small matrices only: one Gauss-Jordan row reduction for linear solves and
+kernel vectors, and characteristic polynomials of multiplication operators.
+The characteristic polynomial goes through a Hessenberg reduction (similarity
 transforms, so the polynomial is unchanged) followed by the standard
 recurrence, O(n^3) field operations total, which keeps 100-200 dimensional
 quotient algebras tractable in exact arithmetic.  Over GF(p) it runs as a
@@ -16,29 +16,39 @@ from .errors import MathError, UsageError
 from .exactalg import Domain, PrimeField, UniPoly
 
 
+def row_reduce(rows, dom: Domain):
+    """Reduced row echelon form over a field, by Gauss-Jordan elimination.
+
+    Returns the reduced rows and the pivot column of each nonzero row.
+    """
+    if not dom.is_field:
+        raise UsageError("row reduction requires a field domain")
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if not dom.is_zero(m[i][c])), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = dom.inv(m[r][c])
+        m[r] = [dom.mul(x, inv) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not dom.is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
 def solve_linear(rows, rhs, dom: Domain):
     """Solve A x = b over a field; raises MathError when singular."""
-    if not dom.is_field:
-        raise UsageError("solve_linear requires a field domain")
     n = len(rows)
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if any(len(r) != n + 1 for r in m):
+    if any(len(r) != n for r in rows) or len(rhs) != n:
         raise UsageError("solve_linear expects a square system")
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if not dom.is_zero(m[i][k]):
-                piv = i
-                break
-        if piv is None:
-            raise MathError("singular linear system")
-        m[k], m[piv] = m[piv], m[k]
-        inv = dom.inv(m[k][k])
-        m[k] = [dom.mul(c, inv) for c in m[k]]
-        for i in range(n):
-            if i != k and not dom.is_zero(m[i][k]):
-                f = m[i][k]
-                m[i] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(m[i], m[k])]
+    m, pivots = row_reduce([list(r) + [b] for r, b in zip(rows, rhs)], dom)
+    if pivots[:n] != list(range(n)):
+        raise MathError("singular linear system")
     return [m[i][n] for i in range(n)]
 
 

@@ -3,7 +3,7 @@
 Maps come in as affine rational-function syntax ("(z^2+1)/(z-1)", with
 named parameters bound separately) or as homogeneous coefficient lists;
 they go out as flat documents whose scalars are exact decimal-free
-strings.  Everything round-trips bit-exactly through the same parsers.
+strings, in the syntax the scalar parsers read.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import UsageError
 from .exactalg import (
     Domain,
     UniPoly,
-    field_from_str,
     field_to_str,
     poly_gcd,
     scalar_from_str,
@@ -137,20 +136,6 @@ def map_to_document(phi: ProjMap) -> dict:
         "num": [scalar_doc(c) for c in phi.num],
         "den": [scalar_doc(c) for c in phi.den],
     }
-
-
-def map_from_document(doc: dict) -> ProjMap:
-    try:
-        dom = field_from_str(doc["field"])
-        degree = int(doc["degree"])
-        num = [scalar_from_str(dom, s) for s in doc["num"]]
-        den = [scalar_from_str(dom, s) for s in doc["den"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"bad map document: {e}") from e
-    phi = ProjMap(dom, num, den)
-    if phi.d != degree:
-        raise UsageError(f"document declares degree {degree}, map has degree {phi.d}")
-    return phi
 
 
 def emit_document(payload: dict) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import ProjMap, SigmaVector, sigma_n
+from .dynamics import ProjMap, sigma_n
 from .errors import (
     DegenerateInputError,
     MathError,
@@ -416,13 +416,16 @@ def two_cycle_power_sums(basis: IdealBasis, d: int):
     return Q, sums()
 
 
-def _invariant_certificate(basis: IdealBasis, d: int, classes: int, kmax: int = 3):
+_CERTIFICATE_POWERS = 3
+
+
+def _invariant_certificate(basis: IdealBasis, d: int, classes: int):
     """Count distinct 2-cycle power-sum values, one power at a time up to
-    kmax; matching the class count certifies pairwise distinct level-2
-    spectra, and no later power is computed."""
+    _CERTIFICATE_POWERS; matching the class count certifies pairwise
+    distinct level-2 spectra, and no later power is computed."""
     Q, sums = two_cycle_power_sums(basis, d)
     best = 0
-    for k, g in zip(range(1, kmax + 1), sums):
+    for k, g in zip(range(1, _CERTIFICATE_POWERS + 1), sums):
         E = _char_poly(Q.mult_matrix(g), Q.base)
         count = squarefree_part(E).degree
         if count > classes:
@@ -524,24 +527,6 @@ def sigma2_discrimination(
 
 # ---------------------------------------------------------------------------
 # cubic closed forms
-
-
-def tau31_phi_ab(dom: Domain, a, b) -> SigmaVector:
-    """sigma_1 of z^3 + az + b in closed form."""
-    i = dom.from_int
-    a2 = dom.mul(a, a)
-    b2 = dom.mul(b, b)
-    s3 = dom.add(
-        dom.sub(dom.mul(i(9), a), dom.mul(i(12), a2)),
-        dom.add(dom.mul(i(4), dom.mul(a2, a)), dom.mul(i(27), b2)),
-    )
-    values = (
-        dom.sub(i(6), dom.mul(i(3), a)),
-        dom.sub(i(9), dom.mul(i(6), a)),
-        s3,
-        dom.zero,
-    )
-    return SigmaVector(dom=dom, d=3, n=1, values=values)
 
 
 def p3_from_sigma1(dom: Domain, lambdas):

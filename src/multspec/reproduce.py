@@ -327,11 +327,3 @@ def run_criterion(number: int, seed: int = 0, budget=None) -> CriterionResult:
 def run_all(seed: int = 0, budget=None):
     return [run_criterion(num, seed, budget) for num, _, _ in CRITERIA]
 
-
-def format_results(results) -> str:
-    lines = []
-    for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        lines.append(f"criterion {r.number:2d} {mark}  {r.name}: {r.detail}")
-    lines.append(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
-    return "\n".join(lines)

@@ -1,14 +1,15 @@
 """Groebner routes that only the tests use.
 
 Division of one polynomial by a basis, S-polynomials, lex elimination,
-dehomogenization and Jacobian determinants at a point.  They check
+dehomogenization, Jacobian determinants at a point, and quotient-algebra
+elements written back as polynomials.  They check
 `buchberger` against its definition and the level-2 fiber system against
 its geometry; the package itself works on packed reducers and quotient
 contexts instead.
 """
 
+from matrix_helpers import bareiss_det
 from multspec.errors import UsageError
-from multspec.exactalg import bareiss_det
 from multspec.groebner import (
     LEX,
     IdealBasis,
@@ -77,3 +78,9 @@ def jacobian_det_at(gens, vars_, point):
         raise UsageError("jacobian requires as many generators as variables")
     rows = [[g.derivative(v).eval(point) for v in vars_] for g in gens]
     return bareiss_det(rows, gens[0].dom)
+
+
+def to_multipoly(Q, a) -> MultiPoly:
+    """The element a of the quotient algebra Q as a combination of standard monomials."""
+    terms = {e: c for e, c in zip(Q.std, a) if not Q.base.is_zero(c)}
+    return MultiPoly(Q.base, Q.vars, terms)

@@ -1,9 +1,37 @@
-"""Dense matrix helpers that only the tests use: products, inverses and
-random invertible matrices over a field domain."""
+"""Dense matrix helpers that only the tests use: fraction-free
+determinants, products, inverses and random invertible matrices."""
 
 from multspec.errors import MathError
-from multspec.exactalg import Domain, bareiss_det
+from multspec.exactalg import Domain
 from multspec.linalg import solve_linear
+
+
+def bareiss_det(rows, dom: Domain):
+    """Fraction-free determinant over an integral domain."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    if n == 0:
+        return dom.one
+    sign = 1
+    prev = dom.one
+    for k in range(n - 1):
+        if dom.is_zero(m[k][k]):
+            for i in range(k + 1, n):
+                if not dom.is_zero(m[i][k]):
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return dom.zero
+        piv = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                t = dom.sub(dom.mul(m[i][j], piv), dom.mul(m[i][k], m[k][j]))
+                m[i][j] = dom.exact_div(t, prev)
+            m[i][k] = dom.zero
+        prev = piv
+    det = m[n - 1][n - 1]
+    return dom.neg(det) if sign < 0 else det
 
 
 def mat_mul(a, b, dom: Domain):

@@ -11,20 +11,47 @@ characteristic polynomial of a multiplication matrix instead.
 `resultant_bareiss` is the determinant of the Sylvester matrix, an oracle
 for the subresultant `resultant`; `normal_form_map` builds a marked cubic
 from the closed-form coefficients, an oracle for the chain route
-`rat3.map_from_invariants`.
+`rat3.map_from_invariants`; `tau31_phi_ab` is sigma_1 of z^3 + az + b in
+closed form.  `exact_div` is exact polynomial division over any domain.
 """
 
-from multspec.dynamics import ProjMap, _good_position
+from matrix_helpers import bareiss_det
+from multspec.dynamics import ProjMap, SigmaVector, _good_position
+from multspec.errors import MathError
 from multspec.exactalg import (
     Domain,
     UniPoly,
-    bareiss_det,
     derivative,
     interpolate,
     resultant,
-    sylvester_matrix,
 )
 from multspec.rat3 import Deg3Invariants, _check_marked_map, closed_form_coefficients
+
+
+def exact_div(f: UniPoly, g: UniPoly) -> UniPoly:
+    """f / g over any domain; raises MathError when the division is inexact."""
+    if g.is_zero:
+        raise MathError("polynomial division by zero")
+    q, r = f._divide(g, lambda c: f.dom.exact_div(c, g.lc))
+    if not r.is_zero:
+        raise MathError("inexact polynomial division")
+    return q
+
+
+def sylvester_matrix(f: UniPoly, g: UniPoly, m: int | None = None, n: int | None = None):
+    """Sylvester matrix rows for formal degrees m, n (default actual)."""
+    m = f.degree if m is None else m
+    n = g.degree if n is None else n
+    dom = f.dom
+    size = m + n
+    rows = []
+    fc = [f.coeff(m - i) for i in range(m + 1)]  # descending, padded
+    gc = [g.coeff(n - i) for i in range(n + 1)]
+    for i in range(n):
+        rows.append([dom.zero] * i + fc + [dom.zero] * (size - i - m - 1))
+    for i in range(m):
+        rows.append([dom.zero] * i + gc + [dom.zero] * (size - i - n - 1))
+    return rows
 
 
 class PolyRing(Domain):
@@ -41,7 +68,7 @@ class PolyRing(Domain):
         return a.is_zero
 
     def exact_div(self, a, b):
-        return a.exact_div(b)
+        return exact_div(a, b)
 
     def from_int(self, n):
         return UniPoly.const(self.base, self.var, self.base.from_int(n))
@@ -106,3 +133,21 @@ def normal_form_map(inv: Deg3Invariants) -> ProjMap:
     phi = ProjMap(inv.dom, num, den)
     _check_marked_map(phi, inv)
     return phi
+
+
+def tau31_phi_ab(dom: Domain, a, b) -> SigmaVector:
+    """sigma_1 of z^3 + az + b in closed form."""
+    i = dom.from_int
+    a2 = dom.mul(a, a)
+    b2 = dom.mul(b, b)
+    s3 = dom.add(
+        dom.sub(dom.mul(i(9), a), dom.mul(i(12), a2)),
+        dom.add(dom.mul(i(4), dom.mul(a2, a)), dom.mul(i(27), b2)),
+    )
+    values = (
+        dom.sub(i(6), dom.mul(i(3), a)),
+        dom.sub(i(9), dom.mul(i(6), a)),
+        s3,
+        dom.zero,
+    )
+    return SigmaVector(dom=dom, d=3, n=1, values=values)

@@ -10,13 +10,14 @@ from multspec.errors import UsageError
 from multspec.exactalg import GF, QQ, UniPoly
 from multspec.parsing import (
     ExperimentConfig,
-    map_from_document,
     map_to_document,
     parse_config,
     parse_map_expr,
     parse_points,
     parse_scalar_list,
 )
+
+from codec_helpers import map_from_document
 
 
 def run_json(argv):

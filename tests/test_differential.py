@@ -3,7 +3,8 @@
 Buchberger is compared with sympy's Groebner bases mod p, the GF(p)
 characteristic polynomial kernel with the generic Domain path, a Bareiss
 determinant of t*I - M and sympy's DomainMatrix, squarefree parts with
-sympy's ``sqf_part``, and resultants with sympy's ``resultant``.  sigma_n
+sympy's ``sqf_part``, pseudo-remainders with sympy's ``prem``, and
+resultants with sympy's ``resultant``.  sigma_n
 must commute with reduction mod p and be invariant under conjugation.
 Skipped without sympy; the package itself never imports it.
 """
@@ -21,10 +22,11 @@ from fractions import Fraction  # noqa: E402
 
 from multspec.dynamics import Mobius, ProjMap, conjugate, random_map, sigma_n  # noqa: E402
 from multspec.errors import DegenerateMapError  # noqa: E402
-from multspec.exactalg import GF, QQ, Domain, UniPoly, bareiss_det, random_prime, resultant, squarefree_part  # noqa: E402
+from multspec.exactalg import GF, QQ, ZZ, Domain, UniPoly, prem, random_prime, resultant, squarefree_part  # noqa: E402
 from multspec.groebner import GREVLEX, LEX, MultiPoly, buchberger, quotient_dimension  # noqa: E402
 from multspec.linalg import char_poly  # noqa: E402
 
+from matrix_helpers import bareiss_det  # noqa: E402
 from poly_oracles import PolyRing  # noqa: E402
 
 # ---------------------------------------------------------------------------
@@ -229,6 +231,28 @@ def test_resultant_matches_sympy():
                 assert got == int(ref) % dom.p, (dom, f, g)
             zeros += dom.is_zero(got)
         assert zeros >= 3
+
+
+def _sympy_prem(f: UniPoly, g: UniPoly) -> UniPoly:
+    x = sympy.Symbol("x")
+    opts = {"domain": "ZZ"} if f.dom == ZZ else {"modulus": f.dom.char}
+    r = sympy.Poly(list(reversed(f.coeffs)) or [0], x, **opts).prem(sympy.Poly(list(reversed(g.coeffs)), x, **opts))
+    return UniPoly.from_ints(f.dom, "x", [int(c) for c in reversed(r.all_coeffs())])
+
+
+def test_prem_matches_sympy():
+    rng = random.Random(77)
+    for dom in (ZZ, GF(7), GF(1000003)):
+        rand = (lambda: rng.randint(-9, 9)) if dom == ZZ else (lambda: dom.rand(rng))  # noqa: E731
+        shapes = {"deg f - deg g >= 2": 0, "deg f < deg g": 0, "non-unit lc(g)": 0}
+        for _ in range(40):
+            f = UniPoly(dom, "x", [rand() for _ in range(rng.randint(0, 9))])
+            g = UniPoly(dom, "x", [rand() for _ in range(rng.randint(0, 5))] + [rand() or 2])
+            assert prem(f, g) == _sympy_prem(f, g), (dom, f, g)
+            shapes["deg f - deg g >= 2"] += f.degree - g.degree >= 2
+            shapes["deg f < deg g"] += f.degree < g.degree
+            shapes["non-unit lc(g)"] += g.lc not in (dom.one, dom.from_int(-1))
+        assert min(shapes.values()) >= 3, (dom, shapes)
 
 
 # ---------------------------------------------------------------------------

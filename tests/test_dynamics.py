@@ -17,12 +17,12 @@ from multspec.dynamics import (
     sigma_n,
     tau,
 )
-from multspec.dynamics import _good_position
+from multspec.dynamics import _forms_share_root, _good_position
 from multspec.errors import DegenerateMapError, MathError, UsageError
 from multspec.exactalg import GF, QQ, UniPoly, derivative, poly_gcd, random_prime
 
-from matrix_helpers import mat_mul
-from poly_oracles import bivariate_multiplier_char_poly, sampled_multiplier_char_poly
+from matrix_helpers import bareiss_det, mat_mul
+from poly_oracles import bivariate_multiplier_char_poly, sampled_multiplier_char_poly, sylvester_matrix
 
 
 def poly_map(dom, ints):
@@ -81,6 +81,40 @@ def test_projmap_construction_and_scaling():
     hi = UniPoly.from_ints(QQ, "z", [0, 0, 1])  # z^2
     m = ProjMap.from_affine(lo, hi)
     assert m.d == 2 and m.num == (Fraction(0), Fraction(1), Fraction(1))
+
+
+def _form_with_roots(dom, roots, scale):
+    """Descending coefficients of scale * prod (y X - x Y) over the roots (x : y)."""
+    out = [scale]
+    for x, y in roots:
+        out = [dom.sub(dom.mul(a, y), dom.mul(b, x)) for a, b in zip(out + [dom.zero], [dom.zero] + out)]
+    return out
+
+
+def test_morphism_check_matches_sylvester_oracle():
+    rng = random.Random(404)
+    for dom in (QQ, GF(101)):
+        rand = (lambda: QQ.rand(rng, 5)) if dom == QQ else (lambda: dom.rand(rng))  # noqa: E731
+        zero, inf = (dom.zero, dom.one), (dom.one, dom.zero)
+        seen = {"0": 0, "inf": 0, "finite": 0, "none, a vanishing end coefficient": 0}
+        for _ in range(120):
+            d = rng.randint(2, 4)
+            pool = [zero, inf] + [(rand(), dom.one) for _ in range(2)]
+            froots = [rng.choice(pool) for _ in range(d)]
+            groots = [rng.choice(pool) for _ in range(d)]
+            num = _form_with_roots(dom, froots, rand() or dom.one)
+            den = _form_with_roots(dom, groots, rand() or dom.one)
+            f, g = UniPoly(dom, "z", num[::-1]), UniPoly(dom, "z", den[::-1])
+            want = dom.is_zero(bareiss_det(sylvester_matrix(f, g, d, d), dom))
+            assert _forms_share_root(num, den, dom, d) == want, (dom, num, den)
+            shared = set(froots) & set(groots)
+            assert want == bool(shared)
+            for name, root in (("0", zero), ("inf", inf)):
+                seen[name] += root in shared
+            seen["finite"] += any(r not in (zero, inf) for r in shared)
+            ends = (num[0], num[-1], den[0], den[-1])
+            seen["none, a vanishing end coefficient"] += not shared and any(dom.is_zero(c) for c in ends)
+        assert min(seen.values()) >= 5, (dom, seen)
 
 
 def test_apply_matches_affine_evaluation():

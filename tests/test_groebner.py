@@ -25,7 +25,7 @@ from multspec.groebner import (
 from multspec.linalg import char_poly
 from multspec.polymoduli import _config_basis, build_fixed_config_system
 
-from groebner_oracles import dehomogenize, eliminate, jacobian_det_at, normal_form, spoly
+from groebner_oracles import dehomogenize, eliminate, jacobian_det_at, normal_form, spoly, to_multipoly
 
 
 def mp(dom, vars_, s_terms):
@@ -408,7 +408,7 @@ def test_quotient_algebra_eval_at_points():
             e = tuple(rng.randint(0, 4) for _ in vars_)
             t[e] = F.rand(rng)
         f = MultiPoly(F, vars_, t)
-        g = Q.to_multipoly(Q.project(f))
+        g = to_multipoly(Q, Q.project(f))
         for pt in pts:
             assert g.eval(pt) == f.eval(pt)
 

@@ -1,0 +1,64 @@
+"""Layout checks on the package source: no API in src/ that nothing in src/ uses.
+
+Every function, class and method defined under ``src/multspec`` must be
+named somewhere in ``src/`` besides its own ``def`` or ``class`` line.
+Names are read as Python tokens, so a mention in a string or a comment
+does not count.  Exempt are dunder methods and methods that override a
+method of a class from outside the package (argparse calls
+``ArgumentParser.error``): the interpreter or that library calls them.
+"""
+
+import ast
+import importlib
+import io
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "multspec"
+
+
+def _used_names(text):
+    """Counter of the NAME tokens of a source text, leaving out the name after def/class."""
+    used = Counter()
+    after_keyword = False
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME and not after_keyword:
+            used[tok.string] += 1
+        after_keyword = tok.type == tokenize.NAME and tok.string in ("def", "class")
+    return used
+
+
+def _overrides_foreign(module, cls_name, name):
+    cls = getattr(importlib.import_module(f"multspec.{module}"), cls_name)
+    return any(name in vars(base) for base in cls.__mro__[1:] if not base.__module__.startswith("multspec"))
+
+
+def _definitions(path):
+    """(name, enclosing class name or None) of every def and class in one file."""
+    out = []
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.append((child.name, owner))
+            walk(child, child.name if isinstance(child, ast.ClassDef) else None)
+
+    walk(ast.parse(path.read_text()), None)
+    return out
+
+
+def test_every_definition_in_src_is_used_in_src():
+    used = Counter()
+    defs = []
+    for path in sorted(SRC.glob("*.py")):
+        used.update(_used_names(path.read_text()))
+        defs += [(path.stem, name, owner) for name, owner in _definitions(path)]
+    unused = sorted(
+        f"{module}.{owner + '.' if owner else ''}{name}"
+        for module, name, owner in defs
+        if not used[name]
+        and not (name.startswith("__") and name.endswith("__"))
+        and not (owner and _overrides_foreign(module, owner, name))
+    )
+    assert unused == []

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from multspec.errors import MathError
-from multspec.exactalg import GF, QQ, UniPoly, bareiss_det
+from multspec.exactalg import GF, QQ, UniPoly
 from multspec.linalg import char_poly, solve_linear
 
-from matrix_helpers import mat_inverse, mat_mul, random_invertible
+from matrix_helpers import bareiss_det, mat_inverse, mat_mul, random_invertible
 from poly_oracles import PolyRing
 
 

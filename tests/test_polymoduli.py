@@ -30,11 +30,12 @@ from multspec.polymoduli import (
     p3_from_sigma1,
     poly_from_fixed_points,
     sigma2_discrimination,
-    tau31_phi_ab,
     two_cycle_power_sums,
 )
 
+from groebner_oracles import to_multipoly
 from matrix_helpers import mat_mul
+from poly_oracles import tau31_phi_ab
 
 D4_LAMBDAS = [-5, 5, 4, Fraction(-7, 5)]
 D5_LAMBDAS = [-2, -3, -4, 8, Fraction(689, 269)]
@@ -262,7 +263,7 @@ def test_two_cycle_power_sums_match_matrix_traces():
     for pt in pts:
         want = trace_sums(pt, 2)
         for k in (1, 2):
-            got = Q.to_multipoly(sums[k - 1]).eval(pt[:-1])
+            got = to_multipoly(Q, sums[k - 1]).eval(pt[:-1])
             assert got == want[k - 1]
 
     ok, power = _invariant_certificate(basis, 4, 2)
