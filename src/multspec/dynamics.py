@@ -9,16 +9,20 @@ multiply forms as UniPolys in Y: the tuple of F, descending in X, is the
 ascending coefficient list of F(1, Y).  A product drops vanishing top Y
 coefficients, so results are padded back to their formal degree.
 
-The n-multiplier spectrum is read off the characteristic polynomial
-prod (w - mu(P)) over the roots P of Phi_n, the monic vanishing polynomial
-of the affine n-periodic points, where mu = Num/Den^2 is the derivative of
-the n-th iterate.  The map is first conjugated so that no n-periodic point
-sits at infinity; the conjugating candidates come from a fixed internal
+The n-multiplier spectrum is read off chi_n = prod (w - (phi^n)'(P)) over
+the roots P of Per_n, the monic vanishing polynomial of the affine points
+with phi^n(P) = P.  The map is first conjugated so that none of them sits
+at infinity; the conjugating candidates come from a fixed internal
 sequence, so results never depend on caller seeds (they are conjugation
-invariants).  Den is then a unit modulo Phi_n.  Over GF(p) the polynomial
-is the characteristic polynomial of multiplication by mu on k[z]/(Phi_n);
-over QQ it is Res_z(Phi_n, w * Den^2 - Num), sampled at d^n + 2 values of w
-and interpolated (Phi_n monic makes specialization exact).
+invariants).  Per_n is the product of the dynatomic factors Phi*_m, m | n,
+and a root of Phi*_m has n-multiplier ((phi^m)')^(n/m), so chi_n is the
+product of G_{n/m}(chi*_m).  Here chi*_m takes mu_m = Num_m / Den_m^2, the
+derivative of phi^m, over the roots of Phi*_m, and G_k(chi) has the k-th
+powers of the roots of chi: the characteristic polynomial of the k-th power
+of chi's companion matrix, in every characteristic.  Over GF(p), chi*_m is
+the characteristic polynomial of multiplication by mu_m on k[z]/(Phi*_m);
+over QQ it is Res_z(Phi*_m, w * Den_m^2 - Num_m), sampled on ZZ at
+deg Phi*_m + 1 values of w and interpolated.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateMapError,
     FieldMismatchError,
+    InvariantError,
     MathError,
     RepositionError,
     UsageError,
@@ -37,6 +42,7 @@ from .exactalg import (
     Domain,
     QQ,
     UniPoly,
+    clear_denominators,
     derivative,
     interpolate,
     inverse_mod,
@@ -339,58 +345,83 @@ def _reposition_candidates(dom):
 
 
 def _good_position(phi: ProjMap, n: int):
-    """Conjugate of phi with all n-periodic points affine, plus its data."""
-    target = phi.d ** n + 1
+    """Conjugate of phi with all n-periodic points affine, and its n-th iterate."""
+    z = UniPoly.gen(phi.dom, "z")
     for m in _reposition_candidates(phi.dom):
         psi = phi if m.is_identity() else conjugate(phi, m)
         it = iterate(psi, n) if n > 1 else psi
-        z = UniPoly.gen(phi.dom, "z")
-        nn, dd = it.affine_num(), it.affine_den()
-        v = nn - z * dd
-        if v.is_zero or v.degree != target:
-            continue
-        # Phi_n and Den share no root: it would be a root of both coprime forms of phi^n
-        return psi, v.monic(), nn, dd
+        if (it.affine_num() - z * it.affine_den()).degree == phi.d ** n + 1:
+            return psi, it
     raise RepositionError(f"no conjugate kept Per_{n} affine within budget")
+
+
+def _mult_char_poly(mu: UniPoly, modulus: UniPoly) -> UniPoly:
+    """Char poly in w of multiplication by mu on k[x]/(modulus), modulus monic."""
+    size = modulus.degree
+    mu = mu.monic_divmod(modulus)[1]
+    cols = []  # column i is x^i * mu
+    for _ in range(size):
+        cols.append([mu.coeff(i) for i in range(size)])
+        mu = mu.shift(1).monic_divmod(modulus)[1]
+    return char_poly([list(row) for row in zip(*cols)], modulus.dom, "w")
+
+
+def _sampled_char_poly(phis: UniPoly, num: UniPoly, den2: UniPoly) -> UniPoly:
+    """Res_z(phis, w * den2 - num) over QQ times a constant; phis monic.
+
+    Denominators are cleared once, to f = a * phis and g = b * (c * den2 - num)
+    on ZZ.  Res(f, g) = a^deg(g) b^deg(phis) Res(phis, c * den2 - num) at the
+    actual deg(g) of each sample, so scaling by a^(top - deg(g)) leaves one
+    factor common to all samples.
+    """
+    (f,), a = clear_denominators(phis)
+    (nz, dz), _ = clear_denominators(num, den2)
+    top = max(nz.degree, dz.degree)
+    ys = []
+    for c in range(phis.degree + 1):
+        g = dz.scale(c) - nz
+        ys.append(QQ.zero if g.is_zero else QQ.from_int(resultant(f, g) * a ** (top - g.degree)))
+    return interpolate([QQ.from_int(c) for c in range(len(ys))], ys, QQ, "w")
 
 
 def multiplier_char_poly(phi: ProjMap, n: int) -> UniPoly:
     """Monic char poly of the multiplier at the d^n + 1 points of period n.
 
     prod over points P with phi^n(P) = P of (w - (phi^n)'(P)), counted with
-    the multiplicity of P as a root of the period polynomial.
+    the multiplicity of P as a root of the period polynomial; taken as the
+    product of G_{n/m}(chi*_m) over the dynatomic factors Phi*_m, m | n.
     """
     if n < 1:
         raise UsageError("period must be >= 1")
     dom = phi.dom
-    _, phin, nn, dd = _good_position(phi, n)
-    target = phi.d ** n + 1
-    num = derivative(nn) * dd - nn * derivative(dd)
-    den2 = dd * dd
-    if dom.char == 0:
-        # sample w, take exact univariate resultants, interpolate
-        xs = [dom.from_int(k) for k in range(target + 1)]
-        ys = []
-        for c in xs:
-            g = den2.scale(c) - num
-            if g.is_zero:
-                ys.append(dom.zero)
-            else:
-                ys.append(resultant(phin, g))
-        r = interpolate(xs, ys, dom, "w")
-    else:
-        # Den is a unit mod Phi_n, so mu = Num / Den^2 lives in k[z]/(Phi_n);
-        # its multiplication matrix (column i is z^i * mu) has characteristic
-        # polynomial prod (w - mu(P)) over the roots of Phi_n with multiplicity
-        mu = (num.divmod(phin)[1] * inverse_mod(den2, phin)).divmod(phin)[1]
-        cols = []
-        for _ in range(target):
-            cols.append([mu.coeff(i) for i in range(target)])
-            mu = mu.shift(1).divmod(phin)[1]
-        r = char_poly([list(row) for row in zip(*cols)], dom, "w")
-    if r.is_zero or r.degree != target:
+    psi, it_n = _good_position(phi, n)
+    z = UniPoly.gen(dom, "z")
+    stars = {}
+    r = UniPoly.const(dom, "w", dom.one)
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        it = it_n if m == n else iterate(psi, m)
+        nn, dd = it.affine_num(), it.affine_den()
+        phis = nn - z * dd  # every point of period dividing n is affine for psi
+        if phis.degree != phi.d ** m + 1:
+            raise InvariantError(f"Per_{m} of the repositioned map has degree {phis.degree}")
+        phis = phis.monic()
+        for j in (j for j in stars if m % j == 0):
+            phis, rem = phis.monic_divmod(stars[j])
+            if not rem.is_zero:
+                raise InvariantError(f"Phi*_{j} does not divide Per_{m}")
+        stars[m] = phis
+        num = derivative(nn) * dd - nn * derivative(dd)
+        den2 = dd * dd
+        if dom.char == 0:
+            chi = _sampled_char_poly(phis, num, den2).monic()
+        else:  # Den_m is a unit mod Phi*_m, so mu_m lives in k[z]/(Phi*_m)
+            chi = _mult_char_poly(num.monic_divmod(phis)[1] * inverse_mod(den2, phis), phis)
+        if m < n:  # G_{n/m}
+            chi = _mult_char_poly(UniPoly.const(dom, "w", dom.one).shift(n // m), chi)
+        r = r * chi
+    if r.degree != phi.d ** n + 1:
         raise MathError("multiplier characteristic polynomial has wrong degree")
-    return r.monic()
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ remainder sequence (fraction-free over ZZ).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import FieldMismatchError, MathError, UsageError
 
@@ -477,13 +478,10 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def _clear_denominators(f: UniPoly) -> tuple[UniPoly, int]:
-    """QQ poly -> (ZZ poly, positive integer d) with d*f integral."""
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    cs = [int(c * den) for c in f.coeffs]
-    return UniPoly(ZZ, f.var, cs), den
+def clear_denominators(*polys: UniPoly) -> tuple[list, int]:
+    """QQ polys -> (ZZ polys d*f, least positive integer d making them all integral)."""
+    den = lcm(*(c.denominator for f in polys for c in f.coeffs))
+    return [f.map_coeffs(ZZ, lambda c: c.numerator * (den // c.denominator)) for f in polys], den
 
 
 def _gcd_int(a: int, b: int) -> int:
@@ -505,8 +503,7 @@ def _gcd_qq(f: UniPoly, g: UniPoly) -> UniPoly:
         return g.monic()
     if g.is_zero:
         return f.monic()
-    a, _ = _clear_denominators(f)
-    b, _ = _clear_denominators(g)
+    (a, b), _ = clear_denominators(f, g)
     a = a.exact_scalar_div(_content(a))
     b = b.exact_scalar_div(_content(b))
     if a.degree < b.degree:
@@ -627,8 +624,8 @@ def resultant(f: UniPoly, g: UniPoly):
     if g.degree == 0:
         return dom.pow(g.lc, f.degree)
     if dom == QQ:
-        fz, cf = _clear_denominators(f)
-        gz, cg = _clear_denominators(g)
+        (fz,), cf = clear_denominators(f)
+        (gz,), cg = clear_denominators(g)
         r = _prs_resultant(fz, gz)
         return Fraction(r) / (Fraction(cf) ** g.degree * Fraction(cg) ** f.degree)
     return _prs_resultant(f, g)

@@ -2,12 +2,14 @@
 
 `PolyRing` makes univariate polynomials a coefficient domain, so that a
 resultant or a determinant can carry one free variable.  The two
-`*_multiplier_char_poly` functions are the resultant routes to the
-multiplier characteristic polynomial, Res_z(Phi_n, w * Den^2 - Num) made
-monic: one samples w and interpolates (it needs more than d^n + 1 field
-elements), the other takes a single resultant over k[w].  They serve as
-oracles for `dynamics.multiplier_char_poly`, which over GF(p) takes the
-characteristic polynomial of a multiplication matrix instead.
+`*_multiplier_char_poly` functions are the whole-period-polynomial
+resultant routes to the multiplier characteristic polynomial,
+Res_z(Per_n, w * Den^2 - Num) made monic: one samples w and interpolates
+(it needs more than d^n + 1 field elements), the other takes a single
+resultant over k[w].  They serve as oracles for
+`dynamics.multiplier_char_poly`, which instead splits Per_n into the
+dynatomic factors Phi*_m, m | n, takes one polynomial chi*_m per factor
+and raises its roots to the power n/m with G_{n/m}.
 `resultant_bareiss` is the determinant of the Sylvester matrix, an oracle
 for the subresultant `resultant`; `normal_form_map` builds a marked cubic
 from the closed-form coefficients, an oracle for the chain route
@@ -88,8 +90,11 @@ class PolyRing(Domain):
 
 
 def _multiplier_data(phi, n):
-    """Phi_n, Num and Den^2 for the conjugate of phi that multiplier_char_poly uses."""
-    _, phin, nn, dd = _good_position(phi, n)
+    """Per_n, Num and Den^2 of the n-th iterate of the conjugate of phi that
+    multiplier_char_poly uses."""
+    _, it = _good_position(phi, n)
+    nn, dd = it.affine_num(), it.affine_den()
+    phin = (nn - UniPoly.gen(phi.dom, "z") * dd).monic()
     return phin, derivative(nn) * dd - nn * derivative(dd), dd * dd
 
 

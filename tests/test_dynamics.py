@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from multspec.dynamics import (
     sigma_n,
     tau,
 )
+from multspec import dynamics
+from multspec.cli import run_command
 from multspec.dynamics import _forms_share_root, _good_position
-from multspec.errors import DegenerateMapError, MathError, UsageError
+from multspec.errors import DegenerateMapError, InvariantError, MathError, UsageError
 from multspec.exactalg import GF, QQ, UniPoly, derivative, poly_gcd, random_prime
 
 from matrix_helpers import bareiss_det, mat_mul
@@ -234,17 +237,18 @@ def test_char_poly_integer_map_reduces_mod_p():
         assert F.from_int(int(vq)) == v3
 
 
-# --- oracles: the resultant routes multiplier_char_poly used over GF(p) ---
+# --- oracles: the resultant routes to the multiplier polynomial ---
 
 
 def parabolic_map(F, d, rng):
     """Random degree-d map z + (z - a)^2 k(z) / g(z): z = a is a fixed point
     of multiplier 1, so a repeated root of every period polynomial."""
+    rand = (lambda: QQ.rand(rng, 5)) if F == QQ else (lambda: F.rand(rng))
     z = UniPoly.gen(F, "z")
-    a = UniPoly.const(F, "z", F.rand(rng))
+    a = UniPoly.const(F, "z", rand())
     while True:
-        g = UniPoly(F, "z", [F.rand(rng) for _ in range(d)])
-        k = UniPoly(F, "z", [F.rand(rng) for _ in range(d - 1)])
+        g = UniPoly(F, "z", [rand() for _ in range(d)])
+        k = UniPoly(F, "z", [rand() for _ in range(d - 1)])
         try:
             return ProjMap.from_affine(z * g + (z - a) * (z - a) * k, g, d)
         except DegenerateMapError:
@@ -252,38 +256,91 @@ def parabolic_map(F, d, rng):
 
 
 def oracle_cases(F, rng):
-    """A random map and a map with a repeated periodic point at each (d, n)."""
-    for d, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)):
-        for phi in (random_map(F, d, rng), parabolic_map(F, d, rng)):
+    """A random map and a map with a repeated periodic point at each (d, n).
+
+    (2, 4), (3, 3) and (2, 6) raise the roots of the dynatomic factors to
+    the powers 2, 3, 4 and 6; over QQ the levels stop at (2, 4) and a
+    polynomial map, which fixes infinity, is repositioned.
+    """
+    levels = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (2, 4), (3, 3), (2, 6))
+    if F == QQ:
+        levels = ((2, 1), (2, 2), (2, 3), (3, 2), (2, 4))
+    for d, n in levels:
+        for phi in (random_map(F, d, rng, height=5), parabolic_map(F, d, rng)):
             yield phi, n
+    if F == QQ:
+        yield random_map(QQ, 2, rng, polynomial=True, height=5), 3
 
 
 def has_repeated_root(phi, n):
-    phin = _good_position(phi, n)[1]
+    phin = period_polynomial(_good_position(phi, n)[0], n)
     return poly_gcd(phin, derivative(phin)).degree > 0
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
 def test_char_poly_matches_bivariate_resultant(p):
-    # p <= d^n + 1 for most cases: the range the bivariate resultant served
+    # p <= d^n + 1 for most cases: the range the bivariate resultant served;
+    # it takes about 2 s a map at (2, 6), which the sampled test covers
     rng = random.Random(700 + p)
     F = GF(p)
     repeated = 0
     for phi, n in oracle_cases(F, rng):
-        assert multiplier_char_poly(phi, n) == bivariate_multiplier_char_poly(phi, n)
-        repeated += has_repeated_root(phi, n)
+        if (phi.d, n) != (2, 6):
+            assert multiplier_char_poly(phi, n) == bivariate_multiplier_char_poly(phi, n)
+            repeated += has_repeated_root(phi, n)
     assert repeated >= 7
 
 
-@pytest.mark.parametrize("bits", [7, 20, 30])
+@pytest.mark.parametrize("bits", [7, 20, 30, None])
 def test_char_poly_matches_sampled_resultant(bits):
-    rng = random.Random(800 + bits)
-    F = GF(random_prime(rng, bits))
+    # bits None: over QQ, where the sampled resultant is the route replaced
+    rng = random.Random(800 + (bits or 0))
+    F = QQ if bits is None else GF(random_prime(rng, bits))
     repeated = 0
     for phi, n in oracle_cases(F, rng):
         assert multiplier_char_poly(phi, n) == sampled_multiplier_char_poly(phi, n)
         repeated += has_repeated_root(phi, n)
-    assert repeated >= 7
+    assert repeated >= (5 if bits is None else 7)
+
+
+def test_quintic_route_takes_resultants_against_dynatomic_factors(monkeypatch):
+    # over QQ at (5, 2): deg Phi*_1 + 1 = 7 samples against Phi*_1 (degree 6)
+    # and 21 against Phi*_2 (degree 20), not 27 against Per_2 (degree 26)
+    phi = random_map(QQ, 5, random.Random(61), height=9)
+    degrees = Counter()
+    real = dynamics.resultant
+
+    def recording(f, g):
+        degrees[f.degree] += 1
+        return real(f, g)
+
+    monkeypatch.setattr(dynamics, "resultant", recording)
+    assert multiplier_char_poly(phi, 2).degree == 26
+    assert degrees == {6: 7, 20: 21}
+
+
+def test_non_exact_dynatomic_division_fails_the_run(monkeypatch):
+    # a fault in the first iterate moves a fixed point, so Per_1 no longer
+    # divides Per_2: the run fails once with the invariant, not retried
+    calls = []
+    real = dynamics.iterate
+
+    def faulty(psi, m):
+        calls.append(m)
+        it = real(psi, m)
+        if m > 1:
+            return it
+        num = list(it.num[:-1]) + [it.dom.add(it.num[-1], it.dom.one)]
+        return ProjMap(it.dom, num, it.den, check=False)
+
+    monkeypatch.setattr(dynamics, "iterate", faulty)
+    phi = ProjMap(QQ, [Fraction(c) for c in (1, 0, 1)], [Fraction(c) for c in (3, 1, 7)])
+    with pytest.raises(InvariantError, match="Phi\\*_1 does not divide Per_2"):
+        multiplier_char_poly(phi, 2)
+    assert calls == [2, 1]
+    code, text = run_command(["sigma", "--num", "1,0,1", "--den", "3,1,7", "-n", "2"])
+    assert code == 1 and '"kind": "math"' in text and "Phi*_1 does not divide Per_2" in text
+    assert calls == [2, 1, 2, 1]
 
 
 # --- independent oracle: power sums via multiplication traces ---
