@@ -90,7 +90,6 @@ class MonomialOrder:
         return hash(self.name)
 
 
-LEX = MonomialOrder("lex", lambda e: e, lambda n: [])
 # grevlex ranks by the partial sums (deg, e_1 + ... + e_{n-1}, ..., e_1)
 GREVLEX = MonomialOrder(
     "grevlex",
@@ -416,7 +415,6 @@ class IdealBasis:
     vars: tuple
     order: MonomialOrder
     gens: tuple
-    is_gb: bool = False
 
     def contains_one(self):
         return any(g.total_degree() == 0 and not g.is_zero for g in self.gens)
@@ -633,28 +631,21 @@ def buchberger(
             reduced.append(_monic(rem, dom))
     reduced.sort(key=lambda r: next(iter(r)), reverse=True)
     gens_out = tuple(pk.poly(dom, vars_, r) for r in reduced)
-    return IdealBasis(vars=vars_, order=order, gens=gens_out, is_gb=True)
+    return IdealBasis(vars=vars_, order=order, gens=gens_out)
 
 
 # ---------------------------------------------------------------------------
 # zero-dimensional structure
 
 
-def _require_gb(basis: IdealBasis):
-    if not basis.is_gb:
-        raise UsageError("operation requires a reduced Groebner basis")
-
-
 def quotient_dimension(basis: IdealBasis):
     """Dimension of the quotient algebra, or None when infinite."""
-    _require_gb(basis)
     std = basis.staircase
     return None if std is None else len(std)
 
 
 def standard_monomials(basis: IdealBasis):
     """Monomials outside the leading-term ideal, ascending in the order."""
-    _require_gb(basis)
     if basis.staircase is None:
         raise MathError("quotient algebra is infinite dimensional")
     return list(basis.staircase)
@@ -770,7 +761,6 @@ class QuotientAlgebra(Domain):
     is_field = False
 
     def __init__(self, basis: IdealBasis):
-        _require_gb(basis)
         if quotient_dimension(basis) is None:
             raise UsageError("quotient algebra needs a zero-dimensional ideal")
         if basis.contains_one():
@@ -863,17 +853,17 @@ def eliminant_of_form(basis: IdealBasis, u: MultiPoly, var: str = "t") -> UniPol
 _COUNT_ATTEMPTS = 6
 
 
-def distinct_point_count(basis: IdealBasis, rng) -> int:
-    """Number of distinct solutions over the algebraic closure.
+def distinct_point_count(basis: IdealBasis, rng):
+    """(count, u, E): the number of distinct solutions over the algebraic
+    closure, with the random linear form u and its eliminant E that gave it.
 
-    Degree of the squarefree part of the eliminant of a random separating
-    linear form; two consecutive independent draws must agree.
+    The count is the degree of the squarefree part of E; two consecutive
+    independent draws must agree, and the second is returned.  E is then
+    the product of (t - u(P))^mult_P over the solutions P, with u taking
+    distinct values on them.  The unit ideal gives (0, None, None).
     """
-    _require_gb(basis)
     if basis.contains_one():
-        return 0
-    if quotient_dimension(basis) is None:
-        raise MathError("system is not zero dimensional")
+        return 0, None, None
     dom = basis.gens[0].dom
     counts = []
     for _ in range(_COUNT_ATTEMPTS):
@@ -881,7 +871,7 @@ def distinct_point_count(basis: IdealBasis, rng) -> int:
         e = eliminant_of_form(basis, u)
         counts.append(squarefree_part(e).degree)
         if len(counts) >= 2 and counts[-1] == counts[-2]:
-            return counts[-1]
+            return counts[-1], u, e
     raise AgreementError(f"eliminant degrees kept disagreeing: {counts}")
 
 
@@ -895,7 +885,6 @@ def solve_rational_points(basis: IdealBasis, rng):
     recounted.  Points are read off left eigenvectors of the multiplication
     matrix (evaluation functionals).
     """
-    _require_gb(basis)
     dom = basis.gens[0].dom
     if not isinstance(dom, PrimeField):
         raise UsageError("rational point extraction works over prime fields")

@@ -198,7 +198,7 @@ def count_fixed_configurations(dom: Domain, d: int, lambdas, rng, budget=None):
     basis = _config_basis(sys, budget)
     if quotient_dimension(basis) is None:
         raise MathError("configuration system is not zero-dimensional")
-    solutions = distinct_point_count(basis, rng)
+    solutions = distinct_point_count(basis, rng)[0]
     if solutions % (d - 1) != 0:
         raise MathError(
             f"{solutions} configurations not divisible by {d - 1}: non-generic multipliers"
@@ -297,7 +297,7 @@ def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, budget=
             try:
                 lams = complete_multipliers(F, d, free)
                 counts = count_fixed_configurations(F, d, lams, rng, budget)
-            except (DegenerateInputError, MathError, NonSimpleSolutionError):
+            except MathError:
                 continue
             out.append(
                 FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=counts[0], classes=counts[1])
@@ -331,7 +331,7 @@ def count_classes_over_primes(d: int, lambdas, rng, primes: int = 3, bits: int =
             continue
         try:
             counts = count_fixed_configurations(F, d, lams, rng, budget)
-        except (MathError, NonSimpleSolutionError):
+        except MathError:
             continue
         reports.append(FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=counts[0], classes=counts[1]))
     sols = {r.solutions for r in reports}
@@ -502,7 +502,7 @@ def sigma2_discrimination(
         if quotient_dimension(basis) is None:
             continue
         try:
-            solutions = distinct_point_count(basis, rng)
+            solutions = distinct_point_count(basis, rng)[0]
         except MathError:
             continue
         if solutions == 0 or solutions % (d - 1) != 0:

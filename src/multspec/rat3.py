@@ -9,8 +9,9 @@ lambda_alpha is always derived, never chosen.
 The level-2 fiber system couples alpha with a 2-periodic point beta:
 phi^2(beta) = beta and (phi^2)'(beta) = lambda_beta, cleared of
 denominators and homogenized in (alpha : beta : z).  Counting its points
-(distinct, degenerate, Jacobian-simple) at agreeing random specializations
-measures the fiber degree; the count with multiplicity is Bezout's 9 * 16,
+(distinct, degenerate, simple) at agreeing random specializations measures
+the fiber degree.  A multiplicity ledger on one eliminant proves the affine
+points simple; the count with multiplicity is Bezout's 9 * 16,
 taken from the theorem once the intersection is known to be finite.  A
 failed theorem-level check raises InvariantError and is never retried.
 
@@ -281,8 +282,11 @@ def _distinct_on_line(sys: Tau32FiberSystem, rng):
     if f1.is_zero or f2.is_zero:
         raise MathError("a generator vanishes on the infinity line")
     u1, u2 = (f.substitute({"alpha": dom.one}).drop_vars(("alpha",)).to_unipoly("beta") for f in (f1, f2))
-    g = poly_gcd(u1, u2)
-    count = squarefree_part(g).degree
+    sf = squarefree_part(poly_gcd(u1, u2))
+    roots = fp_roots(sf, rng)
+    if len(roots) != sf.degree:
+        raise MathError("an infinity-line point is irrational; draw again")
+    count = len(roots)
     # the alpha = 0 corner (0 : 1 : 0)
     corner = (dom.zero, dom.one)
     if dom.is_zero(f1.eval(corner)) and dom.is_zero(f2.eval(corner)):
@@ -290,52 +294,59 @@ def _distinct_on_line(sys: Tau32FiberSystem, rng):
     # chart alpha = 1: Jacobian of the dehomogenized pair in (beta, z)
     h1, h2 = (h.substitute({"alpha": dom.one}).drop_vars(("alpha",)) for h in sys.hgens)
     jac = h1.derivative("beta") * h2.derivative("z") - h1.derivative("z") * h2.derivative("beta")
-    zero_jac = 0
-    for b in fp_distinct_roots(g, rng):
-        if dom.is_zero(jac.eval((b, dom.zero))):
-            zero_jac += 1
+    zero_jac = sum(1 for b in roots if dom.is_zero(jac.eval((b, dom.zero))))
     return count, zero_jac, jac
 
 
-def fp_distinct_roots(g: UniPoly, rng):
-    """Rational roots of the squarefree part; line points are rational here."""
-    sf = squarefree_part(g)
-    roots = fp_roots(sf, rng)
-    if len(roots) != sf.degree:
-        raise MathError("an infinity-line point is irrational; draw again")
-    return roots
+def _root_multiplicity(f: UniPoly, c) -> int:
+    """Multiplicity of c as a root of the monic polynomial f."""
+    linear = UniPoly(f.dom, f.var, [f.dom.neg(c), f.dom.one])
+    m = 0
+    q, r = f.monic_divmod(linear)
+    while r.is_zero:
+        m += 1
+        q, r = q.monic_divmod(linear)
+    return m
 
 
 def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau32Draw:
     """All counts of Theorem-4.1 type for one specialization."""
     lambda_alpha(dom, l0, l1, linf)  # reject non-generic parameter poles early
     sys = build_tau32_system(dom, l0, l1, linf, lbeta)
-    g1, g2 = sys.gens
-    basis = buchberger([g1, g2], GREVLEX, budget)
-    if quotient_dimension(basis) is None:
+    basis = buchberger(list(sys.gens), GREVLEX, budget)
+    d_affine = quotient_dimension(basis)
+    if d_affine is None:
         raise MathError("fiber system is not zero-dimensional")
-    n_affine = distinct_point_count(basis, rng)
-    jac = g1.derivative("alpha") * g2.derivative("beta") - g1.derivative("beta") * g2.derivative("alpha")
-    basis_j = buchberger([*basis.gens, jac], GREVLEX, budget)
-    n_affine_zero_jac = distinct_point_count(basis_j, rng)
+    n_affine, u, elim = distinct_point_count(basis, rng)
     n_line, n_line_zero_jac, line_jac = _distinct_on_line(sys, rng)
-    distinct = n_affine + n_line
-    simple = (n_affine - n_affine_zero_jac) + (n_line - n_line_zero_jac)
 
     pts = degenerate_points(dom, l0, l1, linf)
     if len(set(pts)) != 6:
         raise MathError("degenerate points collide; draw again")
+    degenerate_mult = 0
     for pt in pts:
         for h in sys.hgens:
             if not dom.is_zero(h.eval(pt)):
                 raise InvariantError(f"degenerate point {pt} misses the system")
-        # every degenerate point has multiplicity >= 2, so a singular Jacobian
+        # multiplicity >= 2: on z = 0 a singular Jacobian; affine, u(P) is a multiple
+        # root of E = prod_P (t - u(P))^mult_P (Cox-Little-O'Shea, ch. 4 sec. 2)
         if dom.is_zero(pt[2]):
-            sing = dom.is_zero(line_jac.eval((pt[1], dom.zero)))
-        else:
-            sing = dom.is_zero(jac.eval(pt[:2]))
-        if not sing:
-            raise InvariantError(f"expected a singular point at {pt}")
+            if not dom.is_zero(line_jac.eval((pt[1], dom.zero))):
+                raise InvariantError(f"expected a singular point at {pt}")
+            continue
+        mult = _root_multiplicity(elim, u.eval(pt[:2]))
+        if mult < 2:
+            raise InvariantError(f"expected a multiple point at {pt}, got multiplicity {mult}")
+        degenerate_mult += mult
+    # the ledger: the other affine points have multiplicity 1 iff they fill the rest
+    simple_affine = d_affine - degenerate_mult
+    if simple_affine != n_affine - 4:
+        raise InvariantError(
+            f"multiplicity ledger: D_aff {d_affine} - degenerate multiplicities {degenerate_mult} "
+            f"!= {n_affine} distinct affine points - 4"
+        )
+    distinct = n_affine + n_line
+    simple = simple_affine + (n_line - n_line_zero_jac)
 
     # Bezout's theorem: the affine part of the intersection is finite (the
     # quotient dimension above is not None) and so is its part on z = 0
@@ -351,7 +362,7 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
     degree = distinct - 6
     if degree != simple:
         raise InvariantError(f"simple count {simple} disagrees with distinct - degenerate {degree}")
-    if not (distinct <= bezout and simple + 6 <= distinct):
+    if distinct > bezout:
         raise InvariantError("count sanity failed")
     return Tau32Draw(
         prime=dom.char,

@@ -1,8 +1,9 @@
 """Groebner routes that only the tests use.
 
-Division of one polynomial by a basis, S-polynomials, lex elimination,
-dehomogenization, Jacobian determinants at a point, and quotient-algebra
-elements written back as polynomials.  They check
+The lex order, division of one polynomial by a basis, S-polynomials, lex
+elimination, dehomogenization, Jacobian determinants at a point, the count
+of non-simple points through a basis with the Jacobian adjoined, and
+quotient-algebra elements written back as polynomials.  They check
 `buchberger` against its definition and the level-2 fiber system against
 its geometry; the package itself works on packed reducers and quotient
 contexts instead.
@@ -11,15 +12,19 @@ contexts instead.
 from matrix_helpers import bareiss_det
 from multspec.errors import UsageError
 from multspec.groebner import (
-    LEX,
+    GREVLEX,
     IdealBasis,
+    MonomialOrder,
     MultiPoly,
     _Packing,
     _reduce_terms,
     buchberger,
+    distinct_point_count,
     mono_div,
     mono_lcm,
 )
+
+LEX = MonomialOrder("lex", lambda e: e, lambda n: [])
 
 
 def normal_form(f: MultiPoly, basis: IdealBasis) -> MultiPoly:
@@ -68,7 +73,7 @@ def eliminate(gens, keep) -> IdealBasis:
         moved.append(MultiPoly(g.dom, dropped + keep, terms))
     gb = buchberger(moved, LEX)
     kept = [g.drop_vars(dropped) for g in gb.gens if all(not any(e[: len(dropped)]) for e in g.terms)]
-    return IdealBasis(vars=keep, order=LEX, gens=tuple(kept), is_gb=True)
+    return IdealBasis(vars=keep, order=LEX, gens=tuple(kept))
 
 
 def jacobian_det_at(gens, vars_, point):
@@ -78,6 +83,14 @@ def jacobian_det_at(gens, vars_, point):
         raise UsageError("jacobian requires as many generators as variables")
     rows = [[g.derivative(v).eval(point) for v in vars_] for g in gens]
     return bareiss_det(rows, gens[0].dom)
+
+
+def non_simple_point_count(gens, rng) -> int:
+    """Distinct points of two polynomials in two variables where their Jacobian
+    vanishes: the distinct count of a basis with the Jacobian adjoined."""
+    (f, g), (x, y) = gens, gens[0].vars
+    jac = f.derivative(x) * g.derivative(y) - f.derivative(y) * g.derivative(x)
+    return distinct_point_count(buchberger([f, g, jac], GREVLEX), rng)[0]
 
 
 def to_multipoly(Q, a) -> MultiPoly:

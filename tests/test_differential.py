@@ -23,9 +23,10 @@ from fractions import Fraction  # noqa: E402
 from multspec.dynamics import Mobius, ProjMap, conjugate, random_map, sigma_n  # noqa: E402
 from multspec.errors import DegenerateMapError  # noqa: E402
 from multspec.exactalg import GF, QQ, ZZ, Domain, UniPoly, prem, random_prime, resultant, squarefree_part  # noqa: E402
-from multspec.groebner import GREVLEX, LEX, MultiPoly, buchberger, quotient_dimension  # noqa: E402
+from multspec.groebner import GREVLEX, MultiPoly, buchberger, quotient_dimension  # noqa: E402
 from multspec.linalg import char_poly  # noqa: E402
 
+from groebner_oracles import LEX  # noqa: E402
 from matrix_helpers import bareiss_det  # noqa: E402
 from poly_oracles import PolyRing  # noqa: E402
 

@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from multspec.errors import BudgetExhaustedError, EliminantNotSplitError, MathError, UsageError
-from multspec.exactalg import GF, QQ
+from multspec.exactalg import GF, QQ, UniPoly
 from multspec.groebner import (
     GREVLEX,
-    LEX,
     IdealBasis,
     MultiPoly,
     QuotientAlgebra,
@@ -25,7 +24,7 @@ from multspec.groebner import (
 from multspec.linalg import char_poly
 from multspec.polymoduli import _config_basis, build_fixed_config_system
 
-from groebner_oracles import dehomogenize, eliminate, jacobian_det_at, normal_form, spoly, to_multipoly
+from groebner_oracles import LEX, dehomogenize, eliminate, jacobian_det_at, normal_form, spoly, to_multipoly
 
 
 def mp(dom, vars_, s_terms):
@@ -146,6 +145,7 @@ def test_quotient_dimension_known_systems():
     # containing 1
     gb3 = buchberger([mp(F, ("x", "y"), {(0, 0): 5})], GREVLEX)
     assert quotient_dimension(gb3) == 0
+    assert distinct_point_count(gb3, random.Random(0)) == (0, None, None)
 
 
 def test_quotient_dimension_counts_multiplicity():
@@ -156,7 +156,13 @@ def test_quotient_dimension_counts_multiplicity():
     gb = buchberger([g1, g2], GREVLEX)
     assert quotient_dimension(gb) == 3
     rng = random.Random(33)
-    assert distinct_point_count(gb, rng) == 2
+    count, u, e = distinct_point_count(gb, rng)
+    assert count == 2
+    # the returned eliminant is u's, with each point's multiplicity as a root multiplicity
+    assert e == eliminant_of_form(gb, u)
+    t = UniPoly.gen(F, e.var)
+    one, two = (t - UniPoly.const(F, e.var, u.eval((F.from_int(x), F.zero))) for x in (1, 2))
+    assert e == one * one * two
 
 
 def test_eliminant_of_explicit_form():
@@ -182,7 +188,7 @@ def test_eliminants_on_a_cached_basis_match_a_fresh_basis():
     forms = [random_linear_form(gb.vars, F, rng) for _ in range(2)]
     cached = [eliminant_of_form(gb, u) for u in forms]
     assert Q._nf is gb.normal_forms  # one context per basis
-    fresh = [eliminant_of_form(IdealBasis(gb.vars, gb.order, gb.gens, is_gb=True), u) for u in forms]
+    fresh = [eliminant_of_form(IdealBasis(gb.vars, gb.order, gb.gens), u) for u in forms]
     assert cached == fresh
     assert [char_poly(Q.mult_matrix(Q.project(u)), F) for u in forms] == fresh
 
@@ -204,7 +210,7 @@ def test_distinct_point_count_three_points():
     F = GF(101)
     rng = random.Random(34)
     gb = buchberger(gens_xy(F), GREVLEX)
-    assert distinct_point_count(gb, rng) == 3
+    assert distinct_point_count(gb, rng)[0] == 3
 
 
 def test_solve_rational_points_grid():
@@ -291,7 +297,7 @@ def test_packed_monomial_range_is_guarded():
         buchberger([MultiPoly(F, vars_, {(2**31, 0): 1, (0, 0): 1})], GREVLEX)
     # lex division raises exponents past its inputs: x^2 by x + 100 y^(2^30)
     g = MultiPoly(F, vars_, {(1, 0): 1, (0, 2**30): 100})
-    basis = IdealBasis(vars=vars_, order=LEX, gens=(g,), is_gb=True)
+    basis = IdealBasis(vars=vars_, order=LEX, gens=(g,))
     assert normal_form(MultiPoly(F, vars_, {(1, 0): 1}), basis).terms == {(0, 2**30): 1}
     with pytest.raises(UsageError):
         normal_form(MultiPoly(F, vars_, {(2, 0): 1}), basis)
@@ -303,7 +309,7 @@ def test_buchberger_over_qq():
     gb = buchberger([g1, g2], GREVLEX)
     assert quotient_dimension(gb) == 2
     rng = random.Random(38)
-    assert distinct_point_count(gb, rng) == 2
+    assert distinct_point_count(gb, rng)[0] == 2
 
 
 def test_lex_elimination_order_blocks():

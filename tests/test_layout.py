@@ -1,9 +1,10 @@
 """Layout checks on the package source: no API in src/ that nothing in src/ uses.
 
-Every function, class and method defined under ``src/multspec`` must be
-named somewhere in ``src/`` besides its own ``def`` or ``class`` line.
+Every function, class and method defined under ``src/multspec``, and every
+name a module-level assignment binds there, must be named somewhere in
+``src/`` besides its own ``def`` or ``class`` line or its own assignment.
 Names are read as Python tokens, so a mention in a string or a comment
-does not count.  Exempt are dunder methods and methods that override a
+does not count.  Exempt are dunder names and methods that override a
 method of a class from outside the package (argparse calls
 ``ArgumentParser.error``): the interpreter or that library calls them.
 """
@@ -35,7 +36,8 @@ def _overrides_foreign(module, cls_name, name):
 
 
 def _definitions(path):
-    """(name, enclosing class name or None) of every def and class in one file."""
+    """(name, enclosing class name or None) of every def and class in one file,
+    and the names bound by its module-level assignments, once per binding."""
     out = []
 
     def walk(node, owner):
@@ -44,8 +46,14 @@ def _definitions(path):
                 out.append((child.name, owner))
             walk(child, child.name if isinstance(child, ast.ClassDef) else None)
 
-    walk(ast.parse(path.read_text()), None)
-    return out
+    tree = ast.parse(path.read_text())
+    walk(tree, None)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                bound += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return out, bound
 
 
 def test_every_definition_in_src_is_used_in_src():
@@ -53,11 +61,13 @@ def test_every_definition_in_src_is_used_in_src():
     defs = []
     for path in sorted(SRC.glob("*.py")):
         used.update(_used_names(path.read_text()))
-        defs += [(path.stem, name, owner) for name, owner in _definitions(path)]
+        found, bound = _definitions(path)
+        defs += [(path.stem, name, owner) for name, owner in found] + [(path.stem, name, None) for name in bound]
+        used.subtract(bound)
     unused = sorted(
         f"{module}.{owner + '.' if owner else ''}{name}"
         for module, name, owner in defs
-        if not used[name]
+        if used[name] <= 0
         and not (name.startswith("__") and name.endswith("__"))
         and not (owner and _overrides_foreign(module, owner, name))
     )

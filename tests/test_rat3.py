@@ -15,7 +15,7 @@ from multspec.dynamics import (
     random_map,
 )
 from multspec.errors import DegenerateInputError, InvariantError, MathError, UsageError
-from multspec.exactalg import GF, QQ, fp_roots, poly_gcd, random_prime, squarefree_part
+from multspec.exactalg import GF, QQ, derivative, fp_roots, poly_gcd, random_prime, squarefree_part
 from multspec.groebner import GREVLEX, buchberger, quotient_dimension
 from multspec.rat3 import (
     Deg3Invariants,
@@ -30,7 +30,7 @@ from multspec.rat3 import (
 )
 from multspec.reproduce import run_criterion
 
-from groebner_oracles import dehomogenize, jacobian_det_at
+from groebner_oracles import dehomogenize, jacobian_det_at, non_simple_point_count
 from matrix_helpers import random_invertible
 from poly_oracles import normal_form_map
 
@@ -288,7 +288,7 @@ def test_deg_tau32_single_counts():
 
 
 def test_deg_tau32_single_work_counts(monkeypatch):
-    """One draw: 2 Groebner bases, one quotient context each, 5 eliminants."""
+    """One draw: 1 Groebner basis, its one quotient context, 3 eliminants."""
     calls = Counter()
 
     def counting(name, fn):
@@ -304,26 +304,57 @@ def test_deg_tau32_single_work_counts(monkeypatch):
     monkeypatch.setattr(groebner, "eliminant_of_form", eliminant)
     monkeypatch.setattr(groebner, "_NormalForms", counting("context", groebner._NormalForms))
     deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
-    assert calls == {"buchberger": 2, "context": 2, "eliminant_of_form": 5}
+    assert calls == {"buchberger": 1, "context": 1, "eliminant_of_form": 3}
+
+
+def test_pinned_multiplicity_ledger():
+    # the affine degenerate points carry multiplicities 42, 42, 2, 2 in the
+    # eliminant of a separating form, read here as the number of vanishing
+    # derivatives; the 12 simple points fill the rest of the quotient dimension
+    F = PINNED_F
+    sysm = build_tau32_system(F, *PINNED)
+    basis = buchberger(list(sysm.gens), GREVLEX)
+    count, u, e = groebner.distinct_point_count(basis, random.Random(3))
+    affine = [pt[:2] for pt in degenerate_points(F, *PINNED[:3]) if pt[2] != F.zero]
+    mults = []
+    for pt in affine:
+        c, m, f = u.eval(pt), 0, e
+        while f.eval(c) == F.zero:
+            f, m = derivative(f), m + 1
+        mults.append(m)
+    assert mults == [42, 42, 2, 2]
+    assert [rat3._root_multiplicity(e, u.eval(pt)) for pt in affine] == mults
+    assert quotient_dimension(basis) == 100 == (count - 4) + sum(mults)
+
+
+def test_jacobian_basis_oracle_counts_the_affine_degenerate_points():
+    # the Jacobian basis the ledger replaced: its distinct points are exactly
+    # the four affine degenerate points, where the Jacobian vanishes
+    F = PINNED_F
+    sysm = build_tau32_system(F, *PINNED)
+    assert non_simple_point_count(list(sysm.gens), random.Random(5)) == 4
+    for pt in degenerate_points(F, *PINNED[:3]):
+        if pt[2] != F.zero:
+            assert F.is_zero(jacobian_det_at(list(sysm.gens), sysm.vars, pt[:2]))
 
 
 def test_broken_invariant_fails_instead_of_retrying(monkeypatch):
-    # the first draw's count of singular affine points (the second count it
-    # makes) off by one breaks simple = distinct - degenerate
+    # an affine distinct count off by one either way breaks the multiplicity
+    # ledger 100 = 12 + 88 of the first draw, which is not retried
     real = rat3.distinct_point_count
-    seen = Counter()
+    for fault in (1, -1):
 
-    def off_by_one_once(basis, rng):
-        seen["calls"] += 1
-        return real(basis, rng) + (seen["calls"] == 2)
+        def off_by_one(basis, rng):
+            count, u, e = real(basis, rng)
+            return count + fault, u, e
 
-    monkeypatch.setattr(rat3, "distinct_point_count", off_by_one_once)
-    with pytest.raises(InvariantError, match="simple count 11 disagrees with distinct - degenerate 12"):
-        deg_tau32_report(random.Random(0xC0FFEE), draws=1)
-    seen.clear()
-    result = run_criterion(7)
-    assert not result.passed
-    assert "simple count 11 disagrees with distinct - degenerate 12" in result.detail
+        monkeypatch.setattr(rat3, "distinct_point_count", off_by_one)
+        message = f"multiplicity ledger: D_aff 100 - degenerate multiplicities 88 != {16 + fault} distinct"
+        with pytest.raises(InvariantError, match=message):
+            deg_tau32_report(random.Random(0xC0FFEE), draws=1)
+        result = run_criterion(7)
+        assert not result.passed
+        assert message in result.detail
 
 
 def test_deg_tau32_report_agreement():
