@@ -8,7 +8,9 @@ Polynomials are immutable dense coefficient tuples in ascending order.  The
 zero polynomial has degree -1.  One long-division loop (`UniPoly._divide`)
 serves division over a field, division by a monic divisor over any ring and
 pseudo-division over ZZ.  Resultants go through a subresultant polynomial
-remainder sequence (fraction-free over ZZ).
+remainder sequence (fraction-free over ZZ).  Over GF(p), long division,
+evaluation, interpolation and resultants (the Euclidean recurrence) run as
+``% p`` kernels on plain ints.
 """
 
 from __future__ import annotations
@@ -405,6 +407,9 @@ class UniPoly:
         and prem; quotient_coeff(c) cancels the leading coefficient c."""
         _coerce_same(self, other)
         dom = self.dom
+        if isinstance(dom, PrimeField):  # % p kernel: over a field quotient_coeff(c) is c / lc(other)
+            q, r = _fp_divmod(self.coeffs, other.coeffs, dom.p)
+            return UniPoly(dom, self.var, q), UniPoly(dom, self.var, r)
         sub, mul = dom.sub, dom.mul
         db = other.degree
         q = [dom.zero] * max(0, self.degree - db + 1)
@@ -435,6 +440,11 @@ class UniPoly:
 
     def eval(self, c):
         dom = self.dom
+        if isinstance(dom, PrimeField):
+            acc, p = 0, dom.p
+            for a in reversed(self.coeffs):
+                acc = (acc * c + a) % p
+            return acc
         acc = dom.zero
         for a in reversed(self.coeffs):
             acc = dom.add(dom.mul(acc, c), a)
@@ -442,6 +452,20 @@ class UniPoly:
 
     def map_coeffs(self, dom: Domain, fn):
         return UniPoly(dom, self.var, [fn(c) for c in self.coeffs])
+
+
+def _fp_divmod(a, b, p):
+    """Quotient and remainder of ascending coefficient lists over GF(p); b[-1] != 0."""
+    db, low = len(b) - 1, b[:-1]
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - db)
+    r = list(a)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = q[i - db] = r[i] * inv % p
+        if c:
+            for j, bj in enumerate(low, i - db):
+                r[j] = (r[j] - c * bj) % p
+    return q, r[:db]
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +630,22 @@ def _signed(dom, value, s):
     return dom.neg(value) if s < 0 else value
 
 
+def _fp_resultant(a, b, p):
+    """Res over GF(p) on coefficient lists, by the Euclidean recurrence
+    Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r), r = f mod g."""
+    acc = 1
+    while len(b) > 1:
+        r = _fp_divmod(a, b, p)[1]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return 0
+        m, n = len(a) - 1, len(b) - 1
+        acc = acc * pow(b[-1], m - len(r) + 1, p) * (-1) ** (m * n) % p
+        a, b = b, r
+    return acc * pow(b[0], len(a) - 1, p) % p
+
+
 def resultant(f: UniPoly, g: UniPoly):
     """Res(f, g) at actual degrees, an element of the coefficient domain.
 
@@ -623,6 +663,8 @@ def resultant(f: UniPoly, g: UniPoly):
         return dom.pow(f.lc, g.degree)
     if g.degree == 0:
         return dom.pow(g.lc, f.degree)
+    if isinstance(dom, PrimeField):
+        return _fp_resultant(f.coeffs, g.coeffs, dom.p)
     if dom == QQ:
         (fz,), cf = clear_denominators(f)
         (gz,), cg = clear_denominators(g)
@@ -705,6 +747,19 @@ def interpolate(xs, ys, dom: Domain, var: str) -> UniPoly:
     if len(set(xs)) != n or len(ys) != n:
         raise UsageError("interpolation nodes must be distinct and paired")
     coef = list(ys)
+    if isinstance(dom, PrimeField):  # % p kernel: one inverse per distinct node difference
+        p, invs, cs = dom.p, {}, [0] * n
+        for j in range(1, n):
+            for i in range(n - 1, j - 1, -1):
+                d = (xs[i] - xs[i - j]) % p
+                if d not in invs:
+                    invs[d] = pow(d, -1, p)
+                coef[i] = (coef[i] - coef[i - 1]) * invs[d] % p
+        for i in range(n - 1, -1, -1):  # Horner in the Newton basis
+            for k in range(n - 1 - i, 0, -1):
+                cs[k] = (cs[k - 1] - xs[i] * cs[k]) % p
+            cs[0] = (coef[i] - xs[i] * cs[0]) % p
+        return UniPoly(dom, var, cs)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             num = dom.sub(coef[i], coef[i - 1])

@@ -327,26 +327,6 @@ class MultiPoly:
             acc = dom.add(acc, t)
         return acc
 
-    def substitute(self, assignments: dict):
-        """Substitute scalars for some variables; result keeps all var slots."""
-        dom = self.dom
-        idx = {self.vars.index(n): v for n, v in assignments.items()}
-        out = {}
-        for e, c in self.terms.items():
-            t = c
-            e2 = list(e)
-            for i, v in idx.items():
-                if e[i]:
-                    t = dom.mul(t, dom.pow(v, e[i]))
-                e2[i] = 0
-            e2 = tuple(e2)
-            s = dom.add(out.get(e2, dom.zero), t)
-            if dom.is_zero(s):
-                out.pop(e2, None)
-            else:
-                out[e2] = s
-        return MultiPoly(dom, self.vars, out)
-
     def drop_vars(self, names):
         keep = [i for i, v in enumerate(self.vars) if v not in names]
         for e in self.terms:
@@ -393,17 +373,6 @@ class MultiPoly:
                     t = t * powers[i][k]
             acc = acc + t
         return acc
-
-    def to_unipoly(self, name: str) -> UniPoly:
-        i = self.vars.index(name)
-        for e in self.terms:
-            if any(k and j != i for j, k in enumerate(e)):
-                raise UsageError("polynomial is not univariate in " + name)
-        deg = max((e[i] for e in self.terms), default=-1)
-        cs = [self.dom.zero] * (deg + 1)
-        for e, c in self.terms.items():
-            cs[e[i]] = c
-        return UniPoly(self.dom, name, cs)
 
 
 # ---------------------------------------------------------------------------
@@ -853,25 +822,21 @@ def eliminant_of_form(basis: IdealBasis, u: MultiPoly, var: str = "t") -> UniPol
 _COUNT_ATTEMPTS = 6
 
 
-def distinct_point_count(basis: IdealBasis, rng):
-    """(count, u, E): the number of distinct solutions over the algebraic
-    closure, with the random linear form u and its eliminant E that gave it.
+def distinct_point_count(basis: IdealBasis, rng) -> int:
+    """Number of distinct solutions over the algebraic closure.
 
-    The count is the degree of the squarefree part of E; two consecutive
-    independent draws must agree, and the second is returned.  E is then
-    the product of (t - u(P))^mult_P over the solutions P, with u taking
-    distinct values on them.  The unit ideal gives (0, None, None).
+    The count is the degree of the squarefree part of the eliminant of a
+    random linear form; two consecutive independent draws must agree.
     """
     if basis.contains_one():
-        return 0, None, None
+        return 0
     dom = basis.gens[0].dom
     counts = []
     for _ in range(_COUNT_ATTEMPTS):
         u = random_linear_form(basis.vars, dom, rng)
-        e = eliminant_of_form(basis, u)
-        counts.append(squarefree_part(e).degree)
+        counts.append(squarefree_part(eliminant_of_form(basis, u)).degree)
         if len(counts) >= 2 and counts[-1] == counts[-2]:
-            return counts[-1], u, e
+            return counts[-1]
     raise AgreementError(f"eliminant degrees kept disagreeing: {counts}")
 
 

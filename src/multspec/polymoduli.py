@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .dynamics import ProjMap, sigma_n
 from .errors import (
     DegenerateInputError,
+    InvariantError,
     MathError,
     SplitSearchError,
     UsageError,
@@ -198,7 +199,7 @@ def count_fixed_configurations(dom: Domain, d: int, lambdas, rng, budget=None):
     basis = _config_basis(sys, budget)
     if quotient_dimension(basis) is None:
         raise MathError("configuration system is not zero-dimensional")
-    solutions = distinct_point_count(basis, rng)[0]
+    solutions = distinct_point_count(basis, rng)
     if solutions % (d - 1) != 0:
         raise MathError(
             f"{solutions} configurations not divisible by {d - 1}: non-generic multipliers"
@@ -297,6 +298,8 @@ def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, budget=
             try:
                 lams = complete_multipliers(F, d, free)
                 counts = count_fixed_configurations(F, d, lams, rng, budget)
+            except InvariantError:
+                raise
             except MathError:
                 continue
             out.append(
@@ -331,6 +334,8 @@ def count_classes_over_primes(d: int, lambdas, rng, primes: int = 3, bits: int =
             continue
         try:
             counts = count_fixed_configurations(F, d, lams, rng, budget)
+        except InvariantError:
+            raise
         except MathError:
             continue
         reports.append(FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=counts[0], classes=counts[1]))
@@ -502,7 +507,9 @@ def sigma2_discrimination(
         if quotient_dimension(basis) is None:
             continue
         try:
-            solutions = distinct_point_count(basis, rng)[0]
+            solutions = distinct_point_count(basis, rng)
+        except InvariantError:
+            raise
         except MathError:
             continue
         if solutions == 0 or solutions % (d - 1) != 0:

@@ -10,10 +10,13 @@ The level-2 fiber system couples alpha with a 2-periodic point beta:
 phi^2(beta) = beta and (phi^2)'(beta) = lambda_beta, cleared of
 denominators and homogenized in (alpha : beta : z).  Counting its points
 (distinct, degenerate, simple) at agreeing random specializations measures
-the fiber degree.  A multiplicity ledger on one eliminant proves the affine
-points simple; the count with multiplicity is Bezout's 9 * 16,
-taken from the theorem once the intersection is known to be finite.  A
-failed theorem-level check raises InvariantError and is never retried.
+the fiber degree.  Every count is read off the resultant R of the two
+forms after a random projective change of coordinates: its roots are the
+projected intersection points with their intersection multiplicities, so
+the count with multiplicity (Bezout, 144) is the measured deg R.  A ledger
+over the six degenerate points proves the other points simple.  Two
+independent projections must agree; a failed theorem-level check then
+raises InvariantError and is never retried.
 
 Reconstruction from (fixed points, multipliers) solves the Vandermonde
 system (1 - lambda_i) q(z_i) = p'(z_i) for the denominator of z - p/q,
@@ -23,9 +26,12 @@ then validates the result through the dynamics pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
+from operator import mul
 
 from .dynamics import ProjMap, ProjPoint, multiplier_at_point
 from .errors import (
+    BudgetExhaustedError,
     DegenerateInputError,
     DegenerateMapError,
     InvariantError,
@@ -35,21 +41,16 @@ from .errors import (
 from .exactalg import (
     GF,
     Domain,
+    PrimeField,
     UniPoly,
     derivative,
-    fp_roots,
+    interpolate,
     poly_gcd,
     random_prime,
+    resultant,
     squarefree_part,
 )
-from .groebner import (
-    GREVLEX,
-    MultiPoly,
-    buchberger,
-    distinct_point_count,
-    eliminant_of_form,
-    quotient_dimension,
-)
+from .groebner import MultiPoly
 from .linalg import solve_linear
 
 # ---------------------------------------------------------------------------
@@ -263,6 +264,7 @@ class Tau32Draw:
     simple: int
     degree: int
     alpha_values: int
+    multiplicities: tuple  # of the degenerate points, in degenerate_points order
 
 
 @dataclass(frozen=True)
@@ -275,95 +277,95 @@ class Tau32Report:
     degree: int
 
 
-def _distinct_on_line(sys: Tau32FiberSystem, rng):
-    """Distinct projective solutions on z = 0 and how many have zero Jacobian."""
-    dom = sys.dom
-    f1, f2 = (h.substitute({"z": dom.zero}).drop_vars(("z",)) for h in sys.hgens)
-    if f1.is_zero or f2.is_zero:
-        raise MathError("a generator vanishes on the infinity line")
-    u1, u2 = (f.substitute({"alpha": dom.one}).drop_vars(("alpha",)).to_unipoly("beta") for f in (f1, f2))
-    sf = squarefree_part(poly_gcd(u1, u2))
-    roots = fp_roots(sf, rng)
-    if len(roots) != sf.degree:
-        raise MathError("an infinity-line point is irrational; draw again")
-    count = len(roots)
-    # the alpha = 0 corner (0 : 1 : 0)
-    corner = (dom.zero, dom.one)
-    if dom.is_zero(f1.eval(corner)) and dom.is_zero(f2.eval(corner)):
-        count += 1
-    # chart alpha = 1: Jacobian of the dehomogenized pair in (beta, z)
-    h1, h2 = (h.substitute({"alpha": dom.one}).drop_vars(("alpha",)) for h in sys.hgens)
-    jac = h1.derivative("beta") * h2.derivative("z") - h1.derivative("z") * h2.derivative("beta")
-    zero_jac = sum(1 for b in roots if dom.is_zero(jac.eval((b, dom.zero))))
-    return count, zero_jac, jac
+_NODES = 145  # R has degree <= 9 * 16 = 144, so 145 samples determine it
+
+
+def _shear(terms: dict, i: int, j: int, s: int, p: int) -> dict:
+    """The substitution x_i -> x_i + s x_j on a term dict over GF(p)."""
+    out = {}
+    for e, c in terms.items():
+        for t in range(e[i] + 1):
+            e2 = tuple(k + t * ((v == j) - (v == i)) for v, k in enumerate(e))
+            out[e2] = (out.get(e2, 0) + c * comb(e[i], t) * pow(s, t, p)) % p
+    return out
+
+
+def _sampled_resultant(forms, dom, ticks) -> UniPoly:
+    """R(X) = Res_Y(h1, h2)(X, 1) of two term dicts in (X, Y, Z), sampled at
+    X = 0 .. 144 and interpolated; each sample takes one budget tick."""
+    degs = [max(map(sum, t)) for t in forms]
+    cols = [[[0] * (d + 1) for _ in range(d + 1)] for d in degs]
+    for t, cs in zip(forms, cols):
+        for (a, b, _), c in t.items():
+            cs[b][a] = c
+    ys = []
+    for x in range(_NODES):
+        if ticks is not None and next(ticks, None) is None:
+            raise BudgetExhaustedError("resultant sample budget exhausted")
+        pw = [pow(x, k, dom.p) for k in range(max(degs) + 1)]
+        f1, f2 = (UniPoly(dom, "Y", [sum(map(mul, col, pw)) % dom.p for col in cs]) for cs in cols)
+        if [f1.degree, f2.degree] != degs:
+            raise MathError("the projection centre lies on a curve; draw again")
+        ys.append(resultant(f1, f2))
+    return interpolate(list(range(_NODES)), ys, dom, "X")
 
 
 def _root_multiplicity(f: UniPoly, c) -> int:
-    """Multiplicity of c as a root of the monic polynomial f."""
+    """Multiplicity of c as a root of f."""
     linear = UniPoly(f.dom, f.var, [f.dom.neg(c), f.dom.one])
-    m = 0
-    q, r = f.monic_divmod(linear)
+    m, (q, r) = 0, f.monic_divmod(linear)
     while r.is_zero:
-        m += 1
-        q, r = q.monic_divmod(linear)
+        m, (q, r) = m + 1, q.monic_divmod(linear)
     return m
 
 
+def _projected_counts(sys: Tau32FiberSystem, pts, rng, ticks):
+    """(deg R, distinct, simple, multiplicities at pts) from one random projection.
+
+    With M the shears x2 += b x0, x2 += c x1, x0 += d x1, the roots of
+    R = Res_Y(h1 o M, h2 o M)(X, 1) are the X-coordinates of the points
+    M^-1 P, each of P's intersection multiplicity, if the centre M (0 : 1 : 0)
+    lies on neither curve nor on a line through two of the points and no
+    point lies on the new line Z = 0 (Fulton, Algebraic Curves, ch. 5 sec. 1).
+    """
+    dom, p = sys.dom, sys.dom.p
+    b, c, d = (dom.rand_nonzero(rng) for _ in range(3))
+    forms = [_shear(_shear(_shear(h.terms, 2, 0, b, p), 2, 1, c, p), 0, 1, d, p) for h in sys.hgens]
+    R = _sampled_resultant(forms, dom, ticks)
+    if R.degree != sys.hgens[0].total_degree() * sys.hgens[1].total_degree():
+        raise MathError("an intersection point lies on the line Z = 0; draw again")
+    g = poly_gcd(R, derivative(R))
+    sf = R.divmod(g)[0]  # R = prod g_i^i and p > deg R: g = prod g_i^(i-1), sf = prod g_i
+    # M^-1 P = (a - d beta, beta, z - b a - c beta), off Z = 0 since deg R = 144
+    xs = [dom.div((a - d * bt) % p, (z - b * a - c * bt) % p) for a, bt, z in pts]
+    if len(set(xs)) != len(xs):
+        raise MathError("two degenerate points lie on one line through the centre; draw again")
+    simple = sf.degree - poly_gcd(sf, g).degree
+    return R.degree, sf.degree, simple, tuple(_root_multiplicity(R, x) for x in xs)
+
+
 def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau32Draw:
-    """All counts of Theorem-4.1 type for one specialization."""
+    """All counts of Theorem-4.1 type for one specialization, read off two
+    independent random projections; `budget` caps the resultant samples."""
+    if not isinstance(dom, PrimeField) or dom.p <= _NODES:
+        raise UsageError(f"deg-tau32 needs GF(p) with p > {_NODES}: it samples a resultant at {_NODES} nodes")
     lambda_alpha(dom, l0, l1, linf)  # reject non-generic parameter poles early
     sys = build_tau32_system(dom, l0, l1, linf, lbeta)
-    basis = buchberger(list(sys.gens), GREVLEX, budget)
-    d_affine = quotient_dimension(basis)
-    if d_affine is None:
-        raise MathError("fiber system is not zero-dimensional")
-    n_affine, u, elim = distinct_point_count(basis, rng)
-    n_line, n_line_zero_jac, line_jac = _distinct_on_line(sys, rng)
-
     pts = degenerate_points(dom, l0, l1, linf)
-    if len(set(pts)) != 6:
-        raise MathError("degenerate points collide; draw again")
-    degenerate_mult = 0
-    for pt in pts:
-        for h in sys.hgens:
-            if not dom.is_zero(h.eval(pt)):
-                raise InvariantError(f"degenerate point {pt} misses the system")
-        # multiplicity >= 2: on z = 0 a singular Jacobian; affine, u(P) is a multiple
-        # root of E = prod_P (t - u(P))^mult_P (Cox-Little-O'Shea, ch. 4 sec. 2)
-        if dom.is_zero(pt[2]):
-            if not dom.is_zero(line_jac.eval((pt[1], dom.zero))):
-                raise InvariantError(f"expected a singular point at {pt}")
-            continue
-        mult = _root_multiplicity(elim, u.eval(pt[:2]))
+    ticks = None if budget is None else iter(range(budget))
+    first, second = (_projected_counts(sys, pts, rng, ticks) for _ in range(2))
+    if first != second:
+        raise MathError(f"two projections disagree: {first} != {second}; draw again")
+    # the ledger deg R = simple + sum mult_P, every mult_P >= 2, leaves no other
+    # multiple point, so distinct = simple + 6
+    bezout, distinct, simple, mults = first
+    for pt, mult in zip(pts, mults):
         if mult < 2:
             raise InvariantError(f"expected a multiple point at {pt}, got multiplicity {mult}")
-        degenerate_mult += mult
-    # the ledger: the other affine points have multiplicity 1 iff they fill the rest
-    simple_affine = d_affine - degenerate_mult
-    if simple_affine != n_affine - 4:
-        raise InvariantError(
-            f"multiplicity ledger: D_aff {d_affine} - degenerate multiplicities {degenerate_mult} "
-            f"!= {n_affine} distinct affine points - 4"
-        )
-    distinct = n_affine + n_line
-    simple = simple_affine + (n_line - n_line_zero_jac)
-
-    # Bezout's theorem: the affine part of the intersection is finite (the
-    # quotient dimension above is not None) and so is its part on z = 0
-    # (_distinct_on_line raises if a generator vanishes on that line), so the
-    # projective curves share no component and meet in deg h1 * deg h2
-    # points counted with multiplicity.
-    h1, h2 = sys.hgens
-    bezout = h1.total_degree() * h2.total_degree()
-
-    alpha_form = MultiPoly.gen(dom, sys.vars, "alpha")
-    alpha_values = squarefree_part(eliminant_of_form(basis, alpha_form)).degree
-
-    degree = distinct - 6
-    if degree != simple:
-        raise InvariantError(f"simple count {simple} disagrees with distinct - degenerate {degree}")
-    if distinct > bezout:
-        raise InvariantError("count sanity failed")
+    if bezout != simple + sum(mults):
+        raise InvariantError(f"multiplicity ledger: deg R {bezout} != {simple} simple + {sum(mults)} degenerate")
+    # alpha-coordinates of the affine points: Res_beta in the original coordinates
+    alpha_values = squarefree_part(_sampled_resultant([h.terms for h in sys.hgens], dom, ticks)).degree
     return Tau32Draw(
         prime=dom.char,
         lambdas=(l0, l1, linf, lbeta),
@@ -371,8 +373,9 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
         distinct=distinct,
         degenerate=6,
         simple=simple,
-        degree=degree,
+        degree=distinct - 6,
         alpha_values=alpha_values,
+        multiplicities=mults,
     )
 
 

@@ -1,16 +1,18 @@
 """Groebner routes that only the tests use.
 
 The lex order, division of one polynomial by a basis, S-polynomials, lex
-elimination, dehomogenization, Jacobian determinants at a point, the count
-of non-simple points through a basis with the Jacobian adjoined, and
-quotient-algebra elements written back as polynomials.  They check
-`buchberger` against its definition and the level-2 fiber system against
-its geometry; the package itself works on packed reducers and quotient
-contexts instead.
+elimination, substitution and dehomogenization, Jacobian determinants at a
+point, the count of non-simple points through a basis with the Jacobian
+adjoined, quotient-algebra elements written back as polynomials, and the
+Groebner route to the deg tau_{3,2} counts.  They check `buchberger`
+against its definition and the level-2 fiber system against its geometry;
+the package itself works on packed reducers, quotient contexts and
+sampled resultants instead.
 """
 
-from matrix_helpers import bareiss_det
-from multspec.errors import UsageError
+from matrix_helpers import bareiss_det, random_invertible
+from multspec.errors import MathError, UsageError
+from multspec.exactalg import UniPoly, derivative, fp_roots, poly_gcd, squarefree_part
 from multspec.groebner import (
     GREVLEX,
     IdealBasis,
@@ -20,8 +22,11 @@ from multspec.groebner import (
     _reduce_terms,
     buchberger,
     distinct_point_count,
+    eliminant_of_form,
     mono_div,
     mono_lcm,
+    quotient_dimension,
+    random_linear_form,
 )
 
 LEX = MonomialOrder("lex", lambda e: e, lambda n: [])
@@ -50,8 +55,32 @@ def spoly(f: MultiPoly, g: MultiPoly, order) -> MultiPoly:
     return mf * f - mg * g
 
 
+def substitute(f: MultiPoly, assignments: dict) -> MultiPoly:
+    """Scalars put in for some variables; the result keeps every variable slot."""
+    dom = f.dom
+    idx = {f.vars.index(n): v for n, v in assignments.items()}
+    out = {}
+    for e, c in f.terms.items():
+        e2 = tuple(0 if i in idx else k for i, k in enumerate(e))
+        for i, v in idx.items():
+            c = dom.mul(c, dom.pow(v, e[i]))
+        out[e2] = dom.add(out.get(e2, dom.zero), c)
+    return MultiPoly(dom, f.vars, out)
+
+
+def to_unipoly(f: MultiPoly, name: str) -> UniPoly:
+    """f as a univariate polynomial in the variable `name`, the only one it uses."""
+    i = f.vars.index(name)
+    if any(k and j != i for e in f.terms for j, k in enumerate(e)):
+        raise UsageError("polynomial is not univariate in " + name)
+    cs = [f.dom.zero] * (max((e[i] for e in f.terms), default=-1) + 1)
+    for e, c in f.terms.items():
+        cs[e[i]] = c
+    return UniPoly(f.dom, name, cs)
+
+
 def dehomogenize(f: MultiPoly, name: str) -> MultiPoly:
-    return f.substitute({name: f.dom.one}).drop_vars([name])
+    return substitute(f, {name: f.dom.one}).drop_vars([name])
 
 
 def eliminate(gens, keep) -> IdealBasis:
@@ -90,10 +119,67 @@ def non_simple_point_count(gens, rng) -> int:
     vanishes: the distinct count of a basis with the Jacobian adjoined."""
     (f, g), (x, y) = gens, gens[0].vars
     jac = f.derivative(x) * g.derivative(y) - f.derivative(y) * g.derivative(x)
-    return distinct_point_count(buchberger([f, g, jac], GREVLEX), rng)[0]
+    return distinct_point_count(buchberger([f, g, jac], GREVLEX), rng)
 
 
 def to_multipoly(Q, a) -> MultiPoly:
     """The element a of the quotient algebra Q as a combination of standard monomials."""
     terms = {e: c for e, c in zip(Q.std, a) if not Q.base.is_zero(c)}
     return MultiPoly(Q.base, Q.vars, terms)
+
+
+# ---------------------------------------------------------------------------
+# the Groebner route to the deg tau_{3,2} counts
+
+
+def _root_multiplicity(f: UniPoly, c) -> int:
+    m = 0
+    while f.eval(c) == f.dom.zero:
+        f, m = derivative(f), m + 1
+    return m
+
+
+def tau32_counts_by_groebner(sys, degenerate, rng):
+    """(bezout, distinct, simple, alpha_values) of a level-2 fiber system
+    (`rat3.Tau32FiberSystem`) with its degenerate points, by Groebner bases.
+
+    - bezout: the quotient dimension after a random change of coordinates,
+      which moves every intersection point off z = 0;
+    - affine points: the quotient dimension D_aff, the distinct count of
+      agreeing random linear forms, and the non-simple ones through the
+      basis with the Jacobian adjoined;
+    - points on z = 0: the common roots of the two forms there, simple
+      where the Jacobian of the chart alpha = 1 is nonzero;
+    - alpha_values: the squarefree degree of the eliminant of alpha.
+
+    It also checks the affine ledger: the affine degenerate points are the
+    non-simple ones, and with their multiplicities as root multiplicities of
+    a separating eliminant E they fill D_aff with the simple points.
+    """
+    F = sys.dom
+    moved = [dehomogenize(h.linear_change(random_invertible(3, F, rng)), "z") for h in sys.hgens]
+    bezout = quotient_dimension(buchberger(moved, GREVLEX))
+    basis = buchberger(list(sys.gens), GREVLEX)
+    d_affine = quotient_dimension(basis)
+    n_affine = distinct_point_count(basis, rng)
+    n_multiple = non_simple_point_count(list(sys.gens), rng)
+    u = random_linear_form(sys.vars, F, rng)
+    e = eliminant_of_form(basis, u)
+    if squarefree_part(e).degree != n_affine:
+        raise MathError("the linear form does not separate the affine points")
+    affine = [pt[:2] for pt in degenerate if pt[2] != F.zero]
+    assert n_multiple == len(affine)
+    assert d_affine == (n_affine - n_multiple) + sum(_root_multiplicity(e, u.eval(pt)) for pt in affine)
+    # the points on z = 0: (0 : 1 : 0) and the roots beta of the chart alpha = 1
+    f1, f2 = (dehomogenize(substitute(h, {"z": F.zero}), "alpha").drop_vars(("z",)) for h in sys.hgens)
+    line = squarefree_part(poly_gcd(to_unipoly(f1, "beta"), to_unipoly(f2, "beta")))
+    roots = fp_roots(line, rng)
+    if len(roots) != line.degree:
+        raise MathError("a point on z = 0 is irrational")
+    corner = all(F.is_zero(h.eval((F.zero, F.one, F.zero))) for h in sys.hgens)
+    chart = [dehomogenize(h, "alpha") for h in sys.hgens]
+    simple_line = sum(1 for b in roots if not F.is_zero(jacobian_det_at(chart, ("beta", "z"), (b, F.zero))))
+    alpha = MultiPoly.gen(F, sys.vars, "alpha")
+    alpha_values = squarefree_part(eliminant_of_form(basis, alpha)).degree
+    distinct = n_affine + len(roots) + corner
+    return bezout, distinct, n_affine - n_multiple + simple_line, alpha_values

@@ -191,6 +191,14 @@ def test_deg_tau32_command_seeded():
     assert run_command(["deg-tau32", "--seed", "7"]) == (code, text)
 
 
+def test_deg_tau32_rejects_fields_too_small_to_sample():
+    # the resultant of degree 144 is sampled at 145 nodes, so p must exceed 145
+    code, doc = run_json(["deg-tau32", "--lambdas", "2,3,4,5", "--field", "GF:139"])
+    assert code == 2 and "p > 145" in doc["error"]
+    code, doc = run_json(["deg-tau32", "--lambdas", "2,3,4,5", "--field", "GF:101", "--budget", "10"])
+    assert code == 2 and "p > 145" in doc["error"]
+
+
 def test_config_file_matches_flags(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("# quadratic sigma\nexperiment sigma\nfield QQ\nseed = 5\n")

@@ -9,6 +9,7 @@ from multspec.errors import (
     BudgetExhaustedError,
     DegenerateInputError,
     EliminantNotSplitError,
+    InvariantError,
     MathError,
     NonSimpleSolutionError,
     UsageError,
@@ -32,6 +33,7 @@ from multspec.polymoduli import (
     sigma2_discrimination,
     two_cycle_power_sums,
 )
+from multspec.reproduce import run_criterion
 
 from groebner_oracles import to_multipoly
 from matrix_helpers import mat_mul
@@ -177,6 +179,24 @@ def test_fiber_degree_d5_pinned():
     rng = random.Random(9)
     rep = count_classes_over_primes(5, D5_LAMBDAS, rng, primes=2, bits=18)
     assert (rep.solutions, rep.classes) == (24, 6)
+
+
+def test_broken_invariant_in_a_fiber_count_is_not_retried(monkeypatch):
+    # the retry loops of criteria 5 and 6 re-raise InvariantError instead of drawing again
+    def broken(basis, rng):
+        raise InvariantError("planted broken count")
+
+    monkeypatch.setattr(polymoduli, "distinct_point_count", broken)
+    with pytest.raises(InvariantError, match="planted"):
+        fiber_degree_experiment(3, random.Random(8), draws=1, bits=14)
+    with pytest.raises(InvariantError, match="planted"):
+        count_classes_over_primes(5, D5_LAMBDAS, random.Random(9), primes=1, bits=18)
+    with pytest.raises(InvariantError, match="planted"):
+        sigma2_discrimination(5, D5_LAMBDAS, random.Random(1), max_primes=6)
+    for number in (5, 6):
+        result = run_criterion(number)
+        assert not result.passed
+        assert result.detail == "planted broken count"
 
 
 def test_relation_violating_multipliers_have_no_configurations():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from multspec import groebner, rat3
+from multspec import exactalg, groebner, linalg, rat3
 from multspec.dynamics import (
     Mobius,
     ProjMap,
@@ -14,9 +14,9 @@ from multspec.dynamics import (
     period_polynomial,
     random_map,
 )
-from multspec.errors import DegenerateInputError, InvariantError, MathError, UsageError
+from multspec.errors import BudgetExhaustedError, DegenerateInputError, InvariantError, MathError, UsageError
 from multspec.exactalg import GF, QQ, derivative, fp_roots, poly_gcd, random_prime, squarefree_part
-from multspec.groebner import GREVLEX, buchberger, quotient_dimension
+from multspec.groebner import GREVLEX, buchberger, eliminant_of_form, quotient_dimension, random_linear_form
 from multspec.rat3 import (
     Deg3Invariants,
     build_tau32_system,
@@ -30,7 +30,14 @@ from multspec.rat3 import (
 )
 from multspec.reproduce import run_criterion
 
-from groebner_oracles import dehomogenize, jacobian_det_at, non_simple_point_count
+from groebner_oracles import (
+    dehomogenize,
+    jacobian_det_at,
+    non_simple_point_count,
+    substitute,
+    tau32_counts_by_groebner,
+    to_unipoly,
+)
 from matrix_helpers import random_invertible
 from poly_oracles import normal_form_map
 
@@ -191,10 +198,7 @@ def test_build_tau32_system_shapes():
     for var, other in (("beta", "alpha"), ("alpha", "beta")):
         for _ in range(3):
             c = F.rand(rng)
-            u1, u2 = (
-                g.substitute({other: c}).drop_vars((other,)).to_unipoly(var)
-                for g in (g1, g2)
-            )
+            u1, u2 = (to_unipoly(substitute(g, {other: c}).drop_vars((other,)), var) for g in (g1, g2))
             if u1.is_zero or u2.is_zero:
                 continue
             assert poly_gcd(u1, u2).degree == 0
@@ -258,7 +262,7 @@ def test_degenerate_points_are_singular():
     pts = degenerate_points(F, inv.l0, inv.l1, inv.linf)
     for pt in (pts[1], pts[2], pts[3], pts[4]):  # the affine four
         assert F.is_zero(jacobian_det_at(list(sysm.gens), sysm.vars, pt[:2]))
-    line = [h.substitute({"alpha": F.one}).drop_vars(("alpha",)) for h in sysm.hgens]
+    line = [dehomogenize(h, "alpha") for h in sysm.hgens]
     for pt in (pts[0], pts[5]):  # the two on z = 0, both in the alpha = 1 chart
         assert F.is_zero(jacobian_det_at(line, ("beta", "z"), (pt[1], F.zero)))
 
@@ -288,7 +292,8 @@ def test_deg_tau32_single_counts():
 
 
 def test_deg_tau32_single_work_counts(monkeypatch):
-    """One draw: 1 Groebner basis, its one quotient context, 3 eliminants."""
+    """One draw: no Groebner basis, normal-form context or characteristic
+    polynomial; 3 x 145 sampled resultants (two projections and alpha)."""
     calls = Counter()
 
     def counting(name, fn):
@@ -298,23 +303,39 @@ def test_deg_tau32_single_work_counts(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(rat3, "buchberger", counting("buchberger", groebner.buchberger))
-    eliminant = counting("eliminant_of_form", groebner.eliminant_of_form)
-    monkeypatch.setattr(rat3, "eliminant_of_form", eliminant)
-    monkeypatch.setattr(groebner, "eliminant_of_form", eliminant)
+    monkeypatch.setattr(groebner, "buchberger", counting("buchberger", groebner.buchberger))
     monkeypatch.setattr(groebner, "_NormalForms", counting("context", groebner._NormalForms))
+    char_poly = counting("char_poly", linalg.char_poly)
+    monkeypatch.setattr(linalg, "char_poly", char_poly)
+    monkeypatch.setattr(groebner, "_char_poly", char_poly)
+    monkeypatch.setattr(rat3, "resultant", counting("resultant", exactalg.resultant))
     deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
-    assert calls == {"buchberger": 1, "context": 1, "eliminant_of_form": 3}
+    assert calls == {"resultant": 3 * 145}
+    for name in ("buchberger", "quotient_dimension", "distinct_point_count", "eliminant_of_form", "fp_roots"):
+        assert not hasattr(rat3, name)
+
+
+def test_pinned_projection_multiplicities():
+    # P1 = (1:0:0), P2 = (0:0:1), P3 = (1:1:1) carry 42 each, P4, P5 and the
+    # second point on z = 0, (1:p6:0), carry 2: 144 = 12 + 3 * 42 + 3 * 2
+    for seed in (3, 4):
+        draw = deg_tau32_single(PINNED_F, *PINNED, random.Random(seed))
+        assert draw.multiplicities == (42, 42, 42, 2, 2, 2)
+        assert draw.bezout == draw.simple + sum(draw.multiplicities)
 
 
 def test_pinned_multiplicity_ledger():
-    # the affine degenerate points carry multiplicities 42, 42, 2, 2 in the
-    # eliminant of a separating form, read here as the number of vanishing
-    # derivatives; the 12 simple points fill the rest of the quotient dimension
+    # the Groebner route: the affine degenerate points carry multiplicities
+    # 42, 42, 2, 2 in the eliminant of a separating form, read here as the
+    # number of vanishing derivatives; the 12 simple points fill the rest of
+    # the quotient dimension
     F = PINNED_F
     sysm = build_tau32_system(F, *PINNED)
     basis = buchberger(list(sysm.gens), GREVLEX)
-    count, u, e = groebner.distinct_point_count(basis, random.Random(3))
+    u = random_linear_form(sysm.vars, F, random.Random(3))
+    e = eliminant_of_form(basis, u)
+    count = squarefree_part(e).degree
+    assert count == groebner.distinct_point_count(basis, random.Random(3)) == 16
     affine = [pt[:2] for pt in degenerate_points(F, *PINNED[:3]) if pt[2] != F.zero]
     mults = []
     for pt in affine:
@@ -338,23 +359,96 @@ def test_jacobian_basis_oracle_counts_the_affine_degenerate_points():
             assert F.is_zero(jacobian_det_at(list(sysm.gens), sysm.vars, pt[:2]))
 
 
+def _random_lambdas(rng):
+    """A random 30-bit prime field and generic (l0, l1, linf, lbeta) on it."""
+    F = GF(random_prime(rng, 30))
+    inv = random_invariants(F, rng)
+    return F, (inv.l0, inv.l1, inv.linf, F.from_int(rng.randrange(2, F.p - 1)))
+
+
+def test_projections_match_groebner_oracle():
+    rng = random.Random(71)
+    cases = [(PINNED_F, tuple(PINNED))] + [_random_lambdas(rng) for _ in range(3)]
+    for F, lams in cases:
+        draw = deg_tau32_single(F, *lams, rng)
+        sysm = build_tau32_system(F, *lams)
+        oracle = tau32_counts_by_groebner(sysm, degenerate_points(F, *lams[:3]), rng)
+        assert (draw.bezout, draw.distinct, draw.simple, draw.alpha_values) == oracle == (144, 18, 12, 8)
+
+
+def _fault_once_per_point(real, fault, which):
+    """_root_multiplicity off by `fault` at degenerate point `which` of every projection."""
+    calls = Counter()
+
+    def faulty(f, c):
+        calls["n"] += 1
+        return real(f, c) + (fault if (calls["n"] - 1) % 6 == which else 0)
+
+    return faulty
+
+
 def test_broken_invariant_fails_instead_of_retrying(monkeypatch):
-    # an affine distinct count off by one either way breaks the multiplicity
-    # ledger 100 = 12 + 88 of the first draw, which is not retried
-    real = rat3.distinct_point_count
+    # a degenerate multiplicity off by one in both projections breaks the
+    # ledger 144 = 12 + 132 of the first draw, which is not retried
     for fault in (1, -1):
-
-        def off_by_one(basis, rng):
-            count, u, e = real(basis, rng)
-            return count + fault, u, e
-
-        monkeypatch.setattr(rat3, "distinct_point_count", off_by_one)
-        message = f"multiplicity ledger: D_aff 100 - degenerate multiplicities 88 != {16 + fault} distinct"
+        monkeypatch.setattr(rat3, "_root_multiplicity", _fault_once_per_point(rat3._root_multiplicity, fault, 0))
+        message = f"multiplicity ledger: deg R 144 != 12 simple \\+ {132 + fault} degenerate"
         with pytest.raises(InvariantError, match=message):
             deg_tau32_report(random.Random(0xC0FFEE), draws=1)
         result = run_criterion(7)
         assert not result.passed
-        assert message in result.detail
+        assert f"deg R 144 != 12 simple + {132 + fault} degenerate" in result.detail
+        monkeypatch.undo()
+    # at a multiplicity-2 point, -1 leaves a simple point where a multiple one belongs
+    monkeypatch.setattr(rat3, "_root_multiplicity", _fault_once_per_point(rat3._root_multiplicity, -1, 5))
+    with pytest.raises(InvariantError, match="expected a multiple point at .* got multiplicity 1"):
+        deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
+
+
+def test_corrupted_resultant_sample_is_an_invariant_error(monkeypatch):
+    # one wrong sample in both projections: R is off, the degenerate points
+    # are no longer multiple roots, and both projections agree on that
+    real = rat3.interpolate
+
+    def corrupted(xs, ys, dom, var):
+        ys = list(ys)
+        ys[7] = dom.add(ys[7], dom.one)
+        return real(xs, ys, dom, var)
+
+    monkeypatch.setattr(rat3, "interpolate", corrupted)
+    with pytest.raises(InvariantError, match="expected a multiple point"):
+        deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
+    with pytest.raises(InvariantError):
+        deg_tau32_report(random.Random(0xC0FFEE), draws=1)
+
+
+def test_disagreeing_projections_are_retried(monkeypatch):
+    # a fault in the first projection only is an unlucky draw, not a broken theorem
+    real = rat3._root_multiplicity
+    calls = Counter()
+
+    def first_projection_off(f, c):
+        calls["n"] += 1
+        return real(f, c) + (calls["n"] == 1)
+
+    monkeypatch.setattr(rat3, "_root_multiplicity", first_projection_off)
+    with pytest.raises(MathError, match="two projections disagree") as err:
+        deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
+    assert not isinstance(err.value, InvariantError)
+    calls.clear()
+    rep = deg_tau32_report(random.Random(0xC0FFEE), draws=1)
+    assert (rep.bezout, rep.distinct, rep.degenerate, rep.simple, rep.degree) == (144, 18, 6, 12, 12)
+    assert rep.draws[0].prime != deg_tau32_report(random.Random(0xC0FFEE), draws=1).draws[0].prime
+
+
+def test_deg_tau32_budget_and_small_fields():
+    # one budget tick per resultant sample: 3 x 145 per draw
+    deg_tau32_single(PINNED_F, *PINNED, random.Random(3), budget=435)
+    with pytest.raises(BudgetExhaustedError):
+        deg_tau32_single(PINNED_F, *PINNED, random.Random(3), budget=434)
+    F = GF(139)
+    with pytest.raises(UsageError, match="p > 145"):
+        deg_tau32_single(F, *(F.from_int(c) for c in (2, 3, 4, 5)), random.Random(3))
 
 
 def test_deg_tau32_report_agreement():
