@@ -9,8 +9,8 @@ zero polynomial has degree -1.  One long-division loop (`UniPoly._divide`)
 serves division over a field, division by a monic divisor over any ring and
 pseudo-division over ZZ.  Resultants go through a subresultant polynomial
 remainder sequence (fraction-free over ZZ).  Over GF(p), long division,
-evaluation, interpolation and resultants (the Euclidean recurrence) run as
-``% p`` kernels on plain ints.
+interpolation and resultants (the Euclidean recurrence) run as ``% p``
+kernels on plain ints.
 """
 
 from __future__ import annotations
@@ -403,13 +403,11 @@ class UniPoly:
         return self.scale(inv)
 
     def _divide(self, other, quotient_coeff):
-        """Long division of self by other, the loop under divmod, monic_divmod
-        and prem; quotient_coeff(c) cancels the leading coefficient c."""
+        """Long division of self by other, the loop under prem and, off GF(p),
+        under divmod and monic_divmod; quotient_coeff(c) cancels the leading
+        coefficient c."""
         _coerce_same(self, other)
         dom = self.dom
-        if isinstance(dom, PrimeField):  # % p kernel: over a field quotient_coeff(c) is c / lc(other)
-            q, r = _fp_divmod(self.coeffs, other.coeffs, dom.p)
-            return UniPoly(dom, self.var, q), UniPoly(dom, self.var, r)
         sub, mul = dom.sub, dom.mul
         db = other.degree
         q = [dom.zero] * max(0, self.degree - db + 1)
@@ -429,6 +427,10 @@ class UniPoly:
             raise UsageError("divmod requires a field domain")
         if other.is_zero:
             raise MathError("polynomial division by zero")
+        if isinstance(dom, PrimeField):  # % p kernel on plain ints
+            _coerce_same(self, other)
+            q, r = _fp_divmod(self.coeffs, other.coeffs, dom.p)
+            return UniPoly(dom, self.var, q), UniPoly(dom, self.var, r)
         inv = dom.inv(other.lc)
         return self._divide(other, lambda c: dom.mul(c, inv))
 
@@ -436,15 +438,12 @@ class UniPoly:
         """Quotient and remainder by a monic divisor; ring operations only."""
         if other.is_zero or other.lc != other.dom.one:
             raise UsageError("monic_divmod needs a monic divisor")
+        if isinstance(self.dom, PrimeField):
+            return self.divmod(other)
         return self._divide(other, lambda c: c)
 
     def eval(self, c):
         dom = self.dom
-        if isinstance(dom, PrimeField):
-            acc, p = 0, dom.p
-            for a in reversed(self.coeffs):
-                acc = (acc * c + a) % p
-            return acc
         acc = dom.zero
         for a in reversed(self.coeffs):
             acc = dom.add(dom.mul(acc, c), a)

@@ -264,7 +264,6 @@ class Tau32Draw:
     simple: int
     degree: int
     alpha_values: int
-    multiplicities: tuple  # of the degenerate points, in degenerate_points order
 
 
 @dataclass(frozen=True)
@@ -291,10 +290,14 @@ def _shear(terms: dict, i: int, j: int, s: int, p: int) -> dict:
 
 
 def _sampled_resultant(forms, dom, ticks) -> UniPoly:
-    """R(X) = Res_Y(h1, h2)(X, 1) of two term dicts in (X, Y, Z), sampled at
-    X = 0 .. 144 and interpolated; each sample takes one budget tick."""
-    degs = [max(map(sum, t)) for t in forms]
-    cols = [[[0] * (d + 1) for _ in range(d + 1)] for d in degs]
+    """R(X) = Res_Y(h1, h2)(X, 1) of two term dicts in (X, Y, Z) at their
+    Y-degrees (m, n), sampled at X = 0 .. 144 and interpolated; each sample
+    takes one budget tick.  A sample where f1 drops k degrees is scaled by
+    (-1)^(n k) lc(f2)^k back to Res_{m,n}, and symmetrically for f2; the
+    caller ensures that they never both drop."""
+    p, (m, n) = dom.p, [max(e[1] for e in t) for t in forms]
+    tops = [max(map(sum, t)) for t in forms]
+    cols = [[[0] * (top + 1) for _ in range(d + 1)] for top, d in zip(tops, (m, n))]
     for t, cs in zip(forms, cols):
         for (a, b, _), c in t.items():
             cs[b][a] = c
@@ -302,11 +305,12 @@ def _sampled_resultant(forms, dom, ticks) -> UniPoly:
     for x in range(_NODES):
         if ticks is not None and next(ticks, None) is None:
             raise BudgetExhaustedError("resultant sample budget exhausted")
-        pw = [pow(x, k, dom.p) for k in range(max(degs) + 1)]
-        f1, f2 = (UniPoly(dom, "Y", [sum(map(mul, col, pw)) % dom.p for col in cs]) for cs in cols)
-        if [f1.degree, f2.degree] != degs:
-            raise MathError("the projection centre lies on a curve; draw again")
-        ys.append(resultant(f1, f2))
+        pw = [pow(x, k, p) for k in range(max(tops) + 1)]
+        f1, f2 = (UniPoly(dom, "Y", [sum(map(mul, col, pw)) % p for col in cs]) for cs in cols)
+        r, k1, k2 = resultant(f1, f2), m - f1.degree, n - f2.degree
+        if r and (k1 or k2):
+            r = r * pow(-1, n * k1) * pow(f2.lc, k1, p) * pow(f1.lc, k2, p) % p
+        ys.append(r)
     return interpolate(list(range(_NODES)), ys, dom, "X")
 
 
@@ -331,6 +335,8 @@ def _projected_counts(sys: Tau32FiberSystem, pts, rng, ticks):
     dom, p = sys.dom, sys.dom.p
     b, c, d = (dom.rand_nonzero(rng) for _ in range(3))
     forms = [_shear(_shear(_shear(h.terms, 2, 0, b, p), 2, 1, c, p), 0, 1, d, p) for h in sys.hgens]
+    if not all(t.get((0, h.total_degree(), 0)) for t, h in zip(forms, sys.hgens)):
+        raise MathError("the projection centre lies on a curve; draw again")
     R = _sampled_resultant(forms, dom, ticks)
     if R.degree != sys.hgens[0].total_degree() * sys.hgens[1].total_degree():
         raise MathError("an intersection point lies on the line Z = 0; draw again")
@@ -364,8 +370,13 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
             raise InvariantError(f"expected a multiple point at {pt}, got multiplicity {mult}")
     if bezout != simple + sum(mults):
         raise InvariantError(f"multiplicity ledger: deg R {bezout} != {simple} simple + {sum(mults)} degenerate")
-    # alpha-coordinates of the affine points: Res_beta in the original coordinates
-    alpha_values = squarefree_part(_sampled_resultant([h.terms for h in sys.hgens], dom, ticks)).degree
+    # alpha-coordinates of the affine points: Res_beta from (0 : 1 : 0).  That
+    # centre lies on h1 when linf = -1; on both curves, which needs lbeta = 1
+    # (rejected), common roots of the beta-leading coefficients would count too
+    forms = [h.terms for h in sys.hgens]
+    if not any(t.get((0, h.total_degree(), 0)) for t, h in zip(forms, sys.hgens)):
+        raise InvariantError("(0 : 1 : 0) lies on both curves")
+    alpha_values = squarefree_part(_sampled_resultant(forms, dom, ticks)).degree
     return Tau32Draw(
         prime=dom.char,
         lambdas=(l0, l1, linf, lbeta),
@@ -375,7 +386,6 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
         simple=simple,
         degree=distinct - 6,
         alpha_values=alpha_values,
-        multiplicities=mults,
     )
 
 

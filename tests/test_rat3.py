@@ -38,7 +38,7 @@ from groebner_oracles import (
     tau32_counts_by_groebner,
     to_unipoly,
 )
-from matrix_helpers import random_invertible
+from matrix_helpers import bareiss_det, random_invertible
 from poly_oracles import normal_form_map
 
 
@@ -318,10 +318,11 @@ def test_deg_tau32_single_work_counts(monkeypatch):
 def test_pinned_projection_multiplicities():
     # P1 = (1:0:0), P2 = (0:0:1), P3 = (1:1:1) carry 42 each, P4, P5 and the
     # second point on z = 0, (1:p6:0), carry 2: 144 = 12 + 3 * 42 + 3 * 2
+    sysm, pts = build_tau32_system(PINNED_F, *PINNED), degenerate_points(PINNED_F, *PINNED[:3])
     for seed in (3, 4):
-        draw = deg_tau32_single(PINNED_F, *PINNED, random.Random(seed))
-        assert draw.multiplicities == (42, 42, 42, 2, 2, 2)
-        assert draw.bezout == draw.simple + sum(draw.multiplicities)
+        bezout, _, simple, mults = rat3._projected_counts(sysm, pts, random.Random(seed), None)
+        assert mults == (42, 42, 42, 2, 2, 2)
+        assert bezout == simple + sum(mults)
 
 
 def test_pinned_multiplicity_ledger():
@@ -373,6 +374,44 @@ def test_projections_match_groebner_oracle():
         draw = deg_tau32_single(F, *lams, rng)
         sysm = build_tau32_system(F, *lams)
         oracle = tau32_counts_by_groebner(sysm, degenerate_points(F, *lams[:3]), rng)
+        assert (draw.bezout, draw.distinct, draw.simple, draw.alpha_values) == oracle == (144, 18, 12, 8)
+
+
+def test_sampled_resultant_at_formal_y_degrees():
+    # h1 = (X - 2Z) Y^2 + X^2 Y + Z^3 drops to Y-degree 1 at X = 2; h2 keeps
+    # Y-degree 3.  Every sample must be the Sylvester determinant at the
+    # formal degrees, in either order of the forms
+    F = GF(10007)
+    h1 = {(1, 2, 0): 1, (0, 2, 1): F.neg(2), (2, 1, 0): 1, (0, 0, 3): 1}
+    h2 = {(0, 3, 0): 3, (1, 1, 1): 1, (3, 0, 0): 1, (0, 0, 3): 1}
+
+    def column(t, x):  # Y-coefficients at (x, Y, 1), leading first
+        cs = [0] * (max(e[1] for e in t) + 1)
+        for (a, b, _), c in t.items():
+            cs[b] = (cs[b] + c * x**a) % F.p
+        return cs[::-1]
+
+    for forms in ((h1, h2), (h2, h1)):
+        R = rat3._sampled_resultant(forms, F, None)
+        for x in range(145):
+            a, b = (column(t, x) for t in forms)
+            m, n = len(a) - 1, len(b) - 1
+            rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+            rows += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
+            assert R.eval(x) == bareiss_det(rows, F)
+
+
+def test_alpha_projection_centre_on_h1():
+    # linf = -1 kills the pure beta^9 term of h1, so (0 : 1 : 0), the centre
+    # that projects onto alpha, lies on h1.  Over GF(151) the beta-leading
+    # coefficient of h1 also vanishes at the nodes 16 and 25, whose samples
+    # are scaled back to the resultant at Y-degrees (7, 16)
+    minus_one = PINNED_F.neg(PINNED_F.one)
+    for F, lams in ((PINNED_F, (*PINNED[:2], minus_one, PINNED[3])), (GF(151), (29, 118, 150, 125))):
+        sysm = build_tau32_system(F, *lams)
+        assert [max(e[1] for e in h.terms) for h in sysm.hgens] == [7, 16]
+        draw = deg_tau32_single(F, *lams, random.Random(1))
+        oracle = tau32_counts_by_groebner(sysm, degenerate_points(F, *lams[:3]), random.Random(2))
         assert (draw.bezout, draw.distinct, draw.simple, draw.alpha_values) == oracle == (144, 18, 12, 8)
 
 
