@@ -293,8 +293,8 @@ def _sampled_resultant(forms, dom, ticks) -> UniPoly:
     """R(X) = Res_Y(h1, h2)(X, 1) of two term dicts in (X, Y, Z) at their
     Y-degrees (m, n), sampled at X = 0 .. 144 and interpolated; each sample
     takes one budget tick.  A sample where f1 drops k degrees is scaled by
-    (-1)^(n k) lc(f2)^k back to Res_{m,n}, and symmetrically for f2; the
-    caller ensures that they never both drop."""
+    (-1)^(n k) lc(f2)^k back to Res_{m,n}, and symmetrically for f2; no
+    caller passes two forms whose Y-leading coefficients vanish together."""
     p, (m, n) = dom.p, [max(e[1] for e in t) for t in forms]
     tops = [max(map(sum, t)) for t in forms]
     cols = [[[0] * (top + 1) for _ in range(d + 1)] for top, d in zip(tops, (m, n))]
@@ -371,12 +371,10 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
     if bezout != simple + sum(mults):
         raise InvariantError(f"multiplicity ledger: deg R {bezout} != {simple} simple + {sum(mults)} degenerate")
     # alpha-coordinates of the affine points: Res_beta from (0 : 1 : 0).  That
-    # centre lies on h1 when linf = -1; on both curves, which needs lbeta = 1
-    # (rejected), common roots of the beta-leading coefficients would count too
-    forms = [h.terms for h in sys.hgens]
-    if not any(t.get((0, h.total_degree(), 0)) for t, h in zip(forms, sys.hgens)):
-        raise InvariantError("(0 : 1 : 0) lies on both curves")
-    alpha_values = squarefree_part(_sampled_resultant(forms, dom, ticks)).degree
+    # centre lies on h1 when linf = -1, and on h2 as well only when lbeta = 1,
+    # which build_tau32_system rejects; on both curves, common roots of the
+    # beta-leading coefficients would count as alpha values
+    alpha_values = squarefree_part(_sampled_resultant([h.terms for h in sys.hgens], dom, ticks)).degree
     return Tau32Draw(
         prime=dom.char,
         lambdas=(l0, l1, linf, lbeta),
