@@ -206,8 +206,7 @@ def _cmd_poly_classes(args):
         from .exactalg import GF, random_prime
 
         # solving needs split eliminants and a (d-1)-st root of unity
-        p = random_prime(args.rng, 20, 1, args.d - 1) if args.d > 2 else random_prime(args.rng, 20)
-        args.dom = GF(p)
+        args.dom = GF(random_prime(args.rng, 20, 1, args.d - 1))
     lams = _affine_multipliers(args)
     solutions, classes = count_fixed_configurations(args.dom, args.d, lams, args.rng, args.budget)
     return {

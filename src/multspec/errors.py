@@ -39,7 +39,7 @@ class RepositionError(MathError):
 
 
 class SplitSearchError(MathError):
-    """No prime with a fully split eliminant was found in budget."""
+    """sigma2_discrimination found no usable prime in budget."""
 
 
 class EliminantNotSplitError(MathError):

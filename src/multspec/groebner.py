@@ -174,16 +174,6 @@ class MultiPoly:
         e = tuple(1 if j == i else 0 for j in range(len(vars)))
         return cls(dom, vars, {e: dom.one})
 
-    @classmethod
-    def from_unipoly(cls, u: UniPoly, vars, name):
-        i = tuple(vars).index(name)
-        terms = {}
-        for k, c in enumerate(u.coeffs):
-            if not u.dom.is_zero(c):
-                e = tuple(k if j == i else 0 for j in range(len(vars)))
-                terms[e] = c
-        return cls(u.dom, vars, terms)
-
     # -- structure
 
     @property
@@ -198,9 +188,6 @@ class MultiPoly:
             raise MathError("leading term of zero polynomial")
         e = max(self.terms, key=order.key)
         return e, self.terms[e]
-
-    def coeff(self, e):
-        return self.terms.get(tuple(e), self.dom.zero)
 
     def __eq__(self, other):
         return (
@@ -273,30 +260,6 @@ class MultiPoly:
                     out[e] = s
         return MultiPoly(dom, self.vars, out)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise UsageError("negative power")
-        r = MultiPoly.const(self.dom, self.vars, self.dom.one)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
-    def scale(self, c):
-        dom = self.dom
-        if dom.is_zero(c):
-            return MultiPoly.zero(dom, self.vars)
-        return MultiPoly(dom, self.vars, {e: dom.mul(k, c) for e, k in self.terms.items()})
-
-    def monic(self, order: MonomialOrder):
-        if self.is_zero:
-            return self
-        _, lc = self.leading(order)
-        return self.scale(self.dom.inv(lc))
-
     # -- calculus and substitution
 
     def derivative(self, name: str):
@@ -327,15 +290,6 @@ class MultiPoly:
             acc = dom.add(acc, t)
         return acc
 
-    def drop_vars(self, names):
-        keep = [i for i, v in enumerate(self.vars) if v not in names]
-        for e in self.terms:
-            for i, v in enumerate(self.vars):
-                if v in names and e[i]:
-                    raise UsageError(f"variable {v} still occurs")
-        vars2 = tuple(self.vars[i] for i in keep)
-        return MultiPoly(self.dom, vars2, {tuple(e[i] for i in keep): c for e, c in self.terms.items()})
-
     def homogenize(self, hvar: str):
         d = self.total_degree()
         vars2 = self.vars + (hvar,)
@@ -343,36 +297,6 @@ class MultiPoly:
         for e, c in self.terms.items():
             out[e + (d - sum(e),)] = c
         return MultiPoly(self.dom, vars2, out)
-
-    def linear_change(self, mat):
-        """x_i -> sum_j mat[i][j] x_j, exact expansion."""
-        dom = self.dom
-        n = len(self.vars)
-        forms = []
-        for i in range(n):
-            t = {}
-            for j in range(n):
-                if not dom.is_zero(mat[i][j]):
-                    e = tuple(1 if k == j else 0 for k in range(n))
-                    t[e] = mat[i][j]
-            forms.append(MultiPoly(dom, self.vars, t))
-        # cache powers of each substituted variable
-        powers: list[list[MultiPoly]] = [[MultiPoly.const(dom, self.vars, dom.one)] for _ in range(n)]
-        maxdeg = [0] * n
-        for e in self.terms:
-            for i, k in enumerate(e):
-                maxdeg[i] = max(maxdeg[i], k)
-        for i in range(n):
-            for _ in range(maxdeg[i]):
-                powers[i].append(powers[i][-1] * forms[i])
-        acc = MultiPoly.zero(dom, self.vars)
-        for e, c in self.terms.items():
-            t = MultiPoly.const(dom, self.vars, c)
-            for i, k in enumerate(e):
-                if k:
-                    t = t * powers[i][k]
-            acc = acc + t
-        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 A monic degree-d polynomial with affine fixed points z_1..z_d summing to 0
 is phi(z) = z + prod (z - z_i), and its multiplier at z_i is
 1 + prod_{j != i} (z_i - z_j).  Prescribing the multipliers lambda_i gives
-the system F_i(z) = lambda_i - 1 with F_i homogeneous of degree d-1, plus
-the normalization sum z_i = 0.  Scaling a solution by a (d-1)-st root of
-unity is conjugation z -> zeta z of the map, so configuration counts divide
-by d-1 to give conjugacy classes.
+the system F_i(z) = lambda_i - 1 with F_i homogeneous of degree d-1, in the
+variables z_1..z_(d-1) with z_d = -(z_1 + ... + z_(d-1)) substituted.
+Scaling a solution by a (d-1)-st root of unity is conjugation z -> zeta z
+of the map, so configuration counts divide by d-1 to give conjugacy classes.
 
 Affine multipliers of a polynomial map satisfy sum 1/(1 - lambda_i) = 0
 (the point at infinity has multiplier 0), so experiment entry points take
@@ -149,48 +149,32 @@ class FixedConfigSystem:
 
 
 def build_fixed_config_system(dom: Domain, d: int, lambdas) -> FixedConfigSystem:
-    """prod_{j != i}(z_i - z_j) = lambda_i - 1 for all i, and sum z_i = 0."""
+    """prod_{j != i}(z_i - z_j) = lambda_i - 1 for all i, in z_1..z_(d-1)
+    with z_d = -(z_1 + ... + z_(d-1))."""
     lambdas = tuple(lambdas)
     if d < 2 or len(lambdas) != d:
         raise UsageError(f"need exactly {d} multipliers")
     for lam in lambdas:
         if lam == dom.one:
             raise DegenerateInputError("multiplier 1 means a multiple fixed point")
-    vars_ = tuple(f"z{i + 1}" for i in range(d))
-
-    def var_mp(i):
-        e = tuple(1 if j == i else 0 for j in range(d))
-        return MultiPoly(dom, vars_, {e: dom.one})
-
+    vars_ = tuple(f"z{i + 1}" for i in range(d - 1))
+    zs = [MultiPoly.gen(dom, vars_, v) for v in vars_]
+    last = MultiPoly.zero(dom, vars_)
+    for z in zs:
+        last = last - z
+    zs.append(last)
     gens = []
     for i in range(d):
         f = MultiPoly.const(dom, vars_, dom.one)
         for j in range(d):
             if j != i:
-                f = f * (var_mp(i) - var_mp(j))
+                f = f * (zs[i] - zs[j])
         gens.append(f - MultiPoly.const(dom, vars_, dom.sub(lambdas[i], dom.one)))
-    total = MultiPoly.zero(dom, vars_)
-    for i in range(d):
-        total = total + var_mp(i)
-    gens.append(total)
     return FixedConfigSystem(dom=dom, d=d, lambdas=lambdas, vars=vars_, gens=tuple(gens))
 
 
-def _eliminated_gens(sys: FixedConfigSystem):
-    """Substitute z_d = -(z_1 + ... + z_(d-1)) and drop the last variable."""
-    dom, d = sys.dom, sys.d
-    mat = [
-        [dom.one if i == j else dom.zero for j in range(d)] for i in range(d)
-    ]
-    mat[d - 1] = [dom.neg(dom.one)] * (d - 1) + [dom.zero]
-    out = []
-    for g in sys.gens[:-1]:
-        out.append(g.linear_change(mat).drop_vars((sys.vars[-1],)))
-    return out
-
-
 def _config_basis(sys: FixedConfigSystem, budget=None) -> IdealBasis:
-    return buchberger(_eliminated_gens(sys), GREVLEX, budget)
+    return buchberger(sys.gens, GREVLEX, budget)
 
 
 def count_fixed_configurations(dom: Domain, d: int, lambdas, rng, budget=None):
@@ -277,26 +261,34 @@ class FiberDegreeReport:
     classes: int
 
 
-def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, budget=None):
-    """Configuration counts at independent random specializations.
+def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, budget=None, lambdas=None):
+    """Configuration counts at independent specializations.
 
-    Each draw picks a fresh prime p = 1 mod (d-1) and random free affine
-    multipliers (completing the last one); all draws must agree.
+    Each draw picks a fresh prime p = 1 mod (d-1).  Rational `lambdas` are
+    reduced mod p; without them the draw takes random free affine
+    multipliers and completes the last one.  A reduction that is not
+    invertible, repeats a value or hits 1 fails the attempt, as does a
+    non-generic count; all draws must agree.
     """
     if d < 2:
         raise UsageError("degree must be >= 2")
     out = []
     for _ in range(draws):
         for _ in range(24):
-            p = random_prime(rng, bits, 1, d - 1) if d > 2 else random_prime(rng, bits)
+            p = random_prime(rng, bits, 1, d - 1)
             F = GF(p)
-            free = []
-            while len(free) < d - 1:
-                c = F.rand(rng)
-                if c != F.one and c not in free:
-                    free.append(c)
             try:
-                lams = complete_multipliers(F, d, free)
+                if lambdas is None:
+                    free = []
+                    while len(free) < d - 1:
+                        c = F.rand(rng)
+                        if c != F.one and c not in free:
+                            free.append(c)
+                    lams = complete_multipliers(F, d, free)
+                else:
+                    lams = [F.from_rational(l) for l in lambdas]
+                    if len(set(lams)) < len(lams):
+                        continue
                 counts = count_fixed_configurations(F, d, lams, rng, budget)
             except InvariantError:
                 raise
@@ -313,37 +305,6 @@ def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, budget=
     if len(sols) != 1 or len(cls) != 1:
         raise MathError(f"draws disagree: {out}")
     return FiberDegreeReport(d=d, draws=tuple(out), solutions=out[0].solutions, classes=out[0].classes)
-
-
-def count_classes_over_primes(d: int, lambdas, rng, primes: int = 3, bits: int = 20, budget=None):
-    """Counts for a fixed rational multiplier list, reduced mod several primes."""
-    lambdas = list(lambdas)
-    reports = []
-    attempts = 0
-    while len(reports) < primes:
-        attempts += 1
-        if attempts > 64:
-            raise SplitSearchError("no usable prime found in 64 attempts")
-        p = random_prime(rng, bits, 1, d - 1) if d > 2 else random_prime(rng, bits)
-        F = GF(p)
-        try:
-            lams = [F.from_rational(l) for l in lambdas]
-        except MathError:
-            continue
-        if len(set(lams)) != len(lams) or F.one in lams:
-            continue
-        try:
-            counts = count_fixed_configurations(F, d, lams, rng, budget)
-        except InvariantError:
-            raise
-        except MathError:
-            continue
-        reports.append(FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=counts[0], classes=counts[1]))
-    sols = {r.solutions for r in reports}
-    cls = {r.classes for r in reports}
-    if len(sols) != 1 or len(cls) != 1:
-        raise MathError(f"primes disagree: {reports}")
-    return FiberDegreeReport(d=d, draws=tuple(reports), solutions=reports[0].solutions, classes=reports[0].classes)
 
 
 @dataclass(frozen=True)

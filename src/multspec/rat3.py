@@ -15,7 +15,8 @@ forms after a random projective change of coordinates: its roots are the
 projected intersection points with their intersection multiplicities, so
 the count with multiplicity (Bezout, 144) is the measured deg R.  A ledger
 over the six degenerate points proves the other points simple.  Two
-independent projections must agree; a failed theorem-level check then
+consecutive independent projections must agree, and a failed or
+disagreeing projection is drawn again; a failed theorem-level check then
 raises InvariantError and is never retried.
 
 Reconstruction from (fixed points, multipliers) solves the Vandermonde
@@ -277,6 +278,7 @@ class Tau32Report:
 
 
 _NODES = 145  # R has degree <= 9 * 16 = 144, so 145 samples determine it
+_PROJECTIONS = 6  # projections drawn per specialization before giving up
 
 
 def _shear(terms: dict, i: int, j: int, s: int, p: int) -> dict:
@@ -351,20 +353,31 @@ def _projected_counts(sys: Tau32FiberSystem, pts, rng, ticks):
 
 
 def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau32Draw:
-    """All counts of Theorem-4.1 type for one specialization, read off two
-    independent random projections; `budget` caps the resultant samples."""
+    """All counts of Theorem-4.1 type for one specialization, read off the
+    first two consecutive random projections that agree, of at most
+    _PROJECTIONS; `budget` caps the resultant samples."""
     if not isinstance(dom, PrimeField) or dom.p <= _NODES:
         raise UsageError(f"deg-tau32 needs GF(p) with p > {_NODES}: it samples a resultant at {_NODES} nodes")
     lambda_alpha(dom, l0, l1, linf)  # reject non-generic parameter poles early
     sys = build_tau32_system(dom, l0, l1, linf, lbeta)
     pts = degenerate_points(dom, l0, l1, linf)
     ticks = None if budget is None else iter(range(budget))
-    first, second = (_projected_counts(sys, pts, rng, ticks) for _ in range(2))
-    if first != second:
-        raise MathError(f"two projections disagree: {first} != {second}; draw again")
+    last = None
+    for _ in range(_PROJECTIONS):
+        try:
+            counts = _projected_counts(sys, pts, rng, ticks)
+        except InvariantError:
+            raise
+        except MathError:
+            counts = None
+        if counts is not None and counts == last:
+            break
+        last = counts
+    else:
+        raise MathError(f"no two consecutive projections of {_PROJECTIONS} agree; draw again")
     # the ledger deg R = simple + sum mult_P, every mult_P >= 2, leaves no other
     # multiple point, so distinct = simple + 6
-    bezout, distinct, simple, mults = first
+    bezout, distinct, simple, mults = counts
     for pt, mult in zip(pts, mults):
         if mult < 2:
             raise InvariantError(f"expected a multiple point at {pt}, got multiplicity {mult}")

@@ -27,7 +27,6 @@ from .errors import MultSpecError
 from .exactalg import GF, QQ, UniPoly, random_prime, squarefree_part
 from .polymoduli import (
     complete_multipliers,
-    count_classes_over_primes,
     fiber_degree_experiment,
     p3_from_sigma1,
     poly_from_fixed_points,
@@ -138,7 +137,7 @@ def _fiber_degrees(rng, budget=None):
     free = [Fraction(-2), Fraction(-3), Fraction(-4), Fraction(8)]
     lam5 = complete_multipliers(QQ, 5, free)
     assert lam5[-1] == Fraction(689, 269), f"derived fifth multiplier {lam5[-1]}"
-    r5 = count_classes_over_primes(5, lam5, rng, primes=3, budget=budget)
+    r5 = fiber_degree_experiment(5, rng, draws=3, budget=budget, lambdas=lam5)
     assert (r5.solutions, r5.classes) == (24, 6), f"d=5 gave {r5}"
     return "classes 1 (d=3), 2 (d=4) at random draws; pinned d=5 list gives 24 solutions, 6 classes"
 

@@ -1,10 +1,12 @@
 """Groebner routes that only the tests use.
 
 The lex order, division of one polynomial by a basis, S-polynomials, lex
-elimination, substitution and dehomogenization, Jacobian determinants at a
-point, the count of non-simple points through a basis with the Jacobian
-adjoined, quotient-algebra elements written back as polynomials, and the
-Groebner route to the deg tau_{3,2} counts.  They check `buchberger`
+elimination, substitution, linear changes of variables, dropping unused
+variables and dehomogenization, Jacobian determinants at a point, the count
+of non-simple points through a basis with the Jacobian adjoined,
+quotient-algebra elements written back as polynomials, the
+fixed-configuration system built in d variables and cut down to d-1, and
+the Groebner route to the deg tau_{3,2} counts.  They check `buchberger`
 against its definition and the level-2 fiber system against its geometry;
 the package itself works on packed reducers, quotient contexts and
 sampled resultants instead.
@@ -68,6 +70,48 @@ def substitute(f: MultiPoly, assignments: dict) -> MultiPoly:
     return MultiPoly(dom, f.vars, out)
 
 
+def drop_vars(f: MultiPoly, names) -> MultiPoly:
+    """f in its other variables; none of `names` may occur in it."""
+    keep = [i for i, v in enumerate(f.vars) if v not in names]
+    for e in f.terms:
+        for i, v in enumerate(f.vars):
+            if v in names and e[i]:
+                raise UsageError(f"variable {v} still occurs")
+    vars2 = tuple(f.vars[i] for i in keep)
+    return MultiPoly(f.dom, vars2, {tuple(e[i] for i in keep): c for e, c in f.terms.items()})
+
+
+def linear_change(f: MultiPoly, mat) -> MultiPoly:
+    """x_i -> sum_j mat[i][j] x_j, exact expansion."""
+    dom = f.dom
+    n = len(f.vars)
+    forms = []
+    for i in range(n):
+        t = {}
+        for j in range(n):
+            if not dom.is_zero(mat[i][j]):
+                e = tuple(1 if k == j else 0 for k in range(n))
+                t[e] = mat[i][j]
+        forms.append(MultiPoly(dom, f.vars, t))
+    # cache powers of each substituted variable
+    powers = [[MultiPoly.const(dom, f.vars, dom.one)] for _ in range(n)]
+    maxdeg = [0] * n
+    for e in f.terms:
+        for i, k in enumerate(e):
+            maxdeg[i] = max(maxdeg[i], k)
+    for i in range(n):
+        for _ in range(maxdeg[i]):
+            powers[i].append(powers[i][-1] * forms[i])
+    acc = MultiPoly.zero(dom, f.vars)
+    for e, c in f.terms.items():
+        t = MultiPoly.const(dom, f.vars, c)
+        for i, k in enumerate(e):
+            if k:
+                t = t * powers[i][k]
+        acc = acc + t
+    return acc
+
+
 def to_unipoly(f: MultiPoly, name: str) -> UniPoly:
     """f as a univariate polynomial in the variable `name`, the only one it uses."""
     i = f.vars.index(name)
@@ -80,7 +124,7 @@ def to_unipoly(f: MultiPoly, name: str) -> UniPoly:
 
 
 def dehomogenize(f: MultiPoly, name: str) -> MultiPoly:
-    return substitute(f, {name: f.dom.one}).drop_vars([name])
+    return drop_vars(substitute(f, {name: f.dom.one}), [name])
 
 
 def eliminate(gens, keep) -> IdealBasis:
@@ -101,7 +145,7 @@ def eliminate(gens, keep) -> IdealBasis:
             terms[tuple(e2)] = c
         moved.append(MultiPoly(g.dom, dropped + keep, terms))
     gb = buchberger(moved, LEX)
-    kept = [g.drop_vars(dropped) for g in gb.gens if all(not any(e[: len(dropped)]) for e in g.terms)]
+    kept = [drop_vars(g, dropped) for g in gb.gens if all(not any(e[: len(dropped)]) for e in g.terms)]
     return IdealBasis(vars=keep, order=LEX, gens=tuple(kept))
 
 
@@ -126,6 +170,25 @@ def to_multipoly(Q, a) -> MultiPoly:
     """The element a of the quotient algebra Q as a combination of standard monomials."""
     terms = {e: c for e, c in zip(Q.std, a) if not Q.base.is_zero(c)}
     return MultiPoly(Q.base, Q.vars, terms)
+
+
+def config_system_by_substitution(dom, d: int, lambdas):
+    """The fixed-configuration generators prod_{j != i}(z_i - z_j) - (lambda_i - 1)
+    built in z_1..z_d, then z_d -> -(z_1 + ... + z_(d-1)) by a linear change
+    and z_d dropped."""
+    vars_ = tuple(f"z{i + 1}" for i in range(d))
+    zs = [MultiPoly.gen(dom, vars_, v) for v in vars_]
+    mat = [[dom.one if i == j else dom.zero for j in range(d)] for i in range(d)]
+    mat[d - 1] = [dom.neg(dom.one)] * (d - 1) + [dom.zero]
+    out = []
+    for i in range(d):
+        f = MultiPoly.const(dom, vars_, dom.one)
+        for j in range(d):
+            if j != i:
+                f = f * (zs[i] - zs[j])
+        f = f - MultiPoly.const(dom, vars_, dom.sub(lambdas[i], dom.one))
+        out.append(drop_vars(linear_change(f, mat), (vars_[-1],)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +220,7 @@ def tau32_counts_by_groebner(sys, degenerate, rng):
     a separating eliminant E they fill D_aff with the simple points.
     """
     F = sys.dom
-    moved = [dehomogenize(h.linear_change(random_invertible(3, F, rng)), "z") for h in sys.hgens]
+    moved = [dehomogenize(linear_change(h, random_invertible(3, F, rng)), "z") for h in sys.hgens]
     bezout = quotient_dimension(buchberger(moved, GREVLEX))
     basis = buchberger(list(sys.gens), GREVLEX)
     d_affine = quotient_dimension(basis)
@@ -171,7 +234,7 @@ def tau32_counts_by_groebner(sys, degenerate, rng):
     assert n_multiple == len(affine)
     assert d_affine == (n_affine - n_multiple) + sum(_root_multiplicity(e, u.eval(pt)) for pt in affine)
     # the points on z = 0: (0 : 1 : 0) and the roots beta of the chart alpha = 1
-    f1, f2 = (dehomogenize(substitute(h, {"z": F.zero}), "alpha").drop_vars(("z",)) for h in sys.hgens)
+    f1, f2 = (drop_vars(dehomogenize(substitute(h, {"z": F.zero}), "alpha"), ("z",)) for h in sys.hgens)
     line = squarefree_part(poly_gcd(to_unipoly(f1, "beta"), to_unipoly(f2, "beta")))
     roots = fp_roots(line, rng)
     if len(roots) != line.degree:

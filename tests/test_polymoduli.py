@@ -24,7 +24,6 @@ from multspec.polymoduli import (
     _zeta_orbits,
     build_fixed_config_system,
     complete_multipliers,
-    count_classes_over_primes,
     count_fixed_configurations,
     fiber_degree_experiment,
     multiplier_relation_residual,
@@ -35,7 +34,7 @@ from multspec.polymoduli import (
 )
 from multspec.reproduce import run_criterion
 
-from groebner_oracles import to_multipoly
+from groebner_oracles import config_system_by_substitution, to_multipoly
 from matrix_helpers import mat_mul
 from poly_oracles import tau31_phi_ab
 
@@ -133,13 +132,29 @@ def test_poly_from_fixed_points_quadratic_translates():
 def test_config_system_shape():
     lams = qq(2, 3, Fraction(5, 3))
     sys = build_fixed_config_system(QQ, 3, lams)
-    assert sys.vars == ("z1", "z2", "z3")
-    assert len(sys.gens) == 4
-    assert [g.total_degree() for g in sys.gens] == [2, 2, 2, 1]
+    assert sys.vars == ("z1", "z2")
+    assert len(sys.gens) == 3
+    assert [g.total_degree() for g in sys.gens] == [2, 2, 2]
     with pytest.raises(DegenerateInputError):
         build_fixed_config_system(QQ, 3, qq(1, 2, 3))
     with pytest.raises(UsageError):
         build_fixed_config_system(QQ, 3, qq(2, 3))
+
+
+def test_config_system_matches_substitution_oracle():
+    # built in z_1..z_(d-1) directly, the generators are the d-variable ones
+    # with z_d = -(z_1 + ... + z_(d-1)) substituted and z_d dropped
+    rng = random.Random(13)
+    for dom in (QQ, GF(101), GF(1000003)):
+        for d in range(2, 7):
+            lams = []
+            while len(lams) < d:
+                c = dom.from_rational(Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
+                if c != dom.one and c not in lams:
+                    lams.append(c)
+            sys = build_fixed_config_system(dom, d, lams)
+            assert sys.vars == tuple(f"z{i + 1}" for i in range(d - 1))
+            assert list(sys.gens) == config_system_by_substitution(dom, d, lams)
 
 
 def test_config_system_vanishes_on_real_configurations():
@@ -159,7 +174,7 @@ def test_config_system_vanishes_on_real_configurations():
             continue
         sys = build_fixed_config_system(F, 3, lams)
         for g in sys.gens:
-            assert F.is_zero(g.eval(tuple(roots)))
+            assert F.is_zero(g.eval(tuple(roots[:-1])))
         hits += 1
 
 
@@ -177,8 +192,19 @@ def test_fiber_degrees_small():
 
 def test_fiber_degree_d5_pinned():
     rng = random.Random(9)
-    rep = count_classes_over_primes(5, D5_LAMBDAS, rng, primes=2, bits=18)
+    rep = fiber_degree_experiment(5, rng, draws=2, bits=18, lambdas=D5_LAMBDAS)
     assert (rep.solutions, rep.classes) == (24, 6)
+    # the primes a pinned list is reduced at are the ones random draws would use
+    assert [d.prime for d in rep.draws] == [252449, 141793]
+    assert rep.draws[0].lambdas == (252447, 252446, 252445, 8, 52557)
+    assert rep.draws[1].lambdas == (141791, 141790, 141789, 8, 134416)
+
+
+def test_pinned_multipliers_that_collide_mod_p_fail_the_attempt():
+    # 7 is the only 3-bit prime drawn, and -2 = 5 mod 7: each attempt fails,
+    # and the draw gives up after 24 of them
+    with pytest.raises(MathError, match="24 attempts"):
+        fiber_degree_experiment(3, random.Random(1), draws=1, bits=3, lambdas=[-2, 5, 3])
 
 
 def test_broken_invariant_in_a_fiber_count_is_not_retried(monkeypatch):
@@ -190,7 +216,7 @@ def test_broken_invariant_in_a_fiber_count_is_not_retried(monkeypatch):
     with pytest.raises(InvariantError, match="planted"):
         fiber_degree_experiment(3, random.Random(8), draws=1, bits=14)
     with pytest.raises(InvariantError, match="planted"):
-        count_classes_over_primes(5, D5_LAMBDAS, random.Random(9), primes=1, bits=18)
+        fiber_degree_experiment(5, random.Random(9), draws=1, bits=18, lambdas=D5_LAMBDAS)
     with pytest.raises(InvariantError, match="planted"):
         sigma2_discrimination(5, D5_LAMBDAS, random.Random(1), max_primes=6)
     for number in (5, 6):

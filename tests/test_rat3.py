@@ -32,7 +32,9 @@ from multspec.reproduce import run_criterion
 
 from groebner_oracles import (
     dehomogenize,
+    drop_vars,
     jacobian_det_at,
+    linear_change,
     non_simple_point_count,
     substitute,
     tau32_counts_by_groebner,
@@ -198,7 +200,7 @@ def test_build_tau32_system_shapes():
     for var, other in (("beta", "alpha"), ("alpha", "beta")):
         for _ in range(3):
             c = F.rand(rng)
-            u1, u2 = (to_unipoly(substitute(g, {other: c}).drop_vars((other,)), var) for g in (g1, g2))
+            u1, u2 = (to_unipoly(drop_vars(substitute(g, {other: c}), (other,)), var) for g in (g1, g2))
             if u1.is_zero or u2.is_zero:
                 continue
             assert poly_gcd(u1, u2).degree == 0
@@ -286,7 +288,7 @@ def test_deg_tau32_single_counts():
     # the moved system counts all of them with multiplicity
     sysm = build_tau32_system(F, *PINNED)
     m = random_invertible(3, F, random.Random(4))
-    moved = [dehomogenize(h.linear_change(m), "z") for h in sysm.hgens]
+    moved = [dehomogenize(linear_change(h, m), "z") for h in sysm.hgens]
     h1, h2 = sysm.hgens
     assert quotient_dimension(buchberger(moved, GREVLEX)) == draw.bezout == h1.total_degree() * h2.total_degree()
 
@@ -462,7 +464,8 @@ def test_corrupted_resultant_sample_is_an_invariant_error(monkeypatch):
 
 
 def test_disagreeing_projections_are_retried(monkeypatch):
-    # a fault in the first projection only is an unlucky draw, not a broken theorem
+    # a fault in the first projection only is an unlucky projection, not a
+    # broken theorem: the same draw goes on to two agreeing projections
     real = rat3._root_multiplicity
     calls = Counter()
 
@@ -471,13 +474,30 @@ def test_disagreeing_projections_are_retried(monkeypatch):
         return real(f, c) + (calls["n"] == 1)
 
     monkeypatch.setattr(rat3, "_root_multiplicity", first_projection_off)
-    with pytest.raises(MathError, match="two projections disagree") as err:
+    draw = deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
+    assert (draw.bezout, draw.distinct, draw.simple, draw.alpha_values) == (144, 18, 12, 8)
+    # a different fault in every projection: no two agree, and the draw
+    # fails as an unlucky one
+    def every_projection_off(f, c):
+        calls["n"] += 1
+        return real(f, c) + calls["n"]
+
+    monkeypatch.setattr(rat3, "_root_multiplicity", every_projection_off)
+    with pytest.raises(MathError, match="no two consecutive projections of 6 agree") as err:
         deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
     assert not isinstance(err.value, InvariantError)
-    calls.clear()
-    rep = deg_tau32_report(random.Random(0xC0FFEE), draws=1)
-    assert (rep.bezout, rep.distinct, rep.degenerate, rep.simple, rep.degree) == (144, 18, 6, 12, 12)
-    assert rep.draws[0].prime != deg_tau32_report(random.Random(0xC0FFEE), draws=1).draws[0].prime
+
+
+def test_pinned_small_field_draws_projections_again():
+    # over GF(157) a random projection often fails: at seed 2 the centre
+    # lies on a curve, at seed 5 an intersection point lies on Z = 0
+    F = GF(157)
+    lams = [F.from_int(c) for c in (41, 4, 156, 7)]
+    oracle = tau32_counts_by_groebner(build_tau32_system(F, *lams), degenerate_points(F, *lams[:3]), random.Random(1))
+    assert oracle == (144, 18, 12, 8)
+    for seed in (2, 5):
+        draw = deg_tau32_single(F, *lams, random.Random(seed))
+        assert (draw.bezout, draw.distinct, draw.simple, draw.alpha_values) == oracle
 
 
 def test_deg_tau32_budget_and_small_fields():
