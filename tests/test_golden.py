@@ -25,6 +25,11 @@ CORPUS = {
     # level 3 over GF(p) of a cubic fixing infinity; tau to level 4 over QQ
     "sigma-n3-gf": ["sigma", "--map", "(z^3+2*z+1)/(z^2-3)", "-n", "3", "--field", "GF:1000003"],
     "tau-n4": ["tau", "--map", "(z^2+3)/(2*z^2-z+5)", "-n", "4"],
+    # a double fixed point, and three distinct ones (a = -6, 27 b^2 = 972)
+    "p3-form-double": ["p3-form", "--lambdas=1,1,10"],
+    "p3-form": ["p3-form", "--lambdas=-3,6,21"],
+    "normal-form3": ["normal-form3", "--l0", "-1", "--l1", "-1", "--linf", "-1", "--alpha", "2"],
+    "normal-form3-gf": ["normal-form3", "--field", "GF:10007", "--l0", "3", "--l1", "5", "--linf", "7", "--alpha", "11"],
 }
 
 
