@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import (
+    DegenerateInputError,
     DegenerateMapError,
     FieldMismatchError,
     InvariantError,
@@ -538,6 +539,31 @@ def sigma1_relation_residual(sv: SigmaVector, d: int, is_polynomial: bool = Fals
     theorem = dom.add(acc, dom.mul(dom.neg(sign), e[d + 1]))
     corollary = acc if is_polynomial else None
     return RelationResidual(theorem=theorem, corollary=corollary)
+
+
+def fixed_point_index_sum(dom: Domain, lambdas):
+    """sum 1/(1 - lambda) over the given fixed-point multipliers.
+
+    By the holomorphic index formula (Milnor, Dynamics in One Complex
+    Variable, section 12) the sum over all d+1 fixed points of a degree-d
+    map is 1; with infinity's multiplier 0, the affine multipliers of a
+    polynomial sum to 0.
+    """
+    acc = dom.zero
+    for lam in lambdas:
+        e = dom.sub(dom.one, lam)
+        if dom.is_zero(e):
+            raise DegenerateInputError("multiplier 1 breaks the index sum")
+        acc = dom.add(acc, dom.inv(e))
+    return acc
+
+
+def forced_multiplier(dom: Domain, lambdas):
+    """The last fixed-point multiplier, forced by the index formula given the others."""
+    rest = dom.sub(dom.one, fixed_point_index_sum(dom, lambdas))
+    if dom.is_zero(rest):
+        raise DegenerateInputError("index sum is already 1: the last multiplier sits at infinity")
+    return dom.sub(dom.one, dom.inv(rest))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ kernels on plain ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import FieldMismatchError, MathError, UsageError
 
@@ -507,17 +507,8 @@ def clear_denominators(*polys: UniPoly) -> tuple[list, int]:
     return [f.map_coeffs(ZZ, lambda c: c.numerator * (den // c.denominator)) for f in polys], den
 
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _content(f: UniPoly) -> int:
-    c = 0
-    for a in f.coeffs:
-        c = _gcd_int(c, a)
-    return c or 1
+    return gcd(*f.coeffs) or 1
 
 
 def _gcd_qq(f: UniPoly, g: UniPoly) -> UniPoly:

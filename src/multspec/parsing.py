@@ -40,12 +40,8 @@ def _pair_add(dom, a, b):
 def _pair_pow(dom, a, e):
     if abs(e) > 64:
         raise UsageError(f"exponent {e} is past any sensible map degree")
-    num = UniPoly.const(dom, "z", dom.one)
-    den = UniPoly.const(dom, "z", dom.one)
-    base = a if e >= 0 else (a[1], a[0])
-    for _ in range(abs(e)):
-        num, den = num * base[0], den * base[1]
-    return (num, den)
+    num, den = a if e >= 0 else (a[1], a[0])
+    return (num ** abs(e), den ** abs(e))
 
 
 def _eval_node(node, dom, params):

@@ -8,9 +8,11 @@ variables z_1..z_(d-1) with z_d = -(z_1 + ... + z_(d-1)) substituted.
 Scaling a solution by a (d-1)-st root of unity is conjugation z -> zeta z
 of the map, so configuration counts divide by d-1 to give conjugacy classes.
 
-Affine multipliers of a polynomial map satisfy sum 1/(1 - lambda_i) = 0
-(the point at infinity has multiplier 0), so experiment entry points take
-d-1 free multipliers and derive the last one.
+Infinity is a fixed point of multiplier 0, so by the index formula
+(dynamics.fixed_point_index_sum) the affine multipliers satisfy
+sum 1/(1 - lambda_i) = 0; experiment entry points take d-1 free multipliers
+and derive the last one with dynamics.forced_multiplier.  The cubic normal
+form z^3 + az + b is read off its multipliers in closed form (p3_from_sigma1).
 
 Class counting over Q is done by counting at random specializations over
 prime fields with p = 1 mod (d-1), where the root-of-unity action is
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import ProjMap, sigma_n
+from .dynamics import ProjMap, fixed_point_index_sum, forced_multiplier, sigma_n
 from .errors import (
     DegenerateInputError,
     InvariantError,
@@ -51,27 +53,12 @@ from .linalg import char_poly as _char_poly
 # multiplier bookkeeping
 
 
-def multiplier_relation_residual(dom: Domain, lambdas):
-    """sum 1/(1 - lambda_i) over affine multipliers; 0 iff realizable."""
-    acc = dom.zero
-    for lam in lambdas:
-        e = dom.sub(dom.one, lam)
-        if dom.is_zero(e):
-            raise DegenerateInputError("multiplier 1 breaks the reciprocal sum")
-        acc = dom.add(acc, dom.inv(e))
-    return acc
-
-
 def complete_multipliers(dom: Domain, d: int, free):
-    """Fill in the d-th affine multiplier forced by the reciprocal relation."""
+    """Fill in the d-th affine multiplier, forced with infinity's multiplier 0."""
     free = list(free)
     if len(free) != d - 1:
         raise UsageError(f"expected {d - 1} free multipliers, got {len(free)}")
-    s = dom.neg(multiplier_relation_residual(dom, free))
-    if dom.is_zero(s):
-        raise DegenerateInputError("free multipliers leave no room for the last one")
-    last = dom.sub(dom.one, dom.inv(s))
-    return free + [last]
+    return free + [forced_multiplier(dom, [dom.zero] + free)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +160,10 @@ def build_fixed_config_system(dom: Domain, d: int, lambdas) -> FixedConfigSystem
     return FixedConfigSystem(dom=dom, d=d, lambdas=lambdas, vars=vars_, gens=tuple(gens))
 
 
-def _config_basis(sys: FixedConfigSystem, budget=None) -> IdealBasis:
-    return buchberger(sys.gens, GREVLEX, budget)
-
-
 def count_fixed_configurations(dom: Domain, d: int, lambdas, rng, budget=None):
     """(solutions, conjugacy classes) of the configuration system."""
     sys = build_fixed_config_system(dom, d, lambdas)
-    basis = _config_basis(sys, budget)
+    basis = buchberger(sys.gens, GREVLEX, budget)
     if quotient_dimension(basis) is None:
         raise MathError("configuration system is not zero-dimensional")
     solutions = distinct_point_count(basis, rng)
@@ -205,7 +188,7 @@ def _unit_root(F, k, rng):
 def _solve_configurations(sys: FixedConfigSystem, rng, budget=None):
     """Rational solutions as full d-tuples (last coordinate reconstructed)."""
     dom = sys.dom
-    basis = _config_basis(sys, budget)
+    basis = buchberger(sys.gens, GREVLEX, budget)
     pts = solve_rational_points(basis, rng)
     full = []
     for pt in pts:
@@ -426,9 +409,9 @@ def sigma2_discrimination(
     lambdas = list(lambdas)
     if len(lambdas) != d:
         raise UsageError(f"need exactly {d} affine multipliers")
-    res = multiplier_relation_residual(QQ, [QQ.from_rational(l) for l in lambdas])
+    res = fixed_point_index_sum(QQ, [QQ.from_rational(l) for l in lambdas])
     if not QQ.is_zero(res):
-        raise DegenerateInputError(f"multipliers fail the reciprocal relation by {res}")
+        raise DegenerateInputError(f"multipliers fail the index formula by {res}")
     if split_attempts is None:
         split_attempts = 80 if d <= 4 else 0
     tried = 0
@@ -464,7 +447,7 @@ def sigma2_discrimination(
                 normal_forms=forms,
                 sigma2_values=sigmas,
             )
-        basis = _config_basis(sys, budget)
+        basis = buchberger(sys.gens, GREVLEX, budget)
         if quotient_dimension(basis) is None:
             continue
         try:
@@ -498,63 +481,32 @@ def sigma2_discrimination(
 
 
 def p3_from_sigma1(dom: Domain, lambdas):
-    """Candidates (a, 27 b^2) for z^3 + az + b with affine multipliers lambdas.
+    """[(a, 27 b^2)] for z^3 + az + b with affine multipliers lambdas.
 
-    Three distinct fixed points (no multiplier 1): closed form in two of the
-    multipliers, checked across orderings.  Double point ({1, 1, lam}):
-    a = 1 - (lam-1)/3 and 27 b^2 = 4 (lam-1)^3 / 27.  Triple point
-    ({1, 1, 1}): the fixed point sits at 0, so the map is z^3 + z.
+    The fixed points z_i sum to 0 and lambda_i = 3 z_i^2 + a, so
+    sigma_{1,1} = 6 - 3a and prod (lambda_i - a) = 27 (z_1 z_2 z_3)^2 = 27 b^2;
+    this covers a double fixed point ({1, 1, lam}) as well.  Three distinct
+    fixed points (no multiplier 1) must satisfy the index formula.  A triple
+    fixed point ({1, 1, 1}) sits at 0, so the map is z^3 + z, also in
+    characteristic 3, where no other multipliers are handled.
     """
     lams = list(lambdas)
     if len(lams) != 3:
         raise UsageError("need the 3 affine multipliers")
-    i = dom.from_int
-    ones = sum(1 for l in lams if l == dom.one)
+    ones = lams.count(dom.one)
     if ones == 3:
         return [(dom.one, dom.zero)]
-    if ones == 2:
-        lam = next(l for l in lams if l != dom.one)
-        t = dom.sub(lam, dom.one)
-        a = dom.sub(dom.one, dom.div(t, i(3)))
-        b27 = dom.div(dom.mul(i(4), dom.mul(t, dom.mul(t, t))), i(27))
-        return [(a, b27)]
+    if dom.char == 3:
+        raise DegenerateInputError("characteristic 3 takes only the multipliers {1, 1, 1}")
     if ones == 1:
         raise DegenerateInputError(
             "multiplier 1 comes from a multiple fixed point and repeats"
         )
-    seen = []
-    for j in range(3):
-        for k in range(3):
-            if j == k:
-                continue
-            l1, l2 = lams[j], lams[k]
-            den = dom.add(dom.mul(i(3), l1), dom.sub(dom.mul(i(3), l2), i(6)))
-            if dom.is_zero(den):
-                continue
-            num = dom.add(
-                dom.mul(l1, l1),
-                dom.add(
-                    dom.mul(dom.sub(l2, i(6)), l1),
-                    dom.add(dom.mul(l2, l2), dom.sub(i(9), dom.mul(i(6), l2))),
-                ),
-            )
-            a = dom.neg(dom.div(num, den))
-            if a not in seen:
-                seen.append(a)
-    if not seen:
-        raise DegenerateInputError("3 lam_1 + 3 lam_2 - 6 vanishes for every ordering")
-    if len(seen) > 1:
-        raise MathError("orderings disagree: multipliers are not realizable")
-    a = seen[0]
+    if ones == 0 and not dom.is_zero(fixed_point_index_sum(dom, lams)):
+        raise MathError("multipliers are not realizable: their index sum is not 0")
     s1 = dom.add(lams[0], dom.add(lams[1], lams[2]))
-    s2 = dom.add(
-        dom.mul(lams[0], lams[1]),
-        dom.add(dom.mul(lams[0], lams[2]), dom.mul(lams[1], lams[2])),
-    )
-    s3 = dom.mul(lams[0], dom.mul(lams[1], lams[2]))
-    a2 = dom.mul(a, a)
-    b27 = dom.add(
-        dom.sub(s3, dom.mul(s2, a)),
-        dom.sub(dom.mul(s1, a2), dom.mul(a2, a)),
-    )
+    a = dom.sub(dom.from_int(2), dom.div(s1, dom.from_int(3)))
+    b27 = dom.one
+    for lam in lams:
+        b27 = dom.mul(b27, dom.sub(lam, a))
     return [(a, b27)]

@@ -3,8 +3,9 @@
 Moving three fixed points to 0, 1, infinity leaves
 phi(z) = (z^3 + a2 z^2 + a3 z) / (b2 z^2 + b3 z + b4), and the multipliers
 at the marked points together with the fourth fixed point alpha determine
-every coefficient.  The four multipliers obey sum 1/(1 - lambda) = 1, so
-lambda_alpha is always derived, never chosen.
+every coefficient, in one closed form (closed_form_coefficients).  The
+multiplier at alpha is forced by the index formula
+(dynamics.forced_multiplier), so it is always derived, never chosen.
 
 The level-2 fiber system couples alpha with a 2-periodic point beta:
 phi^2(beta) = beta and (phi^2)'(beta) = lambda_beta, cleared of
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul
 
-from .dynamics import ProjMap, ProjPoint, multiplier_at_point
+from .dynamics import ProjMap, ProjPoint, forced_multiplier, multiplier_at_point
 from .errors import (
     BudgetExhaustedError,
     DegenerateInputError,
@@ -58,20 +59,6 @@ from .linalg import solve_linear
 # invariants of a marked degree-3 map
 
 
-def lambda_alpha(dom: Domain, l0, l1, linf):
-    """Fourth multiplier forced by sum 1/(1 - lambda) = 1 over fixed points."""
-    s = dom.zero
-    for lam in (l0, l1, linf):
-        e = dom.sub(dom.one, lam)
-        if dom.is_zero(e):
-            raise DegenerateInputError("multiplier 1 at a marked fixed point")
-        s = dom.add(s, dom.inv(e))
-    t = dom.sub(s, dom.one)
-    if dom.is_zero(t):
-        raise DegenerateInputError("reciprocal sum is 1: fourth multiplier escapes to infinity")
-    return dom.add(dom.inv(t), dom.one)
-
-
 @dataclass(frozen=True)
 class Deg3Invariants:
     """Marked data (l0, l1, linf, alpha), optionally with a 2-cycle multiplier."""
@@ -93,7 +80,7 @@ class Deg3Invariants:
 
     @property
     def lalpha(self):
-        return lambda_alpha(self.dom, self.l0, self.l1, self.linf)
+        return forced_multiplier(self.dom, (self.l0, self.l1, self.linf))
 
 
 def _check_marked_map(phi: ProjMap, inv: Deg3Invariants):
@@ -112,27 +99,9 @@ def _check_marked_map(phi: ProjMap, inv: Deg3Invariants):
 
 
 def map_from_invariants(inv: Deg3Invariants) -> ProjMap:
-    """Degree-3 map fixing 0, 1, infinity, alpha with the given multipliers.
-
-    Coefficient chain with a1 = 1: the multipliers at 0 and infinity give
-    a3 = l0 b4 and b2 = linf, the location of the fourth fixed point gives
-    b4, the multiplier at 1 gives b3, and phi(1) = 1 gives a2.
-    """
-    dom = inv.dom
-    one, two = dom.one, dom.from_int(2)
-    b2 = inv.linf
-    b4 = dom.div(dom.mul(inv.alpha, dom.sub(inv.linf, one)), dom.sub(one, inv.l0))
-    b3 = dom.div(
-        dom.add(
-            dom.sub(one, dom.mul(inv.l1, inv.linf)),
-            dom.mul(dom.sub(two, dom.add(inv.l0, inv.l1)), b4),
-        ),
-        dom.sub(inv.l1, one),
-    )
-    a3 = dom.mul(inv.l0, b4)
-    a2 = dom.sub(dom.add(b2, dom.add(b3, b4)), dom.add(one, a3))
+    """Degree-3 map fixing 0, 1, infinity, alpha with the given multipliers."""
     try:
-        phi = ProjMap(dom, (one, a2, a3, dom.zero), (dom.zero, b2, b3, b4))
+        phi = ProjMap(inv.dom, *closed_form_coefficients(inv.dom, inv.l0, inv.l1, inv.linf, inv.alpha))
     except DegenerateMapError as e:
         raise DegenerateInputError(f"parameters degenerate the map: {e}") from e
     _check_marked_map(phi, inv)
@@ -142,8 +111,10 @@ def map_from_invariants(inv: Deg3Invariants) -> ProjMap:
 def closed_form_coefficients(dom: Domain, l0, l1, linf, alpha):
     """Division-free normal form coefficients (num, den), descending.
 
-    These are the chain coefficients of map_from_invariants scaled by
-    (l1 - 1)(1 - l0), which clears every denominator.
+    Normalized to a1 = 1, the multipliers at 0 and infinity give a3 = l0 b4
+    and b2 = linf, the location of the fourth fixed point gives b4, the
+    multiplier at 1 gives b3, and phi(1) = 1 gives a2.  Scaling that chain
+    by (l1 - 1)(1 - l0) clears every denominator.
     """
     add, sub, mul, neg = dom.add, dom.sub, dom.mul, dom.neg
     one, two = dom.one, dom.from_int(2)
@@ -358,7 +329,7 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
     _PROJECTIONS; `budget` caps the resultant samples."""
     if not isinstance(dom, PrimeField) or dom.p <= _NODES:
         raise UsageError(f"deg-tau32 needs GF(p) with p > {_NODES}: it samples a resultant at {_NODES} nodes")
-    lambda_alpha(dom, l0, l1, linf)  # reject non-generic parameter poles early
+    forced_multiplier(dom, (l0, l1, linf))  # reject non-generic parameter poles early
     sys = build_tau32_system(dom, l0, l1, linf, lbeta)
     pts = degenerate_points(dom, l0, l1, linf)
     ticks = None if budget is None else iter(range(budget))

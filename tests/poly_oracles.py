@@ -11,15 +11,15 @@ resultant over k[w].  They serve as oracles for
 dynatomic factors Phi*_m, m | n, takes one polynomial chi*_m per factor
 and raises its roots to the power n/m with G_{n/m}.
 `resultant_bareiss` is the determinant of the Sylvester matrix, an oracle
-for the subresultant `resultant`; `normal_form_map` builds a marked cubic
-from the closed-form coefficients, an oracle for the chain route
-`rat3.map_from_invariants`; `tau31_phi_ab` is sigma_1 of z^3 + az + b in
-closed form.  `exact_div` is exact polynomial division over any domain.
+for the subresultant `resultant`; `chain_map_from_invariants` builds a
+marked cubic by a chain of divisions, one coefficient at a time, an oracle
+for the closed-form route `rat3.map_from_invariants`; `tau31_phi_ab` is
+sigma_1 of z^3 + az + b in closed form.  `exact_div` is exact polynomial division over any domain.
 """
 
 from matrix_helpers import bareiss_det
 from multspec.dynamics import ProjMap, SigmaVector, _good_position
-from multspec.errors import MathError
+from multspec.errors import DegenerateInputError, DegenerateMapError, MathError
 from multspec.exactalg import (
     Domain,
     UniPoly,
@@ -27,7 +27,7 @@ from multspec.exactalg import (
     interpolate,
     resultant,
 )
-from multspec.rat3 import Deg3Invariants, _check_marked_map, closed_form_coefficients
+from multspec.rat3 import Deg3Invariants, _check_marked_map
 
 
 def exact_div(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -132,10 +132,30 @@ def resultant_bareiss(f: UniPoly, g: UniPoly):
     return bareiss_det(sylvester_matrix(f, g), f.dom)
 
 
-def normal_form_map(inv: Deg3Invariants) -> ProjMap:
-    """The map built from the closed-form coefficients."""
-    num, den = closed_form_coefficients(inv.dom, inv.l0, inv.l1, inv.linf, inv.alpha)
-    phi = ProjMap(inv.dom, num, den)
+def chain_map_from_invariants(inv: Deg3Invariants) -> ProjMap:
+    """Degree-3 map fixing 0, 1, infinity, alpha with the given multipliers.
+
+    Coefficient chain with a1 = 1: the multipliers at 0 and infinity give
+    a3 = l0 b4 and b2 = linf, the location of the fourth fixed point gives
+    b4, the multiplier at 1 gives b3, and phi(1) = 1 gives a2.
+    """
+    dom = inv.dom
+    one, two = dom.one, dom.from_int(2)
+    b2 = inv.linf
+    b4 = dom.div(dom.mul(inv.alpha, dom.sub(inv.linf, one)), dom.sub(one, inv.l0))
+    b3 = dom.div(
+        dom.add(
+            dom.sub(one, dom.mul(inv.l1, inv.linf)),
+            dom.mul(dom.sub(two, dom.add(inv.l0, inv.l1)), b4),
+        ),
+        dom.sub(inv.l1, one),
+    )
+    a3 = dom.mul(inv.l0, b4)
+    a2 = dom.sub(dom.add(b2, dom.add(b3, b4)), dom.add(one, a3))
+    try:
+        phi = ProjMap(dom, (one, a2, a3, dom.zero), (dom.zero, b2, b3, b4))
+    except DegenerateMapError as e:
+        raise DegenerateInputError(f"parameters degenerate the map: {e}") from e
     _check_marked_map(phi, inv)
     return phi
 

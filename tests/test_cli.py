@@ -227,6 +227,8 @@ def test_exit_codes():
         (["normal-form3", "--l0", "1", "--l1", "2", "--linf", "3", "--alpha", "5"], 1),
         (["reconstruct", "--points", "0,1,inf", "--lambdas", "3,3,3"], 1),
         (["deg-tau32", "--budget", "10"], 3),
+        (["reproduce-paper", "--only", "5", "--budget", "10"], 3),
+        (["p3-form", "--lambdas", "0,0,0"], 1),
     ]
     for argv, want in cases:
         code, text = run_command(argv)

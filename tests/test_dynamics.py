@@ -9,6 +9,8 @@ from multspec.dynamics import (
     ProjMap,
     ProjPoint,
     conjugate,
+    fixed_point_index_sum,
+    forced_multiplier,
     iterate,
     multiplier_at_point,
     multiplier_char_poly,
@@ -461,6 +463,26 @@ def test_fixed_point_relation_residual():
     sv = sigma_n(random_map(QQ, 2, rng, height=4), 1)
     s1, _, s3 = sv.values
     assert s3 - s1 + 2 == 0
+
+
+def test_index_formula_at_every_fixed_point():
+    # maps over GF(101) whose d + 1 fixed points are all rational and simple:
+    # the index sum is 1, and any d multipliers force the last one
+    rng = random.Random(49)
+    F, pts = all_points(101)
+    for d in (2, 3, 4):
+        for polynomial in (False, True):
+            hits = 0
+            while hits < 3:
+                phi = random_map(F, d, rng, polynomial=polynomial)
+                fixed = [pt for pt in pts if phi.apply(pt) == pt]
+                lams = [multiplier_at_point(phi, pt, 1) for pt in fixed]
+                if len(fixed) != d + 1 or F.one in lams:
+                    continue
+                assert fixed_point_index_sum(F, lams) == F.one
+                assert forced_multiplier(F, lams[:-1]) == lams[-1]
+                assert forced_multiplier(F, lams[1:]) == lams[0]
+                hits += 1
 
 
 def test_random_map_properties():

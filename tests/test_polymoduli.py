@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from multspec import polymoduli
-from multspec.dynamics import ProjPoint, multiplier_at_point, sigma_n
+from multspec.dynamics import ProjPoint, fixed_point_index_sum, multiplier_at_point, sigma_n
 from multspec.errors import (
     BudgetExhaustedError,
     DegenerateInputError,
@@ -15,10 +15,9 @@ from multspec.errors import (
     UsageError,
 )
 from multspec.exactalg import GF, QQ, UniPoly, compose, derivative, fp_roots, random_prime
-from multspec.groebner import quotient_dimension
+from multspec.groebner import GREVLEX, buchberger, quotient_dimension
 from multspec.polymoduli import (
     PolyNormalForm,
-    _config_basis,
     _invariant_certificate,
     _solve_configurations,
     _zeta_orbits,
@@ -26,7 +25,6 @@ from multspec.polymoduli import (
     complete_multipliers,
     count_fixed_configurations,
     fiber_degree_experiment,
-    multiplier_relation_residual,
     p3_from_sigma1,
     poly_from_fixed_points,
     sigma2_discrimination,
@@ -47,11 +45,11 @@ def qq(*xs):
 
 
 def test_relation_residual():
-    assert multiplier_relation_residual(QQ, qq(Fraction(1, 2), 5)) == Fraction(7, 4)
-    assert QQ.is_zero(multiplier_relation_residual(QQ, qq(*D4_LAMBDAS)))
-    assert QQ.is_zero(multiplier_relation_residual(QQ, qq(*D5_LAMBDAS)))
+    assert fixed_point_index_sum(QQ, qq(Fraction(1, 2), 5)) == Fraction(7, 4)
+    assert QQ.is_zero(fixed_point_index_sum(QQ, qq(*D4_LAMBDAS)))
+    assert QQ.is_zero(fixed_point_index_sum(QQ, qq(*D5_LAMBDAS)))
     with pytest.raises(DegenerateInputError):
-        multiplier_relation_residual(QQ, qq(1, 3))
+        fixed_point_index_sum(QQ, qq(1, 3))
 
 
 def test_complete_multipliers():
@@ -59,10 +57,10 @@ def test_complete_multipliers():
     assert complete_multipliers(QQ, 5, qq(-2, -3, -4, 8))[-1] == Fraction(689, 269)
     full = complete_multipliers(QQ, 3, qq(Fraction(1, 2), 5))
     assert full[-1] == Fraction(11, 7)
-    assert QQ.is_zero(multiplier_relation_residual(QQ, full))
+    assert QQ.is_zero(fixed_point_index_sum(QQ, full))
     F = GF(101)
     full = complete_multipliers(F, 4, [F.from_int(c) for c in (2, 3, 5)])
-    assert F.is_zero(multiplier_relation_residual(F, full))
+    assert F.is_zero(fixed_point_index_sum(F, full))
     # 1/(1-0) + 1/(1-2) = 0 leaves no consistent last multiplier
     with pytest.raises(DegenerateInputError):
         complete_multipliers(QQ, 3, qq(0, 2))
@@ -271,7 +269,7 @@ def test_zeta_orbits_and_prescribed_multipliers():
 def test_two_cycle_power_sums_match_matrix_traces():
     rng = random.Random(12)
     F, lams, sys, pts = _find_split_d4(rng)
-    basis = _config_basis(sys)
+    basis = buchberger(sys.gens, GREVLEX)
     Q, sums = two_cycle_power_sums(basis, 4)
     sums = [next(sums), next(sums)]
 
@@ -323,7 +321,7 @@ def test_two_cycle_power_sums_match_matrix_traces():
 def _d5_basis():
     F = GF(1000033)
     sys = build_fixed_config_system(F, 5, [F.from_rational(l) for l in D5_LAMBDAS])
-    return sys, _config_basis(sys)
+    return sys, buchberger(sys.gens, GREVLEX)
 
 
 def test_invariant_certificate_builds_only_the_powers_it_tests(monkeypatch):
@@ -360,8 +358,8 @@ def test_config_basis_d5_reduction_steps():
     sys, basis = _d5_basis()
     assert quotient_dimension(basis) == 24
     with pytest.raises(BudgetExhaustedError):
-        _config_basis(sys, budget=3163)
-    assert _config_basis(sys, budget=3164) == basis
+        buchberger(sys.gens, GREVLEX, budget=3163)
+    assert buchberger(sys.gens, GREVLEX, budget=3164) == basis
 
 
 def test_sigma2_discrimination_d4_rational_points():
@@ -419,28 +417,42 @@ def test_p3_one_and_two_class_multipliers():
     assert tau31_phi_ab(QQ, QQ.from_int(-2), QQ.from_int(2)).values == tuple(qq(12, 21, 10, 0))
     with pytest.raises(DegenerateInputError):
         p3_from_sigma1(QQ, qq(1, 2, 3))
+    # characteristic 3: z^3 + z is the only normal form with a closed form
+    F = GF(3)
+    assert p3_from_sigma1(F, [F.one] * 3) == [(F.one, F.zero)]
+    for lams in ([1, 1, 2], [0, 2, 2], [0, 0, 2]):
+        with pytest.raises(DegenerateInputError, match="characteristic 3"):
+            p3_from_sigma1(F, lams)
 
 
 def test_p3_round_trips_generic_cubics():
     rng = random.Random(18)
-    hits = 0
-    while hits < 8:
-        z1 = QQ.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-        z2 = QQ.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-        z3 = QQ.neg(QQ.add(z1, z2))
-        if len({z1, z2, z3}) != 3:
-            continue
-        nf = poly_from_fixed_points(QQ, [z1, z2, z3])
-        a, b = nf.coeffs
-        phi = nf.to_map()
-        lams = [multiplier_at_point(phi, ProjPoint.affine(QQ, z), 1) for z in (z1, z2, z3)]
-        if QQ.one in lams:
-            continue
-        got = p3_from_sigma1(QQ, lams)
-        assert got == [(a, 27 * b * b)]
-        hits += 1
+    F = GF(10007)
+    draws = [
+        (QQ, lambda: QQ.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))),
+        (F, lambda: F.rand(rng)),
+    ]
+    for dom, draw in draws:
+        hits = 0
+        while hits < 8:
+            z1, z2 = draw(), draw()
+            z3 = dom.neg(dom.add(z1, z2))
+            if len({z1, z2, z3}) != 3:
+                continue
+            nf = poly_from_fixed_points(dom, [z1, z2, z3])
+            a, b = nf.coeffs
+            phi = nf.to_map()
+            lams = [multiplier_at_point(phi, ProjPoint.affine(dom, z), 1) for z in (z1, z2, z3)]
+            if dom.one in lams:
+                continue
+            got = p3_from_sigma1(dom, lams)
+            assert got == [(a, dom.mul(dom.from_int(27), dom.mul(b, b)))]
+            hits += 1
 
 
 def test_p3_rejects_unrealizable_multipliers():
     with pytest.raises(MathError):
         p3_from_sigma1(QQ, qq(0, 2, 5))
+    # 3 z^2 + a = 0 has at most two roots, and the index sum is 3, not 0
+    with pytest.raises(MathError):
+        p3_from_sigma1(QQ, qq(0, 0, 0))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ from multspec.dynamics import (
     ProjMap,
     ProjPoint,
     conjugate,
+    forced_multiplier,
     multiplier_at_point,
     period_polynomial,
     random_map,
@@ -24,7 +26,6 @@ from multspec.rat3 import (
     deg_tau32_report,
     deg_tau32_single,
     degenerate_points,
-    lambda_alpha,
     map_from_invariants,
     reconstruct_from_fixed_data,
 )
@@ -41,7 +42,7 @@ from groebner_oracles import (
     to_unipoly,
 )
 from matrix_helpers import bareiss_det, random_invertible
-from poly_oracles import normal_form_map
+from poly_oracles import chain_map_from_invariants
 
 
 def qq(*xs):
@@ -84,16 +85,16 @@ def rational_fixed_data(phi, rng):
 
 
 def test_lambda_alpha_examples():
-    assert lambda_alpha(QQ, *qq(-1, -1, -1)) == Fraction(3)
-    assert lambda_alpha(QQ, *qq(0, 0, 0)) == Fraction(3, 2)
+    assert forced_multiplier(QQ, qq(-1, -1, -1)) == Fraction(3)
+    assert forced_multiplier(QQ, qq(0, 0, 0)) == Fraction(3, 2)
 
 
 def test_lambda_alpha_pole_cases():
     with pytest.raises(DegenerateInputError, match="multiplier 1"):
-        lambda_alpha(QQ, *qq(1, 2, 3))
+        forced_multiplier(QQ, qq(1, 2, 3))
     # z^2 has only three fixed points; the fourth multiplier has no home
     with pytest.raises(DegenerateInputError, match="infinity"):
-        lambda_alpha(QQ, *qq(0, 2, 0))
+        forced_multiplier(QQ, qq(0, 2, 0))
 
 
 def test_four_multipliers_satisfy_relation():
@@ -108,7 +109,7 @@ def test_four_multipliers_satisfy_relation():
         if data is None or len(data[0]) != 4:
             continue
         lams = data[1]
-        assert lambda_alpha(F, lams[0], lams[1], lams[2]) == lams[3]
+        assert forced_multiplier(F, lams[:3]) == lams[3]
         hits += 1
     assert hits >= 8
 
@@ -148,7 +149,23 @@ def test_closed_form_matches_chain():
     F = GF(65537)
     for _ in range(25):
         inv = random_invariants(F, rng)
-        assert normal_form_map(inv) == map_from_invariants(inv)
+        assert chain_map_from_invariants(inv) == map_from_invariants(inv)
+
+    def outcome(build, inv):
+        try:
+            return build(inv)
+        except MathError as e:
+            return type(e), str(e)
+
+    # every marked input over GF(3), GF(5), GF(7), degenerate ones included:
+    # the same map, or the same error type and text, from both routes
+    for p in (3, 5, 7):
+        F = GF(p)
+        others = [c for c in range(p) if c != 1]
+        for l0, l1, linf in itertools.product(others, repeat=3):
+            for alpha in range(2, p):
+                inv = Deg3Invariants(F, l0, l1, linf, alpha)
+                assert outcome(map_from_invariants, inv) == outcome(chain_map_from_invariants, inv)
 
 
 def test_conjugation_round_trip():
