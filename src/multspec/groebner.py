@@ -12,8 +12,8 @@ order is int comparison and divisibility is a guard-bit mask.  Division
 takes leading terms off a heap, and Buchberger appends each new element to
 one packed reducer list; each S-pair keeps its packed lcm from the moment
 it is made.  Over GF(p), products of polynomials, the dense normal-form and
-multiplication-matrix arithmetic and the sparse quotient-algebra products
-run as ``% p`` kernels on plain ints; QQ takes the generic Domain path.
+multiplication-matrix arithmetic and quotient-algebra sums and products run
+as ``% p`` kernels on plain ints; QQ takes the generic Domain path.
 
 Counting distinct solutions never leaves the base field: a random linear
 form u gets a multiplication matrix on the standard monomial basis, its
@@ -342,13 +342,18 @@ class IdealBasis:
         return _NormalForms(self)
 
 
-def _reduce_terms(h: dict, reducers, dom, packing: _Packing, budget=None):
+def _reduce_terms(h: dict, reducers, memo: dict, dom, packing: _Packing, budget=None):
     """Full reduction of a packed term dict (consumed) by packed reducers.
 
     Reducers are (lt, inv_lc, tail), tail a list of (monomial, coefficient);
     the first whose lt divides the leading term is used.  Leading terms come
     off a max-heap, so each term is keyed once, when it is inserted.  The
     remainder comes out in descending order.
+
+    ``memo`` maps a monomial to where its scan resumes: the first divisor's
+    index after a hit, len(reducers) after a miss.  It stays valid while
+    reducers are only appended, so the first divisor never changes; a new
+    reducer list takes a fresh ``{}``.
     """
     p = dom.p if isinstance(dom, PrimeField) else 0
     zero = dom.zero
@@ -363,10 +368,13 @@ def _reduce_terms(h: dict, reducers, dom, packing: _Packing, budget=None):
             continue  # cancelled, or a second entry for a term already taken
         if m & overflow:
             raise UsageError("monomial degree exceeds the packed range")
-        for lt, inv_lc, tail in reducers:
+        for k in range(memo.get(m, 0), len(reducers)):
+            lt, inv_lc, tail = reducers[k]
             if ((m | guard) - lt) & guard == guard:
+                memo[m] = k
                 break
         else:
+            memo[m] = len(reducers)
             rem[m] = lc
             continue
         shift = m - lt
@@ -443,6 +451,8 @@ def buchberger(
     The basis is kept as one list of packed monic reducers, appended to as
     elements join; MultiPolys are built only for the reduced basis.  Pairs
     wait on a heap keyed by their packed lcm, which sorts like the order.
+    The generator and S-pair reductions share one first-divisor memo for
+    the run (``_reduce_terms``); each interreduction list gets a fresh one.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -461,6 +471,7 @@ def buchberger(
     red: list = []  # (lt, 1, tail) per basis element, packed
     lts: list = []  # leading exponent tuples, for the pair update
     lcm_of: dict = {}  # pair -> packed lcm of its leading terms
+    memo: dict = {}  # packed monomial -> where its divisor scan of red resumes
 
     def join(rem):
         rem = _monic(rem, dom)
@@ -470,7 +481,7 @@ def buchberger(
 
     pairs: set = set()
     for g in gens:
-        rem = _reduce_terms(pk.terms(g), red, dom, pk, track)
+        rem = _reduce_terms(pk.terms(g), red, memo, dom, pk, track)
         if rem:
             join(rem)
             pairs, _ = _gm_update(red, lts, pairs, lcm_of, pk)
@@ -498,7 +509,7 @@ def buchberger(
                 s[t] = v
         if not s:
             continue
-        rem = _reduce_terms(s, red, dom, pk, track)
+        rem = _reduce_terms(s, red, memo, dom, pk, track)
         if not rem:
             continue
         join(rem)
@@ -519,7 +530,7 @@ def buchberger(
     reduced = []
     for i in keep:
         lt, one, tail = red[i]
-        rem = _reduce_terms({lt: one, **dict(tail)}, [red[j] for j in keep if j != i], dom, pk)
+        rem = _reduce_terms({lt: one, **dict(tail)}, [red[j] for j in keep if j != i], {}, dom, pk)
         if rem:
             reduced.append(_monic(rem, dom))
     reduced.sort(key=lambda r: next(iter(r)), reverse=True)
@@ -644,11 +655,12 @@ class QuotientAlgebra(Domain):
     Elements are coordinate tuples over the standard monomial basis b_1..b_D.
     The structure constants, the normal forms of the products b_i * b_j, are
     built once as sparse (index, coefficient) lists: a product sums only the
-    nonzero x_i * y_j * c_ijk terms and needs no reduction (over GF(p), one
-    ``% p`` per coordinate at the end).  This is a ring with zero divisors,
-    not a field: only Domain ring operations are available, which is enough
-    to evaluate polynomial expressions simultaneously at every point of the
-    scheme.
+    nonzero x_i * y_j * c_ijk terms and needs no reduction.  Over GF(p)
+    (chosen once per algebra) add, sub, mul, project and mult_matrix run on
+    plain ints with one ``% p`` per coordinate.  This is a ring with zero
+    divisors, not a field: only Domain ring operations are available, which
+    is enough to evaluate polynomial expressions simultaneously at every
+    point of the scheme.
     """
 
     is_field = False
@@ -660,6 +672,7 @@ class QuotientAlgebra(Domain):
             raise UsageError("quotient algebra of the unit ideal is trivial")
         self.basis = basis
         base = self.base = basis.gens[0].dom
+        self._p = base.p if isinstance(base, PrimeField) else 0
         self.char = base.char
         self.vars = basis.vars
         std = self.std = standard_monomials(basis)
@@ -677,9 +690,13 @@ class QuotientAlgebra(Domain):
                 table[i][j] = table[j][i] = [(k, c) for k, c in enumerate(v) if not base.is_zero(c)]
 
     def add(self, a, b):
+        if p := self._p:
+            return tuple((x + y) % p for x, y in zip(a, b))
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
 
     def sub(self, a, b):
+        if p := self._p:
+            return tuple((x - y) % p for x, y in zip(a, b))
         return tuple(self.base.sub(x, y) for x, y in zip(a, b))
 
     def neg(self, a):
@@ -687,8 +704,12 @@ class QuotientAlgebra(Domain):
 
     def mul(self, a, b):
         base, table = self.base, self._table
-        bs = [(j, y) for j, y in enumerate(b) if not base.is_zero(y)]
-        pairs = [(base.mul(x, y), table[i][j]) for i, x in enumerate(a) if not base.is_zero(x) for j, y in bs]
+        if self._p:  # unreduced x * y: _sparse_sum takes one % p per coordinate
+            bs = [(j, y) for j, y in enumerate(b) if y]
+            pairs = [(x * y, table[i][j]) for i, x in enumerate(a) if x for j, y in bs]
+        else:
+            bs = [(j, y) for j, y in enumerate(b) if not base.is_zero(y)]
+            pairs = [(base.mul(x, y), table[i][j]) for i, x in enumerate(a) if not base.is_zero(x) for j, y in bs]
         return tuple(_sparse_sum(base, pairs, self.dim))
 
     def is_zero(self, a):

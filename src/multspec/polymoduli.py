@@ -161,8 +161,12 @@ def build_fixed_config_system(dom: Domain, d: int, lambdas) -> FixedConfigSystem
 
 
 def count_fixed_configurations(dom: Domain, d: int, lambdas, rng, budget=None):
-    """(solutions, conjugacy classes) of the configuration system."""
+    """(solutions, conjugacy classes) of the configuration system; multipliers
+    that fail the index formula are rejected before any basis is built."""
     sys = build_fixed_config_system(dom, d, lambdas)
+    res = fixed_point_index_sum(dom, sys.lambdas)
+    if not dom.is_zero(res):
+        raise DegenerateInputError(f"multipliers fail the index formula by {res}")
     basis = buchberger(sys.gens, GREVLEX, budget)
     if quotient_dimension(basis) is None:
         raise MathError("configuration system is not zero-dimensional")
@@ -343,14 +347,9 @@ def two_cycle_power_sums(basis: IdealBasis, d: int):
     p = [Q.from_int(m)] + [Q.zero] * (m - 1)
     for k in range(1, m):
         acc = Q.zero
-        sign = base.one
-        for i in range(1, k):
-            term = Q.mul(e[i], p[k - i])
-            acc = Q.add(acc, term if sign == base.one else Q.neg(term))
-            sign = base.neg(sign)
-        ke = Q.mul(Q.from_int(k), e[k])
-        acc = Q.add(acc, ke if sign == base.one else Q.neg(ke))
-        p[k] = acc
+        for i in range(1, k):  # the sign of term i is (-1)^(i-1)
+            acc = (Q.add if i % 2 else Q.sub)(acc, Q.mul(e[i], p[k - i]))
+        p[k] = (Q.add if k % 2 else Q.sub)(acc, Q.mul(Q.from_int(k), e[k]))
     hbar = derivative(phi2).monic_divmod(psi)[1]
 
     def sums():

@@ -1,10 +1,11 @@
 """Groebner routes that only the tests use.
 
-The lex order, division of one polynomial by a basis, S-polynomials, lex
-elimination, substitution, linear changes of variables, dropping unused
-variables and dehomogenization, Jacobian determinants at a point, the count
-of non-simple points through a basis with the Jacobian adjoined,
-quotient-algebra elements written back as polynomials, the
+The lex order, division of one polynomial by a basis, the reduction steps
+of a Buchberger run whose reductions scan their reducers linearly,
+S-polynomials, lex elimination, substitution, linear changes of variables,
+dropping unused variables and dehomogenization, Jacobian determinants at a
+point, the count of non-simple points through a basis with the Jacobian
+adjoined, quotient-algebra elements written back as polynomials, the
 fixed-configuration system built in d variables and cut down to d-1, and
 the Groebner route to the deg tau_{3,2} counts.  They check `buchberger`
 against its definition and the level-2 fiber system against its geometry;
@@ -13,6 +14,7 @@ sampled resultants instead.
 """
 
 from matrix_helpers import bareiss_det, random_invertible
+from multspec import groebner
 from multspec.errors import MathError, UsageError
 from multspec.exactalg import UniPoly, derivative, fp_roots, poly_gcd, squarefree_part
 from multspec.groebner import (
@@ -26,6 +28,7 @@ from multspec.groebner import (
     distinct_point_count,
     eliminant_of_form,
     mono_div,
+    mono_divides,
     mono_lcm,
     quotient_dimension,
     random_linear_form,
@@ -44,7 +47,52 @@ def normal_form(f: MultiPoly, basis: IdealBasis) -> MultiPoly:
     for g in gens:
         (lt, lc), *tail = pk.terms(g).items()
         red.append((lt, f.dom.inv(lc), tail))
-    return pk.poly(f.dom, f.vars, _reduce_terms(pk.terms(f), red, f.dom, pk))
+    return pk.poly(f.dom, f.vars, _reduce_terms(pk.terms(f), red, {}, f.dom, pk))
+
+
+def linear_scan_steps(gens, order=GREVLEX):
+    """(basis, steps) of `buchberger` with every reduction done by a linear scan.
+
+    Each reduction takes the largest remaining term by max() and tests every
+    reducer in list order, on unpacked exponents, for the first divisor: no
+    heap and no first-divisor memo.  `steps` counts the reduction steps the
+    run's budget would be charged for (the generator and S-pair reductions;
+    the interreduction runs unmetered), so `buchberger(gens, budget=steps)`
+    must succeed and `budget=steps - 1` must not.
+    """
+    steps = 0
+
+    def reduce(h, reducers, memo, dom, packing, budget=None):
+        nonlocal steps
+        lts = [packing.unpack(lt) for lt, _, _ in reducers]
+        rem = {}
+        while h:
+            m = max(h)
+            lc = h.pop(m)
+            e = packing.unpack(m)
+            k = next((k for k, lt in enumerate(lts) if mono_divides(lt, e)), None)
+            if k is None:
+                rem[m] = lc
+                continue
+            lt, inv_lc, tail = reducers[k]
+            c = dom.mul(lc, inv_lc)
+            for t, ct in tail:
+                t += m - lt
+                v = dom.sub(h.get(t, dom.zero), dom.mul(c, ct))
+                if dom.is_zero(v):
+                    h.pop(t, None)
+                else:
+                    h[t] = v
+            steps += budget is not None
+        return rem
+
+    saved = groebner._reduce_terms
+    groebner._reduce_terms = reduce
+    try:
+        basis = buchberger(gens, order, budget=1 << 62)
+    finally:
+        groebner._reduce_terms = saved
+    return basis, steps
 
 
 def spoly(f: MultiPoly, g: MultiPoly, order) -> MultiPoly:

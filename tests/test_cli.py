@@ -153,6 +153,18 @@ def test_poly_classes_command_is_seeded():
     assert run_command(argv) == (code, text)
 
 
+def test_poly_classes_rejects_multipliers_that_fail_the_index_formula():
+    # sigma2-check and poly-classes reject the same unrealizable list alike
+    for argv in (
+        ["poly-classes", "-d", "3", "--lambdas", "0,2,5", "--field", "GF:10007"],
+        ["poly-classes", "-d", "4", "--lambdas", "2,3,5,7", "--field", "GF:10007"],
+        ["sigma2-check", "-d", "3", "--lambdas", "0,2,5"],
+    ):
+        code, doc = run_json(argv)
+        assert code == 1 and doc["kind"] == "math"
+        assert "index formula" in doc["error"]
+
+
 def test_sigma2_check_command():
     code, doc = run_json(["sigma2-check", "-d", "4", "--lambdas", "-5,5,4"])
     assert code == 0

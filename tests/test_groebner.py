@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from groebner_oracles import (
     eliminate,
     jacobian_det_at,
     linear_change,
+    linear_scan_steps,
     normal_form,
     spoly,
     substitute,
@@ -300,6 +302,41 @@ def test_budget_counts_every_reduction_step():
     assert buchberger(gens, GREVLEX, budget=1250) == buchberger(gens, GREVLEX)
 
 
+def test_linear_scan_oracle_reads_the_1250_step_pin():
+    basis, steps = linear_scan_steps(budget_system())
+    assert steps == 1250
+    assert basis == buchberger(budget_system(), GREVLEX)
+
+
+def random_complete_intersection(rng, F, n, deg):
+    """n polynomials of total degree deg in n variables: random top-degree
+    forms, zero-dimensional for generic coefficients, and a random share of
+    the lower monomials."""
+    vars_ = tuple("xyzw"[:n])
+    monos = [e for e in itertools.product(range(deg + 1), repeat=n) if sum(e) <= deg]
+    density = rng.random()
+    return [
+        MultiPoly(F, vars_, {e: F.rand(rng) for e in monos if sum(e) == deg or rng.random() < density})
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_memoized_reduction_charges_the_linear_scan_steps(seed):
+    # the first-divisor memo picks the reducer a linear scan picks, so the
+    # run takes the oracle's steps exactly and reaches the same basis
+    rng = random.Random(seed)
+    F = GF(rng.choice([101, 32003, 1000003]))
+    n = rng.choice([3, 4])
+    gens = random_complete_intersection(rng, F, n, 6 - n)
+    basis, steps = linear_scan_steps(gens)
+    assert quotient_dimension(basis) is not None and steps > 0
+    assert buchberger(gens, GREVLEX) == basis
+    assert buchberger(gens, GREVLEX, budget=steps) == basis
+    with pytest.raises(BudgetExhaustedError):
+        buchberger(gens, GREVLEX, budget=steps - 1)
+
+
 def test_packed_monomial_range_is_guarded():
     F = GF(101)
     vars_ = ("x", "y")
@@ -407,6 +444,34 @@ def test_quotient_algebra_over_qq():
     g = MultiPoly(QQ, gb.vars, {(1, 2): Fraction(-1, 2), (2, 0): Fraction(1)})
     assert Q.mul(Q.project(f), Q.project(g)) == Q.project(f * g)
     assert Q.mult_matrix(Q.project(f)) == multiplication_matrix(gb, f)[0]
+
+
+@pytest.mark.parametrize("dom", [GF(101), GF(2**31 - 1), QQ], ids=["GF101", "GF2^31-1", "QQ"])
+def test_quotient_algebra_ring_ops_match_polynomial_arithmetic(dom):
+    # plain-int % p sums and products over GF(p), the Domain path over QQ:
+    # both must agree with arithmetic on polynomials followed by projection
+    rng = random.Random(48)
+    vars_ = ("x", "y", "z")
+    # small integer coefficients (lifted from GF(19)) keep the QQ basis small
+    gens = random_complete_intersection(rng, GF(19), 3, 2)
+    gens = [MultiPoly(dom, vars_, {e: dom.from_int(c - 19 * (c > 9)) for e, c in g.terms.items()}) for g in gens]
+    Q = QuotientAlgebra(buchberger(gens, GREVLEX))
+    assert Q.dim == 8
+
+    def rand_mp():
+        t = {}
+        for _ in range(rng.randint(1, 6)):
+            e = tuple(rng.randint(0, 3) for _ in vars_)
+            t[e] = dom.from_int(rng.randint(-50, 50)) if dom == QQ else dom.rand(rng)
+        return MultiPoly(dom, vars_, t)
+
+    for _ in range(15):
+        f, g = rand_mp(), rand_mp()
+        a, b = Q.project(f), Q.project(g)
+        assert Q.mul(a, b) == Q.project(f * g)
+        assert Q.add(a, b) == Q.project(f + g)
+        assert Q.sub(a, b) == Q.project(f - g)
+    assert Q.mul(a, Q.zero) == Q.zero and Q.sub(a, a) == Q.zero
 
 
 def test_quotient_algebra_eval_at_points():

@@ -32,7 +32,7 @@ from multspec.polymoduli import (
 )
 from multspec.reproduce import run_criterion
 
-from groebner_oracles import config_system_by_substitution, to_multipoly
+from groebner_oracles import config_system_by_substitution, linear_scan_steps, to_multipoly
 from matrix_helpers import mat_mul
 from poly_oracles import tau31_phi_ab
 
@@ -223,11 +223,26 @@ def test_broken_invariant_in_a_fiber_count_is_not_retried(monkeypatch):
         assert result.detail == "planted broken count"
 
 
-def test_relation_violating_multipliers_have_no_configurations():
-    rng = random.Random(10)
-    F = GF(103)
-    zeros = [F.zero, F.zero, F.zero]
-    assert count_fixed_configurations(F, 3, zeros, rng) == (0, 0)
+def test_relation_violating_multipliers_have_no_configurations(monkeypatch):
+    cases = [(GF(103), [0, 0, 0]), (GF(10007), [0, 2, 5]), (GF(10007), [2, 3, 5, 7])]
+    cases = [(F, [F.from_int(l) for l in lams]) for F, lams in cases]
+    # the index formula is necessary: these systems generate the unit ideal
+    for F, lams in cases:
+        assert buchberger(build_fixed_config_system(F, len(lams), lams).gens, GREVLEX).contains_one()
+    # so the count rejects them before it builds a basis or draws a random number
+    def no_basis(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(polymoduli, "buchberger", no_basis)
+    for F, lams in cases:
+        rng = random.Random(10)
+        state = rng.getstate()
+        with pytest.raises(DegenerateInputError, match="index formula"):
+            count_fixed_configurations(F, len(lams), lams, rng)
+        assert rng.getstate() == state
+    # a pinned list fails every attempt of a fiber-degree draw instead of agreeing on 0
+    with pytest.raises(MathError, match="24 attempts"):
+        fiber_degree_experiment(4, random.Random(1), draws=1, bits=14, lambdas=[2, 3, 5, 7])
 
 
 def _find_split_d4(rng, max_tries=120):
@@ -357,6 +372,7 @@ def test_config_basis_d5_reduction_steps():
     # lcms: the same S-pairs are reduced, in the same order
     sys, basis = _d5_basis()
     assert quotient_dimension(basis) == 24
+    assert linear_scan_steps(sys.gens) == (basis, 3164)
     with pytest.raises(BudgetExhaustedError):
         buchberger(sys.gens, GREVLEX, budget=3163)
     assert buchberger(sys.gens, GREVLEX, budget=3164) == basis
