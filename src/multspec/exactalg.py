@@ -357,12 +357,6 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly.zero(dom, self.var)
-        if isinstance(dom, PrimeField):  # % p kernel: one reduction per coefficient
-            cs = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                for j, cb in enumerate(b, i):
-                    cs[j] += ca * cb
-            return UniPoly(dom, self.var, [c % dom.p for c in cs])
         cs = [dom.zero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if dom.is_zero(ca):

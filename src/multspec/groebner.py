@@ -656,11 +656,10 @@ class QuotientAlgebra(Domain):
     The structure constants, the normal forms of the products b_i * b_j, are
     built once as sparse (index, coefficient) lists: a product sums only the
     nonzero x_i * y_j * c_ijk terms and needs no reduction.  Over GF(p)
-    (chosen once per algebra) add, sub, mul, project and mult_matrix run on
-    plain ints with one ``% p`` per coordinate.  This is a ring with zero
-    divisors, not a field: only Domain ring operations are available, which
-    is enough to evaluate polynomial expressions simultaneously at every
-    point of the scheme.
+    add, sub, mul, project and mult_matrix run on plain ints with one ``% p``
+    per coordinate.  This is a ring with zero divisors, not a field: only
+    Domain ring operations are available, which is enough to evaluate
+    polynomial expressions simultaneously at every point of the scheme.
     """
 
     is_field = False
@@ -703,14 +702,11 @@ class QuotientAlgebra(Domain):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        base, table = self.base, self._table
-        if self._p:  # unreduced x * y: _sparse_sum takes one % p per coordinate
-            bs = [(j, y) for j, y in enumerate(b) if y]
-            pairs = [(x * y, table[i][j]) for i, x in enumerate(a) if x for j, y in bs]
-        else:
-            bs = [(j, y) for j, y in enumerate(b) if not base.is_zero(y)]
-            pairs = [(base.mul(x, y), table[i][j]) for i, x in enumerate(a) if not base.is_zero(x) for j, y in bs]
-        return tuple(_sparse_sum(base, pairs, self.dim))
+        # over GF(p) x * y stays unreduced: _sparse_sum takes one % p per coordinate
+        table = self._table
+        bs = [(j, y) for j, y in enumerate(b) if y]
+        pairs = [(x * y, table[i][j]) for i, x in enumerate(a) if x for j, y in bs]
+        return tuple(_sparse_sum(self.base, pairs, self.dim))
 
     def is_zero(self, a):
         return all(self.base.is_zero(c) for c in a)

@@ -160,13 +160,17 @@ def build_fixed_config_system(dom: Domain, d: int, lambdas) -> FixedConfigSystem
     return FixedConfigSystem(dom=dom, d=d, lambdas=lambdas, vars=vars_, gens=tuple(gens))
 
 
+def _check_index_formula(dom: Domain, lambdas):
+    res = fixed_point_index_sum(dom, lambdas)
+    if not dom.is_zero(res):
+        raise DegenerateInputError(f"multipliers fail the index formula by {res}")
+
+
 def count_fixed_configurations(dom: Domain, d: int, lambdas, rng, budget=None):
     """(solutions, conjugacy classes) of the configuration system; multipliers
     that fail the index formula are rejected before any basis is built."""
     sys = build_fixed_config_system(dom, d, lambdas)
-    res = fixed_point_index_sum(dom, sys.lambdas)
-    if not dom.is_zero(res):
-        raise DegenerateInputError(f"multipliers fail the index formula by {res}")
+    _check_index_formula(dom, sys.lambdas)
     basis = buchberger(sys.gens, GREVLEX, budget)
     if quotient_dimension(basis) is None:
         raise MathError("configuration system is not zero-dimensional")
@@ -255,10 +259,15 @@ def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, budget=
     reduced mod p; without them the draw takes random free affine
     multipliers and completes the last one.  A reduction that is not
     invertible, repeats a value or hits 1 fails the attempt, as does a
-    non-generic count; all draws must agree.
+    non-generic count; all draws must agree.  A rational list that fails the
+    index formula is rejected once, before any prime is drawn.
     """
     if d < 2:
         raise UsageError("degree must be >= 2")
+    if lambdas is not None:
+        if len(lambdas) != d:
+            raise UsageError(f"need exactly {d} multipliers")
+        _check_index_formula(QQ, [QQ.from_rational(l) for l in lambdas])
     out = []
     for _ in range(draws):
         for _ in range(24):
@@ -408,9 +417,7 @@ def sigma2_discrimination(
     lambdas = list(lambdas)
     if len(lambdas) != d:
         raise UsageError(f"need exactly {d} affine multipliers")
-    res = fixed_point_index_sum(QQ, [QQ.from_rational(l) for l in lambdas])
-    if not QQ.is_zero(res):
-        raise DegenerateInputError(f"multipliers fail the index formula by {res}")
+    _check_index_formula(QQ, [QQ.from_rational(l) for l in lambdas])
     if split_attempts is None:
         split_attempts = 80 if d <= 4 else 0
     tried = 0

@@ -430,8 +430,11 @@ def test_quotient_algebra_sparse_products_on_the_d5_configurations():
 
     for _ in range(10):
         f, g = rand_mp(), rand_mp()
-        assert Q.mul(Q.project(f), Q.project(g)) == Q.project(f * g)
-        assert Q.mult_matrix(Q.project(f)) == multiplication_matrix(gb, f)[0]
+        a, b = Q.project(f), Q.project(g)
+        assert Q.mul(a, b) == Q.project(f * g)
+        assert Q.add(a, b) == Q.project(f + g)
+        assert Q.sub(a, b) == Q.project(f - g)
+        assert Q.mult_matrix(a) == multiplication_matrix(gb, f)[0]
 
 
 def test_quotient_algebra_over_qq():
@@ -444,34 +447,20 @@ def test_quotient_algebra_over_qq():
     g = MultiPoly(QQ, gb.vars, {(1, 2): Fraction(-1, 2), (2, 0): Fraction(1)})
     assert Q.mul(Q.project(f), Q.project(g)) == Q.project(f * g)
     assert Q.mult_matrix(Q.project(f)) == multiplication_matrix(gb, f)[0]
-
-
-@pytest.mark.parametrize("dom", [GF(101), GF(2**31 - 1), QQ], ids=["GF101", "GF2^31-1", "QQ"])
-def test_quotient_algebra_ring_ops_match_polynomial_arithmetic(dom):
-    # plain-int % p sums and products over GF(p), the Domain path over QQ:
-    # both must agree with arithmetic on polynomials followed by projection
     rng = random.Random(48)
-    vars_ = ("x", "y", "z")
-    # small integer coefficients (lifted from GF(19)) keep the QQ basis small
-    gens = random_complete_intersection(rng, GF(19), 3, 2)
-    gens = [MultiPoly(dom, vars_, {e: dom.from_int(c - 19 * (c > 9)) for e, c in g.terms.items()}) for g in gens]
-    Q = QuotientAlgebra(buchberger(gens, GREVLEX))
-    assert Q.dim == 8
 
     def rand_mp():
         t = {}
-        for _ in range(rng.randint(1, 6)):
-            e = tuple(rng.randint(0, 3) for _ in vars_)
-            t[e] = dom.from_int(rng.randint(-50, 50)) if dom == QQ else dom.rand(rng)
-        return MultiPoly(dom, vars_, t)
+        for _ in range(4):
+            t[rng.randint(0, 3), rng.randint(0, 3)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        return MultiPoly(QQ, gb.vars, t)
 
-    for _ in range(15):
+    for _ in range(10):
         f, g = rand_mp(), rand_mp()
         a, b = Q.project(f), Q.project(g)
         assert Q.mul(a, b) == Q.project(f * g)
         assert Q.add(a, b) == Q.project(f + g)
         assert Q.sub(a, b) == Q.project(f - g)
-    assert Q.mul(a, Q.zero) == Q.zero and Q.sub(a, a) == Q.zero
 
 
 def test_quotient_algebra_eval_at_points():

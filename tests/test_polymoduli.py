@@ -199,10 +199,10 @@ def test_fiber_degree_d5_pinned():
 
 
 def test_pinned_multipliers_that_collide_mod_p_fail_the_attempt():
-    # 7 is the only 3-bit prime drawn, and -2 = 5 mod 7: each attempt fails,
-    # and the draw gives up after 24 of them
+    # 7 is the only 3-bit prime drawn, and -2 = 5 mod 7 (13 completes the
+    # list over QQ): each attempt fails, and the draw gives up after 24 of them
     with pytest.raises(MathError, match="24 attempts"):
-        fiber_degree_experiment(3, random.Random(1), draws=1, bits=3, lambdas=[-2, 5, 3])
+        fiber_degree_experiment(3, random.Random(1), draws=1, bits=3, lambdas=[-2, 5, 13])
 
 
 def test_broken_invariant_in_a_fiber_count_is_not_retried(monkeypatch):
@@ -240,9 +240,13 @@ def test_relation_violating_multipliers_have_no_configurations(monkeypatch):
         with pytest.raises(DegenerateInputError, match="index formula"):
             count_fixed_configurations(F, len(lams), lams, rng)
         assert rng.getstate() == state
-    # a pinned list fails every attempt of a fiber-degree draw instead of agreeing on 0
-    with pytest.raises(MathError, match="24 attempts"):
-        fiber_degree_experiment(4, random.Random(1), draws=1, bits=14, lambdas=[2, 3, 5, 7])
+    # a pinned rational list is rejected once, before a prime is drawn
+    for lams in ([0, 2, 5], [2, 3, 5, 7]):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(DegenerateInputError, match="index formula"):
+            fiber_degree_experiment(len(lams), rng, draws=1, bits=14, lambdas=lams)
+        assert rng.getstate() == state
 
 
 def _find_split_d4(rng, max_tries=120):
