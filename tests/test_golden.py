@@ -22,6 +22,9 @@ CORPUS = {
     "sigma2-check-d5": ["sigma2-check", "-d", "5", "--lambdas=-5,5,-4,-2,29/9", "--seed", "1"],
     "relation": ["relation", "--map", "(z^3+2*z+1)/(z^2-3)"],
     "sigma": ["sigma", "--map", "z^3+a*z+b", "-a", "2", "-b", "-1", "-n", "2"],
+    # rational coefficients, so clearing denominators rescales the resultant samples
+    "sigma-qq-quadratic": ["sigma", "--map", "(z^2/2-5/3)/(2/3*z+1)", "-n", "2"],
+    "sigma-qq-cubic": ["sigma", "--map", "(1/2*z^3-5/3*z+7/4)/(z^2/3+1)", "-n", "2"],
     # level 3 over GF(p) of a cubic fixing infinity; tau to level 4 over QQ
     "sigma-n3-gf": ["sigma", "--map", "(z^3+2*z+1)/(z^2-3)", "-n", "3", "--field", "GF:1000003"],
     "tau-n4": ["tau", "--map", "(z^2+3)/(2*z^2-z+5)", "-n", "4"],
