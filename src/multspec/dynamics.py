@@ -21,8 +21,8 @@ derivative of phi^m, over the roots of Phi*_m, and G_k(chi) has the k-th
 powers of the roots of chi: the characteristic polynomial of the k-th power
 of chi's companion matrix, in every characteristic.  Over GF(p), chi*_m is
 the characteristic polynomial of multiplication by mu_m on k[z]/(Phi*_m);
-over QQ it is Res_z(Phi*_m, w * Den_m^2 - Num_m), sampled on ZZ at
-deg Phi*_m + 1 values of w and interpolated.
+over QQ it is Res_z(Phi*_m, w * Den_m^2 - Num_m), with Num_m and Den_m^2
+formed on ZZ, sampled at deg Phi*_m + 1 values of w and interpolated.
 """
 
 from __future__ import annotations
@@ -368,21 +368,20 @@ def _mult_char_poly(mu: UniPoly, modulus: UniPoly) -> UniPoly:
 
 
 def _sampled_char_poly(phis: UniPoly, num: UniPoly, den2: UniPoly) -> UniPoly:
-    """Res_z(phis, w * den2 - num) over QQ times a constant; phis monic.
+    """Res_z(phis, w * den2 - num) times a constant; phis monic over QQ, num
+    and den2 on ZZ.
 
-    Denominators are cleared once, to f = a * phis and g = b * (c * den2 - num)
-    on ZZ.  Res(f, g) = a^deg(g) b^deg(phis) Res(phis, c * den2 - num) at the
-    actual deg(g) of each sample, so scaling by a^(top - deg(g)) leaves one
-    factor common to all samples.
+    phis is cleared once, to f = a * phis on ZZ.  Res(f, g) = a^deg(g)
+    Res(phis, g) at the actual deg(g) of each sample g = c * den2 - num, so
+    scaling by a^(top - deg(g)) leaves one factor common to all samples.
     """
     (f,), a = clear_denominators(phis)
-    (nz, dz), _ = clear_denominators(num, den2)
-    top = max(nz.degree, dz.degree)
+    top = max(num.degree, den2.degree)
     ys = []
     for c in range(phis.degree + 1):
-        g = dz.scale(c) - nz
+        g = den2.scale(c) - num
         ys.append(QQ.zero if g.is_zero else QQ.from_int(resultant(f, g) * a ** (top - g.degree)))
-    return interpolate([QQ.from_int(c) for c in range(len(ys))], ys, QQ, "w")
+    return interpolate(list(range(len(ys))), ys, QQ, "w")
 
 
 def multiplier_char_poly(phi: ProjMap, n: int) -> UniPoly:
@@ -411,6 +410,8 @@ def multiplier_char_poly(phi: ProjMap, n: int) -> UniPoly:
             if not rem.is_zero:
                 raise InvariantError(f"Phi*_{j} does not divide Per_{m}")
         stars[m] = phis
+        if dom.char == 0:  # on ZZ: clearing k from nn and dd scales Num and Den^2 by k^2
+            (nn, dd), _ = clear_denominators(nn, dd)
         num = derivative(nn) * dd - nn * derivative(dd)
         den2 = dd * dd
         if dom.char == 0:

@@ -6,11 +6,12 @@ or the integer ring ZZ used internally to keep resultants fraction-free.
 
 Polynomials are immutable dense coefficient tuples in ascending order.  The
 zero polynomial has degree -1.  One long-division loop (`UniPoly._divide`)
-serves division over a field, division by a monic divisor over any ring and
-pseudo-division over ZZ.  Resultants go through a subresultant polynomial
-remainder sequence (fraction-free over ZZ).  Over GF(p), long division,
-interpolation and resultants (the Euclidean recurrence) run as ``% p``
-kernels on plain ints.
+serves division over QQ and division by a monic divisor over any ring.  Over
+GF(p), long division, interpolation and resultants (the Euclidean
+recurrence) run as ``% p`` kernels on plain ints.  Over ZZ one kernel on
+plain int lists takes pseudo-remainders and runs the subresultant sequence;
+resultants over QQ and the QQ gcd clear denominators and call it.  QQ
+interpolation runs on a plain list of Fractions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import FieldMismatchError, MathError, UsageError
+from .errors import FieldMismatchError, InvariantError, MathError, UsageError
 
 # ---------------------------------------------------------------------------
 # primality
@@ -96,9 +97,6 @@ class Domain:
     def is_zero(self, a) -> bool:
         return a == self.zero
 
-    def exact_div(self, a, b):
-        raise NotImplementedError
-
     def from_int(self, n: int):
         raise NotImplementedError
 
@@ -116,8 +114,6 @@ class RationalField(Domain):
 
     def div(self, a, b):
         return a / b
-
-    exact_div = div
 
     def from_int(self, n):
         return Fraction(n)
@@ -144,12 +140,6 @@ class IntegerRing(Domain):
 
     def pow(self, a, n):
         return a ** n
-
-    def exact_div(self, a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise MathError("inexact integer division")
-        return q
 
     def from_int(self, n):
         return n
@@ -199,8 +189,6 @@ class PrimeField(Domain):
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
-
-    exact_div = div
 
     def from_int(self, n):
         return n % self.p
@@ -389,10 +377,6 @@ class UniPoly:
             return self
         return UniPoly(self.dom, self.var, (self.dom.zero,) * k + self.coeffs)
 
-    def exact_scalar_div(self, c):
-        dom = self.dom
-        return UniPoly(dom, self.var, [dom.exact_div(a, c) for a in self.coeffs])
-
     def monic(self):
         if self.is_zero:
             return self
@@ -403,8 +387,8 @@ class UniPoly:
         return self.scale(inv)
 
     def _divide(self, other, quotient_coeff):
-        """Long division of self by other, the loop under prem and, off GF(p),
-        under divmod and monic_divmod; quotient_coeff(c) cancels the leading
+        """Long division of self by other, the loop under divmod and
+        monic_divmod off GF(p); quotient_coeff(c) cancels the leading
         coefficient c."""
         _coerce_same(self, other)
         dom = self.dom
@@ -507,8 +491,9 @@ def clear_denominators(*polys: UniPoly) -> tuple[list, int]:
     return [f.map_coeffs(ZZ, lambda c: c.numerator * (den // c.denominator)) for f in polys], den
 
 
-def _content(f: UniPoly) -> int:
-    return gcd(*f.coeffs) or 1
+def _primitive(cs) -> list:
+    c = gcd(*cs) or 1
+    return [a // c for a in cs]
 
 
 def _gcd_qq(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -518,31 +503,12 @@ def _gcd_qq(f: UniPoly, g: UniPoly) -> UniPoly:
     if g.is_zero:
         return f.monic()
     (a, b), _ = clear_denominators(f, g)
-    a = a.exact_scalar_div(_content(a))
-    b = b.exact_scalar_div(_content(b))
-    if a.degree < b.degree:
+    a, b = _primitive(a.coeffs), _primitive(b.coeffs)
+    if len(a) < len(b):
         a, b = b, a
-    while not b.is_zero:
-        r = prem(a, b)
-        if not r.is_zero:
-            r = r.exact_scalar_div(_content(r))
-        a, b = b, r
-    q = a.map_coeffs(QQ, Fraction)
-    return q.monic()
-
-
-def prem(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g.
-
-    f is scaled by that power first, so every division step is exact.
-    """
-    if g.is_zero:
-        raise MathError("pseudo-division by zero")
-    if f.degree < g.degree:
-        return f
-    dom, lb = f.dom, g.lc
-    scaled = f.scale(dom.pow(lb, f.degree - g.degree + 1))
-    return scaled._divide(g, lambda c: dom.exact_div(c, lb))[1]
+    while b:
+        a, b = b, _primitive(_zz_prem(a, b))
+    return UniPoly(QQ, f.var, map(Fraction, a)).monic()
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
@@ -581,43 +547,64 @@ def squarefree_part(f: UniPoly) -> UniPoly:
 # resultants
 
 
-def _prs_resultant(f: UniPoly, g: UniPoly):
-    """Subresultant PRS resultant over an integral domain with exact_div."""
-    dom = f.dom
+def _zz_quo(a: int, b: int) -> int:
+    """a / b in ZZ where a theorem makes the division exact."""
+    q, r = divmod(a, b)
+    if r:
+        raise InvariantError(f"inexact division by {b} in the subresultant sequence")
+    return q
+
+
+def _zz_prem(a, b) -> list:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b of ascending int
+    lists, trailing zeros stripped; len(a) >= len(b), b[-1] != 0.
+
+    a is scaled by that power first, so every step's quotient is exact.
+    """
+    lb, db, low = b[-1], len(b) - 1, b[:-1]
+    scale = lb ** (len(a) - db)
+    r = [c * scale for c in a]
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] // lb
+        if c:
+            for j, bj in enumerate(low, i - db):
+                r[j] -= c * bj
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _zz_resultant(a, b) -> int:
+    """Res over ZZ of ascending int lists of degree >= 1, by the subresultant
+    polynomial remainder sequence: every division in it is exact."""
     s = 1
-    a, b = f, g
-    if a.degree < b.degree:
-        if (a.degree * b.degree) % 2:
+    if len(a) < len(b):
+        if (len(a) - 1) * (len(b) - 1) % 2:
             s = -s
         a, b = b, a
-    if b.degree == 0:
-        return _signed(dom, dom.pow(b.lc, a.degree), s)
-    gg = dom.one
-    h = dom.one
+    gg = h = 1
     while True:
-        delta = a.degree - b.degree
-        if (a.degree % 2) and (b.degree % 2):
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
             s = -s
-        r = prem(a, b)
-        if r.is_zero:
-            return dom.zero
-        a = b
-        b = r.exact_scalar_div(dom.mul(gg, dom.pow(h, delta)))
-        gg = a.lc
+        r = _zz_prem(a, b)
+        if not r:
+            return 0
+        a, div = b, gg * h ** delta
+        b = r if div == 1 else [_zz_quo(c, div) for c in r]
+        gg = a[-1]
         if delta == 1:
             h = gg
         elif delta > 1:
-            h = dom.exact_div(dom.pow(gg, delta), dom.pow(h, delta - 1))
-        if b.degree == 0:
-            e = a.degree
-            num = dom.pow(b.lc, e)
+            h = _zz_quo(gg ** delta, h ** (delta - 1))
+        if len(b) == 1:
+            e = len(a) - 1
+            num = b[0] ** e
             if e > 1:
-                num = dom.exact_div(num, dom.pow(h, e - 1))
-            return _signed(dom, num, s)
-
-
-def _signed(dom, value, s):
-    return dom.neg(value) if s < 0 else value
+                num = _zz_quo(num, h ** (e - 1))
+            return -num if s < 0 else num
 
 
 def _fp_resultant(a, b, p):
@@ -639,7 +626,7 @@ def _fp_resultant(a, b, p):
 def resultant(f: UniPoly, g: UniPoly):
     """Res(f, g) at actual degrees, an element of the coefficient domain.
 
-    Over QQ the computation clears denominators and runs the fraction-free
+    Over QQ the computation clears denominators and runs the subresultant
     sequence over ZZ, rescaling by the cleared contents:
     Res(c*f, e*g) = c^deg(g) * e^deg(f) * Res(f, g).
     """
@@ -658,9 +645,10 @@ def resultant(f: UniPoly, g: UniPoly):
     if dom == QQ:
         (fz,), cf = clear_denominators(f)
         (gz,), cg = clear_denominators(g)
-        r = _prs_resultant(fz, gz)
-        return Fraction(r) / (Fraction(cf) ** g.degree * Fraction(cg) ** f.degree)
-    return _prs_resultant(f, g)
+        return Fraction(_zz_resultant(fz.coeffs, gz.coeffs), cf ** g.degree * cg ** f.degree)
+    if dom != ZZ:
+        raise UsageError(f"no resultant over {dom!r}")
+    return _zz_resultant(f.coeffs, g.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +724,9 @@ def interpolate(xs, ys, dom: Domain, var: str) -> UniPoly:
     n = len(xs)
     if len(set(xs)) != n or len(ys) != n:
         raise UsageError("interpolation nodes must be distinct and paired")
-    coef = list(ys)
+    coef, cs = list(ys), [dom.zero] * n
     if isinstance(dom, PrimeField):  # % p kernel: one inverse per distinct node difference
-        p, invs, cs = dom.p, {}, [0] * n
+        p, invs = dom.p, {}
         for j in range(1, n):
             for i in range(n - 1, j - 1, -1):
                 d = (xs[i] - xs[i - j]) % p
@@ -750,16 +738,14 @@ def interpolate(xs, ys, dom: Domain, var: str) -> UniPoly:
                 cs[k] = (cs[k - 1] - xs[i] * cs[k]) % p
             cs[0] = (coef[i] - xs[i] * cs[0]) % p
         return UniPoly(dom, var, cs)
-    for j in range(1, n):
+    for j in range(1, n):  # QQ: the same loops on Fractions
         for i in range(n - 1, j - 1, -1):
-            num = dom.sub(coef[i], coef[i - 1])
-            coef[i] = dom.div(num, dom.sub(xs[i], xs[i - j]))
-    poly = UniPoly.zero(dom, var)
-    x = UniPoly.gen(dom, var)
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
     for i in range(n - 1, -1, -1):
-        node = UniPoly.const(dom, var, xs[i])
-        poly = poly * (x - node) + UniPoly.const(dom, var, coef[i])
-    return poly
+        for k in range(n - 1 - i, 0, -1):
+            cs[k] = cs[k - 1] - xs[i] * cs[k]
+        cs[0] = coef[i] - xs[i] * cs[0]
+    return UniPoly(dom, var, cs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,23 @@
-"""Dense matrix helpers that only the tests use: fraction-free
-determinants, products, inverses and random invertible matrices."""
+"""Dense matrix helpers that only the tests use: exact quotients,
+fraction-free determinants, products, inverses and random invertible
+matrices."""
 
 from multspec.errors import MathError
-from multspec.exactalg import Domain
+from multspec.exactalg import ZZ, Domain
 from multspec.linalg import solve_linear
+
+
+def exact_quotient(dom: Domain, a, b):
+    """a / b where b divides a: field division, integer division that checks
+    its remainder, or the ring's own exact_div (PolyRing)."""
+    if dom.is_field:
+        return dom.div(a, b)
+    if dom == ZZ:
+        q, r = divmod(a, b)
+        if r:
+            raise MathError("inexact integer division")
+        return q
+    return dom.exact_div(a, b)
 
 
 def bareiss_det(rows, dom: Domain):
@@ -27,7 +41,7 @@ def bareiss_det(rows, dom: Domain):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 t = dom.sub(dom.mul(m[i][j], piv), dom.mul(m[i][k], m[k][j]))
-                m[i][j] = dom.exact_div(t, prev)
+                m[i][j] = exact_quotient(dom, t, prev)
             m[i][k] = dom.zero
         prev = piv
     det = m[n - 1][n - 1]

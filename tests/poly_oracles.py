@@ -15,12 +15,18 @@ for the subresultant `resultant`; `chain_map_from_invariants` builds a
 marked cubic by a chain of divisions, one coefficient at a time, an oracle
 for the closed-form route `rat3.map_from_invariants`; `tau31_phi_ab` is
 sigma_1 of z^3 + az + b in closed form.  `exact_div` is exact polynomial division over any domain.
+`prem` and `prs_resultant` are the pseudo-remainder and the subresultant
+sequence over any integral domain, the oracles for the plain-int ZZ kernel
+of `exactalg` and the resultant over a PolyRing; `zz_resultant_cases` draws
+inputs for that kernel.  `newton_interpolate` is interpolation built from
+UniPoly products, an oracle for the plain-list QQ loop of `interpolate`.
 """
 
-from matrix_helpers import bareiss_det
+from matrix_helpers import bareiss_det, exact_quotient
 from multspec.dynamics import ProjMap, SigmaVector, _good_position
 from multspec.errors import DegenerateInputError, DegenerateMapError, MathError
 from multspec.exactalg import (
+    ZZ,
     Domain,
     UniPoly,
     derivative,
@@ -34,7 +40,7 @@ def exact_div(f: UniPoly, g: UniPoly) -> UniPoly:
     """f / g over any domain; raises MathError when the division is inexact."""
     if g.is_zero:
         raise MathError("polynomial division by zero")
-    q, r = f._divide(g, lambda c: f.dom.exact_div(c, g.lc))
+    q, r = f._divide(g, lambda c: exact_quotient(f.dom, c, g.lc))
     if not r.is_zero:
         raise MathError("inexact polynomial division")
     return q
@@ -54,6 +60,95 @@ def sylvester_matrix(f: UniPoly, g: UniPoly, m: int | None = None, n: int | None
     for i in range(m):
         rows.append([dom.zero] * i + gc + [dom.zero] * (size - i - n - 1))
     return rows
+
+
+def prem(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g.
+
+    f is scaled by that power first, so every division step is exact.
+    """
+    if g.is_zero:
+        raise MathError("pseudo-division by zero")
+    if f.degree < g.degree:
+        return f
+    dom, lb = f.dom, g.lc
+    scaled = f.scale(dom.pow(lb, f.degree - g.degree + 1))
+    return scaled._divide(g, lambda c: exact_quotient(dom, c, lb))[1]
+
+
+def prs_resultant(f: UniPoly, g: UniPoly):
+    """Subresultant PRS resultant over an integral domain, f and g nonzero."""
+    dom = f.dom
+    s = 1
+    a, b = f, g
+    if a.degree < b.degree:
+        if (a.degree * b.degree) % 2:
+            s = -s
+        a, b = b, a
+    if b.degree == 0:
+        num = dom.pow(b.lc, a.degree)
+        return dom.neg(num) if s < 0 else num
+    gg = dom.one
+    h = dom.one
+    while True:
+        delta = a.degree - b.degree
+        if (a.degree % 2) and (b.degree % 2):
+            s = -s
+        r = prem(a, b)
+        if r.is_zero:
+            return dom.zero
+        a = b
+        div = dom.mul(gg, dom.pow(h, delta))
+        b = r.map_coeffs(dom, lambda c: exact_quotient(dom, c, div))
+        gg = a.lc
+        if delta == 1:
+            h = gg
+        elif delta > 1:
+            h = exact_quotient(dom, dom.pow(gg, delta), dom.pow(h, delta - 1))
+        if b.degree == 0:
+            e = a.degree
+            num = dom.pow(b.lc, e)
+            if e > 1:
+                num = exact_quotient(dom, num, dom.pow(h, e - 1))
+            return dom.neg(num) if s < 0 else num
+
+
+def _zz_poly(rng, deg, bits, sparse=False):
+    """Degree deg over ZZ with coefficients of up to `bits` bits; sparse
+    leaves most lower coefficients zero."""
+    cs = [0 if sparse and rng.random() < 0.7 else rng.randint(-(1 << bits), 1 << bits) for _ in range(deg)]
+    return UniPoly(ZZ, "x", cs + [rng.choice((-1, 1)) * rng.randint(1, 1 << bits)])
+
+
+def zz_resultant_cases(rng):
+    """Pairs (f, g) over ZZ: degrees up to 25 with coefficients up to 2^64,
+    deg f < deg g with both degrees odd (the sign of the swap), constants,
+    sparse pairs whose remainder sequences skip degrees (delta > 1), and
+    pairs with a common factor (resultant 0)."""
+    shapes = ((1, 1), (2, 2), (3, 5), (7, 9), (5, 3), (9, 2), (0, 4), (6, 0), (0, 0), (12, 25), (25, 24), (25, 25))
+    for df, dg in shapes:
+        for bits in (4, 64):
+            yield _zz_poly(rng, df, bits), _zz_poly(rng, dg, bits)
+    for _ in range(16):
+        yield _zz_poly(rng, rng.randint(5, 14), 8, True), _zz_poly(rng, rng.randint(3, 10), 8, True)
+    for _ in range(8):
+        h = _zz_poly(rng, rng.randint(1, 3), 8)
+        yield h * _zz_poly(rng, rng.randint(1, 8), 16), h * _zz_poly(rng, rng.randint(0, 8), 16)
+
+
+def newton_interpolate(xs, ys, dom: Domain, var: str) -> UniPoly:
+    """Divided differences, then Horner in the Newton basis with one UniPoly
+    product and sum per node."""
+    coef = list(ys)
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = dom.div(dom.sub(coef[i], coef[i - 1]), dom.sub(xs[i], xs[i - j]))
+    poly = UniPoly.zero(dom, var)
+    x = UniPoly.gen(dom, var)
+    for i in range(n - 1, -1, -1):
+        poly = poly * (x - UniPoly.const(dom, var, xs[i])) + UniPoly.const(dom, var, coef[i])
+    return poly
 
 
 class PolyRing(Domain):
@@ -122,7 +217,7 @@ def bivariate_multiplier_char_poly(phi, n):
     def lift(p, shift):
         return p.map_coeffs(ring, lambda c: UniPoly(dom, "w", [dom.zero] * shift + [c]))
 
-    return resultant(lift(phin, 0), lift(den2, 1) - lift(num, 0)).monic()
+    return prs_resultant(lift(phin, 0), lift(den2, 1) - lift(num, 0)).monic()
 
 
 def resultant_bareiss(f: UniPoly, g: UniPoly):

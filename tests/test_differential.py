@@ -4,7 +4,8 @@ Buchberger is compared with sympy's Groebner bases mod p, the GF(p)
 characteristic polynomial kernel with the generic Domain path, a Bareiss
 determinant of t*I - M and sympy's DomainMatrix, squarefree parts with
 sympy's ``sqf_part``, pseudo-remainders with sympy's ``prem``, and
-resultants with sympy's ``resultant``.  sigma_n
+resultants (over GF(p), QQ, and ZZ through the plain-int subresultant
+kernel) with sympy's ``resultant``.  sigma_n
 must commute with reduction mod p and be invariant under conjugation.
 Skipped without sympy; the package itself never imports it.
 """
@@ -22,13 +23,13 @@ from fractions import Fraction  # noqa: E402
 
 from multspec.dynamics import Mobius, ProjMap, conjugate, random_map, sigma_n  # noqa: E402
 from multspec.errors import DegenerateMapError  # noqa: E402
-from multspec.exactalg import GF, QQ, ZZ, Domain, UniPoly, prem, random_prime, resultant, squarefree_part  # noqa: E402
+from multspec.exactalg import GF, QQ, ZZ, Domain, UniPoly, _zz_prem, random_prime, resultant, squarefree_part  # noqa: E402
 from multspec.groebner import GREVLEX, MultiPoly, buchberger, quotient_dimension  # noqa: E402
 from multspec.linalg import char_poly  # noqa: E402
 
 from groebner_oracles import LEX  # noqa: E402
 from matrix_helpers import bareiss_det  # noqa: E402
-from poly_oracles import PolyRing  # noqa: E402
+from poly_oracles import PolyRing, prem, zz_resultant_cases  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # buchberger against sympy.groebner(..., modulus=p)
@@ -206,6 +207,8 @@ def _sympy_poly(f: UniPoly):
     x = sympy.Symbol("x")
     if f.dom == QQ:
         return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x, domain="QQ")
+    if f.dom == ZZ:
+        return sympy.Poly(list(reversed(f.coeffs)), x, domain="ZZ")
     return sympy.Poly(list(reversed(f.coeffs)), x, modulus=f.dom.p)
 
 
@@ -234,6 +237,15 @@ def test_resultant_matches_sympy():
         assert zeros >= 3
 
 
+def test_zz_resultant_kernel_matches_sympy():
+    # degrees to 25, coefficients to 2^64, skipped degrees, zeros, constants;
+    # the higher degree goes first on both sides (see above)
+    for f, g in zz_resultant_cases(random.Random(98)):
+        if f.degree < g.degree:
+            f, g = g, f
+        assert resultant(f, g) == int(_sympy_poly(f).resultant(_sympy_poly(g))), (f, g)
+
+
 def _sympy_prem(f: UniPoly, g: UniPoly) -> UniPoly:
     x = sympy.Symbol("x")
     opts = {"domain": "ZZ"} if f.dom == ZZ else {"modulus": f.dom.char}
@@ -249,7 +261,11 @@ def test_prem_matches_sympy():
         for _ in range(40):
             f = UniPoly(dom, "x", [rand() for _ in range(rng.randint(0, 9))])
             g = UniPoly(dom, "x", [rand() for _ in range(rng.randint(0, 5))] + [rand() or 2])
-            assert prem(f, g) == _sympy_prem(f, g), (dom, f, g)
+            if dom == ZZ and f.degree >= g.degree:  # the plain-int kernel of the resultant and the QQ gcd
+                got = UniPoly(ZZ, "x", _zz_prem(f.coeffs, g.coeffs))
+            else:
+                got = prem(f, g)
+            assert got == _sympy_prem(f, g), (dom, f, g)
             shapes["deg f - deg g >= 2"] += f.degree - g.degree >= 2
             shapes["deg f < deg g"] += f.degree < g.degree
             shapes["non-unit lc(g)"] += g.lc not in (dom.one, dom.from_int(-1))

@@ -20,7 +20,7 @@ from multspec.dynamics import (
     sigma_n,
     tau,
 )
-from multspec import dynamics
+from multspec import dynamics, exactalg
 from multspec.cli import run_command
 from multspec.dynamics import _forms_share_root, _good_position
 from multspec.errors import DegenerateMapError, InvariantError, MathError, UsageError
@@ -321,6 +321,35 @@ def test_quintic_route_takes_resultants_against_dynatomic_factors(monkeypatch):
     assert degrees == {6: 7, 20: 21}
 
 
+def test_perturbed_pseudo_remainder_fails_the_run(monkeypatch):
+    # every division in the subresultant sequence is exact by theorem, so one
+    # perturbed pseudo-remainder fails the run with the invariant at once
+    real = exactalg._zz_prem
+    calls, target = [], []
+
+    def perturbed(a, b):
+        r = real(a, b)
+        calls.append(len(a))
+        if len(calls) == target[0]:
+            r[0] += 1
+        return r
+
+    phi = ProjMap(QQ, [Fraction(c) for c in (1, 0, 1)], [Fraction(c) for c in (3, 1, 7)])
+    monkeypatch.setattr(exactalg, "_zz_prem", perturbed)
+    # samples w = 0 and w = 1 against Phi*_1 take 2 and 3 pseudo-remainders;
+    # the second one of w = 1 is divided by the square of a leading coefficient
+    target.append(4)
+    with pytest.raises(InvariantError, match="inexact division by 9 in the subresultant sequence"):
+        multiplier_char_poly(phi, 2)
+    assert calls == [4, 3, 5, 4]
+    # the CLI checks Res(num, den) of the map first: two more pseudo-remainders
+    calls.clear()
+    target[0] = 6
+    code, text = run_command(["sigma", "--num", "1,0,1", "--den", "3,1,7", "-n", "2"])
+    assert code == 1 and '"kind": "math"' in text and "in the subresultant sequence" in text
+    assert len(calls) == 6
+
+
 def test_non_exact_dynatomic_division_fails_the_run(monkeypatch):
     # a fault in the first iterate moves a fixed point, so Per_1 no longer
     # divides Per_2: the run fails once with the invariant, not retried
@@ -378,7 +407,7 @@ def sigma_via_traces(phi, n):
     den2 = dd * dd
     u, _, r = ext_gcd_poly(den2.divmod(phin)[1], phin)
     assert r.degree == 0
-    h = (u.exact_scalar_div(r.coeff(0)) * num).divmod(phin)[1]
+    h = (u.scale(dom.inv(r.coeff(0))) * num).divmod(phin)[1]
     # multiplication-by-h matrix on the monomial basis of F[z]/(phin)
     cols = []
     zj = UniPoly.const(dom, "z", dom.one)

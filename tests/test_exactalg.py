@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from multspec import exactalg
 from multspec.errors import MathError, UsageError
 from multspec.exactalg import (
     GF,
@@ -27,7 +29,15 @@ from multspec.exactalg import (
 
 from codec_helpers import scalar_to_str
 from matrix_helpers import bareiss_det
-from poly_oracles import PolyRing, exact_div, resultant_bareiss, sylvester_matrix
+from poly_oracles import (
+    PolyRing,
+    exact_div,
+    newton_interpolate,
+    prs_resultant,
+    resultant_bareiss,
+    sylvester_matrix,
+    zz_resultant_cases,
+)
 
 
 def rand_poly(dom, var, deg, rng, monic=False):
@@ -210,6 +220,46 @@ def test_resultant_prs_matches_bareiss():
             assert resultant(f, g) == resultant_bareiss(f, g)
 
 
+def test_zz_resultant_kernel_matches_bareiss(monkeypatch):
+    # the plain-int subresultant kernel against the Sylvester determinant;
+    # a pseudo-remainder whose dividend is the previous divisor is a step
+    # inside one sequence, and the sparse cases make some skip degrees
+    steps, last = Counter(), [None]
+    real = exactalg._zz_prem
+
+    def recording(a, b):
+        if a is last[0]:
+            steps[len(a) - len(b)] += 1
+        last[0] = b
+        return real(a, b)
+
+    monkeypatch.setattr(exactalg, "_zz_prem", recording)
+    shapes = Counter()
+    for f, g in zz_resultant_cases(random.Random(30)):
+        got = resultant(f, g)
+        assert got == resultant_bareiss(f, g), (f, g)
+        shapes["zero"] += got == 0
+        shapes["odd swap"] += f.degree < g.degree and f.degree % 2 == g.degree % 2 == 1
+        shapes["constant"] += min(f.degree, g.degree) == 0
+        shapes["2^64"] += max(map(abs, f.coeffs)).bit_length() > 60
+    assert min(shapes.values()) >= 4, shapes
+    assert sum(n for delta, n in steps.items() if delta > 1) >= 3, steps
+
+
+def test_qq_interpolate_matches_unipoly_newton_route():
+    rng = random.Random(31)
+    for n in (1, 2, 3, 7, 16, 27):
+        nodes = set()
+        while len(nodes) < n:
+            nodes.add(QQ.rand(rng, 40))
+        for xs in (list(range(n)), sorted(nodes)):
+            ys = [QQ.rand(rng, 10**6) for _ in range(n)]
+            got = interpolate(xs, ys, QQ, "w")
+            assert got == newton_interpolate([Fraction(x) for x in xs], ys, QQ, "w")
+            assert all(type(c) is Fraction for c in got.coeffs)
+            assert [got.eval(x) for x in xs] == ys
+
+
 def test_resultant_multiplicative_and_swap():
     rng = random.Random(9)
     F = GF(101)
@@ -253,7 +303,7 @@ def test_resultant_bivariate_polyring():
         g = UniPoly(R, "x", gcs)
         if f.degree < 1 or g.degree < 1:
             continue
-        r = resultant(f, g)
+        r = prs_resultant(f, g)
         for t0 in (0, 1, 5, 12):
             fs = UniPoly(F, "x", [c.eval(t0) for c in fcs])
             gs = UniPoly(F, "x", [c.eval(t0) for c in gcs])
@@ -270,7 +320,7 @@ def test_resultant_bivariate_over_qq():
     # f = x^2 - t, g = x - t  ->  Res = t^2 - t
     f = UniPoly(R, "x", [-t, UniPoly.zero(QQ, "t"), one])
     g = UniPoly(R, "x", [-t, one])
-    assert resultant(f, g) == t * t - t
+    assert prs_resultant(f, g) == t * t - t
 
 
 def test_sylvester_bareiss_formal_degrees():
