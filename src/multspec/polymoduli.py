@@ -1,10 +1,15 @@
 """Polynomial maps inside the moduli space: fixed-point configurations.
 
 A monic degree-d polynomial with affine fixed points z_1..z_d summing to 0
-is phi(z) = z + prod (z - z_i), and its multiplier at z_i is
-1 + prod_{j != i} (z_i - z_j).  Prescribing the multipliers lambda_i gives
-the system F_i(z) = lambda_i - 1 with F_i homogeneous of degree d-1, in the
-variables z_1..z_(d-1) with z_d = -(z_1 + ... + z_(d-1)) substituted.
+is phi(z) = z + P(z), P = prod (z - z_i); its multiplier at z_i is
+lambda_i = 1 + nu_i, nu_i = P'(z_i) = prod_{j != i}(z_i - z_j).  Partial
+fractions of x^k/P(x) give the residue identities s_k = sum_i z_i^k/nu_i =
+[k = d-1] for k = 0..d-1 (s_0 = 0 is the index formula).  In z_1..z_(d-1),
+with z_d = -(z_1 + ... + z_(d-1)), they are the configuration system: degrees
+1..d-1, so its Bezout number is the fiber degree (d-1)!.  Its ideal is that of
+the product equations P'(z_i) = nu_i.  Modulo those, interpolating x^k (k < d)
+at the z_i gives s_k = [k = d-1] as the x^(d-1) coefficient.  Modulo the s_k,
+sum_l P_i(z_l)/nu_l = 1 for P_i = P(x)/(x - z_i), of which only l = i is nonzero.
 Scaling a solution by a (d-1)-st root of unity is conjugation z -> zeta z
 of the map, so configuration counts divide by d-1 to give conjugacy classes.
 
@@ -25,6 +30,7 @@ never needs the (possibly huge) splitting field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .dynamics import ProjMap, fixed_point_index_sum, forced_multiplier, sigma_n
 from .errors import (
@@ -42,10 +48,12 @@ from .groebner import (
     MultiPoly,
     NonSimpleSolutionError,
     QuotientAlgebra,
+    _combine,
     buchberger,
     distinct_point_count,
     quotient_dimension,
     solve_rational_points,
+    standard_monomials,
 )
 from .linalg import char_poly as _char_poly
 
@@ -135,29 +143,46 @@ class FixedConfigSystem:
     gens: tuple
 
 
+def _coordinates(dom: Domain, d: int):
+    """The variables z_1..z_(d-1), and z_1..z_d as polynomials in them."""
+    vars_ = tuple(f"z{i + 1}" for i in range(d - 1))
+    zs = [MultiPoly.gen(dom, vars_, v) for v in vars_]
+    return vars_, zs + [-sum(zs, MultiPoly.zero(dom, vars_))]
+
+
 def build_fixed_config_system(dom: Domain, d: int, lambdas) -> FixedConfigSystem:
-    """prod_{j != i}(z_i - z_j) = lambda_i - 1 for all i, in z_1..z_(d-1)
-    with z_d = -(z_1 + ... + z_(d-1))."""
+    """The residue identities sum_i z_i^k/(lambda_i - 1) = [k = d-1], k = 0..d-1,
+    in z_1..z_(d-1) (module docstring).  The k = 0 one is minus the index sum:
+    dropped when zero, and otherwise it makes the unit ideal."""
     lambdas = tuple(lambdas)
     if d < 2 or len(lambdas) != d:
         raise UsageError(f"need exactly {d} multipliers")
     for lam in lambdas:
         if lam == dom.one:
             raise DegenerateInputError("multiplier 1 means a multiple fixed point")
-    vars_ = tuple(f"z{i + 1}" for i in range(d - 1))
-    zs = [MultiPoly.gen(dom, vars_, v) for v in vars_]
-    last = MultiPoly.zero(dom, vars_)
-    for z in zs:
-        last = last - z
-    zs.append(last)
+    vars_, zs = _coordinates(dom, d)
+    # terms[i] = z_i^k / (lambda_i - 1) at step k
+    terms = [MultiPoly.const(dom, vars_, dom.inv(dom.sub(lam, dom.one))) for lam in lambdas]
     gens = []
-    for i in range(d):
-        f = MultiPoly.const(dom, vars_, dom.one)
-        for j in range(d):
-            if j != i:
-                f = f * (zs[i] - zs[j])
-        gens.append(f - MultiPoly.const(dom, vars_, dom.sub(lambdas[i], dom.one)))
+    for k in range(d):
+        f = sum(terms, MultiPoly.const(dom, vars_, dom.neg(dom.one) if k == d - 1 else dom.zero))
+        if not f.is_zero:
+            gens.append(f)
+        terms = [t * z for t, z in zip(terms, zs)]
     return FixedConfigSystem(dom=dom, d=d, lambdas=lambdas, vars=vars_, gens=tuple(gens))
+
+
+def _check_product_equations(sys: FixedConfigSystem, basis: IdealBasis):
+    """The product equations prod_{j != i}(z_i - z_j) = lambda_i - 1 lie in the
+    ideal (module docstring): a nonzero normal form is a fault, not a bad draw."""
+    dom, D = sys.dom, len(standard_monomials(basis))
+    _, zs = _coordinates(dom, sys.d)
+    one = MultiPoly.const(dom, sys.vars, dom.one)
+    for i, lam in enumerate(sys.lambdas):
+        nu = MultiPoly.const(dom, sys.vars, dom.sub(lam, dom.one))
+        f = prod((zs[i] - z for z in zs[:i] + zs[i + 1 :]), start=one) - nu
+        if any(_combine(dom, [(c, basis.normal_forms.vector(e)) for e, c in f.terms.items()], D)):
+            raise InvariantError(f"configuration basis misses the product equation of z_{i + 1}")
 
 
 def _check_index_formula(dom: Domain, lambdas):
@@ -174,6 +199,7 @@ def count_fixed_configurations(dom: Domain, d: int, lambdas, rng, budget=None):
     basis = buchberger(sys.gens, GREVLEX, budget)
     if quotient_dimension(basis) is None:
         raise MathError("configuration system is not zero-dimensional")
+    _check_product_equations(sys, basis)
     solutions = distinct_point_count(basis, rng)
     if solutions % (d - 1) != 0:
         raise MathError(
@@ -197,6 +223,7 @@ def _solve_configurations(sys: FixedConfigSystem, rng, budget=None):
     """Rational solutions as full d-tuples (last coordinate reconstructed)."""
     dom = sys.dom
     basis = buchberger(sys.gens, GREVLEX, budget)
+    _check_product_equations(sys, basis)
     pts = solve_rational_points(basis, rng)
     full = []
     for pt in pts:
@@ -223,10 +250,10 @@ def _zeta_orbits(points, F, d, rng):
         for _ in range(d - 2):
             q = tuple(F.mul(zeta, c) for c in q)
             if q not in pointset:
-                raise MathError("solution set is not closed under the unit root action")
+                raise InvariantError("solution set is not closed under the unit root action")
             orbit.append(q)
         if len(set(orbit)) != d - 1:
-            raise MathError("unit root action is not free on the configurations")
+            raise InvariantError("unit root action is not free on the configurations")
         seen.update(orbit)
         orbits.append(orbit)
     return orbits
@@ -386,7 +413,7 @@ def _invariant_certificate(basis: IdealBasis, d: int, classes: int):
         E = _char_poly(Q.mult_matrix(g), Q.base)
         count = squarefree_part(E).degree
         if count > classes:
-            raise MathError("invariant takes more values than there are classes")
+            raise InvariantError("invariant takes more values than there are classes")
         if count == classes:
             return True, k
         best = max(best, count)
@@ -456,6 +483,7 @@ def sigma2_discrimination(
         basis = buchberger(sys.gens, GREVLEX, budget)
         if quotient_dimension(basis) is None:
             continue
+        _check_product_equations(sys, basis)
         try:
             solutions = distinct_point_count(basis, rng)
         except InvariantError:

@@ -221,7 +221,8 @@ def to_multipoly(Q, a) -> MultiPoly:
 
 
 def config_system_by_substitution(dom, d: int, lambdas):
-    """The fixed-configuration generators prod_{j != i}(z_i - z_j) - (lambda_i - 1)
+    """The product equations prod_{j != i}(z_i - z_j) - (lambda_i - 1), whose
+    ideal `build_fixed_config_system` generates from the residue identities,
     built in z_1..z_d, then z_d -> -(z_1 + ... + z_(d-1)) by a linear change
     and z_d dropped."""
     vars_ = tuple(f"z{i + 1}" for i in range(d))

@@ -165,6 +165,23 @@ def test_poly_classes_rejects_multipliers_that_fail_the_index_formula():
         assert "index formula" in doc["error"]
 
 
+def test_poly_classes_exact_over_qq_at_degree_5():
+    # the residue-form basis over QQ takes milliseconds (the product system's took minutes)
+    code, doc = run_json(["poly-classes", "-d", "5", "--lambdas=-2,-3,-4,8", "--field", "QQ"])
+    assert code == 0
+    assert doc["lambdas"][-1] == "689/269"
+    assert (doc["solutions"], doc["classes"]) == (24, 6)
+
+
+def test_poly_classes_non_generic_degree_6_list():
+    # forcing the last multiplier of -2, -3, -4, 8, 5 leaves 90 of the 120 configurations
+    for p in (1000003, 998244353):
+        argv = ["poly-classes", "-d", "6", "--lambdas=-2,-3,-4,8,5", "--field", f"GF:{p}"]
+        code, doc = run_json(argv)
+        assert code == 0
+        assert (doc["solutions"], doc["classes"]) == (90, 18)
+
+
 def test_sigma2_check_command():
     code, doc = run_json(["sigma2-check", "-d", "4", "--lambdas", "-5,5,4"])
     assert code == 0

@@ -1,9 +1,13 @@
+import dataclasses
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from multspec import polymoduli
+from multspec.cli import run_command
 from multspec.dynamics import ProjPoint, fixed_point_index_sum, multiplier_at_point, sigma_n
 from multspec.errors import (
     BudgetExhaustedError,
@@ -15,7 +19,7 @@ from multspec.errors import (
     UsageError,
 )
 from multspec.exactalg import GF, QQ, UniPoly, compose, derivative, fp_roots, random_prime
-from multspec.groebner import GREVLEX, buchberger, quotient_dimension
+from multspec.groebner import GREVLEX, MultiPoly, buchberger, quotient_dimension
 from multspec.polymoduli import (
     PolyNormalForm,
     _invariant_certificate,
@@ -128,31 +132,59 @@ def test_poly_from_fixed_points_quadratic_translates():
 
 
 def test_config_system_shape():
+    # (2, 3, 5/3) fails the index formula: the k = 0 residue identity is the
+    # constant sum 1/(lambda_i - 1) = 3, beside the identities of degrees 1, 2
     lams = qq(2, 3, Fraction(5, 3))
     sys = build_fixed_config_system(QQ, 3, lams)
     assert sys.vars == ("z1", "z2")
     assert len(sys.gens) == 3
-    assert [g.total_degree() for g in sys.gens] == [2, 2, 2]
+    assert [g.total_degree() for g in sys.gens] == [0, 1, 2]
+    assert sys.gens[0] == MultiPoly.const(QQ, sys.vars, QQ.from_int(3))
+    # a list that satisfies it drops the constant: degrees 1..d-1, Bezout (d-1)!
+    for lams in (qq(3, -1), qq(*D4_LAMBDAS), qq(*D5_LAMBDAS)):
+        sys = build_fixed_config_system(QQ, len(lams), lams)
+        assert [g.total_degree() for g in sys.gens] == list(range(1, len(lams)))
     with pytest.raises(DegenerateInputError):
         build_fixed_config_system(QQ, 3, qq(1, 2, 3))
     with pytest.raises(UsageError):
         build_fixed_config_system(QQ, 3, qq(2, 3))
 
 
+def _completed_multipliers(dom, d, rng):
+    """d - 1 random free multipliers and the one the index formula forces."""
+    while True:
+        free = []
+        while len(free) < d - 1:
+            c = dom.from_rational(Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
+            if c != dom.one and c not in free:
+                free.append(c)
+        try:
+            lams = complete_multipliers(dom, d, free)
+        except DegenerateInputError:
+            continue
+        if lams[-1] != dom.one and lams[-1] not in free:
+            return lams
+
+
 def test_config_system_matches_substitution_oracle():
-    # built in z_1..z_(d-1) directly, the generators are the d-variable ones
-    # with z_d = -(z_1 + ... + z_(d-1)) substituted and z_d dropped
+    # the residue identities generate the ideal of the product equations
+    # prod_{j != i}(z_i - z_j) = lambda_i - 1, built in z_1..z_d with z_d
+    # substituted: the same reduced basis (the product system's QQ d = 5
+    # basis takes minutes)
     rng = random.Random(13)
     for dom in (QQ, GF(101), GF(1000003)):
-        for d in range(2, 7):
-            lams = []
-            while len(lams) < d:
-                c = dom.from_rational(Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
-                if c != dom.one and c not in lams:
-                    lams.append(c)
-            sys = build_fixed_config_system(dom, d, lams)
-            assert sys.vars == tuple(f"z{i + 1}" for i in range(d - 1))
-            assert list(sys.gens) == config_system_by_substitution(dom, d, lams)
+        for d in range(2, 5 if dom is QQ else 6):
+            lists = [_completed_multipliers(dom, d, rng) for _ in range(2)]
+            pinned = {4: D4_LAMBDAS, 5: D5_LAMBDAS}.get(d)
+            if pinned:
+                lists.append([dom.from_rational(l) for l in pinned])
+            for lams in lists:
+                sys = build_fixed_config_system(dom, d, lams)
+                assert sys.vars == tuple(f"z{i + 1}" for i in range(d - 1))
+                basis = buchberger(sys.gens, GREVLEX)
+                assert basis == buchberger(config_system_by_substitution(dom, d, lams), GREVLEX)
+            if pinned:  # the last list
+                assert quotient_dimension(basis) == math.factorial(d - 1)
 
 
 def test_config_system_vanishes_on_real_configurations():
@@ -372,14 +404,15 @@ def test_invariant_certificate_builds_only_the_powers_it_tests(monkeypatch):
 
 
 def test_config_basis_d5_reduction_steps():
-    # 3164 reduction steps, counted before the pair update stored packed
-    # lcms: the same S-pairs are reduced, in the same order
+    # 122 reduction steps for the residue-form system (the product system
+    # took 3164), counted with linear scans and no first-divisor memo: the
+    # same S-pairs are reduced, in the same order
     sys, basis = _d5_basis()
     assert quotient_dimension(basis) == 24
-    assert linear_scan_steps(sys.gens) == (basis, 3164)
+    assert linear_scan_steps(sys.gens) == (basis, 122)
     with pytest.raises(BudgetExhaustedError):
-        buchberger(sys.gens, GREVLEX, budget=3163)
-    assert buchberger(sys.gens, GREVLEX, budget=3164) == basis
+        buchberger(sys.gens, GREVLEX, budget=121)
+    assert buchberger(sys.gens, GREVLEX, budget=122) == basis
 
 
 def test_sigma2_discrimination_d4_rational_points():
@@ -476,3 +509,53 @@ def test_p3_rejects_unrealizable_multipliers():
     # 3 z^2 + a = 0 has at most two roots, and the index sum is 3, not 0
     with pytest.raises(MathError):
         p3_from_sigma1(QQ, qq(0, 0, 0))
+
+
+def test_a_fault_in_the_system_builder_fails_the_run(monkeypatch):
+    # without the "- 1" of the k = d-1 residue identity every generator is
+    # homogeneous: the only point is 0, where no product equation holds
+    real = polymoduli.build_fixed_config_system
+    built = []
+
+    def broken(dom, d, lambdas):
+        sys = real(dom, d, lambdas)
+        built.append(sys)
+        *rest, last = sys.gens
+        one = MultiPoly.const(dom, sys.vars, dom.one)
+        return dataclasses.replace(sys, gens=(*rest, last + one))
+
+    monkeypatch.setattr(polymoduli, "build_fixed_config_system", broken)
+    code, text = run_command(["poly-classes", "-d", "5", "--lambdas=-2,-3,-4,8"])
+    assert code == 1
+    assert "misses the product equation" in json.loads(text)["error"]
+    # a broken invariant is not retried: one system, one attempt
+    built.clear()
+    with pytest.raises(InvariantError, match="product equation"):
+        fiber_degree_experiment(5, random.Random(9), draws=1, bits=18, lambdas=D5_LAMBDAS)
+    assert len(built) == 1
+    # the split path of sigma2-check (d = 4) and its invariant-trace path
+    for split_attempts in (None, 0):
+        built.clear()
+        with pytest.raises(InvariantError, match="product equation"):
+            sigma2_discrimination(4, D4_LAMBDAS, random.Random(13), split_attempts=split_attempts)
+        assert len(built) == 1
+
+
+def test_unit_root_faults_are_broken_invariants(monkeypatch):
+    F, lams, sys, pts = _find_split_d4(random.Random(11))
+    # zeta = 2 is no cube root of unity mod p: 2 * pt is no configuration
+    monkeypatch.setattr(polymoduli, "_unit_root", lambda F, k, rng: F.from_int(2))
+    with pytest.raises(InvariantError, match="not closed"):
+        _zeta_orbits(pts, F, 4, random.Random(0))
+    # zeta = 1 fixes every configuration
+    monkeypatch.setattr(polymoduli, "_unit_root", lambda F, k, rng: F.one)
+    with pytest.raises(InvariantError, match="not free"):
+        sigma2_discrimination(4, D4_LAMBDAS, random.Random(13), bits=16)
+
+
+def test_an_invariant_with_too_many_values_is_a_broken_invariant(monkeypatch):
+    # a count of 8 configurations at d = 5 claims 2 classes; the second
+    # 2-cycle power sum takes 6 values, outside the retry loop of sigma2-check
+    monkeypatch.setattr(polymoduli, "distinct_point_count", lambda basis, rng: 8)
+    with pytest.raises(InvariantError, match="more values than there are classes"):
+        sigma2_discrimination(5, D5_LAMBDAS, random.Random(15), bits=16, max_primes=40)
