@@ -36,7 +36,6 @@ from .errors import (
     FieldMismatchError,
     InvariantError,
     MathError,
-    RepositionError,
     UsageError,
 )
 from .exactalg import (
@@ -353,7 +352,7 @@ def _good_position(phi: ProjMap, n: int):
         it = iterate(psi, n) if n > 1 else psi
         if (it.affine_num() - z * it.affine_den()).degree == phi.d ** n + 1:
             return psi, it
-    raise RepositionError(f"no conjugate kept Per_{n} affine within budget")
+    raise MathError(f"no conjugate kept Per_{n} affine within budget")
 
 
 def _mult_char_poly(mu: UniPoly, modulus: UniPoly) -> UniPoly:
@@ -503,7 +502,7 @@ def multiplier_at_point(phi: ProjMap, p: ProjPoint, n: int):
             moved = [minv.apply(pt) for pt in orbit]
             if all(not pt.is_infinity for pt in moved):
                 return multiplier_at_point(conjugate(phi, m), moved[0], n)
-        raise RepositionError("could not move the orbit off infinity")
+        raise MathError("could not move the orbit off infinity")
     nn, dd = phi.affine_num(), phi.affine_den()
     num = derivative(nn) * dd - nn * derivative(dd)
     den2 = dd * dd

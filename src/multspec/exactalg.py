@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import FieldMismatchError, InvariantError, MathError, UsageError
+from .errors import DegenerateInputError, FieldMismatchError, InvariantError, MathError, UsageError
 
 # ---------------------------------------------------------------------------
 # primality
@@ -196,7 +196,7 @@ class PrimeField(Domain):
     def from_rational(self, fr):
         fr = Fraction(fr)
         if fr.denominator % self.p == 0:
-            raise MathError(f"denominator of {fr} vanishes mod {self.p}")
+            raise DegenerateInputError(f"denominator of {fr} vanishes mod {self.p}")
         return fr.numerator * pow(fr.denominator, -1, self.p) % self.p
 
     def rand(self, rng):

@@ -35,13 +35,13 @@ from functools import cached_property
 from operator import add, mul
 
 from .errors import (
-    AgreementError,
     BudgetExhaustedError,
-    EliminantNotSplitError,
+    DegenerateInputError,
     FieldMismatchError,
+    InvariantError,
     MathError,
-    NonSimpleSolutionError,
     UsageError,
+    agreed_value,
 )
 from .exactalg import Domain, PrimeField, UniPoly, poly_gcd, pow_mod, split_linear, squarefree_part
 from .linalg import char_poly as _char_poly, row_reduce
@@ -772,24 +772,29 @@ def distinct_point_count(basis: IdealBasis, rng) -> int:
     if basis.contains_one():
         return 0
     dom = basis.gens[0].dom
-    counts = []
-    for _ in range(_COUNT_ATTEMPTS):
-        u = random_linear_form(basis.vars, dom, rng)
-        counts.append(squarefree_part(eliminant_of_form(basis, u)).degree)
-        if len(counts) >= 2 and counts[-1] == counts[-2]:
-            return counts[-1]
-    raise AgreementError(f"eliminant degrees kept disagreeing: {counts}")
+    return agreed_value(
+        lambda: squarefree_part(eliminant_of_form(basis, random_linear_form(basis.vars, dom, rng))).degree,
+        _COUNT_ATTEMPTS,
+        "eliminant degrees",
+    )
 
 
 def solve_rational_points(basis: IdealBasis, rng):
     """All solutions with coordinates in the base prime field.
 
     Requires the eliminant of a separating form to split into distinct
-    linear factors over GF(p); raises EliminantNotSplitError otherwise so
-    callers can retry with another prime.  A squarefree eliminant of degree
-    D that splits proves D distinct rational points, so they are not
-    recounted.  Points are read off left eigenvectors of the multiplication
-    matrix (evaluation functionals).
+    linear factors over GF(p); raises DegenerateInputError otherwise so
+    callers can draw another prime.  A squarefree eliminant of degree D that
+    splits proves D distinct rational points, so they are not recounted.
+    Points are read off left eigenvectors of the multiplication matrix
+    (evaluation functionals).
+
+    Once E is squarefree of degree D = dim Q, M_u has D simple eigenvalues
+    u(P), one per point P, so the D points are distinct and each left
+    eigenspace is spanned by the evaluation functional at P.  Hence the
+    constant monomial is standard, each kernel has nullity 1, each
+    functional evaluates 1 to a nonzero value, and every point read off
+    satisfies the system: a failure of any of these raises InvariantError.
     """
     dom = basis.gens[0].dom
     if not isinstance(dom, PrimeField):
@@ -802,7 +807,7 @@ def solve_rational_points(basis: IdealBasis, rng):
     nf = basis.normal_forms
     one_exp = (0,) * len(basis.vars)
     if one_exp not in nf.index:
-        raise MathError("constant monomial missing from standard basis")
+        raise InvariantError("constant monomial missing from standard basis")
     j0 = nf.index[one_exp]
 
     # E squarefree iff the scheme is reduced AND u separates; a fresh u fixes
@@ -816,11 +821,11 @@ def solve_rational_points(basis: IdealBasis, rng):
         if esf.degree == e.degree:
             break
     else:
-        raise NonSimpleSolutionError("eliminant is not squarefree")
+        raise DegenerateInputError("eliminant is not squarefree")
     x = UniPoly.gen(dom, esf.var)
     frob = pow_mod(x, dom.p, esf)
     if poly_gcd(esf, frob - x).degree != esf.degree:
-        raise EliminantNotSplitError("eliminant does not split over GF(p)")
+        raise DegenerateInputError("eliminant does not split over GF(p)")
     roots = sorted(split_linear(esf, rng))
 
     # normal forms of the coordinate functions, for coordinate read-off
@@ -833,7 +838,7 @@ def solve_rational_points(basis: IdealBasis, rng):
         a = [[dom.sub(m[i][j], theta if i == j else dom.zero) for i in range(D)] for j in range(D)]
         w = _kernel_vector(a, dom)
         if dom.is_zero(w[j0]):
-            raise NonSimpleSolutionError("eigenfunctional does not evaluate 1")
+            raise InvariantError("eigenfunctional does not evaluate 1")
         inv = dom.inv(w[j0])
         w = [dom.mul(c, inv) for c in w]
         pt = tuple(
@@ -841,10 +846,10 @@ def solve_rational_points(basis: IdealBasis, rng):
         )
         for g in basis.gens:
             if not dom.is_zero(g.eval(pt)):
-                raise MathError("extracted point fails to satisfy the system")
+                raise InvariantError("extracted point fails to satisfy the system")
         points.append(pt)
     if len(set(points)) != len(points):
-        raise NonSimpleSolutionError("separating form failed to separate")
+        raise InvariantError("separating form failed to separate")
     return points
 
 
@@ -862,7 +867,7 @@ def _kernel_vector(rows, dom):
     m, pivots = row_reduce(rows, dom)
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
-        raise NonSimpleSolutionError(f"kernel dimension {len(free)} != 1")
+        raise InvariantError(f"kernel dimension {len(free)} != 1")
     fc = free[0]
     v = [dom.zero] * n
     v[fc] = dom.one

@@ -33,20 +33,12 @@ from dataclasses import dataclass
 from math import prod
 
 from .dynamics import ProjMap, fixed_point_index_sum, forced_multiplier, sigma_n
-from .errors import (
-    DegenerateInputError,
-    InvariantError,
-    MathError,
-    SplitSearchError,
-    UsageError,
-)
+from .errors import DegenerateInputError, InvariantError, MathError, UsageError
 from .exactalg import GF, QQ, Domain, UniPoly, compose, derivative, random_prime, squarefree_part
 from .groebner import (
     GREVLEX,
-    EliminantNotSplitError,
     IdealBasis,
     MultiPoly,
-    NonSimpleSolutionError,
     QuotientAlgebra,
     _combine,
     buchberger,
@@ -192,20 +184,21 @@ def _check_index_formula(dom: Domain, lambdas):
 
 
 def count_fixed_configurations(dom: Domain, d: int, lambdas, rng, budget=None):
-    """(solutions, conjugacy classes) of the configuration system; multipliers
-    that fail the index formula are rejected before any basis is built."""
+    """(solutions, conjugacy classes, basis) of the configuration system;
+    multipliers that fail the index formula are rejected before any basis
+    is built."""
     sys = build_fixed_config_system(dom, d, lambdas)
     _check_index_formula(dom, sys.lambdas)
     basis = buchberger(sys.gens, GREVLEX, budget)
     if quotient_dimension(basis) is None:
-        raise MathError("configuration system is not zero-dimensional")
+        raise DegenerateInputError("configuration system is not zero-dimensional")
     _check_product_equations(sys, basis)
     solutions = distinct_point_count(basis, rng)
     if solutions % (d - 1) != 0:
-        raise MathError(
+        raise DegenerateInputError(
             f"{solutions} configurations not divisible by {d - 1}: non-generic multipliers"
         )
-    return solutions, solutions // (d - 1)
+    return solutions, solutions // (d - 1), basis
 
 
 def _unit_root(F, k, rng):
@@ -312,13 +305,11 @@ def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, budget=
                     lams = [F.from_rational(l) for l in lambdas]
                     if len(set(lams)) < len(lams):
                         continue
-                counts = count_fixed_configurations(F, d, lams, rng, budget)
-            except InvariantError:
-                raise
-            except MathError:
+                solutions, classes, _ = count_fixed_configurations(F, d, lams, rng, budget)
+            except DegenerateInputError:
                 continue
             out.append(
-                FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=counts[0], classes=counts[1])
+                FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=solutions, classes=classes)
             )
             break
         else:
@@ -420,15 +411,11 @@ def _invariant_certificate(basis: IdealBasis, d: int, classes: int):
     return False, best
 
 
-def sigma2_discrimination(
-    d: int,
-    lambdas,
-    rng,
-    bits: int = 16,
-    max_primes: int = 400,
-    split_attempts: int | None = None,
-    budget=None,
-):
+_SPLIT_ATTEMPTS = 80  # primes tried on the rational-points route, d <= 4 only
+_MAX_PRIMES = 400
+
+
+def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16, budget=None):
     """Whether the level-2 spectrum separates the classes over a fiber.
 
     Works at random primes p = 1 mod (d-1).  When the configuration system
@@ -445,24 +432,20 @@ def sigma2_discrimination(
     if len(lambdas) != d:
         raise UsageError(f"need exactly {d} affine multipliers")
     _check_index_formula(QQ, [QQ.from_rational(l) for l in lambdas])
-    if split_attempts is None:
-        split_attempts = 80 if d <= 4 else 0
-    tried = 0
-    for _ in range(max_primes):
+    for tried in range(1, _MAX_PRIMES + 1):
         p = random_prime(rng, bits, 1, d - 1)
-        tried += 1
         F = GF(p)
         try:
             lams = [F.from_rational(l) for l in lambdas]
-        except MathError:
+        except DegenerateInputError:
             continue
         if len(set(lams)) != len(lams) or F.one in lams:
             continue
-        sys = build_fixed_config_system(F, d, lams)
-        if tried <= split_attempts:
+        if d <= 4 and tried <= _SPLIT_ATTEMPTS:
+            sys = build_fixed_config_system(F, d, lams)
             try:
                 pts = _solve_configurations(sys, rng, budget)
-            except (EliminantNotSplitError, NonSimpleSolutionError):
+            except DegenerateInputError:
                 continue
             if not pts:
                 continue
@@ -480,19 +463,12 @@ def sigma2_discrimination(
                 normal_forms=forms,
                 sigma2_values=sigmas,
             )
-        basis = buchberger(sys.gens, GREVLEX, budget)
-        if quotient_dimension(basis) is None:
-            continue
-        _check_product_equations(sys, basis)
         try:
-            solutions = distinct_point_count(basis, rng)
-        except InvariantError:
-            raise
-        except MathError:
+            solutions, classes, basis = count_fixed_configurations(F, d, lams, rng, budget)
+        except DegenerateInputError:
             continue
-        if solutions == 0 or solutions % (d - 1) != 0:
+        if classes == 0:
             continue
-        classes = solutions // (d - 1)
         ok, k = _invariant_certificate(basis, d, classes)
         if not ok:
             # may be an unlucky prime identifying two exact values; retry
@@ -507,7 +483,7 @@ def sigma2_discrimination(
             method="invariant-trace",
             invariant_power=k,
         )
-    raise SplitSearchError(f"no usable prime found in {max_primes} attempts")
+    raise MathError(f"no usable prime found in {_MAX_PRIMES} attempts")
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ forms after a random projective change of coordinates: its roots are the
 projected intersection points with their intersection multiplicities, so
 the count with multiplicity (Bezout, 144) is the measured deg R.  A ledger
 over the six degenerate points proves the other points simple.  Two
-consecutive independent projections must agree, and a failed or
-disagreeing projection is drawn again; a failed theorem-level check then
-raises InvariantError and is never retried.
+consecutive independent projections must agree (errors.agreed_value), and
+a non-generic or disagreeing projection is drawn again; a failed
+theorem-level check then raises InvariantError and is never retried.
 
 Reconstruction from (fixed points, multipliers) solves the Vandermonde
 system (1 - lambda_i) q(z_i) = p'(z_i) for the denominator of z - p/q,
@@ -39,6 +39,7 @@ from .errors import (
     InvariantError,
     MathError,
     UsageError,
+    agreed_value,
 )
 from .exactalg import (
     GF,
@@ -309,16 +310,16 @@ def _projected_counts(sys: Tau32FiberSystem, pts, rng, ticks):
     b, c, d = (dom.rand_nonzero(rng) for _ in range(3))
     forms = [_shear(_shear(_shear(h.terms, 2, 0, b, p), 2, 1, c, p), 0, 1, d, p) for h in sys.hgens]
     if not all(t.get((0, h.total_degree(), 0)) for t, h in zip(forms, sys.hgens)):
-        raise MathError("the projection centre lies on a curve; draw again")
+        raise DegenerateInputError("the projection centre lies on a curve; draw again")
     R = _sampled_resultant(forms, dom, ticks)
     if R.degree != sys.hgens[0].total_degree() * sys.hgens[1].total_degree():
-        raise MathError("an intersection point lies on the line Z = 0; draw again")
+        raise DegenerateInputError("an intersection point lies on the line Z = 0; draw again")
     g = poly_gcd(R, derivative(R))
     sf = R.divmod(g)[0]  # R = prod g_i^i and p > deg R: g = prod g_i^(i-1), sf = prod g_i
     # M^-1 P = (a - d beta, beta, z - b a - c beta), off Z = 0 since deg R = 144
     xs = [dom.div((a - d * bt) % p, (z - b * a - c * bt) % p) for a, bt, z in pts]
     if len(set(xs)) != len(xs):
-        raise MathError("two degenerate points lie on one line through the centre; draw again")
+        raise DegenerateInputError("two degenerate points lie on one line through the centre; draw again")
     simple = sf.degree - poly_gcd(sf, g).degree
     return R.degree, sf.degree, simple, tuple(_root_multiplicity(R, x) for x in xs)
 
@@ -333,19 +334,7 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
     sys = build_tau32_system(dom, l0, l1, linf, lbeta)
     pts = degenerate_points(dom, l0, l1, linf)
     ticks = None if budget is None else iter(range(budget))
-    last = None
-    for _ in range(_PROJECTIONS):
-        try:
-            counts = _projected_counts(sys, pts, rng, ticks)
-        except InvariantError:
-            raise
-        except MathError:
-            counts = None
-        if counts is not None and counts == last:
-            break
-        last = counts
-    else:
-        raise MathError(f"no two consecutive projections of {_PROJECTIONS} agree; draw again")
+    counts = agreed_value(lambda: _projected_counts(sys, pts, rng, ticks), _PROJECTIONS, "projections")
     # the ledger deg R = simple + sum mult_P, every mult_P >= 2, leaves no other
     # multiple point, so distinct = simple + 6
     bezout, distinct, simple, mults = counts
@@ -375,8 +364,8 @@ def deg_tau32_report(rng, draws: int = 3, bits: int = 30, budget=None) -> Tau32R
     """Fiber counts at independent random (prime, multiplier) draws.
 
     Each draw uses a fresh prime and random generic multipliers; all draws
-    must agree on every reported count.  An unlucky draw is drawn again; a
-    broken invariant (InvariantError) propagates.
+    must agree on every reported count.  A draw that raises
+    DegenerateInputError is drawn again; any other error propagates.
     """
     out = []
     for _ in range(draws):
@@ -393,9 +382,7 @@ def deg_tau32_report(rng, draws: int = 3, bits: int = 30, budget=None) -> Tau32R
                 continue
             try:
                 out.append(deg_tau32_single(F, ls[0], ls[1], ls[2], lbeta, rng, budget))
-            except InvariantError:
-                raise
-            except MathError:
+            except DegenerateInputError:
                 continue
             break
         else:

@@ -25,7 +25,7 @@ from .dynamics import (
     sigma1_relation_residual,
     sigma_n,
 )
-from .errors import BudgetExhaustedError, MultSpecError
+from .errors import BudgetExhaustedError, DegenerateInputError, MultSpecError
 from .exactalg import GF, QQ, UniPoly, random_prime, squarefree_part
 from .polymoduli import (
     complete_multipliers,
@@ -224,7 +224,7 @@ def _marked_map_consistency(rng, budget=None):
             try:
                 inv = Deg3Invariants(F, ls[0], ls[1], ls[2], alpha)
                 la = inv.lalpha
-            except MultSpecError:
+            except DegenerateInputError:
                 continue
             break
         phi = map_from_invariants(inv)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from multspec.errors import BudgetExhaustedError, EliminantNotSplitError, MathError, UsageError
+from multspec.errors import BudgetExhaustedError, DegenerateInputError, MathError, UsageError
 from multspec.exactalg import GF, QQ, UniPoly
 from multspec.groebner import (
     GREVLEX,
@@ -243,7 +243,7 @@ def test_solve_rational_points_not_split():
     nonres = next(n for n in range(2, 103) if pow(n, 51, 103) == 102)
     g = mp(F, ("x",), {(2,): 1, (0,): -nonres})
     gb = buchberger([g], GREVLEX)
-    with pytest.raises(EliminantNotSplitError):
+    with pytest.raises(DegenerateInputError, match="does not split"):
         solve_rational_points(gb, rng)
 
 

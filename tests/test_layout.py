@@ -7,14 +7,21 @@ Names are read as Python tokens, so a mention in a string or a comment
 does not count.  Exempt are dunder names and methods that override a
 method of a class from outside the package (argparse calls
 ``ArgumentParser.error``): the interpreter or that library calls them.
+
+And one retry rule (``multspec.errors``): an ``except`` clause that can
+catch a package error names only a draw-again class, except in the two
+functions that turn errors into output.
 """
 
 import ast
+import builtins
 import importlib
 import io
 import tokenize
 from collections import Counter
 from pathlib import Path
+
+from multspec import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multspec"
 
@@ -72,3 +79,42 @@ def test_every_definition_in_src_is_used_in_src():
         and not (owner and _overrides_foreign(module, owner, name))
     )
     assert unused == []
+
+
+RETRY_CLASSES = {"DegenerateInputError", "DegenerateMapError"}
+ERROR_REPORTERS = {("cli", "run_command"), ("reproduce", "run_criterion")}
+
+
+def _except_clauses(tree):
+    """(enclosing function name or None, caught names) of every except clause;
+    a bare except catches BaseException."""
+    out = []
+
+    def walk(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                types = [] if child.type is None else getattr(child.type, "elts", [child.type])
+                out.append((func, [getattr(t, "id", getattr(t, "attr", None)) for t in types] or ["BaseException"]))
+            walk(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    walk(tree, None)
+    return out
+
+
+def _catches_package_errors(name):
+    cls = getattr(errors, name, getattr(builtins, name, None))
+    return isinstance(cls, type) and (issubclass(cls, errors.MultSpecError) or issubclass(errors.MultSpecError, cls))
+
+
+def test_retry_clauses_catch_only_draw_again_errors():
+    broad = []
+    for path in sorted(SRC.glob("*.py")):
+        for func, names in _except_clauses(ast.parse(path.read_text())):
+            if (path.stem, func) in ERROR_REPORTERS:
+                continue
+            broad += [
+                f"{path.stem}.{func}: except {n}"
+                for n in names
+                if _catches_package_errors(n) and n not in RETRY_CLASSES
+            ]
+    assert broad == []

@@ -6,16 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from multspec import polymoduli
+from multspec import groebner, polymoduli
 from multspec.cli import run_command
 from multspec.dynamics import ProjPoint, fixed_point_index_sum, multiplier_at_point, sigma_n
 from multspec.errors import (
     BudgetExhaustedError,
     DegenerateInputError,
-    EliminantNotSplitError,
     InvariantError,
     MathError,
-    NonSimpleSolutionError,
     UsageError,
 )
 from multspec.exactalg import GF, QQ, UniPoly, compose, derivative, fp_roots, random_prime
@@ -247,12 +245,67 @@ def test_broken_invariant_in_a_fiber_count_is_not_retried(monkeypatch):
         fiber_degree_experiment(3, random.Random(8), draws=1, bits=14)
     with pytest.raises(InvariantError, match="planted"):
         fiber_degree_experiment(5, random.Random(9), draws=1, bits=18, lambdas=D5_LAMBDAS)
-    with pytest.raises(InvariantError, match="planted"):
-        sigma2_discrimination(5, D5_LAMBDAS, random.Random(1), max_primes=6)
+    with monkeypatch.context() as m, pytest.raises(InvariantError, match="planted"):
+        m.setattr(polymoduli, "_MAX_PRIMES", 6)
+        sigma2_discrimination(5, D5_LAMBDAS, random.Random(1))
     for number in (5, 6):
         result = run_criterion(number)
         assert not result.passed
         assert result.detail == "planted broken count"
+
+
+def test_only_degenerate_input_is_drawn_again(monkeypatch):
+    # a plain MathError inside the retry loop of criterion 5 fails the run
+    # after one system; a DegenerateInputError is an unlucky draw
+    real = polymoduli.distinct_point_count
+    calls = []
+
+    def planted(error):
+        def count(basis, rng):
+            calls.append(basis)
+            if len(calls) == 1:
+                raise error("planted count failure")
+            return real(basis, rng)
+
+        return count
+
+    monkeypatch.setattr(polymoduli, "distinct_point_count", planted(MathError))
+    with pytest.raises(MathError, match="planted") as err:
+        fiber_degree_experiment(3, random.Random(8), draws=1, bits=14)
+    assert type(err.value) is MathError and len(calls) == 1
+    calls.clear()
+    result = run_criterion(5)
+    assert not result.passed and result.detail == "planted count failure"
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(polymoduli, "distinct_point_count", planted(DegenerateInputError))
+    rep = fiber_degree_experiment(3, random.Random(8), draws=1, bits=14)
+    assert (rep.solutions, rep.classes) == (2, 1) and len(calls) == 2
+
+
+def test_a_broken_point_extraction_fails_sigma2_check(monkeypatch):
+    # once the eliminant is squarefree and splits, each eigenspace is one
+    # evaluation functional (solve_rational_points): a fault there ends the
+    # run on the first system that reaches point extraction
+    real_split, real_eval = groebner.split_linear, MultiPoly.eval
+    split = []
+
+    def counted(f, rng):
+        split.append(f)
+        return real_split(f, rng)
+
+    faults = [
+        (groebner, "_kernel_vector", lambda rows, dom: [dom.zero] * len(rows), "eigenfunctional does not evaluate 1"),
+        (MultiPoly, "eval", lambda g, pt: g.dom.add(real_eval(g, pt), g.dom.one), "extracted point fails to satisfy"),
+    ]
+    for owner, name, fault, message in faults:
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "split_linear", counted)
+            m.setattr(owner, name, fault)
+            split.clear()
+            code, text = run_command(["sigma2-check", "-d", "4", "--lambdas=-5,5,4"])
+        assert code == 1 and json.loads(text)["error"].startswith(message)
+        assert len(split) == 1
 
 
 def test_relation_violating_multipliers_have_no_configurations(monkeypatch):
@@ -291,7 +344,7 @@ def _find_split_d4(rng, max_tries=120):
         sys = build_fixed_config_system(F, 4, lams)
         try:
             pts = _solve_configurations(sys, rng)
-        except (EliminantNotSplitError, NonSimpleSolutionError):
+        except DegenerateInputError:
             continue
         if pts:
             return F, lams, sys, pts
@@ -425,16 +478,18 @@ def test_sigma2_discrimination_d4_rational_points():
         assert len(vec) == 17 and vec[-1] == 0  # d^2+1 entries, infinity kills e_17
 
 
-def test_sigma2_discrimination_d4_invariant_path_agrees():
-    rep = sigma2_discrimination(4, D4_LAMBDAS, random.Random(14), bits=16, split_attempts=0)
+def test_sigma2_discrimination_d4_invariant_path_agrees(monkeypatch):
+    monkeypatch.setattr(polymoduli, "_SPLIT_ATTEMPTS", 0)
+    rep = sigma2_discrimination(4, D4_LAMBDAS, random.Random(14), bits=16)
     assert rep.method == "invariant-trace"
     assert (rep.solutions, rep.classes) == (6, 2)
     assert rep.all_distinct
     assert rep.sigma2_values is None
 
 
-def test_sigma2_discrimination_d5_certificate():
-    rep = sigma2_discrimination(5, D5_LAMBDAS, random.Random(15), bits=16, max_primes=40)
+def test_sigma2_discrimination_d5_certificate(monkeypatch):
+    monkeypatch.setattr(polymoduli, "_MAX_PRIMES", 40)
+    rep = sigma2_discrimination(5, D5_LAMBDAS, random.Random(15), bits=16)
     assert rep.method == "invariant-trace"
     assert (rep.solutions, rep.classes) == (24, 6)
     assert rep.all_distinct
@@ -534,10 +589,11 @@ def test_a_fault_in_the_system_builder_fails_the_run(monkeypatch):
         fiber_degree_experiment(5, random.Random(9), draws=1, bits=18, lambdas=D5_LAMBDAS)
     assert len(built) == 1
     # the split path of sigma2-check (d = 4) and its invariant-trace path
-    for split_attempts in (None, 0):
+    for split_attempts in (polymoduli._SPLIT_ATTEMPTS, 0):
+        monkeypatch.setattr(polymoduli, "_SPLIT_ATTEMPTS", split_attempts)
         built.clear()
         with pytest.raises(InvariantError, match="product equation"):
-            sigma2_discrimination(4, D4_LAMBDAS, random.Random(13), split_attempts=split_attempts)
+            sigma2_discrimination(4, D4_LAMBDAS, random.Random(13))
         assert len(built) == 1
 
 
@@ -557,5 +613,6 @@ def test_an_invariant_with_too_many_values_is_a_broken_invariant(monkeypatch):
     # a count of 8 configurations at d = 5 claims 2 classes; the second
     # 2-cycle power sum takes 6 values, outside the retry loop of sigma2-check
     monkeypatch.setattr(polymoduli, "distinct_point_count", lambda basis, rng: 8)
+    monkeypatch.setattr(polymoduli, "_MAX_PRIMES", 40)
     with pytest.raises(InvariantError, match="more values than there are classes"):
-        sigma2_discrimination(5, D5_LAMBDAS, random.Random(15), bits=16, max_primes=40)
+        sigma2_discrimination(5, D5_LAMBDAS, random.Random(15), bits=16)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from multspec import exactalg, groebner, linalg, rat3
+from multspec import exactalg, groebner, linalg, rat3, reproduce
 from multspec.dynamics import (
     Mobius,
     ProjMap,
@@ -461,6 +461,30 @@ def test_broken_invariant_fails_instead_of_retrying(monkeypatch):
     monkeypatch.setattr(rat3, "_root_multiplicity", _fault_once_per_point(rat3._root_multiplicity, -1, 5))
     with pytest.raises(InvariantError, match="expected a multiple point at .* got multiplicity 1"):
         deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
+
+
+def test_marked_map_criterion_draws_again_only_on_degenerate_input(monkeypatch):
+    # criterion 10 redraws parameters that hit an excluded locus; any other
+    # error fails it at once instead of looping
+    real = reproduce.Deg3Invariants
+    calls = []
+
+    def planted(error):
+        def build(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise error("planted marked-map failure")
+            return real(*args)
+
+        return build
+
+    monkeypatch.setattr(reproduce, "Deg3Invariants", planted(InvariantError))
+    result = run_criterion(10)
+    assert not result.passed and result.detail == "planted marked-map failure"
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(reproduce, "Deg3Invariants", planted(DegenerateInputError))
+    assert run_criterion(10).passed
 
 
 def test_corrupted_resultant_sample_is_an_invariant_error(monkeypatch):
