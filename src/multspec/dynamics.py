@@ -21,14 +21,20 @@ derivative of phi^m, over the roots of Phi*_m, and G_k(chi) has the k-th
 powers of the roots of chi: the characteristic polynomial of the k-th power
 of chi's companion matrix, in every characteristic.  Over GF(p), chi*_m is
 the characteristic polynomial of multiplication by mu_m on k[z]/(Phi*_m);
-over QQ it is Res_z(Phi*_m, w * Den_m^2 - Num_m), with Num_m and Den_m^2
-formed on ZZ, sampled at deg Phi*_m + 1 values of w and interpolated.
+over QQ, R(w) = Res_z(Phi*_m, w * Den_m^2 - Num_m) is c psi^m, psi the
+monic cycle polynomial of degree D / m, D = deg Phi*_m (exact period m
+points form m-cycles of one multiplier; formal-period points are limits of
+them), and c = Res_z(Phi*_m, Den_m^2).  psi(j) is the rational m-th root of
+R(j) / c at w = 0 .. D / m, signed for even m by psi mod p: the monic m-th
+root of the GF(p) chi*_m, for the first prime of a fixed list that reduces
+well.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DegenerateInputError,
@@ -39,6 +45,7 @@ from .errors import (
     UsageError,
 )
 from .exactalg import (
+    GF,
     Domain,
     QQ,
     UniPoly,
@@ -366,21 +373,73 @@ def _mult_char_poly(mu: UniPoly, modulus: UniPoly) -> UniPoly:
     return char_poly([list(row) for row in zip(*cols)], modulus.dom, "w")
 
 
-def _sampled_char_poly(phis: UniPoly, num: UniPoly, den2: UniPoly) -> UniPoly:
-    """Res_z(phis, w * den2 - num) times a constant; phis monic over QQ, num
-    and den2 on ZZ.
+_SIGN_PRIMES = (1000003, 1000033, 1000037)  # fixed, so no output depends on a seed
 
-    phis is cleared once, to f = a * phis on ZZ.  Res(f, g) = a^deg(g)
-    Res(phis, g) at the actual deg(g) of each sample g = c * den2 - num, so
-    scaling by a^(top - deg(g)) leaves one factor common to all samples.
-    """
+
+def _rational_root(q: Fraction, m: int) -> Fraction:
+    """The real m-th root of q; InvariantError unless it is rational."""
+    root = []
+    for k in (abs(q.numerator), q.denominator):
+        x = 1 << -(-k.bit_length() // m)  # x >= k^(1/m): Newton descends to the floor
+        while x and (y := ((m - 1) * x + k // x ** (m - 1)) // m) < x:
+            x = y
+        root.append(x)
+    r = Fraction(*root)
+    if r**m != abs(q) or (q < 0 and m % 2 == 0):
+        raise InvariantError(f"a sample of chi*_{m} is not psi^{m} for a rational psi: {q}")
+    return -r if q < 0 else r
+
+
+def _monic_root(chi: UniPoly, m: int) -> UniPoly:
+    """Monic psi with psi^m = chi over GF(p), p > deg psi, p not dividing m:
+    g = (t^D chi(1/t))^(1/m) solves m f g' = f' g term by term."""
+    p, f, g = chi.dom.p, chi.coeffs[::-1], [1]
+    for k in range(1, chi.degree // m + 1):
+        s = sum((i - m * (k - i)) * f[i] * g[k - i] for i in range(1, k + 1))
+        g.append(s * pow(k * m, -1, p) % p)
+    return UniPoly(chi.dom, chi.var, g[::-1])
+
+
+def _fp_char_poly(phis: UniPoly, num: UniPoly, den2: UniPoly) -> UniPoly:
+    """chi*_m over GF(p): Den_m is a unit mod Phi*_m, so mu_m lives in k[z]/(Phi*_m)."""
+    return _mult_char_poly(num.monic_divmod(phis)[1] * inverse_mod(den2, phis), phis)
+
+
+def _root_signs(phis, num, den2, m, a, c, roots):
+    """roots[j] signed as psi(j) mod p; a prime dividing a * c (a denominator of
+    phis, or a bad reduction) or a nonzero root's numerator or denominator is passed over."""
+    for p in _SIGN_PRIMES:
+        if a * c % p == 0 or any(r and r.numerator * r.denominator % p == 0 for r in roots):
+            continue
+        F = GF(p)
+        psi = _monic_root(_fp_char_poly(*(g.map_coeffs(F, F.from_rational) for g in (phis, num, den2))), m)
+        signed = []
+        for j, r in enumerate(roots):
+            v, rp = psi.eval(j), F.from_rational(r)
+            if v not in (rp, F.neg(rp)):
+                raise InvariantError(f"psi*_{m}({j}) = +-{r} does not reduce to psi*_{m} mod {p}")
+            signed.append(r if v == rp else -r)
+        return signed
+    raise MathError(f"no prime of {_SIGN_PRIMES} reduces chi*_{m} well")
+
+
+def _sampled_char_poly(phis: UniPoly, num: UniPoly, den2: UniPoly, m: int) -> UniPoly:
+    """chi*_m = psi^m over QQ; phis monic over QQ, num and den2 on ZZ.  With
+    f = a * phis on ZZ, a^(top - deg g) Res(f, g) is a^top Res(phis, g) for
+    every sample g = j * den2 - num, and c is the w^D coefficient."""
     (f,), a = clear_denominators(phis)
-    top = max(num.degree, den2.degree)
-    ys = []
-    for c in range(phis.degree + 1):
-        g = den2.scale(c) - num
-        ys.append(QQ.zero if g.is_zero else QQ.from_int(resultant(f, g) * a ** (top - g.degree)))
-    return interpolate(list(range(len(ys))), ys, QQ, "w")
+    top, e = max(num.degree, den2.degree), phis.degree // m
+    gs = [den2.scale(j) - num for j in range(e + 1)] + [den2]
+    *ys, c = (resultant(f, g) * a ** (top - g.degree) for g in gs)
+    if not c:
+        raise InvariantError(f"a root of Phi*_{m} is a pole of phi^{m}")
+    roots = [_rational_root(Fraction(y, c), m) for y in ys]
+    if m % 2 == 0:
+        roots = _root_signs(phis, num, den2, m, a, c, roots)
+    psi = interpolate(list(range(e + 1)), roots, QQ, "w")
+    if psi.degree != e or psi.lc != 1:  # fails for one wrong sample, or a wrong c
+        raise InvariantError(f"psi*_{m} through the samples is not monic of degree {e}")
+    return psi**m
 
 
 def multiplier_char_poly(phi: ProjMap, n: int) -> UniPoly:
@@ -413,15 +472,12 @@ def multiplier_char_poly(phi: ProjMap, n: int) -> UniPoly:
             (nn, dd), _ = clear_denominators(nn, dd)
         num = derivative(nn) * dd - nn * derivative(dd)
         den2 = dd * dd
-        if dom.char == 0:
-            chi = _sampled_char_poly(phis, num, den2).monic()
-        else:  # Den_m is a unit mod Phi*_m, so mu_m lives in k[z]/(Phi*_m)
-            chi = _mult_char_poly(num.monic_divmod(phis)[1] * inverse_mod(den2, phis), phis)
+        chi = _sampled_char_poly(phis, num, den2, m) if dom.char == 0 else _fp_char_poly(phis, num, den2)
         if m < n:  # G_{n/m}
             chi = _mult_char_poly(UniPoly.const(dom, "w", dom.one).shift(n // m), chi)
         r = r * chi
     if r.degree != phi.d ** n + 1:
-        raise MathError("multiplier characteristic polynomial has wrong degree")
+        raise InvariantError("multiplier characteristic polynomial has wrong degree")
     return r
 
 

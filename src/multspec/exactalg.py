@@ -361,8 +361,9 @@ class UniPoly:
         while n:
             if n & 1:
                 r = r * b
-            b = b * b
             n >>= 1
+            if n:
+                b = b * b
         return r
 
     def scale(self, c):

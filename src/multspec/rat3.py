@@ -249,7 +249,7 @@ class Tau32Report:
     degree: int
 
 
-_NODES = 145  # R has degree <= 9 * 16 = 144, so 145 samples determine it
+_DEGREE = 144  # deg R <= 9 * 16: 145 samples determine R, and one more checks them
 _PROJECTIONS = 6  # projections drawn per specialization before giving up
 
 
@@ -265,10 +265,10 @@ def _shear(terms: dict, i: int, j: int, s: int, p: int) -> dict:
 
 def _sampled_resultant(forms, dom, ticks) -> UniPoly:
     """R(X) = Res_Y(h1, h2)(X, 1) of two term dicts in (X, Y, Z) at their
-    Y-degrees (m, n), sampled at X = 0 .. 144 and interpolated; each sample
-    takes one budget tick.  A sample where f1 drops k degrees is scaled by
-    (-1)^(n k) lc(f2)^k back to Res_{m,n}, and symmetrically for f2; no
-    caller passes two forms whose Y-leading coefficients vanish together."""
+    Y-degrees (m, n), interpolated from X = 0 .. 145, one budget tick a
+    sample; one wrong sample lifts R above degree 144.  A sample where f1
+    drops k degrees is scaled by (-1)^(n k) lc(f2)^k back to Res_{m,n}, and
+    so for f2; no caller passes two forms whose Y-leading coefficients both vanish."""
     p, (m, n) = dom.p, [max(e[1] for e in t) for t in forms]
     tops = [max(map(sum, t)) for t in forms]
     cols = [[[0] * (top + 1) for _ in range(d + 1)] for top, d in zip(tops, (m, n))]
@@ -276,7 +276,7 @@ def _sampled_resultant(forms, dom, ticks) -> UniPoly:
         for (a, b, _), c in t.items():
             cs[b][a] = c
     ys = []
-    for x in range(_NODES):
+    for x in range(_DEGREE + 2):
         if ticks is not None and next(ticks, None) is None:
             raise BudgetExhaustedError("resultant sample budget exhausted")
         pw = [pow(x, k, p) for k in range(max(tops) + 1)]
@@ -285,7 +285,10 @@ def _sampled_resultant(forms, dom, ticks) -> UniPoly:
         if r and (k1 or k2):
             r = r * pow(-1, n * k1) * pow(f2.lc, k1, p) * pow(f1.lc, k2, p) % p
         ys.append(r)
-    return interpolate(list(range(_NODES)), ys, dom, "X")
+    R = interpolate(list(range(_DEGREE + 2)), ys, dom, "X")
+    if R.degree > _DEGREE:
+        raise InvariantError(f"the sampled resultant has degree {R.degree} > {_DEGREE}")
+    return R
 
 
 def _root_multiplicity(f: UniPoly, c) -> int:
@@ -328,8 +331,8 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
     """All counts of Theorem-4.1 type for one specialization, read off the
     first two consecutive random projections that agree, of at most
     _PROJECTIONS; `budget` caps the resultant samples."""
-    if not isinstance(dom, PrimeField) or dom.p <= _NODES:
-        raise UsageError(f"deg-tau32 needs GF(p) with p > {_NODES}: it samples a resultant at {_NODES} nodes")
+    if not isinstance(dom, PrimeField) or dom.p <= _DEGREE + 1:
+        raise UsageError(f"deg-tau32 needs GF(p) with p > {_DEGREE + 1}: it samples a resultant at X = 0 .. {_DEGREE + 1}")
     forced_multiplier(dom, (l0, l1, linf))  # reject non-generic parameter poles early
     sys = build_tau32_system(dom, l0, l1, linf, lbeta)
     pts = degenerate_points(dom, l0, l1, linf)

@@ -306,8 +306,10 @@ def test_char_poly_matches_sampled_resultant(bits):
 
 
 def test_quintic_route_takes_resultants_against_dynatomic_factors(monkeypatch):
-    # over QQ at (5, 2): deg Phi*_1 + 1 = 7 samples against Phi*_1 (degree 6)
-    # and 21 against Phi*_2 (degree 20), not 27 against Per_2 (degree 26)
+    # over QQ at (5, 2): 7 samples and the w^6 coefficient against Phi*_1
+    # (degree 6), and 20 / 2 + 1 = 11 samples of the cycle polynomial and the
+    # w^20 coefficient against Phi*_2 (degree 20); not 27 against Per_2
+    # (degree 26), nor 21 against Phi*_2
     phi = random_map(QQ, 5, random.Random(61), height=9)
     degrees = Counter()
     real = dynamics.resultant
@@ -318,7 +320,7 @@ def test_quintic_route_takes_resultants_against_dynatomic_factors(monkeypatch):
 
     monkeypatch.setattr(dynamics, "resultant", recording)
     assert multiplier_char_poly(phi, 2).degree == 26
-    assert degrees == {6: 7, 20: 21}
+    assert degrees == {6: 8, 20: 12}
 
 
 def test_perturbed_pseudo_remainder_fails_the_run(monkeypatch):
@@ -372,6 +374,127 @@ def test_non_exact_dynatomic_division_fails_the_run(monkeypatch):
     code, text = run_command(["sigma", "--num", "1,0,1", "--den", "3,1,7", "-n", "2"])
     assert code == 1 and '"kind": "math"' in text and "Phi*_1 does not divide Per_2" in text
     assert calls == [2, 1, 2, 1]
+
+
+SIGMA_ARGV = ["sigma", "--num", "1,0,1", "--den", "3,1,7", "-n", "2"]
+
+
+@pytest.mark.parametrize("target", [3, 4])
+def test_one_wrong_fixed_point_sample_fails_the_run(monkeypatch, target):
+    # the CLI takes two pseudo-remainders for Res(num, den), then two for the
+    # w = 0 sample against Phi*_1; a wrong last remainder leaves every
+    # division exact, and only the monic degree-3 interpolant exposes it
+    real = exactalg._zz_prem
+    calls = []
+
+    def perturbed(a, b):
+        r = real(a, b)
+        calls.append(len(a))
+        if len(calls) == target:
+            r[0] += 1
+        return r
+
+    monkeypatch.setattr(exactalg, "_zz_prem", perturbed)
+    code, text = run_command(SIGMA_ARGV)
+    assert code == 1 and '"kind": "math"' in text and "psi*_1 through the samples is not monic of degree 3" in text
+
+
+def test_one_wrong_two_cycle_sample_fails_the_run(monkeypatch):
+    # Phi*_1 (degree 3) takes 4 samples and its w^3 coefficient; the 6th
+    # resultant is the w = 0 sample against Phi*_2, which must be c psi(0)^2.
+    # Phi*_2 (degree 2) takes 2 samples and c before the roots are taken
+    real = dynamics.resultant
+    calls, target = [], [6]
+
+    def perturbed(f, g):
+        calls.append(f.degree)
+        return real(f, g) + (len(calls) == target[0])
+
+    phi = ProjMap(QQ, [Fraction(c) for c in (1, 0, 1)], [Fraction(c) for c in (3, 1, 7)])
+    monkeypatch.setattr(dynamics, "resultant", perturbed)
+    with pytest.raises(InvariantError, match="sample of chi\\*_2 is not psi\\^2"):
+        multiplier_char_poly(phi, 2)
+    assert calls == [3] * 5 + [2] * 3
+    # the CLI checks Res(num, den) of the map first
+    calls.clear()
+    target[0] = 7
+    code, text = run_command(SIGMA_ARGV)
+    assert code == 1 and '"kind": "math"' in text and "sample of chi*_2 is not psi^2" in text
+    assert calls == [2] + [3] * 5 + [2] * 3
+
+
+def quadratic(F, c):
+    return ProjMap.from_polynomial(UniPoly(F, "z", [F.from_rational(c), F.zero, F.one]))
+
+
+@pytest.mark.parametrize("p", [None, 101, 1000003])
+def test_formal_period_points_keep_the_cycle_power(p):
+    # z^2 - 3/4 has a fixed point of multiplier -1, a double root of Phi*_2;
+    # z^2 - 5/4 has a 2-cycle of multiplier -1, double roots of Phi*_4.  Their
+    # multipliers are 1, so chi*_m = psi^m only as a limit of m-cycles
+    F = QQ if p is None else GF(p)
+    w = UniPoly.gen(F, "w")
+    one = UniPoly.const(F, "w", F.one)
+    for c, n, factor in ((Fraction(-3, 4), 2, (w - one) ** 3), (Fraction(-5, 4), 4, (w - one) ** 6)):
+        phi = quadratic(F, c)
+        chi = multiplier_char_poly(phi, n)
+        assert chi == sampled_multiplier_char_poly(phi, n)
+        assert has_repeated_root(phi, n)
+        assert chi.divmod(factor)[1].is_zero and not chi.divmod(factor * (w - one))[1].is_zero
+    assert multiplier_char_poly(quadratic(F, Fraction(-3, 4)), 2) == w * (w - one.scale(F.from_int(9))) * (w - one) ** 3
+
+
+def test_sign_primes_skip_bad_reductions(monkeypatch):
+    # z^2 + 1 has the 2-cycle multiplier 8, so psi*_2 = w - 8 and the two
+    # samples are psi(0) = -8 and psi(1) = -7.  The repositioned Phi*_2 has
+    # denominator 72, so 3 is skipped; 7 divides psi(1), so 7 is skipped too
+    phi = quadratic(QQ, Fraction(1))
+    expected = multiplier_char_poly(phi, 2)
+    primes = []
+    real = dynamics._monic_root
+
+    def recording(chi, m):
+        primes.append(chi.dom.p)
+        return real(chi, m)
+
+    monkeypatch.setattr(dynamics, "_monic_root", recording)
+    monkeypatch.setattr(dynamics, "_SIGN_PRIMES", (3, 7, 1000003))
+    assert multiplier_char_poly(phi, 2) == expected
+    assert primes == [1000003]
+    monkeypatch.setattr(dynamics, "_SIGN_PRIMES", (3, 7))
+    with pytest.raises(MathError, match="no prime of \\(3, 7\\) reduces chi\\*_2 well") as err:
+        multiplier_char_poly(phi, 2)
+    assert type(err.value) is MathError  # not retried as an unlucky draw, not a program fault
+    # a psi mod p that matches neither sign of a sample is a fault
+    monkeypatch.setattr(dynamics, "_SIGN_PRIMES", (1000003,))
+    monkeypatch.setattr(dynamics, "_monic_root", lambda chi, m: real(chi, m) + UniPoly.const(chi.dom, "w", 1))
+    with pytest.raises(InvariantError, match="does not reduce to psi\\*_2 mod 1000003"):
+        multiplier_char_poly(phi, 2)
+
+
+def test_monic_root_matches_sympy():
+    # chi = psi^m is formed by sympy; its monic m-th root must be psi again
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(91)
+    w = sympy.Symbol("w")
+    for p, m, e in ((1000003, 2, 10), (1000003, 4, 3), (101, 3, 5), (7, 2, 6)):
+        F = GF(p)
+        psi = UniPoly(F, "w", [F.rand(rng) for _ in range(e)] + [1])
+        chi = sympy.Poly(list(reversed(psi.coeffs)), w, modulus=p) ** m
+        chi = UniPoly.from_ints(F, "w", reversed(chi.all_coeffs()))
+        assert chi.degree == m * e and dynamics._monic_root(chi, m) == psi
+
+
+@pytest.mark.parametrize("p", [None, 101])
+def test_wrong_final_degree_is_an_invariant_error(monkeypatch, p):
+    # the Per_m degree checks force deg chi_n = d^n + 1, so a wrong degree
+    # at the end is a fault in the program
+    F = QQ if p is None else GF(p)
+    name = "_sampled_char_poly" if p is None else "_fp_char_poly"
+    real = getattr(dynamics, name)
+    monkeypatch.setattr(dynamics, name, lambda *args: real(*args).shift(1))
+    with pytest.raises(InvariantError, match="multiplier characteristic polynomial has wrong degree"):
+        multiplier_char_poly(quadratic(F, Fraction(1)), 1)
 
 
 # --- independent oracle: power sums via multiplication traces ---

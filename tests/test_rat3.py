@@ -312,7 +312,7 @@ def test_deg_tau32_single_counts():
 
 def test_deg_tau32_single_work_counts(monkeypatch):
     """One draw: no Groebner basis, normal-form context or characteristic
-    polynomial; 3 x 145 sampled resultants (two projections and alpha)."""
+    polynomial; 3 x 146 sampled resultants (two projections and alpha)."""
     calls = Counter()
 
     def counting(name, fn):
@@ -329,7 +329,7 @@ def test_deg_tau32_single_work_counts(monkeypatch):
     monkeypatch.setattr(groebner, "_char_poly", char_poly)
     monkeypatch.setattr(rat3, "resultant", counting("resultant", exactalg.resultant))
     deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
-    assert calls == {"resultant": 3 * 145}
+    assert calls == {"resultant": 3 * 146}
     for name in ("buchberger", "quotient_dimension", "distinct_point_count", "eliminant_of_form", "fp_roots"):
         assert not hasattr(rat3, name)
 
@@ -463,6 +463,24 @@ def test_broken_invariant_fails_instead_of_retrying(monkeypatch):
         deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
 
 
+@pytest.mark.parametrize("target", [1, 146, 200])
+def test_one_wrong_resultant_sample_fails_the_draw(monkeypatch, target):
+    # R has degree <= 144 and is sampled at 146 nodes, so one sample off by
+    # one (the first and last of the first projection, one of the second)
+    # lifts the interpolant to degree 145; the draw fails, not retried
+    calls = []
+
+    def perturbed(f, g):
+        calls.append(1)
+        r = exactalg.resultant(f, g)
+        return (r + 1) % f.dom.p if len(calls) == target else r
+
+    monkeypatch.setattr(rat3, "resultant", perturbed)
+    with pytest.raises(InvariantError, match="sampled resultant has degree 145 > 144"):
+        deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
+    assert len(calls) == -(-target // 146) * 146  # the projection of the wrong sample ends
+
+
 def test_marked_map_criterion_draws_again_only_on_degenerate_input(monkeypatch):
     # criterion 10 redraws parameters that hit an excluded locus; any other
     # error fails it at once instead of looping
@@ -488,20 +506,24 @@ def test_marked_map_criterion_draws_again_only_on_degenerate_input(monkeypatch):
 
 
 def test_corrupted_resultant_sample_is_an_invariant_error(monkeypatch):
-    # one wrong sample in both projections: R is off, the degenerate points
-    # are no longer multiple roots, and both projections agree on that
+    # one wrong sample of the 146 lifts R to degree 145.  Every sample off by
+    # one keeps degree 144, but R + 1 is off: the degenerate points are no
+    # longer multiple roots, and both projections agree on that
     real = rat3.interpolate
 
-    def corrupted(xs, ys, dom, var):
-        ys = list(ys)
-        ys[7] = dom.add(ys[7], dom.one)
-        return real(xs, ys, dom, var)
+    def corrupted(nodes):
+        def interpolate(xs, ys, dom, var):
+            ys = [dom.add(y, dom.one) if i in nodes else y for i, y in enumerate(ys)]
+            return real(xs, ys, dom, var)
 
-    monkeypatch.setattr(rat3, "interpolate", corrupted)
-    with pytest.raises(InvariantError, match="expected a multiple point"):
-        deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
-    with pytest.raises(InvariantError):
-        deg_tau32_report(random.Random(0xC0FFEE), draws=1)
+        return interpolate
+
+    for nodes, message in (({7}, "degree 145 > 144"), (set(range(146)), "expected a multiple point")):
+        monkeypatch.setattr(rat3, "interpolate", corrupted(nodes))
+        with pytest.raises(InvariantError, match=message):
+            deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
+        with pytest.raises(InvariantError):
+            deg_tau32_report(random.Random(0xC0FFEE), draws=1)
 
 
 def test_disagreeing_projections_are_retried(monkeypatch):
@@ -542,10 +564,10 @@ def test_pinned_small_field_draws_projections_again():
 
 
 def test_deg_tau32_budget_and_small_fields():
-    # one budget tick per resultant sample: 3 x 145 per draw
-    deg_tau32_single(PINNED_F, *PINNED, random.Random(3), budget=435)
+    # one budget tick per resultant sample: 3 x 146 per draw
+    deg_tau32_single(PINNED_F, *PINNED, random.Random(3), budget=438)
     with pytest.raises(BudgetExhaustedError):
-        deg_tau32_single(PINNED_F, *PINNED, random.Random(3), budget=434)
+        deg_tau32_single(PINNED_F, *PINNED, random.Random(3), budget=437)
     F = GF(139)
     with pytest.raises(UsageError, match="p > 145"):
         deg_tau32_single(F, *(F.from_int(c) for c in (2, 3, 4, 5)), random.Random(3))
