@@ -16,18 +16,19 @@ at infinity; the conjugating candidates come from a fixed internal
 sequence, so results never depend on caller seeds (they are conjugation
 invariants).  Per_n is the product of the dynatomic factors Phi*_m, m | n,
 and a root of Phi*_m has n-multiplier ((phi^m)')^(n/m), so chi_n is the
-product of G_{n/m}(chi*_m).  Here chi*_m takes mu_m = Num_m / Den_m^2, the
-derivative of phi^m, over the roots of Phi*_m, and G_k(chi) has the k-th
-powers of the roots of chi: the characteristic polynomial of the k-th power
-of chi's companion matrix, in every characteristic.  Over GF(p), chi*_m is
-the characteristic polynomial of multiplication by mu_m on k[z]/(Phi*_m);
-over QQ, R(w) = Res_z(Phi*_m, w * Den_m^2 - Num_m) is c psi^m, psi the
-monic cycle polynomial of degree D / m, D = deg Phi*_m (exact period m
-points form m-cycles of one multiplier; formal-period points are limits of
-them), and c = Res_z(Phi*_m, Den_m^2).  psi(j) is the rational m-th root of
-R(j) / c at w = 0 .. D / m, signed for even m by psi mod p: the monic m-th
-root of the GF(p) chi*_m, for the first prime of a fixed list that reduces
-well.
+product of G_{n/m}(chi*_m), where G_k(chi) has the k-th powers of the
+roots of chi: the characteristic polynomial of the k-th power of chi's
+companion matrix, in every characteristic.  chi*_m takes mu_m = (phi^m)'
+over the roots x of Phi*_m.  With phi^m = Num_m / Den_m, Per_m(x) = 0 is
+Num_m(x) = x Den_m(x), so mu_m(x) = 1 + Per_m'(x) / Den_m(x), Den_m(x) != 0
+as the forms are coprime.  Over GF(p), chi*_m is the characteristic
+polynomial of multiplication by mu_m on k[z]/(Phi*_m); over QQ,
+R(w) = Res_z(Phi*_m, (w - 1) Den_m - Per_m') is c psi^m, psi the monic
+cycle polynomial of degree D / m, D = deg Phi*_m (exact period m points
+form m-cycles of one multiplier; formal-period points are limits of them),
+and c = Res_z(Phi*_m, Den_m).  psi(j) is the rational m-th root of R(j) / c
+at w = 0 .. D / m, signed for even m by psi mod p: the monic m-th root of
+the GF(p) chi*_m, for the first prime of a fixed list that reduces well.
 """
 
 from __future__ import annotations
@@ -400,19 +401,19 @@ def _monic_root(chi: UniPoly, m: int) -> UniPoly:
     return UniPoly(chi.dom, chi.var, g[::-1])
 
 
-def _fp_char_poly(phis: UniPoly, num: UniPoly, den2: UniPoly) -> UniPoly:
-    """chi*_m over GF(p): Den_m is a unit mod Phi*_m, so mu_m lives in k[z]/(Phi*_m)."""
-    return _mult_char_poly(num.monic_divmod(phis)[1] * inverse_mod(den2, phis), phis)
+def _fp_char_poly(phis: UniPoly, num: UniPoly, den: UniPoly) -> UniPoly:
+    """chi*_m over GF(p): mu_m = num / den in k[z]/(Phi*_m), den = Den_m a unit there."""
+    return _mult_char_poly(num.monic_divmod(phis)[1] * inverse_mod(den, phis), phis)
 
 
-def _root_signs(phis, num, den2, m, a, c, roots):
+def _root_signs(phis, num, den, m, a, c, roots):
     """roots[j] signed as psi(j) mod p; a prime dividing a * c (a denominator of
     phis, or a bad reduction) or a nonzero root's numerator or denominator is passed over."""
     for p in _SIGN_PRIMES:
         if a * c % p == 0 or any(r and r.numerator * r.denominator % p == 0 for r in roots):
             continue
         F = GF(p)
-        psi = _monic_root(_fp_char_poly(*(g.map_coeffs(F, F.from_rational) for g in (phis, num, den2))), m)
+        psi = _monic_root(_fp_char_poly(*(g.map_coeffs(F, F.from_rational) for g in (phis, num, den))), m)
         signed = []
         for j, r in enumerate(roots):
             v, rp = psi.eval(j), F.from_rational(r)
@@ -423,19 +424,19 @@ def _root_signs(phis, num, den2, m, a, c, roots):
     raise MathError(f"no prime of {_SIGN_PRIMES} reduces chi*_{m} well")
 
 
-def _sampled_char_poly(phis: UniPoly, num: UniPoly, den2: UniPoly, m: int) -> UniPoly:
-    """chi*_m = psi^m over QQ; phis monic over QQ, num and den2 on ZZ.  With
-    f = a * phis on ZZ, a^(top - deg g) Res(f, g) is a^top Res(phis, g) for
-    every sample g = j * den2 - num, and c is the w^D coefficient."""
+def _sampled_char_poly(phis: UniPoly, num: UniPoly, den: UniPoly, m: int) -> UniPoly:
+    """chi*_m = psi^m over QQ; phis monic over QQ, num = Per_m' + Den_m and den =
+    Den_m on ZZ, of degree d^m.  With f = a * phis on ZZ, a^(top - deg g) Res(f, g)
+    is a^top Res(phis, g) for every sample g = j * den - num; c is the w^D coefficient."""
     (f,), a = clear_denominators(phis)
-    top, e = max(num.degree, den2.degree), phis.degree // m
-    gs = [den2.scale(j) - num for j in range(e + 1)] + [den2]
+    top, e = max(num.degree, den.degree), phis.degree // m
+    gs = [den.scale(j) - num for j in range(e + 1)] + [den]
     *ys, c = (resultant(f, g) * a ** (top - g.degree) for g in gs)
     if not c:
         raise InvariantError(f"a root of Phi*_{m} is a pole of phi^{m}")
     roots = [_rational_root(Fraction(y, c), m) for y in ys]
     if m % 2 == 0:
-        roots = _root_signs(phis, num, den2, m, a, c, roots)
+        roots = _root_signs(phis, num, den, m, a, c, roots)
     psi = interpolate(list(range(e + 1)), roots, QQ, "w")
     if psi.degree != e or psi.lc != 1:  # fails for one wrong sample, or a wrong c
         raise InvariantError(f"psi*_{m} through the samples is not monic of degree {e}")
@@ -468,11 +469,10 @@ def multiplier_char_poly(phi: ProjMap, n: int) -> UniPoly:
             if not rem.is_zero:
                 raise InvariantError(f"Phi*_{j} does not divide Per_{m}")
         stars[m] = phis
-        if dom.char == 0:  # on ZZ: clearing k from nn and dd scales Num and Den^2 by k^2
+        if dom.char == 0:  # on ZZ: clearing k from nn and dd scales num and dd by k, not mu_m
             (nn, dd), _ = clear_denominators(nn, dd)
-        num = derivative(nn) * dd - nn * derivative(dd)
-        den2 = dd * dd
-        chi = _sampled_char_poly(phis, num, den2, m) if dom.char == 0 else _fp_char_poly(phis, num, den2)
+        num = derivative(nn - dd.shift(1)) + dd  # mu_m = num / dd at every root of Per_m
+        chi = _sampled_char_poly(phis, num, dd, m) if dom.char == 0 else _fp_char_poly(phis, num, dd)
         if m < n:  # G_{n/m}
             chi = _mult_char_poly(UniPoly.const(dom, "w", dom.one).shift(n // m), chi)
         r = r * chi

@@ -186,7 +186,13 @@ class PolyRing(Domain):
 
 def _multiplier_data(phi, n):
     """Per_n, Num and Den^2 of the n-th iterate of the conjugate of phi that
-    multiplier_char_poly uses."""
+    multiplier_char_poly uses.
+
+    The oracles keep the quotient-rule multiplier Num/Den^2, which holds at
+    every point, rather than the 1 + Per_n'/Den that multiplier_char_poly
+    reads off at the roots of Per_n: a slip in that identity, or in its
+    num and den, then shows as a mismatch instead of being repeated here.
+    """
     _, it = _good_position(phi, n)
     nn, dd = it.affine_num(), it.affine_den()
     phin = (nn - UniPoly.gen(phi.dom, "z") * dd).monic()

@@ -261,17 +261,19 @@ def oracle_cases(F, rng):
     """A random map and a map with a repeated periodic point at each (d, n).
 
     (2, 4), (3, 3) and (2, 6) raise the roots of the dynatomic factors to
-    the powers 2, 3, 4 and 6; over QQ the levels stop at (2, 4) and a
-    polynomial map, which fixes infinity, is repositioned.
+    the powers 2, 3, 4 and 6; over QQ the levels stop at (2, 4), then cover
+    d = 3, 4, 5 at n = 1, and polynomial maps, which fix infinity and so
+    are repositioned, at n = 3 and n = 1: the traffic of `relation`.
     """
     levels = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (2, 4), (3, 3), (2, 6))
     if F == QQ:
-        levels = ((2, 1), (2, 2), (2, 3), (3, 2), (2, 4))
+        levels = ((2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 1), (4, 1), (5, 1))
     for d, n in levels:
         for phi in (random_map(F, d, rng, height=5), parabolic_map(F, d, rng)):
             yield phi, n
     if F == QQ:
         yield random_map(QQ, 2, rng, polynomial=True, height=5), 3
+        yield random_map(QQ, 3, rng, polynomial=True, height=5), 1
 
 
 def has_repeated_root(phi, n):
@@ -309,18 +311,21 @@ def test_quintic_route_takes_resultants_against_dynatomic_factors(monkeypatch):
     # over QQ at (5, 2): 7 samples and the w^6 coefficient against Phi*_1
     # (degree 6), and 20 / 2 + 1 = 11 samples of the cycle polynomial and the
     # w^20 coefficient against Phi*_2 (degree 20); not 27 against Per_2
-    # (degree 26), nor 21 against Phi*_2
+    # (degree 26), nor 21 against Phi*_2.  Every sample (w - 1) Den_m - Per_m'
+    # has degree d^m = 5 or 25, not the 10 or 50 of w Den_m^2 - Num_m
     phi = random_map(QQ, 5, random.Random(61), height=9)
-    degrees = Counter()
+    degrees, sample_degrees = Counter(), {}
     real = dynamics.resultant
 
     def recording(f, g):
         degrees[f.degree] += 1
+        sample_degrees[f.degree] = max(sample_degrees.get(f.degree, 0), g.degree)
         return real(f, g)
 
     monkeypatch.setattr(dynamics, "resultant", recording)
     assert multiplier_char_poly(phi, 2).degree == 26
     assert degrees == {6: 8, 20: 12}
+    assert sample_degrees == {6: 5, 20: 25}
 
 
 def test_perturbed_pseudo_remainder_fails_the_run(monkeypatch):
@@ -338,12 +343,13 @@ def test_perturbed_pseudo_remainder_fails_the_run(monkeypatch):
 
     phi = ProjMap(QQ, [Fraction(c) for c in (1, 0, 1)], [Fraction(c) for c in (3, 1, 7)])
     monkeypatch.setattr(exactalg, "_zz_prem", perturbed)
-    # samples w = 0 and w = 1 against Phi*_1 take 2 and 3 pseudo-remainders;
-    # the second one of w = 1 is divided by the square of a leading coefficient
+    # samples w = 0 and w = 1 against Phi*_1 (degree 3) take 2 pseudo-remainders
+    # each; the second one of w = 1 is divided by the square of its leading
+    # coefficient, (1 + d) lc(Den_1) = 9
     target.append(4)
-    with pytest.raises(InvariantError, match="inexact division by 9 in the subresultant sequence"):
+    with pytest.raises(InvariantError, match="inexact division by 81 in the subresultant sequence"):
         multiplier_char_poly(phi, 2)
-    assert calls == [4, 3, 5, 4]
+    assert calls == [4, 3, 4, 3]
     # the CLI checks Res(num, den) of the map first: two more pseudo-remainders
     calls.clear()
     target[0] = 6
@@ -382,8 +388,10 @@ SIGMA_ARGV = ["sigma", "--num", "1,0,1", "--den", "3,1,7", "-n", "2"]
 @pytest.mark.parametrize("target", [3, 4])
 def test_one_wrong_fixed_point_sample_fails_the_run(monkeypatch, target):
     # the CLI takes two pseudo-remainders for Res(num, den), then two for the
-    # w = 0 sample against Phi*_1; a wrong last remainder leaves every
-    # division exact, and only the monic degree-3 interpolant exposes it
+    # w = 0 sample -Per_1' - Den_1 against Phi*_1, whose leading coefficient is
+    # -d lc(Den_1) = -6.  The first remainder is divided by 1 and the second
+    # by 6^2; adding 6^2 to either keeps both divisions exact, so the sample
+    # is wrong and only the monic degree-3 interpolant exposes it
     real = exactalg._zz_prem
     calls = []
 
@@ -391,7 +399,7 @@ def test_one_wrong_fixed_point_sample_fails_the_run(monkeypatch, target):
         r = real(a, b)
         calls.append(len(a))
         if len(calls) == target:
-            r[0] += 1
+            r[0] += 6**2
         return r
 
     monkeypatch.setattr(exactalg, "_zz_prem", perturbed)
