@@ -11,17 +11,19 @@ coefficients, so results are padded back to their formal degree.
 
 The n-multiplier spectrum is read off chi_n = prod (w - (phi^n)'(P)) over
 the roots P of Per_n, the monic vanishing polynomial of the affine points
-with phi^n(P) = P.  The map is first conjugated so that none of them sits
-at infinity; the conjugating candidates come from a fixed internal
-sequence, so results never depend on caller seeds (they are conjugation
-invariants).  Per_n is the product of the dynatomic factors Phi*_m, m | n,
-and a root of Phi*_m has n-multiplier ((phi^m)')^(n/m), so chi_n is the
-product of G_{n/m}(chi*_m), where G_k(chi) has the k-th powers of the
-roots of chi: the characteristic polynomial of the k-th power of chi's
-companion matrix, in every characteristic.  chi*_m takes mu_m = (phi^m)'
-over the roots x of Phi*_m.  With phi^m = Num_m / Den_m, Per_m(x) = 0 is
-Num_m(x) = x Den_m(x), so mu_m(x) = 1 + Per_m'(x) / Den_m(x), Den_m(x) != 0
-as the forms are coprime.  Over GF(p), chi*_m is the characteristic
+with phi^n(P) = P.  A rational map is first conjugated so that none of
+them sits at infinity, by candidates from a fixed internal sequence, so
+results never depend on caller seeds.  A polynomial is not: infinity is a
+totally invariant fixed point of multiplier 0 in every characteristic,
+the one periodic point off the affine chart, so Per_m has degree d^m and
+chi_n has the factor w.  Per_n is the product of the dynatomic factors
+Phi*_m, m | n, and a root of Phi*_m has n-multiplier ((phi^m)')^(n/m), so
+chi_n is the product of G_{n/m}(chi*_m), where G_k(chi) has the k-th
+powers of the roots of chi: the characteristic polynomial of the k-th
+power of chi's companion matrix, in every characteristic.  chi*_m takes
+mu_m = (phi^m)' over the roots x of Phi*_m.  With phi^m = Num_m / Den_m,
+Per_m(x) = 0 is Num_m(x) = x Den_m(x), so mu_m(x) = 1 + Per_m'(x) /
+Den_m(x), Den_m(x) != 0 as the forms are coprime.  Over GF(p), chi*_m is the characteristic
 polynomial of multiplication by mu_m on k[z]/(Phi*_m); over QQ,
 R(w) = Res_z(Phi*_m, (w - 1) Den_m - Per_m') is c psi^m, psi the monic
 cycle polynomial of degree D / m, D = deg Phi*_m (exact period m points
@@ -308,23 +310,33 @@ def conjugate(phi: ProjMap, m: Mobius) -> ProjMap:
     return ProjMap(dom, _padded(num, phi.d), _padded(den, phi.d), check=False)
 
 
+def _chain(phi: ProjMap, n: int) -> list:
+    """Forms (num, den) of phi^1 .. phi^n from one composition loop; over QQ on
+    ZZ, cleared once, as a common scalar does not change phi^k."""
+    links = [(_form(phi.num, phi.dom), _form(phi.den, phi.dom))]
+    if phi.dom.char == 0:
+        links[0], _ = clear_denominators(*links[0])
+    f, g = (_padded(h, phi.d) for h in links[0])  # not h.coeffs: a zero top y coefficient is dropped
+    for _ in range(n - 1):
+        links.append((_form_compose(f, *links[-1]), _form_compose(g, *links[-1])))
+    return links
+
+
 def iterate(phi: ProjMap, n: int) -> ProjMap:
     """phi^n as a degree d^n morphism (composition keeps forms coprime)."""
     if n < 1:
         raise UsageError("iteration count must be >= 1")
-    dom = phi.dom
-    num, den = _form(phi.num, dom), _form(phi.den, dom)
-    for _ in range(n - 1):
-        num, den = _form_compose(phi.num, num, den), _form_compose(phi.den, num, den)
-    d = phi.d ** n
-    return ProjMap(dom, _padded(num, d), _padded(den, d), check=False)
+    dom, d = phi.dom, phi.d ** n
+    num, den = (map(dom.from_int, _padded(h, d)) for h in _chain(phi, n)[-1])
+    return ProjMap(dom, num, den, check=False)
 
 
 def period_polynomial(phi: ProjMap, n: int) -> UniPoly:
     """Monic vanishing polynomial of the affine points with phi^n(z) = z.
 
     Degree is d^n + 1 exactly when no n-periodic point sits at infinity;
-    otherwise the degree drops and callers reposition first.
+    otherwise the degree drops (to d^n for a polynomial) and callers
+    reposition a rational map first.
     """
     psi = iterate(phi, n) if n > 1 else phi
     z = UniPoly.gen(phi.dom, "z")
@@ -352,14 +364,13 @@ def _reposition_candidates(dom):
         produced += 1
 
 
-def _good_position(phi: ProjMap, n: int):
-    """Conjugate of phi with all n-periodic points affine, and its n-th iterate."""
-    z = UniPoly.gen(phi.dom, "z")
+def _good_position(phi: ProjMap, n: int) -> list:
+    """`_chain` of a conjugate of phi with all n-periodic points affine: the
+    first whose phi^n moves infinity, den_n(1, 0) != 0."""
     for m in _reposition_candidates(phi.dom):
-        psi = phi if m.is_identity() else conjugate(phi, m)
-        it = iterate(psi, n) if n > 1 else psi
-        if (it.affine_num() - z * it.affine_den()).degree == phi.d ** n + 1:
-            return psi, it
+        chain = _chain(phi if m.is_identity() else conjugate(phi, m), n)
+        if chain[-1][1].coeff(0):
+            return chain
     raise MathError(f"no conjugate kept Per_{n} affine within budget")
 
 
@@ -437,7 +448,7 @@ def _sampled_char_poly(phis: UniPoly, num: UniPoly, den: UniPoly, m: int) -> Uni
     roots = [_rational_root(Fraction(y, c), m) for y in ys]
     if m % 2 == 0:
         roots = _root_signs(phis, num, den, m, a, c, roots)
-    psi = interpolate(list(range(e + 1)), roots, QQ, "w")
+    psi = interpolate(roots, QQ, "w")
     if psi.degree != e or psi.lc != 1:  # fails for one wrong sample, or a wrong c
         raise InvariantError(f"psi*_{m} through the samples is not monic of degree {e}")
     return psi**m
@@ -448,30 +459,27 @@ def multiplier_char_poly(phi: ProjMap, n: int) -> UniPoly:
 
     prod over points P with phi^n(P) = P of (w - (phi^n)'(P)), counted with
     the multiplicity of P as a root of the period polynomial; taken as the
-    product of G_{n/m}(chi*_m) over the dynatomic factors Phi*_m, m | n.
+    product of G_{n/m}(chi*_m) over the dynatomic factors Phi*_m, m | n,
+    times w for a polynomial map, whose fixed point infinity is not in Per_n.
     """
     if n < 1:
         raise UsageError("period must be >= 1")
-    dom = phi.dom
-    psi, it_n = _good_position(phi, n)
-    z = UniPoly.gen(dom, "z")
+    dom, poly = phi.dom, phi.is_polynomial
+    chain = _chain(phi, n) if poly else _good_position(phi, n)
     stars = {}
-    r = UniPoly.const(dom, "w", dom.one)
+    r = UniPoly.gen(dom, "w") if poly else UniPoly.const(dom, "w", dom.one)  # w: infinity, 0^k = 0
     for m in (m for m in range(1, n + 1) if n % m == 0):
-        it = it_n if m == n else iterate(psi, m)
-        nn, dd = it.affine_num(), it.affine_den()
-        phis = nn - z * dd  # every point of period dividing n is affine for psi
-        if phis.degree != phi.d ** m + 1:
-            raise InvariantError(f"Per_{m} of the repositioned map has degree {phis.degree}")
-        phis = phis.monic()
+        nn, dd = (_affine(_padded(h, phi.d ** m), h.dom) for h in chain[m - 1])
+        per = nn - dd.shift(1)  # over QQ on ZZ; every point of period dividing n but infinity is affine
+        if per.degree != phi.d ** m + (not poly):
+            raise InvariantError(f"Per_{m} has degree {per.degree}")
+        phis = per.map_coeffs(dom, dom.from_int).monic()
         for j in (j for j in stars if m % j == 0):
             phis, rem = phis.monic_divmod(stars[j])
             if not rem.is_zero:
                 raise InvariantError(f"Phi*_{j} does not divide Per_{m}")
         stars[m] = phis
-        if dom.char == 0:  # on ZZ: clearing k from nn and dd scales num and dd by k, not mu_m
-            (nn, dd), _ = clear_denominators(nn, dd)
-        num = derivative(nn - dd.shift(1)) + dd  # mu_m = num / dd at every root of Per_m
+        num = derivative(per) + dd  # mu_m = num / dd at every root of Per_m
         chi = _sampled_char_poly(phis, num, dd, m) if dom.char == 0 else _fp_char_poly(phis, num, dd)
         if m < n:  # G_{n/m}
             chi = _mult_char_poly(UniPoly.const(dom, "w", dom.one).shift(n // m), chi)

@@ -10,8 +10,9 @@ serves division over QQ and division by a monic divisor over any ring.  Over
 GF(p), long division, interpolation and resultants (the Euclidean
 recurrence) run as ``% p`` kernels on plain ints.  Over ZZ one kernel on
 plain int lists takes pseudo-remainders and runs the subresultant sequence;
-resultants over QQ and the QQ gcd clear denominators and call it.  QQ
-interpolation runs on a plain list of Fractions.
+resultants over QQ and the QQ gcd clear denominators and call it.
+Interpolation takes the nodes 0 .. n - 1; over QQ it runs on ints over one
+common denominator.
 """
 
 from __future__ import annotations
@@ -718,13 +719,11 @@ def split_linear(g: UniPoly, rng) -> list[int]:
             return split_linear(d, rng) + split_linear(g.divmod(d)[0], rng)
 
 
-def interpolate(xs, ys, dom: Domain, var: str) -> UniPoly:
-    """Unique polynomial of degree < len(xs) through (xs[i], ys[i])."""
+def interpolate(ys, dom: Domain, var: str) -> UniPoly:
+    """Unique polynomial of degree < n = len(ys) through (k, ys[k]), k = 0 .. n - 1."""
     if not dom.is_field:
         raise UsageError("interpolation requires a field domain")
-    n = len(xs)
-    if len(set(xs)) != n or len(ys) != n:
-        raise UsageError("interpolation nodes must be distinct and paired")
+    n, xs = len(ys), list(range(len(ys)))  # a list: the GF(p) loops index it
     coef, cs = list(ys), [dom.zero] * n
     if isinstance(dom, PrimeField):  # % p kernel: one inverse per distinct node difference
         p, invs = dom.p, {}
@@ -739,14 +738,19 @@ def interpolate(xs, ys, dom: Domain, var: str) -> UniPoly:
                 cs[k] = (cs[k - 1] - xs[i] * cs[k]) % p
             cs[0] = (coef[i] - xs[i] * cs[0]) % p
         return UniPoly(dom, var, cs)
-    for j in range(1, n):  # QQ: the same loops on Fractions
+    # QQ: the j-th divided difference is the j-th forward difference over j!;
+    # both loops run on ints, times the common denominator den (n - 1)!
+    den, t = lcm(*(y.denominator for y in ys)), 1
+    coef, cs = [y.numerator * (den // y.denominator) for y in ys], [0] * n
+    for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    for i in range(n - 1, -1, -1):
+            coef[i] -= coef[i - 1]
+    for i in range(n - 1, -1, -1):  # t = (n - 1)! / i!
         for k in range(n - 1 - i, 0, -1):
-            cs[k] = cs[k - 1] - xs[i] * cs[k]
-        cs[0] = coef[i] - xs[i] * cs[0]
-    return UniPoly(dom, var, cs)
+            cs[k] = cs[k - 1] - i * cs[k]
+        cs[0] = coef[i] * t - i * cs[0]
+        t *= max(i, 1)
+    return UniPoly(dom, var, [Fraction(c, den * t) for c in cs])
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,7 @@ def _sampled_resultant(forms, dom, ticks) -> UniPoly:
         if r and (k1 or k2):
             r = r * pow(-1, n * k1) * pow(f2.lc, k1, p) * pow(f1.lc, k2, p) % p
         ys.append(r)
-    R = interpolate(list(range(_DEGREE + 2)), ys, dom, "X")
+    R = interpolate(ys, dom, "X")
     if R.degree > _DEGREE:
         raise InvariantError(f"the sampled resultant has degree {R.degree} > {_DEGREE}")
     return R

@@ -18,12 +18,14 @@ sigma_1 of z^3 + az + b in closed form.  `exact_div` is exact polynomial divisio
 `prem` and `prs_resultant` are the pseudo-remainder and the subresultant
 sequence over any integral domain, the oracles for the plain-int ZZ kernel
 of `exactalg` and the resultant over a PolyRing; `zz_resultant_cases` draws
-inputs for that kernel.  `newton_interpolate` is interpolation built from
-UniPoly products, an oracle for the plain-list QQ loop of `interpolate`.
+inputs for that kernel.  `repositioned` conjugates a map so that no
+n-periodic point sits at infinity, for the resultant routes.
+`newton_interpolate` is interpolation at any nodes built from UniPoly
+products, an oracle for the integer QQ loop of `interpolate`.
 """
 
 from matrix_helpers import bareiss_det, exact_quotient
-from multspec.dynamics import ProjMap, SigmaVector, _good_position
+from multspec.dynamics import ProjMap, SigmaVector, _reposition_candidates, conjugate, iterate
 from multspec.errors import DegenerateInputError, DegenerateMapError, MathError
 from multspec.exactalg import (
     ZZ,
@@ -184,16 +186,33 @@ class PolyRing(Domain):
         return hash(("PolyRing", self.base, self.var))
 
 
+def repositioned(phi, n):
+    """The first conjugate of phi in the fixed candidate sequence with all
+    n-periodic points affine, and its n-th iterate.
+
+    Every map is repositioned, polynomials too, although infinity is a
+    fixed point of multiplier 0 of a polynomial that multiplier_char_poly
+    keeps in place: its factor w is then checked by a route without that
+    shortcut.
+    """
+    z = UniPoly.gen(phi.dom, "z")
+    for m in _reposition_candidates(phi.dom):
+        psi = phi if m.is_identity() else conjugate(phi, m)
+        it = iterate(psi, n)
+        if (it.affine_num() - z * it.affine_den()).degree == phi.d ** n + 1:
+            return psi, it
+    raise MathError(f"no conjugate kept Per_{n} affine within budget")
+
+
 def _multiplier_data(phi, n):
-    """Per_n, Num and Den^2 of the n-th iterate of the conjugate of phi that
-    multiplier_char_poly uses.
+    """Per_n, Num and Den^2 of the n-th iterate of `repositioned(phi, n)`.
 
     The oracles keep the quotient-rule multiplier Num/Den^2, which holds at
     every point, rather than the 1 + Per_n'/Den that multiplier_char_poly
     reads off at the roots of Per_n: a slip in that identity, or in its
     num and den, then shows as a mismatch instead of being repeated here.
     """
-    _, it = _good_position(phi, n)
+    _, it = repositioned(phi, n)
     nn, dd = it.affine_num(), it.affine_den()
     phin = (nn - UniPoly.gen(phi.dom, "z") * dd).monic()
     return phin, derivative(nn) * dd - nn * derivative(dd), dd * dd
@@ -206,12 +225,11 @@ def sampled_multiplier_char_poly(phi, n):
     target = phin.degree
     if dom.char and dom.char <= target:
         raise ValueError(f"GF({dom.char}) has too few sample points for degree {target}")
-    xs = [dom.from_int(k) for k in range(target + 1)]
     ys = []
-    for c in xs:
-        g = den2.scale(c) - num
+    for k in range(target + 1):
+        g = den2.scale(dom.from_int(k)) - num
         ys.append(dom.zero if g.is_zero else resultant(phin, g))
-    return interpolate(xs, ys, dom, "w").monic()
+    return interpolate(ys, dom, "w").monic()
 
 
 def bivariate_multiplier_char_poly(phi, n):

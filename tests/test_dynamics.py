@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,12 +23,12 @@ from multspec.dynamics import (
 )
 from multspec import dynamics, exactalg
 from multspec.cli import run_command
-from multspec.dynamics import _forms_share_root, _good_position
+from multspec.dynamics import _forms_share_root
 from multspec.errors import DegenerateMapError, InvariantError, MathError, UsageError
 from multspec.exactalg import GF, QQ, UniPoly, derivative, poly_gcd, random_prime
 
 from matrix_helpers import bareiss_det, mat_mul
-from poly_oracles import bivariate_multiplier_char_poly, sampled_multiplier_char_poly, sylvester_matrix
+from poly_oracles import bivariate_multiplier_char_poly, repositioned, sampled_multiplier_char_poly, sylvester_matrix
 
 
 def poly_map(dom, ints):
@@ -239,6 +240,49 @@ def test_char_poly_integer_map_reduces_mod_p():
         assert F.from_int(int(vq)) == v3
 
 
+def lifted_char_poly(phi, n):
+    """chi_n of a polynomial map over GF(p), taken over QQ and reduced mod p.
+
+    The coefficients are lifted to 0 .. p - 1, and the lift is conjugated
+    so that infinity is not totally invariant, so chi_n comes from the
+    rational route, not the polynomial one.  The leading coefficient is a
+    unit mod p, so the lift reduces well."""
+    F = phi.dom
+    lift = ProjMap(QQ, map(Fraction, phi.num), map(Fraction, phi.den))
+    psi = conjugate(lift, Mobius.from_ints(QQ, 1, 1, 1, 2))
+    assert not psi.is_polynomial
+    return multiplier_char_poly(psi, n).map_coeffs(F, F.from_rational)
+
+
+def test_polynomial_maps_over_small_fields_match_the_lift_to_qq():
+    # a polynomial keeps infinity, a fixed point of multiplier 0, and takes
+    # no conjugate.  Over GF(3) and GF(5) some cubics have an iterate that
+    # fixes all of P^1(F_p), so no conjugate over F_p has every n-periodic
+    # point affine: those 56 used to be refused, and are all checked here,
+    # with a seeded sample of every field, degree and level, half of them
+    # with constant term 0 (a zero top y coefficient of the form)
+    rng = random.Random(59)
+    cases, unplaceable = [], 0
+    for p, d in ((3, 3), (5, 3)):
+        F, pts = all_points(p)
+        for lead, *low in itertools.product(range(1, p), *[range(p)] * d):
+            phi = ProjMap(F, [lead, *low], [0] * d + [1])
+            orbit = pts
+            for n in (1, 2, 3):
+                orbit = [phi.apply(x) for x in orbit]
+                if orbit == pts:
+                    cases.append((phi, n))
+                    unplaceable += 1
+    assert unplaceable == 56
+    for p, d, n in itertools.product((3, 5, 7), (2, 3), (1, 2, 3)):
+        for zero in (False, True):
+            low = [rng.randrange(p) for _ in range(d - 1)] + [0 if zero else rng.randrange(1, p)]
+            cases.append((ProjMap(GF(p), [rng.randrange(1, p), *low], [0] * d + [1]), n))
+    for phi, n in cases:
+        assert phi.is_polynomial
+        assert multiplier_char_poly(phi, n) == lifted_char_poly(phi, n), (phi, n)
+
+
 # --- oracles: the resultant routes to the multiplier polynomial ---
 
 
@@ -262,8 +306,9 @@ def oracle_cases(F, rng):
 
     (2, 4), (3, 3) and (2, 6) raise the roots of the dynatomic factors to
     the powers 2, 3, 4 and 6; over QQ the levels stop at (2, 4), then cover
-    d = 3, 4, 5 at n = 1, and polynomial maps, which fix infinity and so
-    are repositioned, at n = 3 and n = 1: the traffic of `relation`.
+    d = 3, 4, 5 at n = 1, and polynomial maps, which keep infinity, of
+    multiplier 0, where the oracles reposition them, at n = 3 and n = 1:
+    the traffic of `relation`.
     """
     levels = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (2, 4), (3, 3), (2, 6))
     if F == QQ:
@@ -277,7 +322,7 @@ def oracle_cases(F, rng):
 
 
 def has_repeated_root(phi, n):
-    phin = period_polynomial(_good_position(phi, n)[0], n)
+    phin = period_polynomial(repositioned(phi, n)[0], n)
     return poly_gcd(phin, derivative(phin)).degree > 0
 
 
@@ -359,27 +404,25 @@ def test_perturbed_pseudo_remainder_fails_the_run(monkeypatch):
 
 
 def test_non_exact_dynatomic_division_fails_the_run(monkeypatch):
-    # a fault in the first iterate moves a fixed point, so Per_1 no longer
-    # divides Per_2: the run fails once with the invariant, not retried
+    # a fault in the first link of the iterate chain moves a fixed point, so
+    # Per_1 no longer divides Per_2: the run fails once with the invariant,
+    # not retried
     calls = []
-    real = dynamics.iterate
+    real = dynamics._chain
 
-    def faulty(psi, m):
-        calls.append(m)
-        it = real(psi, m)
-        if m > 1:
-            return it
-        num = list(it.num[:-1]) + [it.dom.add(it.num[-1], it.dom.one)]
-        return ProjMap(it.dom, num, it.den, check=False)
+    def faulty(psi, n):
+        calls.append(n)
+        (num, den), *rest = real(psi, n)
+        return [(num + UniPoly.const(num.dom, "y", num.dom.one).shift(psi.d), den)] + rest
 
-    monkeypatch.setattr(dynamics, "iterate", faulty)
+    monkeypatch.setattr(dynamics, "_chain", faulty)
     phi = ProjMap(QQ, [Fraction(c) for c in (1, 0, 1)], [Fraction(c) for c in (3, 1, 7)])
     with pytest.raises(InvariantError, match="Phi\\*_1 does not divide Per_2"):
         multiplier_char_poly(phi, 2)
-    assert calls == [2, 1]
+    assert calls == [2]
     code, text = run_command(["sigma", "--num", "1,0,1", "--den", "3,1,7", "-n", "2"])
     assert code == 1 and '"kind": "math"' in text and "Phi*_1 does not divide Per_2" in text
-    assert calls == [2, 1, 2, 1]
+    assert calls == [2, 2]
 
 
 SIGMA_ARGV = ["sigma", "--num", "1,0,1", "--den", "3,1,7", "-n", "2"]
@@ -453,11 +496,15 @@ def test_formal_period_points_keep_the_cycle_power(p):
 
 
 def test_sign_primes_skip_bad_reductions(monkeypatch):
-    # z^2 + 1 has the 2-cycle multiplier 8, so psi*_2 = w - 8 and the two
-    # samples are psi(0) = -8 and psi(1) = -7.  The repositioned Phi*_2 has
-    # denominator 72, so 3 is skipped; 7 divides psi(1), so 7 is skipped too
-    phi = quadratic(QQ, Fraction(1))
+    # (z^2 + 2z + 7) / 3 is z^2 + 1 conjugated by z -> (z + 1) / 3, a
+    # polynomial with the 2-cycle multiplier 8, so psi*_2 = w - 8 and the two
+    # samples are psi(0) = -8 and psi(1) = -7.  Phi*_2 is integral, and
+    # c = Res(Phi*_2, Den_2) = 3^6, so 3 is skipped; 7 divides psi(1), so 7
+    # is skipped too
+    phi = ProjMap(QQ, [Fraction(c) for c in (1, 2, 7)], [Fraction(c) for c in (0, 0, 3)])
     expected = multiplier_char_poly(phi, 2)
+    w = UniPoly.gen(QQ, "w")
+    assert expected == w**5 - (w**4).scale(12) + (w**3).scale(16) + w.scale(1024)
     primes = []
     real = dynamics._monic_root
 
