@@ -14,9 +14,9 @@ import random
 import sys
 
 from . import parsing
-from .dynamics import sigma1_relation_residual, sigma_n, tau
+from .dynamics import ProjMap, sigma1_relation_residual, sigma_n, tau
 from .errors import BudgetExhaustedError, MathError, UsageError
-from .exactalg import QQ, field_from_str, field_to_str, scalar_from_str
+from .exactalg import GF, QQ, field_from_str, field_to_str, random_prime, scalar_from_str
 from .polymoduli import (
     complete_multipliers,
     count_fixed_configurations,
@@ -30,7 +30,7 @@ from .rat3 import (
     map_from_invariants,
     reconstruct_from_fixed_data,
 )
-from .reproduce import run_all, run_criterion
+from .reproduce import CRITERIA, run_all, run_criterion
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,8 +143,6 @@ def _parse_map(args):
         return parsing.parse_map_expr(args.dom, args.map_expr, params)
     if args.num is None or args.den is None:
         raise UsageError("a map needs --map EXPR or both --num and --den")
-    from .dynamics import ProjMap
-
     return ProjMap(
         args.dom,
         parsing.parse_scalar_list(args.dom, args.num),
@@ -203,8 +201,6 @@ def _affine_multipliers(args):
 
 def _cmd_poly_classes(args):
     if args.field_policy in (None, "random"):
-        from .exactalg import GF, random_prime
-
         # the count needs no (d-1)-st root of unity; p = 1 mod (d-1) keeps seeded primes
         args.dom = GF(random_prime(args.rng, 20, 1, args.d - 1))
     lams = _affine_multipliers(args)
@@ -261,7 +257,6 @@ def _draw_payload(draw):
         "degenerate": draw.degenerate,
         "simple": draw.simple,
         "degree": draw.degree,
-        "alpha_values": draw.alpha_values,
     }
 
 
@@ -316,8 +311,6 @@ def _cmd_normal_form3(args):
 
 def _cmd_reproduce(args):
     if args.only is not None:
-        from .reproduce import CRITERIA
-
         if args.only not in {num for num, _, _ in CRITERIA}:
             raise UsageError(f"no criterion {args.only}; there are {len(CRITERIA)}")
         results = [run_criterion(args.only, args.seed, args.budget)]

@@ -16,9 +16,10 @@ forms after a random projective change of coordinates: its roots are the
 projected intersection points with their intersection multiplicities, so
 the count with multiplicity (Bezout, 144) is the measured deg R.  A ledger
 over the six degenerate points proves the other points simple.  Two
-consecutive independent projections must agree (errors.agreed_value), and
-a non-generic or disagreeing projection is drawn again; a failed
-theorem-level check then raises InvariantError and is never retried.
+consecutive independent projections must agree (errors.agreed_value), so
+a draw takes two sampled resultants or more, and a non-generic or
+disagreeing projection is drawn again; a failed theorem-level check then
+raises InvariantError and is never retried.
 
 Reconstruction from (fixed points, multipliers) solves the Vandermonde
 system (1 - lambda_i) q(z_i) = p'(z_i) for the denominator of z - p/q,
@@ -51,7 +52,6 @@ from .exactalg import (
     poly_gcd,
     random_prime,
     resultant,
-    squarefree_part,
 )
 from .groebner import MultiPoly
 from .linalg import solve_linear
@@ -236,7 +236,6 @@ class Tau32Draw:
     degenerate: int
     simple: int
     degree: int
-    alpha_values: int
 
 
 @dataclass(frozen=True)
@@ -264,14 +263,13 @@ def _shear(terms: dict, i: int, j: int, s: int, p: int) -> dict:
 
 
 def _sampled_resultant(forms, dom, ticks) -> UniPoly:
-    """R(X) = Res_Y(h1, h2)(X, 1) of two term dicts in (X, Y, Z) at their
-    Y-degrees (m, n), interpolated from X = 0 .. 145, one budget tick a
-    sample; one wrong sample lifts R above degree 144.  A sample where f1
-    drops k degrees is scaled by (-1)^(n k) lc(f2)^k back to Res_{m,n}, and
-    so for f2; no caller passes two forms whose Y-leading coefficients both vanish."""
-    p, (m, n) = dom.p, [max(e[1] for e in t) for t in forms]
+    """R(X) = Res_Y(h1, h2)(X, 1) of two forms in (X, Y, Z), as term dicts,
+    that each hold a pure Y^deg term, so that no sample drops a Y-degree;
+    interpolated from X = 0 .. 145, one budget tick a sample.  One wrong
+    sample lifts R above degree 144."""
+    p = dom.p
     tops = [max(map(sum, t)) for t in forms]
-    cols = [[[0] * (top + 1) for _ in range(d + 1)] for top, d in zip(tops, (m, n))]
+    cols = [[[0] * (top + 1) for _ in range(top + 1)] for top in tops]
     for t, cs in zip(forms, cols):
         for (a, b, _), c in t.items():
             cs[b][a] = c
@@ -281,10 +279,7 @@ def _sampled_resultant(forms, dom, ticks) -> UniPoly:
             raise BudgetExhaustedError("resultant sample budget exhausted")
         pw = [pow(x, k, p) for k in range(max(tops) + 1)]
         f1, f2 = (UniPoly(dom, "Y", [sum(map(mul, col, pw)) % p for col in cs]) for cs in cols)
-        r, k1, k2 = resultant(f1, f2), m - f1.degree, n - f2.degree
-        if r and (k1 or k2):
-            r = r * pow(-1, n * k1) * pow(f2.lc, k1, p) * pow(f1.lc, k2, p) % p
-        ys.append(r)
+        ys.append(resultant(f1, f2))
     R = interpolate(ys, dom, "X")
     if R.degree > _DEGREE:
         raise InvariantError(f"the sampled resultant has degree {R.degree} > {_DEGREE}")
@@ -346,11 +341,6 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
             raise InvariantError(f"expected a multiple point at {pt}, got multiplicity {mult}")
     if bezout != simple + sum(mults):
         raise InvariantError(f"multiplicity ledger: deg R {bezout} != {simple} simple + {sum(mults)} degenerate")
-    # alpha-coordinates of the affine points: Res_beta from (0 : 1 : 0).  That
-    # centre lies on h1 when linf = -1, and on h2 as well only when lbeta = 1,
-    # which build_tau32_system rejects; on both curves, common roots of the
-    # beta-leading coefficients would count as alpha values
-    alpha_values = squarefree_part(_sampled_resultant([h.terms for h in sys.hgens], dom, ticks)).degree
     return Tau32Draw(
         prime=dom.char,
         lambdas=(l0, l1, linf, lbeta),
@@ -359,7 +349,6 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
         degenerate=6,
         simple=simple,
         degree=distinct - 6,
-        alpha_values=alpha_values,
     )
 
 

@@ -25,8 +25,8 @@ from .dynamics import (
     sigma1_relation_residual,
     sigma_n,
 )
-from .errors import BudgetExhaustedError, DegenerateInputError, MultSpecError
-from .exactalg import GF, QQ, UniPoly, random_prime, squarefree_part
+from .errors import BudgetExhaustedError, DegenerateInputError, DegenerateMapError, MultSpecError
+from .exactalg import GF, QQ, UniPoly, fp_roots, random_prime, squarefree_part
 from .polymoduli import (
     complete_multipliers,
     fiber_degree_experiment,
@@ -51,21 +51,13 @@ class CriterionResult:
 
 
 def _rational_fixed_data(phi, rng):
-    from .exactalg import fp_roots
-
+    """The fixed points of phi over its field, and their multipliers."""
     F = phi.dom
     pp = period_polynomial(phi, 1)
-    sf = squarefree_part(pp)
-    roots = fp_roots(sf, rng)
-    if len(roots) != sf.degree or pp.degree != sf.degree:
-        return None
-    pts = [ProjPoint.affine(F, r) for r in roots]
+    pts = [ProjPoint.affine(F, r) for r in fp_roots(pp, rng)]
     if pp.degree < phi.d + 1:
         pts.append(ProjPoint.infinity(F))
-    lams = [multiplier_at_point(phi, pt, 1) for pt in pts]
-    if any(l == F.one for l in lams):
-        return None
-    return pts, lams
+    return pts, [multiplier_at_point(phi, pt, 1) for pt in pts]
 
 
 def _relation_residuals(rng, budget=None):
@@ -166,19 +158,33 @@ def _tau32_degree(rng, budget=None):
 
 
 def _reconstruction_retraction(rng, budget=None):
+    # phi = z - p/q with p = prod (z - z_i) fixes exactly the z_i, with
+    # multipliers 1 - p'(z_i)/q(z_i) != 1, and infinity when q is constant:
+    # draw d + 1 points and a monic q of degree d, or d points and a constant q
     F = GF(65537)
+    z = UniPoly.gen(F, "z")
     hits = {2: 0, 3: 0, 4: 0}
-    tries = 0
-    while min(hits.values()) < 50 and tries < 40000:
-        tries += 1
-        d = min(hits, key=hits.get)
-        phi = random_map(F, d, rng, polynomial=rng.random() < 0.5)
-        data = _rational_fixed_data(phi, rng)
-        if data is None or len(data[0]) != d + 1:
-            continue
-        assert reconstruct_from_fixed_data(F, data[0], data[1]) == phi, f"retraction moved {phi}"
-        hits[d] += 1
-    assert min(hits.values()) >= 50, f"only found {hits} usable maps"
+    for d in hits:
+        while hits[d] < 50:
+            polynomial = rng.random() < 0.5
+            zs = []
+            while len(zs) < (d if polynomial else d + 1):
+                c = F.rand(rng)
+                if c not in zs:
+                    zs.append(c)
+            q = UniPoly(F, "z", [F.rand_nonzero(rng)] if polynomial else [F.rand(rng) for _ in range(d)] + [F.one])
+            p = UniPoly.const(F, "z", F.one)
+            for c in zs:
+                p = p * (z - UniPoly.const(F, "z", c))
+            try:
+                phi = ProjMap.from_affine(z * q - p, q, d)
+            except DegenerateMapError:
+                continue  # p and q share a root
+            pts, lams = _rational_fixed_data(phi, rng)
+            want = [ProjPoint.affine(F, c) for c in sorted(zs)] + [ProjPoint.infinity(F)] * polynomial
+            assert pts == want, f"fixed points of {phi} are not the drawn {zs}"
+            assert reconstruct_from_fixed_data(F, pts, lams) == phi, f"retraction moved {phi}"
+            hits[d] += 1
     return f"reconstruct(data(phi)) = phi for {hits} maps by degree"
 
 

@@ -216,7 +216,7 @@ def test_deg_tau32_command_seeded():
     assert code == 0
     counts = (doc["bezout"], doc["distinct"], doc["degenerate"], doc["simple"], doc["degree"])
     assert counts == (144, 18, 6, 12, 12)
-    assert [d["alpha_values"] for d in doc["draws"]] == [8, 8, 8]
+    assert [d["degree"] for d in doc["draws"]] == [12, 12, 12]
     assert run_command(["deg-tau32", "--seed", "7"]) == (code, text)
 
 

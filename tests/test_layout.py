@@ -11,6 +11,9 @@ method of a class from outside the package (argparse calls
 And one retry rule (``multspec.errors``): an ``except`` clause that can
 catch a package error names only a draw-again class, except in the two
 functions that turn errors into output.
+
+And every import sits at module level: no ``import`` or ``from ... import``
+statement appears inside a function or method body.
 """
 
 import ast
@@ -118,3 +121,16 @@ def test_retry_clauses_catch_only_draw_again_errors():
                 if _catches_package_errors(n) and n not in RETRY_CLASSES
             ]
     assert broad == []
+
+
+def test_imports_sit_at_module_level():
+    nested = set()
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.update(
+                    f"{path.stem}.py:{node.lineno} in {func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                )
+    assert sorted(nested) == []

@@ -299,7 +299,6 @@ def test_deg_tau32_single_counts():
     assert draw.degenerate == 6
     assert draw.simple == 12
     assert draw.degree == 12
-    assert draw.alpha_values == 8
     # the Groebner route to Bezout's count: a random change of coordinates
     # moves every intersection point off z = 0, so the affine quotient of
     # the moved system counts all of them with multiplicity
@@ -312,7 +311,7 @@ def test_deg_tau32_single_counts():
 
 def test_deg_tau32_single_work_counts(monkeypatch):
     """One draw: no Groebner basis, normal-form context or characteristic
-    polynomial; 3 x 146 sampled resultants (two projections and alpha)."""
+    polynomial; 2 x 146 sampled resultants (two projections)."""
     calls = Counter()
 
     def counting(name, fn):
@@ -329,7 +328,7 @@ def test_deg_tau32_single_work_counts(monkeypatch):
     monkeypatch.setattr(groebner, "_char_poly", char_poly)
     monkeypatch.setattr(rat3, "resultant", counting("resultant", exactalg.resultant))
     deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
-    assert calls == {"resultant": 3 * 146}
+    assert calls == {"resultant": 2 * 146}
     for name in ("buchberger", "quotient_dimension", "distinct_point_count", "eliminant_of_form", "fp_roots"):
         assert not hasattr(rat3, name)
 
@@ -393,16 +392,18 @@ def test_projections_match_groebner_oracle():
         draw = deg_tau32_single(F, *lams, rng)
         sysm = build_tau32_system(F, *lams)
         oracle = tau32_counts_by_groebner(sysm, degenerate_points(F, *lams[:3]), rng)
-        assert (draw.bezout, draw.distinct, draw.simple, draw.alpha_values) == oracle == (144, 18, 12, 8)
+        assert oracle == (144, 18, 12, 8)  # the last, the alpha values, only the oracle counts
+        assert (draw.bezout, draw.distinct, draw.simple) == oracle[:3]
 
 
 def test_sampled_resultant_at_formal_y_degrees():
-    # h1 = (X - 2Z) Y^2 + X^2 Y + Z^3 drops to Y-degree 1 at X = 2; h2 keeps
-    # Y-degree 3.  Every sample must be the Sylvester determinant at the
-    # formal degrees, in either order of the forms
+    # h1 = Y^3 + (X - 2Z) Y^2 + X^2 Y + Z^3 and h2 = 3 Y^4 + X Y Z^2 + X^4 + Z^4
+    # hold pure Y^3 and Y^4 terms, as every projected pair does, so no sample
+    # drops a Y-degree.  Every sample must be the Sylvester determinant at
+    # the formal degrees, in either order of the forms
     F = GF(10007)
-    h1 = {(1, 2, 0): 1, (0, 2, 1): F.neg(2), (2, 1, 0): 1, (0, 0, 3): 1}
-    h2 = {(0, 3, 0): 3, (1, 1, 1): 1, (3, 0, 0): 1, (0, 0, 3): 1}
+    h1 = {(0, 3, 0): 1, (1, 2, 0): 1, (0, 2, 1): F.neg(2), (2, 1, 0): 1, (0, 0, 3): 1}
+    h2 = {(0, 4, 0): 3, (1, 1, 2): 1, (4, 0, 0): 1, (0, 0, 4): 1}
 
     def column(t, x):  # Y-coefficients at (x, Y, 1), leading first
         cs = [0] * (max(e[1] for e in t) + 1)
@@ -422,16 +423,17 @@ def test_sampled_resultant_at_formal_y_degrees():
 
 def test_alpha_projection_centre_on_h1():
     # linf = -1 kills the pure beta^9 term of h1, so (0 : 1 : 0), the centre
-    # that projects onto alpha, lies on h1.  Over GF(151) the beta-leading
-    # coefficient of h1 also vanishes at the nodes 16 and 25, whose samples
-    # are scaled back to the resultant at Y-degrees (7, 16)
+    # that projects onto alpha, lies on h1.  The random projections move
+    # their centre off both curves, and their counts match the oracle, which
+    # still finds 8 alpha values
     minus_one = PINNED_F.neg(PINNED_F.one)
     for F, lams in ((PINNED_F, (*PINNED[:2], minus_one, PINNED[3])), (GF(151), (29, 118, 150, 125))):
         sysm = build_tau32_system(F, *lams)
         assert [max(e[1] for e in h.terms) for h in sysm.hgens] == [7, 16]
         draw = deg_tau32_single(F, *lams, random.Random(1))
         oracle = tau32_counts_by_groebner(sysm, degenerate_points(F, *lams[:3]), random.Random(2))
-        assert (draw.bezout, draw.distinct, draw.simple, draw.alpha_values) == oracle == (144, 18, 12, 8)
+        assert oracle == (144, 18, 12, 8)
+        assert (draw.bezout, draw.distinct, draw.simple) == oracle[:3]
 
 
 def _fault_once_per_point(real, fault, which):
@@ -505,6 +507,27 @@ def test_marked_map_criterion_draws_again_only_on_degenerate_input(monkeypatch):
     assert run_criterion(10).passed
 
 
+def test_reconstruction_criterion_checks_every_drawn_map(monkeypatch):
+    # criterion 8 draws each map by its fixed points, so every map has
+    # rational fixed data: one _rational_fixed_data call per retraction
+    real = reproduce._rational_fixed_data
+    calls = []
+
+    def counted(phi, rng):
+        calls.append(phi)
+        return real(phi, rng)
+
+    monkeypatch.setattr(reproduce, "_rational_fixed_data", counted)
+    assert run_criterion(8).passed
+    assert len(calls) == 150
+    # a map without its drawn fixed points is a broken invariant, not a redraw
+    calls.clear()
+    monkeypatch.setattr(reproduce, "_rational_fixed_data", lambda phi, rng: calls.append(phi) or ([], []))
+    result = run_criterion(8)
+    assert not result.passed and result.detail.startswith("fixed points of")
+    assert len(calls) == 1
+
+
 def test_corrupted_resultant_sample_is_an_invariant_error(monkeypatch):
     # one wrong sample of the 146 lifts R to degree 145.  Every sample off by
     # one keeps degree 144, but R + 1 is off: the degenerate points are no
@@ -538,7 +561,7 @@ def test_disagreeing_projections_are_retried(monkeypatch):
 
     monkeypatch.setattr(rat3, "_root_multiplicity", first_projection_off)
     draw = deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
-    assert (draw.bezout, draw.distinct, draw.simple, draw.alpha_values) == (144, 18, 12, 8)
+    assert (draw.bezout, draw.distinct, draw.simple) == (144, 18, 12)
     # a different fault in every projection: no two agree, and the draw
     # fails as an unlucky one
     def every_projection_off(f, c):
@@ -560,14 +583,14 @@ def test_pinned_small_field_draws_projections_again():
     assert oracle == (144, 18, 12, 8)
     for seed in (2, 5):
         draw = deg_tau32_single(F, *lams, random.Random(seed))
-        assert (draw.bezout, draw.distinct, draw.simple, draw.alpha_values) == oracle
+        assert (draw.bezout, draw.distinct, draw.simple) == oracle[:3]
 
 
 def test_deg_tau32_budget_and_small_fields():
-    # one budget tick per resultant sample: 3 x 146 per draw
-    deg_tau32_single(PINNED_F, *PINNED, random.Random(3), budget=438)
+    # one budget tick per resultant sample: 2 x 146 per draw
+    deg_tau32_single(PINNED_F, *PINNED, random.Random(3), budget=292)
     with pytest.raises(BudgetExhaustedError):
-        deg_tau32_single(PINNED_F, *PINNED, random.Random(3), budget=437)
+        deg_tau32_single(PINNED_F, *PINNED, random.Random(3), budget=291)
     F = GF(139)
     with pytest.raises(UsageError, match="p > 145"):
         deg_tau32_single(F, *(F.from_int(c) for c in (2, 3, 4, 5)), random.Random(3))
@@ -586,10 +609,15 @@ def test_deg_tau32_report_agreement():
     assert len(rep.draws) == 3
     assert len({d.prime for d in rep.draws}) == 3
     for d in rep.draws:
-        # each two-cycle shows up at two beta values of one alpha, so the 12
-        # simple points carry 6 alpha values, plus 0 and 1 from the corners
-        assert d.alpha_values == 8
         assert d.bezout - d.simple - d.degenerate == 126  # 3 x 42 at P1, P2, P3
+    first = rep.draws[0]
+    F = GF(first.prime)
+    oracle = tau32_counts_by_groebner(
+        build_tau32_system(F, *first.lambdas), degenerate_points(F, *first.lambdas[:3]), random.Random(1)
+    )
+    # each two-cycle shows up at two beta values of one alpha, so the 12
+    # simple points carry 6 alpha values, plus 0 and 1 from the corners
+    assert oracle[3] == 8
 
 
 def test_reconstruct_z_squared():
