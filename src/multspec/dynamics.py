@@ -11,9 +11,9 @@ coefficients, so results are padded back to their formal degree.
 
 The n-multiplier spectrum is read off chi_n = prod (w - (phi^n)'(P)) over
 the roots P of Per_n, the monic vanishing polynomial of the affine points
-with phi^n(P) = P.  A rational map is first conjugated so that none of
-them sits at infinity, by candidates from a fixed internal sequence, so
-results never depend on caller seeds.  A polynomial is not: infinity is a
+with phi^n(P) = P.  A rational map whose phi^n fixes infinity is first
+conjugated by z -> t + 1/z, t the least of 0, 1, .. off Per_n, so that
+none of them sits there.  A polynomial is not: infinity is a
 totally invariant fixed point of multiplier 0 in every characteristic,
 the one periodic point off the affine chart, so Per_m has degree d^m and
 chi_n has the factor w.  Per_n is the product of the dynatomic factors
@@ -35,9 +35,9 @@ the GF(p) chi*_m, for the first prime of a fixed list that reduces well.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DegenerateInputError,
@@ -118,7 +118,7 @@ def _forms_share_root(num, den, dom, d) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# points and fractional linear maps
+# points
 
 
 class ProjPoint:
@@ -165,46 +165,6 @@ class ProjPoint:
 
     def __repr__(self):
         return "inf" if self.is_infinity else f"{self.x}"
-
-
-class Mobius:
-    """Invertible fractional linear map z -> (a z + b) / (c z + d)."""
-
-    __slots__ = ("dom", "a", "b", "c", "d")
-
-    def __init__(self, dom: Domain, a, b, c, d):
-        det = dom.sub(dom.mul(a, d), dom.mul(b, c))
-        if dom.is_zero(det):
-            raise DegenerateMapError("Mobius determinant vanishes")
-        self.dom = dom
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    @classmethod
-    def identity(cls, dom):
-        return cls(dom, dom.one, dom.zero, dom.zero, dom.one)
-
-    @classmethod
-    def from_ints(cls, dom, a, b, c, d):
-        return cls(dom, dom.from_int(a), dom.from_int(b), dom.from_int(c), dom.from_int(d))
-
-    def inverse(self):
-        dom = self.dom
-        return Mobius(dom, self.d, dom.neg(self.b), dom.neg(self.c), self.a)
-
-    def apply(self, p: ProjPoint) -> ProjPoint:
-        dom = self.dom
-        x = dom.add(dom.mul(self.a, p.x), dom.mul(self.b, p.y))
-        y = dom.add(dom.mul(self.c, p.x), dom.mul(self.d, p.y))
-        return ProjPoint(dom, x, y)
-
-    def is_identity(self):
-        dom = self.dom
-        return (
-            dom.is_zero(self.b)
-            and dom.is_zero(self.c)
-            and self.a == self.d
-            and not dom.is_zero(self.a)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -295,31 +255,40 @@ class ProjMap:
         return f"({self.affine_num()}) / ({self.affine_den()})"
 
 
-def conjugate(phi: ProjMap, m: Mobius) -> ProjMap:
-    """m^-1 . phi . m, same multiplier spectra in new coordinates."""
-    if phi.dom != m.dom:
-        raise FieldMismatchError("map and Mobius over different fields")
-    dom = phi.dom
-    mx = _form([m.a, m.b], dom)
-    my = _form([m.c, m.d], dom)
-    f1 = _form_compose(phi.num, mx, my)
-    g1 = _form_compose(phi.den, mx, my)
-    # postcompose with the adjugate of m (projective inverse)
-    num = f1.scale(m.d) - g1.scale(m.b)
-    den = g1.scale(m.a) - f1.scale(m.c)
-    return ProjMap(dom, _padded(num, phi.d), _padded(den, phi.d), check=False)
+def conjugate(f: UniPoly, g: UniPoly, d: int, m) -> tuple:
+    """Forms adj(m) . (f, g) . m of the conjugate of the degree-d map (f, g) by
+    z -> (a z + b) / (c z + e), m = (a, b, c, e) integers; over ZZ primitive."""
+    dom = f.dom
+    a, b, c, e = map(dom.from_int, m)
+    mx, my = UniPoly.from_ints(dom, "y", m[:2]), UniPoly.from_ints(dom, "y", m[2:])
+    f, g = (_form_compose(_padded(h, d), mx, my) for h in (f, g))
+    f, g = f.scale(e) - g.scale(b), g.scale(a) - f.scale(c)
+    if dom.char == 0:
+        k = gcd(*f.coeffs, *g.coeffs)
+        f, g = (h.map_coeffs(dom, lambda x: x // k) for h in (f, g))
+    return f, g
 
 
-def _chain(phi: ProjMap, n: int) -> list:
-    """Forms (num, den) of phi^1 .. phi^n from one composition loop; over QQ on
-    ZZ, cleared once, as a common scalar does not change phi^k."""
-    links = [(_form(phi.num, phi.dom), _form(phi.den, phi.dom))]
+def _chain(phi: ProjMap, n: int, m=(1, 0, 0, 1)) -> list:
+    """Forms (num, den) of psi^1 .. psi^n from one composition loop, psi the
+    `conjugate` of phi by m; over QQ on ZZ, cleared once, as a common scalar
+    does not change psi^k."""
+    link = _form(phi.num, phi.dom), _form(phi.den, phi.dom)
     if phi.dom.char == 0:
-        links[0], _ = clear_denominators(*links[0])
-    f, g = (_padded(h, phi.d) for h in links[0])  # not h.coeffs: a zero top y coefficient is dropped
+        link, _ = clear_denominators(*link)
+    if m != (1, 0, 0, 1):
+        link = conjugate(*link, phi.d, m)
+    links = [link]
+    f, g = (_padded(h, phi.d) for h in link)  # not h.coeffs: a zero top y coefficient is dropped
     for _ in range(n - 1):
         links.append((_form_compose(f, *links[-1]), _form_compose(g, *links[-1])))
     return links
+
+
+def _period_form(link, d: int) -> tuple:
+    """Per = Num - z Den and Den in z from a `_chain` link of formal degree d."""
+    num, den = (_affine(_padded(h, d), h.dom) for h in link)
+    return num - den.shift(1), den
 
 
 def iterate(phi: ProjMap, n: int) -> ProjMap:
@@ -335,8 +304,7 @@ def period_polynomial(phi: ProjMap, n: int) -> UniPoly:
     """Monic vanishing polynomial of the affine points with phi^n(z) = z.
 
     Degree is d^n + 1 exactly when no n-periodic point sits at infinity;
-    otherwise the degree drops (to d^n for a polynomial) and callers
-    reposition a rational map first.
+    otherwise the degree drops (to d^n for a polynomial).
     """
     psi = iterate(phi, n) if n > 1 else phi
     z = UniPoly.gen(phi.dom, "z")
@@ -346,32 +314,18 @@ def period_polynomial(phi: ProjMap, n: int) -> UniPoly:
     return v.monic()
 
 
-_REPOSITION_SEED = 0x5EEDBA5E
-_REPOSITION_BUDGET = 32
-
-
-def _reposition_candidates(dom):
-    """Fixed deterministic Mobius sequence, identity first."""
-    yield Mobius.identity(dom)
-    rng = random.Random(_REPOSITION_SEED)
-    produced = 1
-    while produced < _REPOSITION_BUDGET:
-        a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
-        try:
-            yield Mobius.from_ints(dom, a, b, c, d)
-        except DegenerateMapError:
-            continue
-        produced += 1
-
-
 def _good_position(phi: ProjMap, n: int) -> list:
-    """`_chain` of a conjugate of phi with all n-periodic points affine: the
-    first whose phi^n moves infinity, den_n(1, 0) != 0."""
-    for m in _reposition_candidates(phi.dom):
-        chain = _chain(phi if m.is_identity() else conjugate(phi, m), n)
-        if chain[-1][1].coeff(0):
-            return chain
-    raise MathError(f"no conjugate kept Per_{n} affine within budget")
+    """`_chain` of phi, or of a conjugate, with all n-periodic points affine:
+    phi when phi^n moves infinity, den_n(1, 0) != 0; else by z -> t + 1/z,
+    which sends infinity to t, for the least t = 0, 1, .. off Per_n."""
+    chain = _chain(phi, n)
+    if chain[-1][1].coeff(0):
+        return chain
+    per = _period_form(chain[-1], phi.d ** n)[0]
+    for t in range(phi.dom.char or phi.d ** n + 1):  # Per_n has at most d^n roots
+        if per.eval(t):
+            return _chain(phi, n, (t, 1, 1, 0))
+    raise MathError(f"every point of P^1(F_{phi.dom.char}) has period dividing {n}")
 
 
 def _mult_char_poly(mu: UniPoly, modulus: UniPoly) -> UniPoly:
@@ -469,8 +423,8 @@ def multiplier_char_poly(phi: ProjMap, n: int) -> UniPoly:
     stars = {}
     r = UniPoly.gen(dom, "w") if poly else UniPoly.const(dom, "w", dom.one)  # w: infinity, 0^k = 0
     for m in (m for m in range(1, n + 1) if n % m == 0):
-        nn, dd = (_affine(_padded(h, phi.d ** m), h.dom) for h in chain[m - 1])
-        per = nn - dd.shift(1)  # over QQ on ZZ; every point of period dividing n but infinity is affine
+        # over QQ on ZZ; every point of period dividing n but infinity is affine
+        per, dd = _period_form(chain[m - 1], phi.d ** m)
         if per.degree != phi.d ** m + (not poly):
             raise InvariantError(f"Per_{m} has degree {per.degree}")
         phis = per.map_coeffs(dom, dom.from_int).monic()
@@ -516,10 +470,6 @@ class TauImage:
     n: int
     sigmas: tuple
 
-    def __post_init__(self):
-        if len(self.sigmas) != self.n:
-            raise UsageError("tau image has wrong number of levels")
-
 
 @dataclass(frozen=True)
 class RelationResidual:
@@ -541,38 +491,33 @@ def sigma_n(phi: ProjMap, n: int) -> SigmaVector:
 
 
 def tau(phi: ProjMap, n: int) -> TauImage:
+    if n < 1:
+        raise UsageError("period must be >= 1")
     return TauImage(
         dom=phi.dom, d=phi.d, n=n, sigmas=tuple(sigma_n(phi, k) for k in range(1, n + 1))
     )
 
 
 def multiplier_at_point(phi: ProjMap, p: ProjPoint, n: int):
-    """(phi^n)'(p) for a point of period dividing n, as a scalar."""
+    """(phi^n)'(p) for a point of period dividing n, as a scalar: the chain rule
+    along the orbit, each point read in its own chart, z = X/Y, or w = Y/X at
+    infinity.  A step is (A' B - A B') / B^2 with (A, B) = (num, den) in the
+    chart of the point, swapped when the next point is infinity."""
     if phi.dom != p.dom:
         raise FieldMismatchError("point and map over different fields")
     dom = phi.dom
-    orbit = [p]
-    q = p
+    affine, at_infinity = (phi.affine_num(), phi.affine_den()), (_form(phi.num, dom), _form(phi.den, dom))
+    acc, q = dom.one, p
     for _ in range(n):
-        q = phi.apply(q)
-        orbit.append(q)
-    if orbit[-1] != p:
+        r = phi.apply(q)
+        (a, b), s = (at_infinity, dom.zero) if q.is_infinity else (affine, q.x)
+        if r.is_infinity:
+            a, b = b, a
+        bs = b.eval(s)
+        step = dom.sub(dom.mul(derivative(a).eval(s), bs), dom.mul(a.eval(s), derivative(b).eval(s)))
+        acc, q = dom.mul(acc, dom.div(step, dom.mul(bs, bs))), r
+    if q != p:
         raise MathError("point is not periodic of period dividing n")
-    if any(pt.is_infinity for pt in orbit):
-        for m in _reposition_candidates(dom):
-            if m.is_identity():
-                continue
-            minv = m.inverse()
-            moved = [minv.apply(pt) for pt in orbit]
-            if all(not pt.is_infinity for pt in moved):
-                return multiplier_at_point(conjugate(phi, m), moved[0], n)
-        raise MathError("could not move the orbit off infinity")
-    nn, dd = phi.affine_num(), phi.affine_den()
-    num = derivative(nn) * dd - nn * derivative(dd)
-    den2 = dd * dd
-    acc = dom.one
-    for pt in orbit[:-1]:
-        acc = dom.mul(acc, dom.div(num.eval(pt.x), den2.eval(pt.x)))
     return acc
 
 

@@ -723,20 +723,17 @@ def interpolate(ys, dom: Domain, var: str) -> UniPoly:
     """Unique polynomial of degree < n = len(ys) through (k, ys[k]), k = 0 .. n - 1."""
     if not dom.is_field:
         raise UsageError("interpolation requires a field domain")
-    n, xs = len(ys), list(range(len(ys)))  # a list: the GF(p) loops index it
-    coef, cs = list(ys), [dom.zero] * n
-    if isinstance(dom, PrimeField):  # % p kernel: one inverse per distinct node difference
-        p, invs = dom.p, {}
+    n, coef, cs = len(ys), list(ys), [dom.zero] * len(ys)
+    if isinstance(dom, PrimeField):  # % p kernel: column j divides by the node gap j
+        p = dom.p
         for j in range(1, n):
+            inv = pow(j, -1, p)
             for i in range(n - 1, j - 1, -1):
-                d = (xs[i] - xs[i - j]) % p
-                if d not in invs:
-                    invs[d] = pow(d, -1, p)
-                coef[i] = (coef[i] - coef[i - 1]) * invs[d] % p
+                coef[i] = (coef[i] - coef[i - 1]) * inv % p
         for i in range(n - 1, -1, -1):  # Horner in the Newton basis
             for k in range(n - 1 - i, 0, -1):
-                cs[k] = (cs[k - 1] - xs[i] * cs[k]) % p
-            cs[0] = (coef[i] - xs[i] * cs[0]) % p
+                cs[k] = (cs[k - 1] - i * cs[k]) % p
+            cs[0] = (coef[i] - i * cs[0]) % p
         return UniPoly(dom, var, cs)
     # QQ: the j-th divided difference is the j-th forward difference over j!;
     # both loops run on ints, times the common denominator den (n - 1)!

@@ -18,15 +18,21 @@ sigma_1 of z^3 + az + b in closed form.  `exact_div` is exact polynomial divisio
 `prem` and `prs_resultant` are the pseudo-remainder and the subresultant
 sequence over any integral domain, the oracles for the plain-int ZZ kernel
 of `exactalg` and the resultant over a PolyRing; `zz_resultant_cases` draws
-inputs for that kernel.  `repositioned` conjugates a map so that no
-n-periodic point sits at infinity, for the resultant routes.
+inputs for that kernel.  `Mobius` and `conjugate` are fractional linear
+maps and conjugation of a map by them, over its own field;
+`repositioned` conjugates a map so that no n-periodic point sits at
+infinity, by the first fit of a seeded Mobius sequence, for the resultant
+routes and as an oracle for the integer matrix conjugation inside
+`dynamics.multiplier_char_poly`.
 `newton_interpolate` is interpolation at any nodes built from UniPoly
 products, an oracle for the integer QQ loop of `interpolate`.
 """
 
+import random
+
 from matrix_helpers import bareiss_det, exact_quotient
-from multspec.dynamics import ProjMap, SigmaVector, _reposition_candidates, conjugate, iterate
-from multspec.errors import DegenerateInputError, DegenerateMapError, MathError
+from multspec.dynamics import ProjMap, ProjPoint, SigmaVector, iterate
+from multspec.errors import DegenerateInputError, DegenerateMapError, FieldMismatchError, MathError
 from multspec.exactalg import (
     ZZ,
     Domain,
@@ -186,6 +192,66 @@ class PolyRing(Domain):
         return hash(("PolyRing", self.base, self.var))
 
 
+class Mobius:
+    """Invertible fractional linear map z -> (a z + b) / (c z + d)."""
+
+    __slots__ = ("dom", "a", "b", "c", "d")
+
+    def __init__(self, dom: Domain, a, b, c, d):
+        if dom.is_zero(dom.sub(dom.mul(a, d), dom.mul(b, c))):
+            raise DegenerateMapError("Mobius determinant vanishes")
+        self.dom = dom
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    @classmethod
+    def identity(cls, dom):
+        return cls(dom, dom.one, dom.zero, dom.zero, dom.one)
+
+    @classmethod
+    def from_ints(cls, dom, a, b, c, d):
+        return cls(dom, dom.from_int(a), dom.from_int(b), dom.from_int(c), dom.from_int(d))
+
+    def inverse(self):
+        dom = self.dom
+        return Mobius(dom, self.d, dom.neg(self.b), dom.neg(self.c), self.a)
+
+    def apply(self, p: ProjPoint) -> ProjPoint:
+        dom = self.dom
+        x = dom.add(dom.mul(self.a, p.x), dom.mul(self.b, p.y))
+        y = dom.add(dom.mul(self.c, p.x), dom.mul(self.d, p.y))
+        return ProjPoint(dom, x, y)
+
+
+def conjugate(phi: ProjMap, m: Mobius) -> ProjMap:
+    """m^-1 . phi . m over the field of phi: the forms F(a + bY, c + dY), as
+    sums of powers, postcomposed with the adjugate of m."""
+    if phi.dom != m.dom:
+        raise FieldMismatchError("map and Mobius over different fields")
+    dom, d = phi.dom, phi.d
+    mx, my = UniPoly(dom, "y", [m.a, m.b]), UniPoly(dom, "y", [m.c, m.d])
+    zero = UniPoly(dom, "y", [])
+    f, g = (sum(((mx ** (d - i) * my**i).scale(c) for i, c in enumerate(cs)), zero) for cs in (phi.num, phi.den))
+    num, den = f.scale(m.d) - g.scale(m.b), g.scale(m.a) - f.scale(m.c)
+    return ProjMap(dom, *(list(h.coeffs) + [dom.zero] * (d + 1 - len(h.coeffs)) for h in (num, den)), check=False)
+
+
+_CANDIDATE_SEED = 0x5EEDBA5E
+
+
+def _candidates(dom):
+    """Fixed seeded sequence of 32 Mobius maps, identity first."""
+    yield Mobius.identity(dom)
+    rng = random.Random(_CANDIDATE_SEED)
+    produced = 1
+    while produced < 32:
+        a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
+        try:
+            yield Mobius.from_ints(dom, a, b, c, d)
+        except DegenerateMapError:
+            continue
+        produced += 1
+
+
 def repositioned(phi, n):
     """The first conjugate of phi in the fixed candidate sequence with all
     n-periodic points affine, and its n-th iterate.
@@ -196,8 +262,8 @@ def repositioned(phi, n):
     shortcut.
     """
     z = UniPoly.gen(phi.dom, "z")
-    for m in _reposition_candidates(phi.dom):
-        psi = phi if m.is_identity() else conjugate(phi, m)
+    for m in _candidates(phi.dom):
+        psi = conjugate(phi, m)
         it = iterate(psi, n)
         if (it.affine_num() - z * it.affine_den()).degree == phi.d ** n + 1:
             return psi, it

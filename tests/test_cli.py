@@ -133,6 +133,14 @@ def test_tau_command_levels():
     assert doc["sigmas"][1] == [str(v) for v in sigma_n(phi, 2).values]
 
 
+def test_tau_rejects_levels_below_one():
+    # as sigma does: no empty tau image for n = 0, and no level-count error for n < 0
+    for n in ("0", "-2"):
+        for command in ("tau", "sigma"):
+            code, doc = run_json([command, "--map", "z^2+1", "-n", n])
+            assert code == 2 and doc == {"error": "period must be >= 1", "kind": "usage"}, (command, n)
+
+
 def test_relation_command():
     code, doc = run_json(["relation", "--map", "z^4+1"])
     assert code == 0 and doc["polynomial"] is True

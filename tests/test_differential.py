@@ -21,7 +21,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from fractions import Fraction  # noqa: E402
 
-from multspec.dynamics import Mobius, ProjMap, conjugate, random_map, sigma_n  # noqa: E402
+from multspec.dynamics import ProjMap, random_map, sigma_n  # noqa: E402
 from multspec.errors import DegenerateMapError  # noqa: E402
 from multspec.exactalg import GF, QQ, ZZ, Domain, UniPoly, _zz_prem, random_prime, resultant, squarefree_part  # noqa: E402
 from multspec.groebner import GREVLEX, MultiPoly, buchberger, quotient_dimension  # noqa: E402
@@ -29,7 +29,7 @@ from multspec.linalg import char_poly  # noqa: E402
 
 from groebner_oracles import LEX  # noqa: E402
 from matrix_helpers import bareiss_det  # noqa: E402
-from poly_oracles import PolyRing, prem, zz_resultant_cases  # noqa: E402
+from poly_oracles import Mobius, PolyRing, conjugate, prem, zz_resultant_cases  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # buchberger against sympy.groebner(..., modulus=p)

@@ -6,10 +6,8 @@ from fractions import Fraction
 import pytest
 
 from multspec.dynamics import (
-    Mobius,
     ProjMap,
     ProjPoint,
-    conjugate,
     fixed_point_index_sum,
     forced_multiplier,
     iterate,
@@ -28,7 +26,14 @@ from multspec.errors import DegenerateMapError, InvariantError, MathError, Usage
 from multspec.exactalg import GF, QQ, UniPoly, derivative, poly_gcd, random_prime
 
 from matrix_helpers import bareiss_det, mat_mul
-from poly_oracles import bivariate_multiplier_char_poly, repositioned, sampled_multiplier_char_poly, sylvester_matrix
+from poly_oracles import (
+    Mobius,
+    bivariate_multiplier_char_poly,
+    conjugate,
+    repositioned,
+    sampled_multiplier_char_poly,
+    sylvester_matrix,
+)
 
 
 def poly_map(dom, ints):
@@ -410,9 +415,9 @@ def test_non_exact_dynatomic_division_fails_the_run(monkeypatch):
     calls = []
     real = dynamics._chain
 
-    def faulty(psi, n):
+    def faulty(psi, n, m=(1, 0, 0, 1)):
         calls.append(n)
-        (num, den), *rest = real(psi, n)
+        (num, den), *rest = real(psi, n, m)
         return [(num + UniPoly.const(num.dom, "y", num.dom.one).shift(psi.d), den)] + rest
 
     monkeypatch.setattr(dynamics, "_chain", faulty)
@@ -646,6 +651,88 @@ def test_multiplier_at_point():
     assert multiplier_at_point(sq, ProjPoint.affine(QQ, Fraction(0)), 2) == Fraction(0)
     with pytest.raises(MathError):
         multiplier_at_point(sq, ProjPoint.affine(QQ, Fraction(5)), 1)
+
+
+def infinity_cycles(F, d, rng, draws):
+    """Maps of degree d drawn over F = GF(p) whose orbit of infinity is a
+    cycle of length at least 2, with that cycle, infinity first."""
+    inf = ProjPoint.infinity(F)
+    for _ in range(draws):
+        phi = random_map(F, d, rng)
+        orbit = [inf]
+        while len(orbit) <= F.p + 1 and (q := phi.apply(orbit[-1])) != inf:
+            orbit.append(q)
+        if 2 <= len(orbit) <= F.p + 1:
+            yield phi, orbit
+
+
+@pytest.mark.parametrize(
+    "p, d, periods, draws, want",
+    [(3, 3, (2, 3, 4), 600, (149, 8)), (5, 5, (2, 3), 200, (38, 0)), (5, 3, (6,), 1000, (0, 3))],
+)
+def test_multiplier_at_point_on_cycles_through_infinity(p, d, periods, draws, want):
+    # every point of a k-cycle through infinity has the multiplier of phi^k at
+    # infinity, den_k[1] / num_k[0] in the chart w = Y/X, as den_k[0] = 0.
+    # Where a point of P^1(F_p) is off the cycle, a conjugate moving it to
+    # infinity puts the whole cycle in the affine chart.  p | d in the first
+    # two cases; the third takes the 6-cycles, which cover P^1(F_5), with an
+    # iterate of degree 3^6 where d = 5 would take 5^6
+    F, pts = all_points(p)
+    rng = random.Random(63)
+    counts = Counter()
+    for phi, orbit in infinity_cycles(F, d, rng, draws):
+        k = len(orbit)
+        if k not in periods:
+            continue
+        it = iterate(phi, k)
+        lam = F.div(it.den[1], it.num[0])
+        assert [multiplier_at_point(phi, q, k) for q in orbit] == [lam] * k
+        assert multiplier_at_point(phi, orbit[-1], 2 * k) == F.mul(lam, lam)
+        free = [q for q in pts if q not in orbit]
+        counts[not free] += 1
+        if free:
+            while True:
+                try:
+                    m = Mobius(F, free[0].x, F.rand(rng), F.one, F.rand(rng))  # m(inf) = free[0]
+                    break
+                except DegenerateMapError:
+                    continue
+            moved = [m.inverse().apply(q) for q in orbit]
+            assert not any(q.is_infinity for q in moved)
+            assert multiplier_at_point(conjugate(phi, m), moved[0], k) == lam
+    assert (counts[False], counts[True]) == want
+
+
+def test_good_position_conjugates_only_when_phi_n_fixes_infinity(monkeypatch):
+    # over QQ, a map whose phi^n fixes infinity takes the identity chain and
+    # one conjugate by z -> t + 1/z, t the least of 0, 1, .. off Per_n; one
+    # that moves infinity takes the identity chain alone
+    calls = []
+    real = dynamics._chain
+
+    def counted(psi, n, m=(1, 0, 0, 1)):
+        calls.append((n, m))
+        return real(psi, n, m)
+
+    monkeypatch.setattr(dynamics, "_chain", counted)
+    cases = (
+        ((1, 0, 1), (0, 1, 1), 2, [(2, (1, 0, 0, 1)), (2, (0, 1, 1, 0))]),  # (z^2 + 1) / (z + 1): 0 -> 1 -> 1
+        ((1, 0, 0), (0, 1, 1), 1, [(1, (1, 0, 0, 1)), (1, (1, 1, 1, 0))]),  # z^2 / (z + 1) fixes 0
+        ((1, 0, 1), (3, 1, 7), 2, [(2, (1, 0, 0, 1))]),
+    )
+    for num, den, n, want in cases:
+        phi = ProjMap(QQ, map(Fraction, num), map(Fraction, den))
+        calls.clear()
+        chi = multiplier_char_poly(phi, n)
+        assert calls == want
+        assert chi == sampled_multiplier_char_poly(phi, n)
+    # (z^3 + z^2 + z + 1) / (z^3 + 2z^2 + 2z) permutes P^1(F_3) as the 4-cycle
+    # inf -> 1 -> 2 -> 0, so no t in F_3 is off Per_4
+    calls.clear()
+    code, text = run_command(["sigma", "--num", "1,1,1,1", "--den", "1,2,2,0", "-n", "4", "--field", "GF:3"])
+    assert code == 1 and '"kind": "math"' in text
+    assert "every point of P^1(F_3) has period dividing 4" in text
+    assert calls == [(4, (1, 0, 0, 1))]
 
 
 def test_tau_levels():

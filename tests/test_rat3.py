@@ -7,10 +7,8 @@ import pytest
 
 from multspec import exactalg, groebner, linalg, rat3, reproduce
 from multspec.dynamics import (
-    Mobius,
     ProjMap,
     ProjPoint,
-    conjugate,
     forced_multiplier,
     multiplier_at_point,
     period_polynomial,
@@ -42,7 +40,7 @@ from groebner_oracles import (
     to_unipoly,
 )
 from matrix_helpers import bareiss_det, random_invertible
-from poly_oracles import chain_map_from_invariants
+from poly_oracles import Mobius, chain_map_from_invariants, conjugate
 
 
 def qq(*xs):
