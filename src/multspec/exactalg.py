@@ -111,10 +111,10 @@ class RationalField(Domain):
         return a ** n
 
     def inv(self, a):
-        return 1 / a
+        return self.one / a  # exact for int operands too
 
     def div(self, a, b):
-        return a / b
+        return Fraction(a) / b
 
     def from_int(self, n):
         return Fraction(n)

@@ -11,19 +11,20 @@ weight fields above the exponent fields, so a product is an int add, the
 order is int comparison and divisibility is a guard-bit mask.  Division
 takes leading terms off a heap, and Buchberger appends each new element to
 one packed reducer list; each S-pair keeps its packed lcm from the moment
-it is made.  Over GF(p), products of polynomials, the dense normal-form and
-multiplication-matrix arithmetic and quotient-algebra sums and products run
-as ``% p`` kernels on plain ints; QQ takes the generic Domain path.
+it is made.  Products of polynomials, normal-form vectors and
+quotient-algebra sums and products accumulate with native operators, one
+loop for QQ and GF(p); over GF(p) each sum takes one ``% p`` at the end.
 
 Counting distinct solutions never leaves the base field: a random linear
 form u gets a multiplication matrix on the standard monomial basis, its
 characteristic polynomial is the eliminant of u, and the degree of the
 squarefree part counts distinct points over the algebraic closure.  Two
-independent draws of u must agree.  A basis keeps its staircase and one
-cache of normal-form vectors, so the matrices of later forms reuse the
-normal forms of x_i * b computed for the first.  Rational points are extracted from left
-eigenvectors of the multiplication matrix (the evaluation functionals),
-which avoids one Groebner run per root.
+independent draws of u must agree.  A basis has one quotient context
+(``IdealBasis.quotient``): its normal-form vectors and the rows of
+structure constants it has built serve every later form, eliminant and
+quotient computation on that basis.  Rational points are extracted from
+left eigenvectors of the multiplication matrix (the evaluation
+functionals), which avoids one Groebner run per root.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import (
     BudgetExhaustedError,
@@ -244,20 +245,13 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        if isinstance(dom, PrimeField):  # % p kernel: one reduction per product term
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    e = tuple(map(add, ea, eb))
-                    out[e] = out.get(e, 0) + ca * cb
-            return MultiPoly(dom, self.vars, {e: c % dom.p for e, c in out.items()})
+        zero = dom.zero
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = tuple(map(add, ea, eb))
-                s = dom.add(out.get(e, dom.zero), dom.mul(ca, cb))
-                if dom.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                out[e] = out.get(e, zero) + ca * cb
+        if p := dom.char:  # one reduction per product term
+            out = {e: c % p for e, c in out.items()}
         return MultiPoly(dom, self.vars, out)
 
     # -- calculus and substitution
@@ -337,9 +331,9 @@ class IdealBasis:
         return tuple(sorted((e for e in box if not any(mono_divides(t, e) for t in lts)), key=self.order.key))
 
     @cached_property
-    def normal_forms(self):
-        """The one normal-form context of this (zero-dimensional) basis."""
-        return _NormalForms(self)
+    def quotient(self):
+        """The one quotient context of this (zero-dimensional) basis."""
+        return QuotientAlgebra(self)
 
 
 def _reduce_terms(h: dict, reducers, memo: dict, dom, packing: _Packing, budget=None):
@@ -355,7 +349,7 @@ def _reduce_terms(h: dict, reducers, memo: dict, dom, packing: _Packing, budget=
     reducers are only appended, so the first divisor never changes; a new
     reducer list takes a fresh ``{}``.
     """
-    p = dom.p if isinstance(dom, PrimeField) else 0
+    p = dom.char
     zero = dom.zero
     guard, overflow = packing.guard, packing.overflow
     heap = [-m for m in h]
@@ -385,7 +379,7 @@ def _reduce_terms(h: dict, reducers, memo: dict, dom, packing: _Packing, budget=
             if old is None:
                 heapq.heappush(heap, -t)
                 old = zero
-            s = (old - c * ct) % p if p else dom.sub(old, dom.mul(c, ct))
+            s = (old - c * ct) % p if p else old - c * ct
             if s == zero:
                 h.pop(t, None)
             else:
@@ -548,76 +542,70 @@ def quotient_dimension(basis: IdealBasis):
     return None if std is None else len(std)
 
 
-def standard_monomials(basis: IdealBasis):
-    """Monomials outside the leading-term ideal, ascending in the order."""
-    if basis.staircase is None:
-        raise MathError("quotient algebra is infinite dimensional")
-    return list(basis.staircase)
-
-
-def multiplication_matrix(basis: IdealBasis, u: MultiPoly):
-    """Matrix of multiplication by u on the standard monomial basis."""
-    std = standard_monomials(basis)
-    nf = basis.normal_forms
-    cols = [
-        _combine(u.dom, [(c, nf.vector(mono_mul(e, b))) for e, c in u.terms.items()], len(std))
-        for b in std
-    ]
-    return [list(row) for row in zip(*cols)], std
-
-
 def _combine(dom, pairs, D):
-    """Dense sum of c * vec over (c, vec) pairs; a % p kernel over GF(p)."""
-    if isinstance(dom, PrimeField):
-        acc = [0] * D
-        for c, vec in pairs:
-            acc = [a + c * v for a, v in zip(acc, vec)]
-        return [a % dom.p for a in acc]
+    """Dense sum of c * vec over (c, vec) pairs; over GF(p) one ``% p`` per
+    coordinate at the end."""
     acc = [dom.zero] * D
     for c, vec in pairs:
-        for k, v in enumerate(vec):
-            if not dom.is_zero(v):
-                acc[k] = dom.add(acc[k], dom.mul(c, v))
-    return acc
+        acc = [a + c * v for a, v in zip(acc, vec)]
+    return [a % p for a in acc] if (p := dom.char) else acc
 
 
 def _sparse_sum(dom, pairs, D):
     """Dense sum of c * row over (c, row) pairs, each row a sparse list of
     (index, coefficient); over GF(p) one ``% p`` per coordinate at the end."""
-    if isinstance(dom, PrimeField):
-        acc = [0] * D
-        for c, row in pairs:
-            for k, v in row:
-                acc[k] += c * v
-        return [a % dom.p for a in acc]
     acc = [dom.zero] * D
     for c, row in pairs:
         for k, v in row:
-            acc[k] = dom.add(acc[k], dom.mul(c, v))
-    return acc
+            acc[k] += c * v
+    return [a % p for a in acc] if (p := dom.char) else acc
 
 
-class _NormalForms:
-    """Normal forms of monomials as dense vectors over the standard monomials.
+class QuotientAlgebra(Domain):
+    """F[x_1..x_n]/I as a coefficient ring, for zero-dimensional I.
 
-    Built once per basis (``IdealBasis.normal_forms``) and filled in as
-    monomials are asked for, so every multiplication matrix, eliminant and
-    quotient algebra on that basis shares the vectors already computed.
-    Cached vectors are shared: callers must not mutate them.
+    The one quotient context of a basis (``IdealBasis.quotient``), so every
+    eliminant, point extraction and quotient computation on that basis shares
+    what is already built.  Elements are coordinate tuples over the standard
+    monomials b_1..b_D, the staircase.  Normal forms of monomials are dense
+    vectors, computed when first asked for and cached; callers must not
+    mutate them.  The structure constants, the normal forms of the products
+    b_i * b_j, are sparse (index, coefficient) lists, built one row i at a
+    time when first needed: a product sums only the nonzero x_i * y_j * c_ijk
+    terms and needs no reduction.  Sums run on native operators, with one
+    ``% p`` per coordinate over GF(p).  This is a ring with zero divisors,
+    not a field: only Domain ring operations are available, which is enough
+    to evaluate polynomial expressions simultaneously at every point of the
+    scheme.
     """
 
-    def __init__(self, basis: IdealBasis):
-        self.dom = basis.gens[0].dom if basis.gens else None
-        self.gb = [(lt, g.terms) for lt, g in zip(basis.leading_exponents, basis.gens)]
-        self.index = {e: i for i, e in enumerate(basis.staircase)}
-        self.cache = {}
+    is_field = False
 
-    def vector(self, target):
-        cache = self.cache
+    def __init__(self, basis: IdealBasis):
+        std = basis.staircase
+        if std is None:
+            raise MathError("quotient algebra is infinite dimensional")
+        if basis.contains_one():
+            raise UsageError("quotient algebra of the unit ideal is trivial")
+        base = self.base = basis.gens[0].dom
+        self.char = base.char
+        self.vars = basis.vars
+        self.std = std
+        self.dim = len(std)
+        self._gb = [(lt, g.terms) for lt, g in zip(basis.leading_exponents, basis.gens)]
+        self._index = {e: i for i, e in enumerate(std)}
+        self._nf = {}  # monomial -> normal-form vector
+        self._rows = [None] * self.dim  # row i: the b_i * b_j for every j
+        self.zero = (base.zero,) * self.dim
+        self.one = self.from_int(1)
+
+    def _vector(self, target):
+        """Normal form of the monomial target as a dense vector (cached)."""
+        cache = self._nf
         if target in cache:
             return cache[target]
-        dom, index = self.dom, self.index
-        D = len(index)
+        dom, index = self.base, self._index
+        D = self.dim
         stack = [target]
         while stack:
             e = stack[-1]
@@ -631,7 +619,7 @@ class _NormalForms:
                 stack.pop()
                 continue
             hit = None
-            for lt, terms in self.gb:
+            for lt, terms in self._gb:
                 if mono_divides(lt, e):
                     hit = (lt, terms)
                     break
@@ -648,64 +636,36 @@ class _NormalForms:
             stack.pop()
         return cache[target]
 
-
-class QuotientAlgebra(Domain):
-    """F[x_1..x_n]/I as a coefficient ring, for zero-dimensional I.
-
-    Elements are coordinate tuples over the standard monomial basis b_1..b_D.
-    The structure constants, the normal forms of the products b_i * b_j, are
-    built once as sparse (index, coefficient) lists: a product sums only the
-    nonzero x_i * y_j * c_ijk terms and needs no reduction.  Over GF(p)
-    add, sub, mul, project and mult_matrix run on plain ints with one ``% p``
-    per coordinate.  This is a ring with zero divisors, not a field: only
-    Domain ring operations are available, which is enough to evaluate
-    polynomial expressions simultaneously at every point of the scheme.
-    """
-
-    is_field = False
-
-    def __init__(self, basis: IdealBasis):
-        if quotient_dimension(basis) is None:
-            raise UsageError("quotient algebra needs a zero-dimensional ideal")
-        if basis.contains_one():
-            raise UsageError("quotient algebra of the unit ideal is trivial")
-        self.basis = basis
-        base = self.base = basis.gens[0].dom
-        self._p = base.p if isinstance(base, PrimeField) else 0
-        self.char = base.char
-        self.vars = basis.vars
-        std = self.std = standard_monomials(basis)
-        self.dim = len(std)
-        self._nf = basis.normal_forms
-        self._index = self._nf.index
-        one = [base.zero] * self.dim
-        one[self._index[(0,) * len(self.vars)]] = base.one
-        self.zero = (base.zero,) * self.dim
-        self.one = tuple(one)
-        table = self._table = [[None] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                v = self._nf.vector(mono_mul(std[i], std[j]))
-                table[i][j] = table[j][i] = [(k, c) for k, c in enumerate(v) if not base.is_zero(c)]
+    def _row(self, i):
+        """Structure constants b_i * b_j for every j, built on first use;
+        entry j comes from row j when that row is already built."""
+        rows = self._rows
+        if rows[i] is None:
+            row, bi = [], self.std[i]
+            for j, b in enumerate(self.std):
+                if rows[j] is not None:
+                    row.append(rows[j][i])
+                else:
+                    row.append([(k, c) for k, c in enumerate(self._vector(mono_mul(bi, b))) if c])
+            rows[i] = row
+        return rows[i]
 
     def add(self, a, b):
-        if p := self._p:
-            return tuple((x + y) % p for x, y in zip(a, b))
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+        s = map(add, a, b)
+        return tuple(x % p for x in s) if (p := self.char) else tuple(s)
 
     def sub(self, a, b):
-        if p := self._p:
-            return tuple((x - y) % p for x, y in zip(a, b))
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
+        s = map(sub, a, b)
+        return tuple(x % p for x in s) if (p := self.char) else tuple(s)
 
     def neg(self, a):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
         # over GF(p) x * y stays unreduced: _sparse_sum takes one % p per coordinate
-        table = self._table
+        rows = [(x, self._row(i)) for i, x in enumerate(a) if x]
         bs = [(j, y) for j, y in enumerate(b) if y]
-        pairs = [(x * y, table[i][j]) for i, x in enumerate(a) if x for j, y in bs]
+        pairs = [(x * y, row[j]) for x, row in rows for j, y in bs]
         return tuple(_sparse_sum(self.base, pairs, self.dim))
 
     def is_zero(self, a):
@@ -721,14 +681,13 @@ class QuotientAlgebra(Domain):
         """Image of a polynomial in the quotient."""
         if f.dom != self.base or f.vars != self.vars:
             raise FieldMismatchError("polynomial over a different ring")
-        pairs = [(c, self._nf.vector(e)) for e, c in f.terms.items()]
+        pairs = [(c, self._vector(e)) for e, c in f.terms.items()]
         return tuple(_combine(self.base, pairs, self.dim))
 
     def mult_matrix(self, a):
         """Matrix of multiplication by the element a on the standard basis."""
-        base, table = self.base, self._table
-        nz = [(k, c) for k, c in enumerate(a) if not base.is_zero(c)]
-        cols = [_sparse_sum(base, [(c, table[k][j]) for k, c in nz], self.dim) for j in range(self.dim)]
+        nz = [(c, self._row(k)) for k, c in enumerate(a) if c]
+        cols = [_sparse_sum(self.base, [(c, row[j]) for c, row in nz], self.dim) for j in range(self.dim)]
         return [list(row) for row in zip(*cols)]
 
     def __repr__(self):
@@ -756,8 +715,8 @@ def random_linear_form(vars_, dom, rng) -> MultiPoly:
 
 def eliminant_of_form(basis: IdealBasis, u: MultiPoly, var: str = "t") -> UniPoly:
     """Characteristic polynomial of multiplication by u on the quotient."""
-    m, _ = multiplication_matrix(basis, u)
-    return _char_poly(m, u.dom, var)
+    Q = basis.quotient
+    return _char_poly(Q.mult_matrix(Q.project(u)), u.dom, var)
 
 
 _COUNT_ATTEMPTS = 6
@@ -789,33 +748,28 @@ def solve_rational_points(basis: IdealBasis, rng):
     Points are read off left eigenvectors of the multiplication matrix
     (evaluation functionals).
 
-    Once E is squarefree of degree D = dim Q, M_u has D simple eigenvalues
-    u(P), one per point P, so the D points are distinct and each left
-    eigenspace is spanned by the evaluation functional at P.  Hence the
-    constant monomial is standard, each kernel has nullity 1, each
-    functional evaluates 1 to a nonzero value, and every point read off
-    satisfies the system: a failure of any of these raises InvariantError.
+    The constant monomial is standard in every proper ideal.  Once E is
+    squarefree of degree D = dim Q, M_u has D simple eigenvalues u(P), one
+    per point P, so the D points are distinct and each left eigenspace is
+    spanned by the evaluation functional at P.  Hence each kernel has
+    nullity 1, each functional evaluates 1 to a nonzero value, and every
+    point read off satisfies the system: a failure of any of these raises
+    InvariantError.
     """
     dom = basis.gens[0].dom
     if not isinstance(dom, PrimeField):
         raise UsageError("rational point extraction works over prime fields")
     if basis.contains_one():
         return []
-    D = len(standard_monomials(basis))
-    if D == 0:
-        return []
-    nf = basis.normal_forms
-    one_exp = (0,) * len(basis.vars)
-    if one_exp not in nf.index:
-        raise InvariantError("constant monomial missing from standard basis")
-    j0 = nf.index[one_exp]
+    Q = basis.quotient
+    D, j0 = Q.dim, Q._index[(0,) * len(basis.vars)]
 
     # E squarefree iff the scheme is reduced AND u separates; a fresh u fixes
     # the second failure mode, so retry a few forms before giving up
     m = e = esf = None
     for _ in range(4):
         u = random_linear_form(basis.vars, dom, rng)
-        m, _ = multiplication_matrix(basis, u)
+        m = Q.mult_matrix(Q.project(u))
         e = _char_poly(m, dom)
         esf = squarefree_part(e)
         if esf.degree == e.degree:
@@ -830,7 +784,7 @@ def solve_rational_points(basis: IdealBasis, rng):
 
     # normal forms of the coordinate functions, for coordinate read-off
     n = len(basis.vars)
-    coord_vecs = [nf.vector(tuple(int(j == i) for j in range(n))) for i in range(n)]
+    coord_vecs = [Q._vector(tuple(int(j == i) for j in range(n))) for i in range(n)]
 
     points = []
     for theta in roots:

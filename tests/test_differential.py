@@ -1,8 +1,8 @@
 """Differential checks of the GF(p) core against independent references.
 
-Buchberger is compared with sympy's Groebner bases mod p, the GF(p)
-characteristic polynomial kernel with the generic Domain path, a Bareiss
-determinant of t*I - M and sympy's DomainMatrix, squarefree parts with
+Buchberger is compared with sympy's Groebner bases mod p, characteristic
+polynomials over GF(p) and QQ with a Bareiss determinant of t*I - M and
+sympy's DomainMatrix, squarefree parts with
 sympy's ``sqf_part``, pseudo-remainders with sympy's ``prem``, and
 resultants (over GF(p), QQ, and ZZ through the plain-int subresultant
 kernel) with sympy's ``resultant``.  sigma_n
@@ -17,13 +17,14 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import GF as SympyGF  # noqa: E402
+from sympy.polys.domains import QQ as SympyQQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from fractions import Fraction  # noqa: E402
 
 from multspec.dynamics import ProjMap, random_map, sigma_n  # noqa: E402
 from multspec.errors import DegenerateMapError  # noqa: E402
-from multspec.exactalg import GF, QQ, ZZ, Domain, UniPoly, _zz_prem, random_prime, resultant, squarefree_part  # noqa: E402
+from multspec.exactalg import GF, QQ, ZZ, UniPoly, _zz_prem, random_prime, resultant, squarefree_part  # noqa: E402
 from multspec.groebner import GREVLEX, MultiPoly, buchberger, quotient_dimension  # noqa: E402
 from multspec.linalg import char_poly  # noqa: E402
 
@@ -83,31 +84,7 @@ def test_buchberger_matches_sympy_lex(seed):
 
 
 # ---------------------------------------------------------------------------
-# char_poly: GF(p) kernel against the generic path, Bareiss and sympy
-
-
-class PlainGF(Domain):
-    """GF(p) behind the generic Domain interface (not a PrimeField), so
-    char_poly takes its generic path."""
-
-    is_field = True
-    zero = 0
-    one = 1
-
-    def __init__(self, p):
-        self.p = p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
+# char_poly against Bareiss determinants and sympy
 
 
 def _bareiss_char_poly(m, F):
@@ -138,20 +115,41 @@ def _matrices(rng, p):
         yield "blocks", [[rand() if (i < k) == (j < k) else 0 for j in range(n)] for i in range(n)]
 
 
-def test_char_poly_kernel_matches_generic_bareiss_and_sympy():
+def test_char_poly_matches_bareiss_and_sympy():
     rng = random.Random(77)
     for p in (101, 1000003):
-        F, plain, K = GF(p), PlainGF(p), SympyGF(p)
+        F, K = GF(p), SympyGF(p)
         for kind, m in _matrices(rng, p):
             n = len(m)
             got = char_poly(m, F)
             assert got.degree == n, kind
-            assert got.coeffs == char_poly(m, plain).coeffs, (kind, n)
+            # chi(t0) = det(t0 I - M) at a few points, at every size
+            for t0 in (0, 1, 2, p // 2, p - 1):
+                shifted = [[F.sub(t0 if i == j else 0, x) for j, x in enumerate(r)] for i, r in enumerate(m)]
+                assert got.eval(t0) == bareiss_det(shifted, F), (kind, n, t0)
             if n <= 8:
                 assert got == _bareiss_char_poly(m, F), (kind, n)
             if n <= 13:
                 ref = DomainMatrix([[K(x) for x in r] for r in m], (n, n), K).charpoly()
                 assert list(got.coeffs) == [int(c) % p for c in reversed(ref)], (kind, n)
+
+
+def test_char_poly_over_qq_matches_sympy():
+    rng = random.Random(78)
+    # nonzero residues map to nonzero fractions, so each kind keeps its zeros
+    qq = lambda x: Fraction(x if x % 2 else -x, 1 + x % 5)  # noqa: E731
+    kinds = set()
+    for kind, m in _matrices(rng, 23):
+        n = len(m)
+        if n > 9:
+            continue
+        kinds.add(kind)
+        m = [[qq(x) for x in r] for r in m]
+        got = char_poly(m, QQ)
+        ref = DomainMatrix([[SympyQQ(x.numerator, x.denominator) for x in r] for r in m], (n, n), SympyQQ).charpoly()
+        assert list(got.coeffs) == [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(ref)], (kind, n)
+        assert all(type(c) is Fraction for c in got.coeffs), (kind, n)
+    assert kinds == {"dense", "sparse", "row swap", "zero column", "blocks"}
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,9 @@ from multspec.groebner import (
     eliminant_of_form,
     mono_divides,
     mono_lcm,
-    multiplication_matrix,
     quotient_dimension,
     random_linear_form,
     solve_rational_points,
-    standard_monomials,
 )
 from multspec.linalg import char_poly
 from multspec.polymoduli import build_fixed_config_system
@@ -150,7 +148,7 @@ def test_quotient_dimension_known_systems():
     g2 = mp(F, ("x", "y"), {(0, 2): 1, (0, 0): -4})
     gb = buchberger([g1, g2], GREVLEX)
     assert quotient_dimension(gb) == 4
-    assert len(standard_monomials(gb)) == 4
+    assert len(gb.staircase) == 4
     # a line alone: infinite
     gb2 = buchberger([mp(F, ("x", "y"), {(1, 0): 1, (0, 1): -1})], GREVLEX)
     assert quotient_dimension(gb2) is None
@@ -196,10 +194,11 @@ def test_eliminants_on_a_cached_basis_match_a_fresh_basis():
     gens = [MultiPoly(F, ("x", "y"), {e: F.rand_nonzero(rng) for e in monos}) for _ in range(2)]
     gb = buchberger(gens, GREVLEX)
     assert quotient_dimension(gb) == 9
-    Q = QuotientAlgebra(gb)  # fills the basis's normal-form cache first
+    Q = gb.quotient
+    Q.mult_matrix((F.one,) * Q.dim)  # builds every row of structure constants first
     forms = [random_linear_form(gb.vars, F, rng) for _ in range(2)]
     cached = [eliminant_of_form(gb, u) for u in forms]
-    assert Q._nf is gb.normal_forms  # one context per basis
+    assert gb.quotient is Q  # one context per basis
     fresh = [eliminant_of_form(IdealBasis(gb.vars, gb.order, gb.gens), u) for u in forms]
     assert cached == fresh
     assert [char_poly(Q.mult_matrix(Q.project(u)), F) for u in forms] == fresh
@@ -208,14 +207,14 @@ def test_eliminants_on_a_cached_basis_match_a_fresh_basis():
 def test_multiplication_matrix_is_not_shared():
     F = GF(101)
     gb = buchberger(gens_xy(F), GREVLEX)
+    Q = gb.quotient
     x = MultiPoly.gen(F, gb.vars, "x")
-    m, std = multiplication_matrix(gb, x)
-    want = ([list(r) for r in m], list(std))
+    m = Q.mult_matrix(Q.project(x))
+    want = [list(r) for r in m]
     for row in m:
         row[:] = [F.add(c, 1) for c in row]
-    std.reverse()
-    assert multiplication_matrix(gb, x) == want
-    assert eliminant_of_form(gb, x) == char_poly(want[0], F)
+    assert Q.mult_matrix(Q.project(x)) == want
+    assert eliminant_of_form(gb, x) == char_poly(want, F)
 
 
 def test_distinct_point_count_three_points():
@@ -411,6 +410,16 @@ def test_quotient_algebra_mult_matrix_matches_eliminant():
     assert list(e.coeffs) == want
 
 
+def _oracle_mult_matrix(gb, f):
+    """Matrix of multiplication by f: column j is the oracle normal form of
+    f * b_j, read off on the standard monomials."""
+    cols = []
+    for b in gb.staircase:
+        nf = normal_form(f * MultiPoly(f.dom, gb.vars, {b: f.dom.one}), gb)
+        cols.append([nf.terms.get(e, f.dom.zero) for e in gb.staircase])
+    return [list(row) for row in zip(*cols)]
+
+
 def test_quotient_algebra_sparse_products_on_the_d5_configurations():
     # the 24-dimensional quotient of the d = 5 fixed-point configuration
     # system: most structure constants are zero
@@ -434,7 +443,7 @@ def test_quotient_algebra_sparse_products_on_the_d5_configurations():
         assert Q.mul(a, b) == Q.project(f * g)
         assert Q.add(a, b) == Q.project(f + g)
         assert Q.sub(a, b) == Q.project(f - g)
-        assert Q.mult_matrix(a) == multiplication_matrix(gb, f)[0]
+        assert Q.mult_matrix(a) == _oracle_mult_matrix(gb, f)
 
 
 def test_quotient_algebra_over_qq():
@@ -446,7 +455,7 @@ def test_quotient_algebra_over_qq():
     f = MultiPoly(QQ, gb.vars, {(3, 1): Fraction(2, 7), (0, 0): Fraction(5)})
     g = MultiPoly(QQ, gb.vars, {(1, 2): Fraction(-1, 2), (2, 0): Fraction(1)})
     assert Q.mul(Q.project(f), Q.project(g)) == Q.project(f * g)
-    assert Q.mult_matrix(Q.project(f)) == multiplication_matrix(gb, f)[0]
+    assert Q.mult_matrix(Q.project(f)) == _oracle_mult_matrix(gb, f)
     rng = random.Random(48)
 
     def rand_mp():
@@ -487,7 +496,7 @@ def test_quotient_algebra_rejects_bad_ideals():
     F = GF(41)
     vars_ = ("x", "y")
     line = buchberger([mp(F, vars_, {(1, 0): 1, (0, 1): -1})], GREVLEX)
-    with pytest.raises(UsageError):
+    with pytest.raises(MathError, match="infinite dimensional"):
         QuotientAlgebra(line)
     unit = buchberger([mp(F, vars_, {(0, 0): 1})], GREVLEX)
     with pytest.raises(UsageError):

@@ -26,6 +26,22 @@ def test_solve_linear_qq():
     assert x[0] == x[1] == Fraction(2)
 
 
+def test_int_valued_qq_matrices_stay_exact():
+    assert QQ.inv(3) == QQ.div(1, 3) == Fraction(1, 3)
+    # det = -3, trace 16: every pivot of the Hessenberg step is an int
+    chi = char_poly([[1, 2, 3], [4, 5, 6], [7, 8, 10]], QQ)
+    assert chi.coeffs == (3, -12, -16, 1)
+    assert all(type(c) is Fraction for c in chi.coeffs)
+    x = solve_linear([[2, 1], [1, 3]], [1, 2], QQ)
+    assert x == [Fraction(1, 5), Fraction(3, 5)]
+    assert all(type(c) is Fraction for c in x)
+    rng = random.Random(23)
+    for n in (2, 4, 6):
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        assert char_poly(m, QQ) == char_poly([[Fraction(x) for x in r] for r in m], QQ)
+        assert char_poly(m, QQ).coeff(0) == (-1) ** n * bareiss_det([[Fraction(x) for x in r] for r in m], QQ)
+
+
 def test_char_poly_against_bareiss_determinant():
     # det(tI - M) computed two unrelated ways must agree
     rng = random.Random(20)

@@ -456,6 +456,22 @@ def test_invariant_certificate_builds_only_the_powers_it_tests(monkeypatch):
     assert len(drawn) == 3 and divmods == [5, 20, 20, 20]
 
 
+def test_quotient_rows_are_built_when_first_needed():
+    # counting projects linear forms: one row of structure constants per
+    # standard variable (the linear identity eliminates the fourth); the
+    # certificate's products in Q need every row, on the same context
+    _, basis = _d5_basis()
+    solutions = polymoduli.distinct_point_count(basis, random.Random(5))
+    Q = basis.quotient
+    built = lambda: sum(row is not None for row in Q._rows)  # noqa: E731
+    assert (solutions, Q.dim, built()) == (24, 24, 3)
+    assert _invariant_certificate(basis, 5, 6) == (True, 2)
+    assert basis.quotient is Q and built() == 24
+    # symmetric fill: b_i * b_j is built once, for whichever row comes first
+    rows = Q._rows
+    assert all(rows[i][j] is rows[j][i] for i in range(24) for j in range(i))
+
+
 def test_config_basis_d5_reduction_steps():
     # 122 reduction steps for the residue-form system (the product system
     # took 3164), counted with linear scans and no first-divisor memo: the

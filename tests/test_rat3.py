@@ -308,7 +308,7 @@ def test_deg_tau32_single_counts():
 
 
 def test_deg_tau32_single_work_counts(monkeypatch):
-    """One draw: no Groebner basis, normal-form context or characteristic
+    """One draw: no Groebner basis, quotient context or characteristic
     polynomial; 2 x 146 sampled resultants (two projections)."""
     calls = Counter()
 
@@ -320,7 +320,7 @@ def test_deg_tau32_single_work_counts(monkeypatch):
         return counted
 
     monkeypatch.setattr(groebner, "buchberger", counting("buchberger", groebner.buchberger))
-    monkeypatch.setattr(groebner, "_NormalForms", counting("context", groebner._NormalForms))
+    monkeypatch.setattr(groebner, "QuotientAlgebra", counting("context", groebner.QuotientAlgebra))
     char_poly = counting("char_poly", linalg.char_poly)
     monkeypatch.setattr(linalg, "char_poly", char_poly)
     monkeypatch.setattr(groebner, "_char_poly", char_poly)
