@@ -189,6 +189,8 @@ def _cmd_relation(args):
 
 
 def _affine_multipliers(args):
+    if args.d < 2:
+        raise UsageError("degree must be >= 2")
     if args.lambdas is None:
         raise UsageError("this experiment needs --lambdas")
     lams = parsing.parse_scalar_list(args.dom, args.lambdas)
@@ -267,13 +269,10 @@ def _cmd_deg_tau32(args):
         lams = parsing.parse_scalar_list(args.dom, args.lambdas)
         if len(lams) != 4:
             raise UsageError("deg-tau32 takes l0,l1,linf,lbeta")
-        draw = deg_tau32_single(args.dom, *lams, args.rng, args.budget)
-        draws = (draw,)
-        summary = draw
+        draws = (deg_tau32_single(args.dom, *lams, args.rng, args.budget),)
     else:
-        rep = deg_tau32_report(args.rng, draws=args.draws or 3, budget=args.budget)
-        draws = rep.draws
-        summary = rep
+        draws = deg_tau32_report(args.rng, draws=3 if args.draws is None else args.draws, budget=args.budget)
+    summary = draws[0]
     return {
         "command": "deg-tau32",
         "bezout": summary.bezout,

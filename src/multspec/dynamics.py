@@ -46,6 +46,7 @@ from .errors import (
     InvariantError,
     MathError,
     UsageError,
+    first_value,
 )
 from .exactalg import (
     GF,
@@ -575,6 +576,16 @@ def forced_multiplier(dom: Domain, lambdas):
     return dom.sub(dom.one, dom.inv(rest))
 
 
+def distinct_multipliers(dom: Domain, k: int, rng):
+    """k distinct random multipliers, none of them 1."""
+    out = []
+    while len(out) < k:
+        c = dom.rand(rng)
+        if c != dom.one and c not in out:
+            out.append(c)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # random map generation (experiments and tests)
 
@@ -584,16 +595,13 @@ def random_map(dom: Domain, d: int, rng, polynomial: bool = False, height: int =
     if d < 2:
         raise UsageError("degree must be >= 2")
     draw = (lambda: QQ.rand(rng, height)) if dom == QQ else (lambda: dom.rand(rng))
-    for _ in range(200):
+
+    def one_map():
         num = [draw() for _ in range(d + 1)]
         if polynomial:
             if dom.is_zero(num[0]):
                 num[0] = dom.one
-            den = [dom.zero] * d + [dom.one]
-        else:
-            den = [draw() for _ in range(d + 1)]
-        try:
-            return ProjMap(dom, num, den)
-        except DegenerateMapError:
-            continue
-    raise MathError("failed to draw a nondegenerate map")
+            return ProjMap(dom, num, [dom.zero] * d + [dom.one])
+        return ProjMap(dom, num, [draw() for _ in range(d + 1)])
+
+    return first_value(one_map, 200, "nondegenerate map")

@@ -1,15 +1,19 @@
-"""Exception hierarchy shared across the package, and its one retry rule.
+"""Exception hierarchy shared across the package, and its draw-again rules.
 
 Three broad classes matter to callers: usage errors (bad input, mismatched
 fields), mathematical failures (validation that exact arithmetic can detect),
 and exhausted work budgets.  The CLI maps them to exit codes 2, 1 and 3.
 
-Randomized counts draw primes, specializations and linear forms.  A draw
-that lands on an excluded locus raises DegenerateInputError, and that is
-the only class a retry loop catches: it means "draw again".  Every other
-error ends the run.  InvariantError marks a theorem-level check that
-failed, a fault in the program; a plain MathError is a failure no new draw
-repairs (inconsistent data, draws that disagree, a search out of tries).
+Randomized counts draw primes, specializations, maps and linear forms.  A
+draw that lands on an excluded locus raises a retry class,
+DegenerateInputError or DegenerateMapError: it means "draw again", and
+every loop that draws again is one of three rules here: agreed_value (two
+consecutive draws agree), first_value (the first draw that is not
+degenerate) and agreeing_draws (independent first_value draws that all
+agree).  Every other error ends the run.  InvariantError marks a
+theorem-level check that failed, a fault in the program; a plain MathError
+is a failure no new draw repairs (inconsistent data, draws that disagree,
+a search out of tries).
 """
 
 
@@ -34,12 +38,12 @@ class InvariantError(MathError):
 
 
 class DegenerateMapError(MathError):
-    """Coefficients do not define a morphism of the stated degree."""
+    """Coefficients do not define a morphism of the stated degree: a retry class."""
 
 
 class DegenerateInputError(MathError):
     """Parameters or a random choice hit an excluded locus (pole, multiplier 1,
-    non-generic projection, ...): the one retryable class, draw again."""
+    non-generic projection, ...): a retry class, draw again."""
 
 
 class BudgetExhaustedError(MultSpecError):
@@ -48,14 +52,35 @@ class BudgetExhaustedError(MultSpecError):
 
 def agreed_value(draw, attempts: int, what: str):
     """The first value two consecutive calls of draw() return, of at most
-    `attempts`; a call that raises DegenerateInputError has no value."""
+    `attempts`; a call that raises a retry class has no value."""
     last = None
     for _ in range(attempts):
         try:
             value = draw()
-        except DegenerateInputError:
+        except (DegenerateInputError, DegenerateMapError):
             value = None
         if value is not None and value == last:
             return value
         last = value
     raise DegenerateInputError(f"no two consecutive {what} of {attempts} agree; draw again")
+
+
+def first_value(draw, attempts: int, what: str):
+    """The first value draw() returns, of at most `attempts` calls; a call
+    that raises a retry class is drawn again."""
+    for _ in range(attempts):
+        try:
+            return draw()
+        except (DegenerateInputError, DegenerateMapError):
+            pass
+    raise MathError(f"no {what} found in {attempts} attempts")
+
+
+def agreeing_draws(count: int, draw, attempts: int, key):
+    """`count` independent first_value draws, as a tuple; all agree on key."""
+    if count < 1:
+        raise UsageError(f"need at least 1 draw, got {count}")
+    out = [first_value(draw, attempts, "generic specialization") for _ in range(count)]
+    if len({key(v) for v in out}) != 1:
+        raise MathError(f"draws disagree: {out}")
+    return tuple(out)

@@ -7,12 +7,12 @@ or the integer ring ZZ used internally to keep resultants fraction-free.
 Polynomials are immutable dense coefficient tuples in ascending order.  The
 zero polynomial has degree -1.  One long-division loop (`UniPoly._divide`)
 serves division over QQ and division by a monic divisor over any ring.  Over
-GF(p), long division, interpolation and resultants (the Euclidean
-recurrence) run as ``% p`` kernels on plain ints.  Over ZZ one kernel on
-plain int lists takes pseudo-remainders and runs the subresultant sequence;
-resultants over QQ and the QQ gcd clear denominators and call it.
-Interpolation takes the nodes 0 .. n - 1; over QQ it runs on ints over one
-common denominator.
+GF(p), long division and resultants (the Euclidean recurrence) run as
+``% p`` kernels on plain ints.  Over ZZ one kernel on plain int lists takes
+pseudo-remainders and runs the subresultant sequence; resultants over QQ and
+the QQ gcd clear denominators and call it.  Interpolation takes the nodes
+0 .. n - 1 and runs one kernel on ints over one common denominator for both
+fields, reducing mod p over GF(p).
 """
 
 from __future__ import annotations
@@ -723,31 +723,28 @@ def interpolate(ys, dom: Domain, var: str) -> UniPoly:
     """Unique polynomial of degree < n = len(ys) through (k, ys[k]), k = 0 .. n - 1."""
     if not dom.is_field:
         raise UsageError("interpolation requires a field domain")
-    n, coef, cs = len(ys), list(ys), [dom.zero] * len(ys)
-    if isinstance(dom, PrimeField):  # % p kernel: column j divides by the node gap j
-        p = dom.p
-        for j in range(1, n):
-            inv = pow(j, -1, p)
-            for i in range(n - 1, j - 1, -1):
-                coef[i] = (coef[i] - coef[i - 1]) * inv % p
-        for i in range(n - 1, -1, -1):  # Horner in the Newton basis
-            for k in range(n - 1 - i, 0, -1):
-                cs[k] = (cs[k - 1] - i * cs[k]) % p
-            cs[0] = (coef[i] - i * cs[0]) % p
-        return UniPoly(dom, var, cs)
-    # QQ: the j-th divided difference is the j-th forward difference over j!;
-    # both loops run on ints, times the common denominator den (n - 1)!
+    # the j-th divided difference is the j-th forward difference over j!; both
+    # loops run on ints, times the common denominator den (n - 1)!, and over
+    # GF(p) the Horner rows are reduced mod p
+    n, p = len(ys), dom.char
     den, t = lcm(*(y.denominator for y in ys)), 1
     coef, cs = [y.numerator * (den // y.denominator) for y in ys], [0] * n
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             coef[i] -= coef[i - 1]
+    if p:
+        coef = [c % p for c in coef]
     for i in range(n - 1, -1, -1):  # t = (n - 1)! / i!
         for k in range(n - 1 - i, 0, -1):
             cs[k] = cs[k - 1] - i * cs[k]
         cs[0] = coef[i] * t - i * cs[0]
         t *= max(i, 1)
-    return UniPoly(dom, var, [Fraction(c, den * t) for c in cs])
+        if p:
+            cs[: n - i], t = [c % p for c in cs[: n - i]], t % p
+    if not p:
+        return UniPoly(dom, var, [Fraction(c, den * t) for c in cs])
+    scale = dom.inv(den * t)
+    return UniPoly(dom, var, [c * scale % p for c in cs])
 
 
 # ---------------------------------------------------------------------------

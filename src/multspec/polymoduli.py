@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .dynamics import ProjMap, fixed_point_index_sum, forced_multiplier, sigma_n
-from .errors import DegenerateInputError, InvariantError, MathError, UsageError
+from .dynamics import ProjMap, distinct_multipliers, fixed_point_index_sum, forced_multiplier, sigma_n
+from .errors import DegenerateInputError, InvariantError, MathError, UsageError, agreeing_draws, first_value
 from .exactalg import GF, QQ, Domain, UniPoly, compose, derivative, random_prime, squarefree_part
 from .groebner import (
     GREVLEX,
@@ -263,16 +263,8 @@ class FiberDegreeDraw:
     classes: int
 
 
-@dataclass(frozen=True)
-class FiberDegreeReport:
-    d: int
-    draws: tuple
-    solutions: int
-    classes: int
-
-
 def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, budget=None, lambdas=None):
-    """Configuration counts at independent specializations.
+    """Configuration counts (FiberDegreeDraw) at `draws` independent specializations.
 
     Each draw picks a fresh prime p = 1 mod (d-1).  Rational `lambdas` are
     reduced mod p; without them the draw takes random free affine
@@ -287,37 +279,20 @@ def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, budget=
         if len(lambdas) != d:
             raise UsageError(f"need exactly {d} multipliers")
         _check_index_formula(QQ, [QQ.from_rational(l) for l in lambdas])
-    out = []
-    for _ in range(draws):
-        for _ in range(24):
-            p = random_prime(rng, bits, 1, d - 1)
-            F = GF(p)
-            try:
-                if lambdas is None:
-                    free = []
-                    while len(free) < d - 1:
-                        c = F.rand(rng)
-                        if c != F.one and c not in free:
-                            free.append(c)
-                    lams = complete_multipliers(F, d, free)
-                else:
-                    lams = [F.from_rational(l) for l in lambdas]
-                    if len(set(lams)) < len(lams):
-                        continue
-                solutions, classes, _ = count_fixed_configurations(F, d, lams, rng, budget)
-            except DegenerateInputError:
-                continue
-            out.append(
-                FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=solutions, classes=classes)
-            )
-            break
+
+    def draw():
+        p = random_prime(rng, bits, 1, d - 1)
+        F = GF(p)
+        if lambdas is None:
+            lams = complete_multipliers(F, d, distinct_multipliers(F, d - 1, rng))
         else:
-            raise MathError("no generic specialization found in 24 attempts")
-    sols = {r.solutions for r in out}
-    cls = {r.classes for r in out}
-    if len(sols) != 1 or len(cls) != 1:
-        raise MathError(f"draws disagree: {out}")
-    return FiberDegreeReport(d=d, draws=tuple(out), solutions=out[0].solutions, classes=out[0].classes)
+            lams = [F.from_rational(l) for l in lambdas]
+            if len(set(lams)) < len(lams):
+                raise DegenerateInputError(f"multipliers collide mod {p}")
+        solutions, classes, _ = count_fixed_configurations(F, d, lams, rng, budget)
+        return FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=solutions, classes=classes)
+
+    return agreeing_draws(draws, draw, 24, lambda r: (r.solutions, r.classes))
 
 
 @dataclass(frozen=True)
@@ -431,23 +406,21 @@ def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16, budget=None):
     if len(lambdas) != d:
         raise UsageError(f"need exactly {d} affine multipliers")
     _check_index_formula(QQ, [QQ.from_rational(l) for l in lambdas])
-    for tried in range(1, _MAX_PRIMES + 1):
+    tried = 0
+
+    def draw():
+        nonlocal tried
+        tried += 1
         p = random_prime(rng, bits, 1, d - 1)
         F = GF(p)
-        try:
-            lams = [F.from_rational(l) for l in lambdas]
-        except DegenerateInputError:
-            continue
+        lams = [F.from_rational(l) for l in lambdas]
         if len(set(lams)) != len(lams) or F.one in lams:
-            continue
+            raise DegenerateInputError(f"multipliers collide or hit 1 mod {p}")
         if d <= 4 and tried <= _SPLIT_ATTEMPTS:
             sys = build_fixed_config_system(F, d, lams)
-            try:
-                pts = _solve_configurations(sys, rng, budget)
-            except DegenerateInputError:
-                continue
+            pts = _solve_configurations(sys, rng, budget)
             if not pts:
-                continue
+                raise DegenerateInputError(f"no configuration is rational over GF({p})")
             orbits = _zeta_orbits(pts, F, d, rng)
             forms = tuple(poly_from_fixed_points(F, min(o)) for o in orbits)
             sigmas = tuple(sigma_n(nf.to_map(), 2).values for nf in forms)
@@ -462,16 +435,12 @@ def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16, budget=None):
                 normal_forms=forms,
                 sigma2_values=sigmas,
             )
-        try:
-            solutions, classes, basis = count_fixed_configurations(F, d, lams, rng, budget)
-        except DegenerateInputError:
-            continue
+        solutions, classes, basis = count_fixed_configurations(F, d, lams, rng, budget)
         if classes == 0:
-            continue
+            raise DegenerateInputError(f"no configurations over GF({p})")
         ok, k = _invariant_certificate(basis, d, classes)
         if not ok:
-            # may be an unlucky prime identifying two exact values; retry
-            continue
+            raise DegenerateInputError(f"GF({p}) may identify two exact level-2 values")
         return Sigma2Report(
             d=d,
             prime=p,
@@ -482,7 +451,8 @@ def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16, budget=None):
             method="invariant-trace",
             invariant_power=k,
         )
-    raise MathError(f"no usable prime found in {_MAX_PRIMES} attempts")
+
+    return first_value(draw, _MAX_PRIMES, "usable prime")
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul
 
-from .dynamics import ProjMap, ProjPoint, forced_multiplier, multiplier_at_point
+from .dynamics import ProjMap, ProjPoint, distinct_multipliers, forced_multiplier, multiplier_at_point
 from .errors import (
     BudgetExhaustedError,
     DegenerateInputError,
@@ -41,6 +41,7 @@ from .errors import (
     MathError,
     UsageError,
     agreed_value,
+    agreeing_draws,
 )
 from .exactalg import (
     GF,
@@ -238,16 +239,6 @@ class Tau32Draw:
     degree: int
 
 
-@dataclass(frozen=True)
-class Tau32Report:
-    draws: tuple
-    bezout: int
-    distinct: int
-    degenerate: int
-    simple: int
-    degree: int
-
-
 _DEGREE = 144  # deg R <= 9 * 16: 145 samples determine R, and one more checks them
 _PROJECTIONS = 6  # projections drawn per specialization before giving up
 
@@ -352,45 +343,23 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
     )
 
 
-def deg_tau32_report(rng, draws: int = 3, bits: int = 30, budget=None) -> Tau32Report:
-    """Fiber counts at independent random (prime, multiplier) draws.
+def deg_tau32_report(rng, draws: int = 3, bits: int = 30, budget=None) -> tuple:
+    """Fiber counts (Tau32Draw) at `draws` independent random (prime, multiplier) draws.
 
     Each draw uses a fresh prime and random generic multipliers; all draws
-    must agree on every reported count.  A draw that raises
-    DegenerateInputError is drawn again; any other error propagates.
+    must agree on every reported count.  A degenerate draw is drawn again
+    (errors.agreeing_draws); any other error propagates.
     """
-    out = []
-    for _ in range(draws):
-        for _ in range(16):
-            p = random_prime(rng, bits)
-            F = GF(p)
-            ls = []
-            while len(ls) < 3:
-                c = F.rand(rng)
-                if c != F.one and c not in ls:
-                    ls.append(c)
-            lbeta = F.rand(rng)
-            if lbeta in (F.one, F.neg(F.one)):
-                continue
-            try:
-                out.append(deg_tau32_single(F, ls[0], ls[1], ls[2], lbeta, rng, budget))
-            except DegenerateInputError:
-                continue
-            break
-        else:
-            raise MathError("no generic specialization found in 16 attempts")
-    keys = [(r.bezout, r.distinct, r.degenerate, r.simple, r.degree) for r in out]
-    if len(set(keys)) != 1:
-        raise MathError(f"draws disagree: {out}")
-    first = out[0]
-    return Tau32Report(
-        draws=tuple(out),
-        bezout=first.bezout,
-        distinct=first.distinct,
-        degenerate=first.degenerate,
-        simple=first.simple,
-        degree=first.degree,
-    )
+
+    def draw():
+        F = GF(random_prime(rng, bits))
+        ls = distinct_multipliers(F, 3, rng)
+        lbeta = F.rand(rng)
+        if lbeta in (F.one, F.neg(F.one)):
+            raise DegenerateInputError("lbeta = +-1 is outside the generic regime")
+        return deg_tau32_single(F, *ls, lbeta, rng, budget)
+
+    return agreeing_draws(draws, draw, 16, lambda r: (r.bezout, r.distinct, r.degenerate, r.simple, r.degree))
 
 
 # ---------------------------------------------------------------------------

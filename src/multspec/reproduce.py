@@ -17,6 +17,7 @@ from fractions import Fraction
 from .dynamics import (
     ProjMap,
     ProjPoint,
+    distinct_multipliers,
     fixed_point_index_sum,
     multiplier_at_point,
     multiplier_char_poly,
@@ -25,7 +26,7 @@ from .dynamics import (
     sigma1_relation_residual,
     sigma_n,
 )
-from .errors import BudgetExhaustedError, DegenerateInputError, DegenerateMapError, MultSpecError
+from .errors import BudgetExhaustedError, MultSpecError, first_value
 from .exactalg import GF, QQ, UniPoly, fp_roots, random_prime, squarefree_part
 from .polymoduli import (
     complete_multipliers,
@@ -124,14 +125,14 @@ def _isospectral_quartics(rng, budget=None):
 
 
 def _fiber_degrees(rng, budget=None):
-    r3 = fiber_degree_experiment(3, rng, draws=3, budget=budget)
+    r3 = fiber_degree_experiment(3, rng, draws=3, budget=budget)[0]
     assert (r3.solutions, r3.classes) == (2, 1), f"d=3 gave {r3}"
-    r4 = fiber_degree_experiment(4, rng, draws=3, budget=budget)
+    r4 = fiber_degree_experiment(4, rng, draws=3, budget=budget)[0]
     assert (r4.solutions, r4.classes) == (6, 2), f"d=4 gave {r4}"
     free = [Fraction(-2), Fraction(-3), Fraction(-4), Fraction(8)]
     lam5 = complete_multipliers(QQ, 5, free)
     assert lam5[-1] == Fraction(689, 269), f"derived fifth multiplier {lam5[-1]}"
-    r5 = fiber_degree_experiment(5, rng, draws=3, budget=budget, lambdas=lam5)
+    r5 = fiber_degree_experiment(5, rng, draws=3, budget=budget, lambdas=lam5)[0]
     assert (r5.solutions, r5.classes) == (24, 6), f"d=5 gave {r5}"
     return "classes 1 (d=3), 2 (d=4) at random draws; pinned d=5 list gives 24 solutions, 6 classes"
 
@@ -151,7 +152,7 @@ def _sigma2_separates(rng, budget=None):
 
 
 def _tau32_degree(rng, budget=None):
-    rep = deg_tau32_report(rng, budget=budget)
+    rep = deg_tau32_report(rng, budget=budget)[0]
     got = (rep.bezout, rep.distinct, rep.degenerate, rep.simple, rep.degree)
     assert got == (144, 18, 6, 12, 12), f"report {got}"
     return "three agreeing draws: bezout 144, distinct 18, degenerate 6, simple 12, degree 12"
@@ -160,26 +161,28 @@ def _tau32_degree(rng, budget=None):
 def _reconstruction_retraction(rng, budget=None):
     # phi = z - p/q with p = prod (z - z_i) fixes exactly the z_i, with
     # multipliers 1 - p'(z_i)/q(z_i) != 1, and infinity when q is constant:
-    # draw d + 1 points and a monic q of degree d, or d points and a constant q
+    # draw d + 1 points and a monic q of degree d, or d points and a constant q,
+    # and draw again (DegenerateMapError) when p and q share a root
     F = GF(65537)
     z = UniPoly.gen(F, "z")
+
+    def draw(d):
+        polynomial = rng.random() < 0.5
+        zs = []
+        while len(zs) < (d if polynomial else d + 1):
+            c = F.rand(rng)
+            if c not in zs:
+                zs.append(c)
+        q = UniPoly(F, "z", [F.rand_nonzero(rng)] if polynomial else [F.rand(rng) for _ in range(d)] + [F.one])
+        p = UniPoly.const(F, "z", F.one)
+        for c in zs:
+            p = p * (z - UniPoly.const(F, "z", c))
+        return ProjMap.from_affine(z * q - p, q, d), zs, polynomial
+
     hits = {2: 0, 3: 0, 4: 0}
     for d in hits:
         while hits[d] < 50:
-            polynomial = rng.random() < 0.5
-            zs = []
-            while len(zs) < (d if polynomial else d + 1):
-                c = F.rand(rng)
-                if c not in zs:
-                    zs.append(c)
-            q = UniPoly(F, "z", [F.rand_nonzero(rng)] if polynomial else [F.rand(rng) for _ in range(d)] + [F.one])
-            p = UniPoly.const(F, "z", F.one)
-            for c in zs:
-                p = p * (z - UniPoly.const(F, "z", c))
-            try:
-                phi = ProjMap.from_affine(z * q - p, q, d)
-            except DegenerateMapError:
-                continue  # p and q share a root
+            phi, zs, polynomial = first_value(lambda: draw(d), 100, "map without a shared root")
             pts, lams = _rational_fixed_data(phi, rng)
             want = [ProjPoint.affine(F, c) for c in sorted(zs)] + [ProjPoint.infinity(F)] * polynomial
             assert pts == want, f"fixed points of {phi} are not the drawn {zs}"
@@ -217,22 +220,15 @@ def _cubic_normal_form_recovery(rng, budget=None):
 
 def _marked_map_consistency(rng, budget=None):
     F = GF(10007)
+
+    def draw():
+        # Deg3Invariants rejects alpha in {0, 1}; lalpha an index sum of 1
+        inv = Deg3Invariants(F, *distinct_multipliers(F, 3, rng), F.rand(rng))
+        return inv, inv.lalpha
+
     for _ in range(50):
-        while True:
-            ls = []
-            while len(ls) < 3:
-                c = F.rand(rng)
-                if c != F.one and c not in ls:
-                    ls.append(c)
-            alpha = F.rand(rng)
-            if alpha in (F.zero, F.one):
-                continue
-            try:
-                inv = Deg3Invariants(F, ls[0], ls[1], ls[2], alpha)
-                la = inv.lalpha
-            except DegenerateInputError:
-                continue
-            break
+        inv, la = first_value(draw, 100, "generic marked map")
+        alpha = inv.alpha
         phi = map_from_invariants(inv)
         marked = [
             (ProjPoint.affine(F, F.zero), inv.l0),

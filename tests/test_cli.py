@@ -236,6 +236,33 @@ def test_deg_tau32_rejects_fields_too_small_to_sample():
     assert code == 2 and "p > 145" in doc["error"]
 
 
+@pytest.mark.parametrize("draws", ["0", "-1"])
+def test_deg_tau32_needs_one_draw(draws):
+    code, doc = run_json(["deg-tau32", "--draws", draws])
+    assert code == 2 and doc["error"] == f"need at least 1 draw, got {draws}"
+
+
+def test_deg_tau32_config_needs_one_draw(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment deg-tau32\ndraws 0\n")
+    code, doc = run_json(["deg-tau32", "--config", str(cfg)])
+    assert code == 2 and doc["error"] == "need at least 1 draw, got 0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly-classes", "-d", "1", "--lambdas", "2", "--field", "GF:101"],
+        ["poly-classes", "-d", "0", "--lambdas", "2"],
+        ["sigma2-check", "-d", "1", "--lambdas", "2"],
+        ["sigma2-check", "-d", "-3", "--lambdas", "2"],
+    ],
+)
+def test_affine_experiments_need_degree_2(argv):
+    code, doc = run_json(argv)
+    assert code == 2 and doc["error"] == "degree must be >= 2"
+
+
 def test_config_file_matches_flags(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("# quadratic sigma\nexperiment sigma\nfield QQ\nseed = 5\n")

@@ -12,6 +12,10 @@ And one retry rule (``multspec.errors``): an ``except`` clause that can
 catch a package error names only a draw-again class, except in the two
 functions that turn errors into output.
 
+And every draw-again loop is one of the rules in ``multspec.errors``: no
+``except`` clause that names a draw-again class sits inside a ``for`` or
+``while`` loop of its function anywhere else.
+
 And every import sits at module level: no ``import`` or ``from ... import``
 statement appears inside a function or method body.
 """
@@ -88,16 +92,20 @@ RETRY_CLASSES = {"DegenerateInputError", "DegenerateMapError"}
 ERROR_REPORTERS = {("cli", "run_command"), ("reproduce", "run_criterion")}
 
 
+def _caught_names(handler):
+    """The class names an except clause names; a bare except catches BaseException."""
+    types = [] if handler.type is None else getattr(handler.type, "elts", [handler.type])
+    return [getattr(t, "id", getattr(t, "attr", None)) for t in types] or ["BaseException"]
+
+
 def _except_clauses(tree):
-    """(enclosing function name or None, caught names) of every except clause;
-    a bare except catches BaseException."""
+    """(enclosing function name or None, caught names) of every except clause."""
     out = []
 
     def walk(node, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ExceptHandler):
-                types = [] if child.type is None else getattr(child.type, "elts", [child.type])
-                out.append((func, [getattr(t, "id", getattr(t, "attr", None)) for t in types] or ["BaseException"]))
+                out.append((func, _caught_names(child)))
             walk(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
 
     walk(tree, None)
@@ -121,6 +129,34 @@ def test_retry_clauses_catch_only_draw_again_errors():
                 if _catches_package_errors(n) and n not in RETRY_CLASSES
             ]
     assert broad == []
+
+
+def _retry_clauses_in_loops(tree):
+    """Line numbers of the except clauses that name a draw-again class inside
+    a for or while loop of their own function (a nested def starts afresh)."""
+    out = []
+
+    def walk(node, in_loop):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and in_loop and RETRY_CLASSES & set(_caught_names(child)):
+                out.append(child.lineno)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                walk(child, False)
+            else:
+                walk(child, in_loop or isinstance(child, (ast.For, ast.AsyncFor, ast.While)))
+
+    walk(tree, False)
+    return out
+
+
+def test_draw_again_loops_live_in_errors():
+    loops = [
+        f"{path.stem}.py:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "errors"
+        for line in _retry_clauses_in_loops(ast.parse(path.read_text()))
+    ]
+    assert loops == []
 
 
 def test_imports_sit_at_module_level():

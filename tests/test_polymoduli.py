@@ -208,24 +208,23 @@ def test_config_system_vanishes_on_real_configurations():
 
 def test_fiber_degrees_small():
     rng = random.Random(8)
-    rep = fiber_degree_experiment(2, rng, draws=2, bits=14)
-    assert (rep.solutions, rep.classes) == (1, 1)
-    rep = fiber_degree_experiment(3, rng, draws=2, bits=14)
-    assert (rep.solutions, rep.classes) == (2, 1)
-    rep = fiber_degree_experiment(4, rng, draws=2, bits=14)
-    assert (rep.solutions, rep.classes) == (6, 2)
-    assert len(rep.draws) == 2
-    assert len({d.prime for d in rep.draws}) == 2
+    draws = fiber_degree_experiment(2, rng, draws=2, bits=14)
+    assert (draws[0].solutions, draws[0].classes) == (1, 1)
+    draws = fiber_degree_experiment(3, rng, draws=2, bits=14)
+    assert (draws[0].solutions, draws[0].classes) == (2, 1)
+    draws = fiber_degree_experiment(4, rng, draws=2, bits=14)
+    assert [(d.solutions, d.classes) for d in draws] == [(6, 2)] * 2
+    assert len({d.prime for d in draws}) == 2
 
 
 def test_fiber_degree_d5_pinned():
     rng = random.Random(9)
-    rep = fiber_degree_experiment(5, rng, draws=2, bits=18, lambdas=D5_LAMBDAS)
-    assert (rep.solutions, rep.classes) == (24, 6)
+    draws = fiber_degree_experiment(5, rng, draws=2, bits=18, lambdas=D5_LAMBDAS)
+    assert (draws[0].solutions, draws[0].classes) == (24, 6)
     # the primes a pinned list is reduced at are the ones random draws would use
-    assert [d.prime for d in rep.draws] == [252449, 141793]
-    assert rep.draws[0].lambdas == (252447, 252446, 252445, 8, 52557)
-    assert rep.draws[1].lambdas == (141791, 141790, 141789, 8, 134416)
+    assert [d.prime for d in draws] == [252449, 141793]
+    assert draws[0].lambdas == (252447, 252446, 252445, 8, 52557)
+    assert draws[1].lambdas == (141791, 141790, 141789, 8, 134416)
 
 
 def test_pinned_multipliers_that_collide_mod_p_fail_the_attempt():
@@ -279,8 +278,8 @@ def test_only_degenerate_input_is_drawn_again(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     monkeypatch.setattr(polymoduli, "distinct_point_count", planted(DegenerateInputError))
-    rep = fiber_degree_experiment(3, random.Random(8), draws=1, bits=14)
-    assert (rep.solutions, rep.classes) == (2, 1) and len(calls) == 2
+    (draw,) = fiber_degree_experiment(3, random.Random(8), draws=1, bits=14)
+    assert (draw.solutions, draw.classes) == (2, 1) and len(calls) == 2
 
 
 def test_a_broken_point_extraction_fails_sigma2_check(monkeypatch):
