@@ -3,7 +3,7 @@
 Output is a single JSON document with sorted keys and exact scalars, so
 the same seed always produces byte-identical text.  Exit codes: 0 on
 success, 1 when the mathematics fails (validation, degeneracy, count
-disagreement), 2 for usage problems, 3 when a step budget runs out.
+disagreement), 2 for usage problems, 3 when the command's work limit runs out.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ import argparse
 import functools
 import random
 import sys
+from dataclasses import asdict
 
 from . import parsing
 from .dynamics import ProjMap, sigma1_relation_residual, sigma_n, tau
-from .errors import BudgetExhaustedError, MathError, UsageError
+from .errors import BudgetExhaustedError, MathError, UsageError, work_limit
 from .exactalg import GF, QQ, field_from_str, field_to_str, random_prime, scalar_from_str
 from .polymoduli import (
     complete_multipliers,
@@ -122,15 +123,11 @@ def _load_config(args):
 def _resolve(args):
     """Fold config-file values under explicit flags and apply defaults."""
     cfg = _load_config(args)
-    field = args.field if args.field is not None else cfg.field
-    args.dom = field_from_str(field) if field not in (None, "random") else QQ
-    args.field_policy = field
-    args.seed = args.seed if args.seed is not None else (cfg.seed if cfg.seed is not None else 0)
-    args.budget = args.budget if args.budget is not None else cfg.budget
-    if getattr(args, "lambdas", None) is None:
-        args.lambdas = cfg.lambdas
-    if getattr(args, "draws", None) is None and cfg.draws is not None:
-        args.draws = cfg.draws
+    for key in ("field", "seed", "budget", "lambdas", "draws"):
+        if getattr(args, key, None) is None:
+            setattr(args, key, getattr(cfg, key))
+    args.dom = field_from_str(args.field) if args.field not in (None, "random") else QQ
+    args.seed = args.seed or 0
     args.rng = random.Random(args.seed)
     return args
 
@@ -202,11 +199,11 @@ def _affine_multipliers(args):
 
 
 def _cmd_poly_classes(args):
-    if args.field_policy in (None, "random"):
+    if args.field in (None, "random"):
         # the count needs no (d-1)-st root of unity; p = 1 mod (d-1) keeps seeded primes
         args.dom = GF(random_prime(args.rng, 20, 1, args.d - 1))
     lams = _affine_multipliers(args)
-    solutions, classes, _ = count_fixed_configurations(args.dom, args.d, lams, args.rng, args.budget)
+    solutions, classes, _ = count_fixed_configurations(args.dom, args.d, lams, args.rng)
     return {
         "command": "poly-classes",
         "field": field_to_str(args.dom),
@@ -220,7 +217,7 @@ def _cmd_poly_classes(args):
 def _cmd_sigma2_check(args):
     args.dom = QQ  # the certificate picks its own primes
     lams = _affine_multipliers(args)
-    rep = sigma2_discrimination(args.d, lams, args.rng, budget=args.budget)
+    rep = sigma2_discrimination(args.d, lams, args.rng)
     return {
         "command": "sigma2-check",
         "degree": rep.d,
@@ -251,37 +248,21 @@ def _cmd_p3_form(args):
 
 
 def _draw_payload(draw):
-    return {
-        "prime": draw.prime,
-        "lambdas": [parsing.scalar_doc(l) for l in draw.lambdas],
-        "bezout": draw.bezout,
-        "distinct": draw.distinct,
-        "degenerate": draw.degenerate,
-        "simple": draw.simple,
-        "degree": draw.degree,
-    }
+    return {**asdict(draw), "lambdas": [parsing.scalar_doc(l) for l in draw.lambdas]}
 
 
 def _cmd_deg_tau32(args):
     if args.lambdas not in (None, "random"):
-        if args.field_policy in (None, "random") or args.dom == QQ:
+        if args.field in (None, "random") or args.dom == QQ:
             raise UsageError("a pinned specialization needs --field GF:p")
         lams = parsing.parse_scalar_list(args.dom, args.lambdas)
         if len(lams) != 4:
             raise UsageError("deg-tau32 takes l0,l1,linf,lbeta")
-        draws = (deg_tau32_single(args.dom, *lams, args.rng, args.budget),)
+        draws = (deg_tau32_single(args.dom, *lams, args.rng),)
     else:
-        draws = deg_tau32_report(args.rng, draws=3 if args.draws is None else args.draws, budget=args.budget)
-    summary = draws[0]
-    return {
-        "command": "deg-tau32",
-        "bezout": summary.bezout,
-        "distinct": summary.distinct,
-        "degenerate": summary.degenerate,
-        "simple": summary.simple,
-        "degree": summary.degree,
-        "draws": [_draw_payload(d) for d in draws],
-    }
+        draws = deg_tau32_report(args.rng, draws=3 if args.draws is None else args.draws)
+    counts = {k: v for k, v in asdict(draws[0]).items() if k not in ("prime", "lambdas")}
+    return {"command": "deg-tau32", **counts, "draws": [_draw_payload(d) for d in draws]}
 
 
 def _cmd_reconstruct(args):
@@ -312,9 +293,9 @@ def _cmd_reproduce(args):
     if args.only is not None:
         if args.only not in {num for num, _, _ in CRITERIA}:
             raise UsageError(f"no criterion {args.only}; there are {len(CRITERIA)}")
-        results = [run_criterion(args.only, args.seed, args.budget)]
+        results = [run_criterion(args.only, args.seed)]
     else:
-        results = run_all(args.seed, args.budget)
+        results = run_all(args.seed)
     return {
         "command": "reproduce-paper",
         "criteria": [
@@ -378,14 +359,15 @@ def _join_values(argv):
 
 
 def run_command(argv):
-    """Exit code and the document text for one invocation."""
+    """Exit code and the document text for one invocation, under one errors.work_limit."""
     try:
         args, extras = build_parser().parse_known_args(_join_values(list(argv)))
         args.params = _param_bindings(extras)
         if args.params and args.command not in ("sigma", "tau", "relation"):
             raise UsageError(f"unrecognized arguments: {extras}")
         _resolve(args)
-        payload = _HANDLERS[args.command](args)
+        with work_limit(args.budget):
+            payload = _HANDLERS[args.command](args)
         code = 0
         if args.command == "reproduce-paper" and payload["passed"] < payload["total"]:
             code = 1

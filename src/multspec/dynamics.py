@@ -47,6 +47,7 @@ from .errors import (
     MathError,
     UsageError,
     first_value,
+    spend,
 )
 from .exactalg import (
     GF,
@@ -273,7 +274,8 @@ def conjugate(f: UniPoly, g: UniPoly, d: int, m) -> tuple:
 def _chain(phi: ProjMap, n: int, m=(1, 0, 0, 1)) -> list:
     """Forms (num, den) of psi^1 .. psi^n from one composition loop, psi the
     `conjugate` of phi by m; over QQ on ZZ, cleared once, as a common scalar
-    does not change psi^k."""
+    does not change psi^k.  Spends d^k work units on link k, all up front."""
+    spend(sum(phi.d**k for k in range(1, n + 1)), "iterate")
     link = _form(phi.num, phi.dom), _form(phi.den, phi.dom)
     if phi.dom.char == 0:
         link, _ = clear_denominators(*link)
@@ -397,6 +399,7 @@ def _sampled_char_poly(phis: UniPoly, num: UniPoly, den: UniPoly, m: int) -> Uni
     (f,), a = clear_denominators(phis)
     top, e = max(num.degree, den.degree), phis.degree // m
     gs = [den.scale(j) - num for j in range(e + 1)] + [den]
+    spend(len(gs) * phis.degree, "resultant sample")  # deg phis a sample, all before the first
     *ys, c = (resultant(f, g) * a ** (top - g.degree) for g in gs)
     if not c:
         raise InvariantError(f"a root of Phi*_{m} is a pole of phi^{m}")
@@ -579,10 +582,15 @@ def forced_multiplier(dom: Domain, lambdas):
 def distinct_multipliers(dom: Domain, k: int, rng):
     """k distinct random multipliers, none of them 1."""
     out = []
-    while len(out) < k:
+
+    def draw():
         c = dom.rand(rng)
-        if c != dom.one and c not in out:
-            out.append(c)
+        if c == dom.one or c in out:
+            raise DegenerateInputError("multiplier 1 or a repeat; draw again")
+        return c
+
+    for _ in range(k):
+        out.append(first_value(draw, 100, "new multiplier"))
     return out
 
 

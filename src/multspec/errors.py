@@ -1,8 +1,8 @@
-"""Exception hierarchy shared across the package, and its draw-again rules.
+"""Exception hierarchy shared across the package, its draw-again rules and meter.
 
 Three broad classes matter to callers: usage errors (bad input, mismatched
 fields), mathematical failures (validation that exact arithmetic can detect),
-and exhausted work budgets.  The CLI maps them to exit codes 2, 1 and 3.
+and an exhausted work limit.  The CLI maps them to exit codes 2, 1 and 3.
 
 Randomized counts draw primes, specializations, maps and linear forms.  A
 draw that lands on an excluded locus raises a retry class,
@@ -13,8 +13,12 @@ degenerate) and agreeing_draws (independent first_value draws that all
 agree).  Every other error ends the run.  InvariantError marks a
 theorem-level check that failed, a fault in the program; a plain MathError
 is a failure no new draw repairs (inconsistent data, draws that disagree,
-a search out of tries).
+a search out of tries).  A command runs under one work_limit, and each
+metered site, in whatever module or draw, calls spend before its work.
 """
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 
 class MultSpecError(Exception):
@@ -47,7 +51,34 @@ class DegenerateInputError(MathError):
 
 
 class BudgetExhaustedError(MultSpecError):
-    """An iteration budget (pair reductions, retries) ran out."""
+    """The work limit of the running command (work_limit) ran out."""
+
+
+_LEFT = ContextVar("work_left", default=None)  # [units left] under a limit, else None
+
+
+@contextmanager
+def work_limit(limit: int | None):
+    """Meter the work done inside the block against `limit` units; None meters nothing."""
+    token = _LEFT.set(None if limit is None else [limit])
+    try:
+        yield
+    finally:
+        _LEFT.reset(token)
+
+
+def limited() -> bool:
+    """Whether a limit runs: a hot loop asks once, then spends per step only if so."""
+    return _LEFT.get() is not None
+
+
+def spend(cost: int, what: str):
+    """Charge `cost` units of work on `what`, before doing it."""
+    left = _LEFT.get()
+    if left is not None:
+        left[0] -= cost
+        if left[0] < 0:
+            raise BudgetExhaustedError(f"{what} budget exhausted")
 
 
 def agreed_value(draw, attempts: int, what: str):

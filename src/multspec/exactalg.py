@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DegenerateInputError, FieldMismatchError, InvariantError, MathError, UsageError
+from .errors import DegenerateInputError, FieldMismatchError, InvariantError, MathError, UsageError, first_value
 
 # ---------------------------------------------------------------------------
 # primality
@@ -708,15 +708,17 @@ def split_linear(g: UniPoly, rng) -> list[int]:
         return []
     if g.degree == 1:
         return [dom.div(dom.neg(g.coeff(0)), g.coeff(1))]
-    x = UniPoly.gen(dom, g.var)
-    one = UniPoly.const(dom, g.var, dom.one)
     half = (dom.p - 1) // 2
-    while True:
-        a = dom.rand(rng)
-        h = pow_mod(x + UniPoly.const(dom, g.var, a), half, g) - one
-        d = poly_gcd(g, h)
-        if 0 < d.degree < g.degree:
-            return split_linear(d, rng) + split_linear(g.divmod(d)[0], rng)
+
+    def split():  # gcd(g, (x + a)^half - 1) keeps the roots r of g with r + a a nonzero square
+        h = pow_mod(UniPoly(dom, g.var, [dom.rand(rng), dom.one]), half, g)
+        d = poly_gcd(g, h - UniPoly.const(dom, g.var, dom.one))
+        if not 0 < d.degree < g.degree:
+            raise DegenerateInputError("the gcd does not split g; draw again")
+        return d
+
+    d = first_value(split, 64, "splitting gcd")
+    return split_linear(d, rng) + split_linear(g.divmod(d)[0], rng)
 
 
 def interpolate(ys, dom: Domain, var: str) -> UniPoly:

@@ -3,8 +3,8 @@
 Monomials are bare exponent tuples (helper functions below); polynomials are
 dicts mapping exponent tuples to nonzero coefficients over an exactalg
 domain.  Buchberger uses the Gebauer-Moeller pair update and normal (minimal
-lcm) selection, returns a reduced basis, and counts reduction steps against
-an optional budget.
+lcm) selection, returns a reduced basis, and charges each generator and
+S-pair reduction step one unit of the command's work limit (errors.spend).
 
 Inside reduction monomials are packed ints (``_Packing``): the order's
 weight fields above the exponent fields, so a product is an int add, the
@@ -36,13 +36,15 @@ from functools import cached_property
 from operator import add, mul, sub
 
 from .errors import (
-    BudgetExhaustedError,
     DegenerateInputError,
     FieldMismatchError,
     InvariantError,
     MathError,
     UsageError,
     agreed_value,
+    first_value,
+    limited,
+    spend,
 )
 from .exactalg import Domain, PrimeField, UniPoly, poly_gcd, pow_mod, split_linear, squarefree_part
 from .linalg import char_poly as _char_poly, row_reduce
@@ -336,7 +338,7 @@ class IdealBasis:
         return QuotientAlgebra(self)
 
 
-def _reduce_terms(h: dict, reducers, memo: dict, dom, packing: _Packing, budget=None):
+def _reduce_terms(h: dict, reducers, memo: dict, dom, packing: _Packing, metered=False):
     """Full reduction of a packed term dict (consumed) by packed reducers.
 
     Reducers are (lt, inv_lc, tail), tail a list of (monomial, coefficient);
@@ -384,10 +386,8 @@ def _reduce_terms(h: dict, reducers, memo: dict, dom, packing: _Packing, budget=
                 h.pop(t, None)
             else:
                 h[t] = s
-        if budget is not None:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExhaustedError("reduction budget exhausted")
+        if metered:
+            spend(1, "reduction")
     return rem
 
 
@@ -435,18 +435,14 @@ def _gm_update(red, lts, pairs, lcm_of, packing: _Packing):
     return kept, fresh
 
 
-def buchberger(
-    gens,
-    order: MonomialOrder = GREVLEX,
-    budget: int | None = None,
-) -> IdealBasis:
+def buchberger(gens, order: MonomialOrder = GREVLEX) -> IdealBasis:
     """Reduced Groebner basis, normal selection + Gebauer-Moeller update.
 
     The basis is kept as one list of packed monic reducers, appended to as
     elements join; MultiPolys are built only for the reduced basis.  Pairs
     wait on a heap keyed by their packed lcm, which sorts like the order.
-    The generator and S-pair reductions share one first-divisor memo for
-    the run (``_reduce_terms``); each interreduction list gets a fresh one.
+    Generator and S-pair reductions (metered) share one first-divisor memo
+    for the run (``_reduce_terms``); each interreduction gets a fresh one.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -458,8 +454,7 @@ def buchberger(
             raise FieldMismatchError("generators over mismatched rings")
     if not dom.is_field:
         raise UsageError("buchberger requires a field domain")
-    counter = [budget if budget is not None else -1]
-    track = counter if budget is not None else None
+    metered = limited()
 
     pk = _Packing(order, len(vars_))
     red: list = []  # (lt, 1, tail) per basis element, packed
@@ -475,7 +470,7 @@ def buchberger(
 
     pairs: set = set()
     for g in gens:
-        rem = _reduce_terms(pk.terms(g), red, memo, dom, pk, track)
+        rem = _reduce_terms(pk.terms(g), red, memo, dom, pk, metered)
         if rem:
             join(rem)
             pairs, _ = _gm_update(red, lts, pairs, lcm_of, pk)
@@ -503,7 +498,7 @@ def buchberger(
                 s[t] = v
         if not s:
             continue
-        rem = _reduce_terms(s, red, memo, dom, pk, track)
+        rem = _reduce_terms(s, red, memo, dom, pk, metered)
         if not rem:
             continue
         join(rem)
@@ -701,16 +696,14 @@ class QuotientAlgebra(Domain):
 
 
 def random_linear_form(vars_, dom, rng) -> MultiPoly:
-    while True:
+    def draw():
         coeffs = [dom.rand(rng) for _ in vars_]
-        if any(not dom.is_zero(c) for c in coeffs):
-            break
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if not dom.is_zero(c):
-            e = tuple(1 if j == i else 0 for j in range(len(vars_)))
-            terms[e] = c
-    return MultiPoly(dom, tuple(vars_), terms)
+        terms = {tuple(int(j == i) for j in range(len(vars_))): c for i, c in enumerate(coeffs) if not dom.is_zero(c)}
+        if not terms:
+            raise DegenerateInputError("the zero form; draw again")
+        return MultiPoly(dom, tuple(vars_), terms)
+
+    return first_value(draw, 100, "nonzero linear form")
 
 
 def eliminant_of_form(basis: IdealBasis, u: MultiPoly, var: str = "t") -> UniPoly:

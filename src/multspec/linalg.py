@@ -12,7 +12,7 @@ steps of one stage applied together, and over GF(p) a ``% p`` inside each.
 
 from __future__ import annotations
 
-from .errors import MathError, UsageError
+from .errors import MathError, UsageError, spend
 from .exactalg import Domain, UniPoly
 
 
@@ -58,13 +58,14 @@ def char_poly(rows, dom: Domain, var: str = "t") -> UniPoly:
     One loop on native operators for both fields: over GF(p) the entries are
     ints and ``% p`` is applied inside each row step, after the batched
     column steps and once per recurrence row; over QQ (p = 0) they are
-    Fractions and nothing is reduced.
+    Fractions and nothing is reduced.  It spends its dimension in work units.
     """
     if not dom.is_field:
         raise UsageError("char_poly requires a field domain")
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise UsageError("char_poly expects a square matrix")
+    spend(n, "characteristic polynomial")
     p = dom.char
     h = [list(r) for r in rows]
     # similarity reduction to upper Hessenberg form

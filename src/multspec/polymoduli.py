@@ -182,13 +182,13 @@ def _check_index_formula(dom: Domain, lambdas):
         raise DegenerateInputError(f"multipliers fail the index formula by {res}")
 
 
-def count_fixed_configurations(dom: Domain, d: int, lambdas, rng, budget=None):
+def count_fixed_configurations(dom: Domain, d: int, lambdas, rng):
     """(solutions, conjugacy classes, basis) of the configuration system;
     multipliers that fail the index formula are rejected before any basis
     is built."""
     sys = build_fixed_config_system(dom, d, lambdas)
     _check_index_formula(dom, sys.lambdas)
-    basis = buchberger(sys.gens, GREVLEX, budget)
+    basis = buchberger(sys.gens, GREVLEX)
     if quotient_dimension(basis) is None:
         raise DegenerateInputError("configuration system is not zero-dimensional")
     _check_product_equations(sys, basis)
@@ -211,10 +211,10 @@ def _unit_root(F, k, rng):
     raise MathError(f"found no element of order {k} in GF({F.p})")
 
 
-def _solve_configurations(sys: FixedConfigSystem, rng, budget=None):
+def _solve_configurations(sys: FixedConfigSystem, rng):
     """Rational solutions as full d-tuples (last coordinate reconstructed)."""
     dom = sys.dom
-    basis = buchberger(sys.gens, GREVLEX, budget)
+    basis = buchberger(sys.gens, GREVLEX)
     _check_product_equations(sys, basis)
     pts = solve_rational_points(basis, rng)
     full = []
@@ -263,7 +263,7 @@ class FiberDegreeDraw:
     classes: int
 
 
-def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, budget=None, lambdas=None):
+def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, lambdas=None):
     """Configuration counts (FiberDegreeDraw) at `draws` independent specializations.
 
     Each draw picks a fresh prime p = 1 mod (d-1).  Rational `lambdas` are
@@ -289,7 +289,7 @@ def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, budget=
             lams = [F.from_rational(l) for l in lambdas]
             if len(set(lams)) < len(lams):
                 raise DegenerateInputError(f"multipliers collide mod {p}")
-        solutions, classes, _ = count_fixed_configurations(F, d, lams, rng, budget)
+        solutions, classes, _ = count_fixed_configurations(F, d, lams, rng)
         return FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=solutions, classes=classes)
 
     return agreeing_draws(draws, draw, 24, lambda r: (r.solutions, r.classes))
@@ -389,7 +389,7 @@ _SPLIT_ATTEMPTS = 80  # primes tried on the rational-points route, d <= 4 only
 _MAX_PRIMES = 400
 
 
-def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16, budget=None):
+def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16):
     """Whether the level-2 spectrum separates the classes over a fiber.
 
     Works at random primes p = 1 mod (d-1).  When the configuration system
@@ -418,7 +418,7 @@ def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16, budget=None):
             raise DegenerateInputError(f"multipliers collide or hit 1 mod {p}")
         if d <= 4 and tried <= _SPLIT_ATTEMPTS:
             sys = build_fixed_config_system(F, d, lams)
-            pts = _solve_configurations(sys, rng, budget)
+            pts = _solve_configurations(sys, rng)
             if not pts:
                 raise DegenerateInputError(f"no configuration is rational over GF({p})")
             orbits = _zeta_orbits(pts, F, d, rng)
@@ -435,7 +435,7 @@ def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16, budget=None):
                 normal_forms=forms,
                 sigma2_values=sigmas,
             )
-        solutions, classes, basis = count_fixed_configurations(F, d, lams, rng, budget)
+        solutions, classes, basis = count_fixed_configurations(F, d, lams, rng)
         if classes == 0:
             raise DegenerateInputError(f"no configurations over GF({p})")
         ok, k = _invariant_certificate(basis, d, classes)

@@ -34,7 +34,6 @@ from operator import mul
 
 from .dynamics import ProjMap, ProjPoint, distinct_multipliers, forced_multiplier, multiplier_at_point
 from .errors import (
-    BudgetExhaustedError,
     DegenerateInputError,
     DegenerateMapError,
     InvariantError,
@@ -42,6 +41,7 @@ from .errors import (
     UsageError,
     agreed_value,
     agreeing_draws,
+    spend,
 )
 from .exactalg import (
     GF,
@@ -253,10 +253,10 @@ def _shear(terms: dict, i: int, j: int, s: int, p: int) -> dict:
     return out
 
 
-def _sampled_resultant(forms, dom, ticks) -> UniPoly:
+def _sampled_resultant(forms, dom) -> UniPoly:
     """R(X) = Res_Y(h1, h2)(X, 1) of two forms in (X, Y, Z), as term dicts,
     that each hold a pure Y^deg term, so that no sample drops a Y-degree;
-    interpolated from X = 0 .. 145, one budget tick a sample.  One wrong
+    interpolated from X = 0 .. 145, one unit of work a sample.  One wrong
     sample lifts R above degree 144."""
     p = dom.p
     tops = [max(map(sum, t)) for t in forms]
@@ -266,8 +266,7 @@ def _sampled_resultant(forms, dom, ticks) -> UniPoly:
             cs[b][a] = c
     ys = []
     for x in range(_DEGREE + 2):
-        if ticks is not None and next(ticks, None) is None:
-            raise BudgetExhaustedError("resultant sample budget exhausted")
+        spend(1, "resultant sample")
         pw = [pow(x, k, p) for k in range(max(tops) + 1)]
         f1, f2 = (UniPoly(dom, "Y", [sum(map(mul, col, pw)) % p for col in cs]) for cs in cols)
         ys.append(resultant(f1, f2))
@@ -286,7 +285,7 @@ def _root_multiplicity(f: UniPoly, c) -> int:
     return m
 
 
-def _projected_counts(sys: Tau32FiberSystem, pts, rng, ticks):
+def _projected_counts(sys: Tau32FiberSystem, pts, rng):
     """(deg R, distinct, simple, multiplicities at pts) from one random projection.
 
     With M the shears x2 += b x0, x2 += c x1, x0 += d x1, the roots of
@@ -300,7 +299,7 @@ def _projected_counts(sys: Tau32FiberSystem, pts, rng, ticks):
     forms = [_shear(_shear(_shear(h.terms, 2, 0, b, p), 2, 1, c, p), 0, 1, d, p) for h in sys.hgens]
     if not all(t.get((0, h.total_degree(), 0)) for t, h in zip(forms, sys.hgens)):
         raise DegenerateInputError("the projection centre lies on a curve; draw again")
-    R = _sampled_resultant(forms, dom, ticks)
+    R = _sampled_resultant(forms, dom)
     if R.degree != sys.hgens[0].total_degree() * sys.hgens[1].total_degree():
         raise DegenerateInputError("an intersection point lies on the line Z = 0; draw again")
     g = poly_gcd(R, derivative(R))
@@ -313,17 +312,16 @@ def _projected_counts(sys: Tau32FiberSystem, pts, rng, ticks):
     return R.degree, sf.degree, simple, tuple(_root_multiplicity(R, x) for x in xs)
 
 
-def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau32Draw:
+def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng) -> Tau32Draw:
     """All counts of Theorem-4.1 type for one specialization, read off the
     first two consecutive random projections that agree, of at most
-    _PROJECTIONS; `budget` caps the resultant samples."""
+    _PROJECTIONS."""
     if not isinstance(dom, PrimeField) or dom.p <= _DEGREE + 1:
         raise UsageError(f"deg-tau32 needs GF(p) with p > {_DEGREE + 1}: it samples a resultant at X = 0 .. {_DEGREE + 1}")
     forced_multiplier(dom, (l0, l1, linf))  # reject non-generic parameter poles early
     sys = build_tau32_system(dom, l0, l1, linf, lbeta)
     pts = degenerate_points(dom, l0, l1, linf)
-    ticks = None if budget is None else iter(range(budget))
-    counts = agreed_value(lambda: _projected_counts(sys, pts, rng, ticks), _PROJECTIONS, "projections")
+    counts = agreed_value(lambda: _projected_counts(sys, pts, rng), _PROJECTIONS, "projections")
     # the ledger deg R = simple + sum mult_P, every mult_P >= 2, leaves no other
     # multiple point, so distinct = simple + 6
     bezout, distinct, simple, mults = counts
@@ -343,7 +341,7 @@ def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng, budget=None) -> Tau3
     )
 
 
-def deg_tau32_report(rng, draws: int = 3, bits: int = 30, budget=None) -> tuple:
+def deg_tau32_report(rng, draws: int = 3, bits: int = 30) -> tuple:
     """Fiber counts (Tau32Draw) at `draws` independent random (prime, multiplier) draws.
 
     Each draw uses a fresh prime and random generic multipliers; all draws
@@ -357,7 +355,7 @@ def deg_tau32_report(rng, draws: int = 3, bits: int = 30, budget=None) -> tuple:
         lbeta = F.rand(rng)
         if lbeta in (F.one, F.neg(F.one)):
             raise DegenerateInputError("lbeta = +-1 is outside the generic regime")
-        return deg_tau32_single(F, *ls, lbeta, rng, budget)
+        return deg_tau32_single(F, *ls, lbeta, rng)
 
     return agreeing_draws(draws, draw, 16, lambda r: (r.bezout, r.distinct, r.degenerate, r.simple, r.degree))
 

@@ -5,7 +5,7 @@ counts compare equal to integers, and polynomial identities are checked
 coefficient by coefficient.  A criterion raises AssertionError (or a
 library error) to fail; run_all turns that into a structured result and
 never stops early, so one failure cannot hide another.  An exhausted work
-budget is not a failure: BudgetExhaustedError ends the run (exit code 3).
+limit, one for the whole run, is not a failure: BudgetExhaustedError ends it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .dynamics import (
     sigma1_relation_residual,
     sigma_n,
 )
-from .errors import BudgetExhaustedError, MultSpecError, first_value
+from .errors import DegenerateInputError, MathError, UsageError, first_value
 from .exactalg import GF, QQ, UniPoly, fp_roots, random_prime, squarefree_part
 from .polymoduli import (
     complete_multipliers,
@@ -61,7 +61,7 @@ def _rational_fixed_data(phi, rng):
     return pts, [multiplier_at_point(phi, pt, 1) for pt in pts]
 
 
-def _relation_residuals(rng, budget=None):
+def _relation_residuals(rng):
     checked = 0
     for d in range(2, 6):
         for _ in range(50):
@@ -84,7 +84,7 @@ def _relation_residuals(rng, budget=None):
     return f"{checked} maps over QQ and F_p plus {poly} polynomial maps, every residual zero"
 
 
-def _quadratic_sigma(rng, budget=None):
+def _quadratic_sigma(rng):
     for _ in range(20):
         c = QQ.rand(rng)
         phi = ProjMap(QQ, (Fraction(1), Fraction(0), c), (Fraction(0), Fraction(0), Fraction(1)))
@@ -92,7 +92,7 @@ def _quadratic_sigma(rng, budget=None):
     return "sigma_1(z^2 + c) = (2, 4c, 0) for 20 random c"
 
 
-def _cubic_sigma_image(rng, budget=None):
+def _cubic_sigma_image(rng):
     for _ in range(50):
         a, b = QQ.rand(rng), QQ.rand(rng)
         phi = ProjMap(
@@ -110,7 +110,7 @@ def _cubic_sigma_image(rng, budget=None):
     return "sigma_1(z^3 + az + b) matches the closed form for 50 random (a, b)"
 
 
-def _isospectral_quartics(rng, budget=None):
+def _isospectral_quartics(rng):
     q = Fraction
     f = ProjMap(QQ, (q(1), q(0), q(-77), q(217), q(-140)), (q(0),) * 4 + (q(1),))
     g = ProjMap(QQ, (q(1), q(0), q(-721, 8), q(217), q(165025, 256)), (q(0),) * 4 + (q(1),))
@@ -124,26 +124,26 @@ def _isospectral_quartics(rng, budget=None):
     return f"equal sigma_1, sigma_2 differs in {split} of {len(s2f.values)} entries"
 
 
-def _fiber_degrees(rng, budget=None):
-    r3 = fiber_degree_experiment(3, rng, draws=3, budget=budget)[0]
+def _fiber_degrees(rng):
+    r3 = fiber_degree_experiment(3, rng, draws=3)[0]
     assert (r3.solutions, r3.classes) == (2, 1), f"d=3 gave {r3}"
-    r4 = fiber_degree_experiment(4, rng, draws=3, budget=budget)[0]
+    r4 = fiber_degree_experiment(4, rng, draws=3)[0]
     assert (r4.solutions, r4.classes) == (6, 2), f"d=4 gave {r4}"
     free = [Fraction(-2), Fraction(-3), Fraction(-4), Fraction(8)]
     lam5 = complete_multipliers(QQ, 5, free)
     assert lam5[-1] == Fraction(689, 269), f"derived fifth multiplier {lam5[-1]}"
-    r5 = fiber_degree_experiment(5, rng, draws=3, budget=budget, lambdas=lam5)[0]
+    r5 = fiber_degree_experiment(5, rng, draws=3, lambdas=lam5)[0]
     assert (r5.solutions, r5.classes) == (24, 6), f"d=5 gave {r5}"
     return "classes 1 (d=3), 2 (d=4) at random draws; pinned d=5 list gives 24 solutions, 6 classes"
 
 
-def _sigma2_separates(rng, budget=None):
+def _sigma2_separates(rng):
     lam4 = complete_multipliers(QQ, 4, [Fraction(-5), Fraction(5), Fraction(4)])
     assert lam4[-1] == Fraction(-7, 5), f"derived fourth multiplier {lam4[-1]}"
-    rep4 = sigma2_discrimination(4, lam4, rng, budget=budget)
+    rep4 = sigma2_discrimination(4, lam4, rng)
     assert rep4.all_distinct and rep4.classes == 2, f"d=4 gave {rep4}"
     lam5 = [Fraction(-5), Fraction(5), Fraction(-4), Fraction(-2), Fraction(29, 9)]
-    rep5 = sigma2_discrimination(5, lam5, rng, budget=budget)
+    rep5 = sigma2_discrimination(5, lam5, rng)
     assert rep5.all_distinct and rep5.classes == 6, f"d=5 gave {rep5}"
     return (
         f"2 classes (d=4) and 6 classes (d=5) with pairwise distinct sigma_2, "
@@ -151,14 +151,14 @@ def _sigma2_separates(rng, budget=None):
     )
 
 
-def _tau32_degree(rng, budget=None):
-    rep = deg_tau32_report(rng, budget=budget)[0]
+def _tau32_degree(rng):
+    rep = deg_tau32_report(rng)[0]
     got = (rep.bezout, rep.distinct, rep.degenerate, rep.simple, rep.degree)
     assert got == (144, 18, 6, 12, 12), f"report {got}"
     return "three agreeing draws: bezout 144, distinct 18, degenerate 6, simple 12, degree 12"
 
 
-def _reconstruction_retraction(rng, budget=None):
+def _reconstruction_retraction(rng):
     # phi = z - p/q with p = prod (z - z_i) fixes exactly the z_i, with
     # multipliers 1 - p'(z_i)/q(z_i) != 1, and infinity when q is constant:
     # draw d + 1 points and a monic q of degree d, or d points and a constant q,
@@ -179,21 +179,19 @@ def _reconstruction_retraction(rng, budget=None):
             p = p * (z - UniPoly.const(F, "z", c))
         return ProjMap.from_affine(z * q - p, q, d), zs, polynomial
 
-    hits = {2: 0, 3: 0, 4: 0}
-    for d in hits:
-        while hits[d] < 50:
+    hits = {2: 50, 3: 50, 4: 50}
+    for d, count in hits.items():
+        for _ in range(count):
             phi, zs, polynomial = first_value(lambda: draw(d), 100, "map without a shared root")
             pts, lams = _rational_fixed_data(phi, rng)
             want = [ProjPoint.affine(F, c) for c in sorted(zs)] + [ProjPoint.infinity(F)] * polynomial
             assert pts == want, f"fixed points of {phi} are not the drawn {zs}"
             assert reconstruct_from_fixed_data(F, pts, lams) == phi, f"retraction moved {phi}"
-            hits[d] += 1
     return f"reconstruct(data(phi)) = phi for {hits} maps by degree"
 
 
-def _cubic_normal_form_recovery(rng, budget=None):
-    hits = 0
-    while hits < 50:
+def _cubic_normal_form_recovery(rng):
+    def draw():
         roots = []
         while len(roots) < 2:
             c = QQ.rand(rng, height=8)
@@ -201,24 +199,25 @@ def _cubic_normal_form_recovery(rng, budget=None):
                 roots.append(c)
         roots.append(-roots[0] - roots[1])
         if len(set(roots)) != 3:
-            continue
-        nf = poly_from_fixed_points(QQ, roots)
-        a, b = nf.coeffs
+            raise DegenerateInputError("a double fixed point; draw again")
+        a, b = poly_from_fixed_points(QQ, roots).coeffs
         lams = [3 * r * r + a for r in roots]
-        if any(l == QQ.one for l in lams):
-            continue
-        got = p3_from_sigma1(QQ, lams)
-        assert (a, 27 * b * b) in got, f"{lams} missed ({a}, {b})"
-        hits += 1
+        if QQ.one in lams:
+            raise DegenerateInputError("a multiplier 1; draw again")
+        return a, b, lams
+
+    for _ in range(50):
+        a, b, lams = first_value(draw, 100, "cubic with three simple fixed points")
+        assert (a, 27 * b * b) in p3_from_sigma1(QQ, lams), f"{lams} missed ({a}, {b})"
     assert p3_from_sigma1(QQ, [Fraction(1)] * 3) == [(Fraction(1), Fraction(0))]
     two = p3_from_sigma1(QQ, [Fraction(1), Fraction(1), Fraction(10)])
     assert two == [(Fraction(-2), Fraction(108))], f"two-distinct case gave {two}"
     cube = p3_from_sigma1(QQ, [Fraction(0), Fraction(3), Fraction(3)])
     assert (Fraction(0), Fraction(0)) in cube, f"z^3 multipliers gave {cube}"
-    return f"(a, 27b^2) recovered for {hits} random normal forms plus the collapsed cases"
+    return "(a, 27b^2) recovered for 50 random normal forms plus the collapsed cases"
 
 
-def _marked_map_consistency(rng, budget=None):
+def _marked_map_consistency(rng):
     F = GF(10007)
 
     def draw():
@@ -245,7 +244,7 @@ def _marked_map_consistency(rng, budget=None):
     return "50 marked maps: fixed points, multipliers, relation, and reconstruction all agree"
 
 
-def _brute_force_orbits(rng, budget=None):
+def _brute_force_orbits(rng):
     def brute(phi, n):
         F = phi.dom
         pts = [ProjPoint.affine(F, F.from_int(x)) for x in range(F.char)]
@@ -262,24 +261,27 @@ def _brute_force_orbits(rng, budget=None):
     small = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
     def one_draw(d, n, need_full):
-        while True:
-            F = GF(rng.choice(small))
-            phi = random_map(F, d, rng)
+        def draw():
+            phi = random_map(GF(rng.choice(small)), d, rng)
             pp = period_polynomial(phi, n)
             if squarefree_part(pp).degree != pp.degree or pp.degree < d ** n:
-                continue  # multiple periodic points; skip non-generic draws
+                raise DegenerateInputError("multiple periodic points; draw again")
             per = brute(phi, n)
             if need_full and len(per) != d ** n + 1:
-                continue
-            char = multiplier_char_poly(phi, n)
-            assert char.degree == d ** n + 1
-            prod = UniPoly.const(F, char.var, F.one)
-            t = UniPoly.gen(F, char.var)
-            for pt in per:
-                prod = prod * (t - UniPoly.const(F, char.var, multiplier_at_point(phi, pt, n)))
-            q, r = char.divmod(prod)
-            assert r.is_zero, f"orbit multipliers of {phi} are not roots of its level-{n} polynomial"
-            return len(per), char.degree
+                raise DegenerateInputError("a periodic point off P^1(F_p); draw again")
+            return phi, per
+
+        phi, per = first_value(draw, 1000, "generic map")
+        F = phi.dom
+        char = multiplier_char_poly(phi, n)
+        assert char.degree == d ** n + 1
+        prod = UniPoly.const(F, char.var, F.one)
+        t = UniPoly.gen(F, char.var)
+        for pt in per:
+            prod = prod * (t - UniPoly.const(F, char.var, multiplier_at_point(phi, pt, n)))
+        q, r = char.divmod(prod)
+        assert r.is_zero, f"orbit multipliers of {phi} are not roots of its level-{n} polynomial"
+        return len(per), char.degree
 
     rational = 0
     full = 0
@@ -312,21 +314,19 @@ CRITERIA = (
 )
 
 
-def run_criterion(number: int, seed: int = 0, budget=None) -> CriterionResult:
+def run_criterion(number: int, seed: int = 0) -> CriterionResult:
     """One criterion with its own seeded rng, so runs are independent."""
     for num, name, fn in CRITERIA:
         if num == number:
             rng = random.Random(f"{seed}:{number}")
             try:
-                detail = fn(rng, budget)
+                detail = fn(rng)
                 return CriterionResult(number=num, name=name, passed=True, detail=detail)
-            except BudgetExhaustedError:
-                raise
-            except (AssertionError, MultSpecError) as e:
+            except (AssertionError, MathError, UsageError) as e:  # not BudgetExhaustedError
                 return CriterionResult(number=num, name=name, passed=False, detail=str(e))
     raise ValueError(f"no criterion {number}")
 
 
-def run_all(seed: int = 0, budget=None):
-    return [run_criterion(num, seed, budget) for num, _, _ in CRITERIA]
+def run_all(seed: int = 0):
+    return [run_criterion(num, seed) for num, _, _ in CRITERIA]
 

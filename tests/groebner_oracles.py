@@ -15,7 +15,7 @@ sampled resultants instead.
 
 from matrix_helpers import bareiss_det, random_invertible
 from multspec import groebner
-from multspec.errors import MathError, UsageError
+from multspec.errors import MathError, UsageError, work_limit
 from multspec.exactalg import UniPoly, derivative, fp_roots, poly_gcd, squarefree_part
 from multspec.groebner import (
     GREVLEX,
@@ -55,14 +55,14 @@ def linear_scan_steps(gens, order=GREVLEX):
 
     Each reduction takes the largest remaining term by max() and tests every
     reducer in list order, on unpacked exponents, for the first divisor: no
-    heap and no first-divisor memo.  `steps` counts the reduction steps the
-    run's budget would be charged for (the generator and S-pair reductions;
-    the interreduction runs unmetered), so `buchberger(gens, budget=steps)`
-    must succeed and `budget=steps - 1` must not.
+    heap and no first-divisor memo.  `steps` counts the reduction steps a
+    work limit is charged for (the generator and S-pair reductions; the
+    interreduction runs unmetered), so `buchberger(gens)` must succeed under
+    `work_limit(steps)` and fail under `work_limit(steps - 1)`.
     """
     steps = 0
 
-    def reduce(h, reducers, memo, dom, packing, budget=None):
+    def reduce(h, reducers, memo, dom, packing, metered=False):
         nonlocal steps
         lts = [packing.unpack(lt) for lt, _, _ in reducers]
         rem = {}
@@ -83,13 +83,14 @@ def linear_scan_steps(gens, order=GREVLEX):
                     h.pop(t, None)
                 else:
                     h[t] = v
-            steps += budget is not None
+            steps += metered
         return rem
 
     saved = groebner._reduce_terms
     groebner._reduce_terms = reduce
     try:
-        basis = buchberger(gens, order, budget=1 << 62)
+        with work_limit(1 << 62):
+            basis = buchberger(gens, order)
     finally:
         groebner._reduce_terms = saved
     return basis, steps

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -292,12 +293,45 @@ def test_exit_codes():
         (["reconstruct", "--points", "0,1,inf", "--lambdas", "3,3,3"], 1),
         (["deg-tau32", "--budget", "10"], 3),
         (["reproduce-paper", "--only", "5", "--budget", "10"], 3),
+        (["reproduce-paper", "--only", "11", "--budget", "1"], 3),
         (["p3-form", "--lambdas", "0,0,0"], 1),
     ]
     for argv, want in cases:
         code, text = run_command(argv)
         assert code == want, (argv, text)
         assert "error" in json.loads(text)
+
+
+def test_deg_tau32_budget_covers_every_draw():
+    # at seed 0 each of the three draws agrees on its first two projections,
+    # so the run takes 3 x 2 x 146 resultant samples under one limit
+    argv = ["deg-tau32", "--draws", "3", "--seed", "0", "--budget"]
+    assert run_json(argv + ["876"])[0] == 0
+    code, doc = run_json(argv + ["875"])
+    assert code == 3 and doc["kind"] == "budget"
+
+
+QUINTIC = ["--num", "1,2,0,3,1,5", "--den", "0,1,4,0,2,1"]
+
+
+@pytest.mark.parametrize(
+    "field, n, spent, larger",
+    [
+        ("GF:10007", 3, 442, [["sigma", "-n", "4"], ["sigma", "-n", "6"], ["tau", "-n", "6"]]),
+        ("QQ", 2, 374, [["sigma", "-n", "3"], ["sigma", "-n", "6"]]),
+    ],
+)
+def test_budget_stops_sigma_and_tau_promptly(field, n, spent, larger):
+    # `sigma -n n` on the quintic spends exactly `spent`; under that limit the
+    # larger levels (seconds to minutes of work unmetered) exit 3 at once
+    flags = QUINTIC + ["--field", field, "--budget"]
+    assert run_json(["sigma", "-n", str(n)] + flags + [str(spent)])[0] == 0
+    assert run_json(["sigma", "-n", str(n)] + flags + [str(spent - 1)])[0] == 3
+    for argv in larger:
+        start = time.perf_counter()
+        code, doc = run_json(argv + flags + [str(spent)])
+        assert code == 3 and doc["kind"] == "budget", argv
+        assert time.perf_counter() - start < 5, argv
 
 
 def test_reproduce_paper_only():

@@ -1,6 +1,7 @@
 import pytest
 
 from multspec.errors import (
+    BudgetExhaustedError,
     DegenerateInputError,
     DegenerateMapError,
     InvariantError,
@@ -9,6 +10,9 @@ from multspec.errors import (
     agreed_value,
     agreeing_draws,
     first_value,
+    limited,
+    spend,
+    work_limit,
 )
 
 
@@ -101,3 +105,17 @@ def test_agreeing_draws_needs_one_draw(count):
     with pytest.raises(UsageError, match=f"^need at least 1 draw, got {count}$"):
         agreeing_draws(count, draw, 2, key=lambda v: v)
     assert calls == []
+
+
+def test_work_limit_is_one_meter_for_its_block():
+    assert not limited()
+    spend(10**9, "unmetered work")  # no limit: nothing is charged
+    with work_limit(5):
+        assert limited()
+        spend(3, "a")
+        spend(2, "b")  # exactly the limit
+        with pytest.raises(BudgetExhaustedError, match="^c budget exhausted$"):
+            spend(1, "c")
+    with pytest.raises(BudgetExhaustedError), work_limit(0):
+        spend(1, "d")
+    assert not limited()  # the meter is gone after a block that ran out

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from multspec.errors import BudgetExhaustedError, DegenerateInputError, MathError, UsageError
+from multspec.errors import BudgetExhaustedError, DegenerateInputError, MathError, UsageError, work_limit
 from multspec.exactalg import GF, QQ, UniPoly
 from multspec.groebner import (
     GREVLEX,
@@ -288,17 +288,19 @@ def budget_system():
 
 
 def test_budget_exhaustion():
-    with pytest.raises(BudgetExhaustedError):
-        buchberger(budget_system(), GREVLEX, budget=2)
+    with pytest.raises(BudgetExhaustedError), work_limit(2):
+        buchberger(budget_system(), GREVLEX)
 
 
 def test_budget_counts_every_reduction_step():
     # 1250 reduction steps, counted with the linear-scan reduction this
     # package used before heap-ordered reduction: same steps, same order
     gens = budget_system()
-    with pytest.raises(BudgetExhaustedError):
-        buchberger(gens, GREVLEX, budget=1249)
-    assert buchberger(gens, GREVLEX, budget=1250) == buchberger(gens, GREVLEX)
+    with pytest.raises(BudgetExhaustedError), work_limit(1249):
+        buchberger(gens, GREVLEX)
+    with work_limit(1250):
+        basis = buchberger(gens, GREVLEX)
+    assert basis == buchberger(gens, GREVLEX)
 
 
 def test_linear_scan_oracle_reads_the_1250_step_pin():
@@ -331,9 +333,10 @@ def test_memoized_reduction_charges_the_linear_scan_steps(seed):
     basis, steps = linear_scan_steps(gens)
     assert quotient_dimension(basis) is not None and steps > 0
     assert buchberger(gens, GREVLEX) == basis
-    assert buchberger(gens, GREVLEX, budget=steps) == basis
-    with pytest.raises(BudgetExhaustedError):
-        buchberger(gens, GREVLEX, budget=steps - 1)
+    with work_limit(steps):
+        assert buchberger(gens, GREVLEX) == basis
+    with pytest.raises(BudgetExhaustedError), work_limit(steps - 1):
+        buchberger(gens, GREVLEX)
 
 
 def test_packed_monomial_range_is_guarded():

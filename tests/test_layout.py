@@ -16,6 +16,13 @@ And every draw-again loop is one of the rules in ``multspec.errors``: no
 ``except`` clause that names a draw-again class sits inside a ``for`` or
 ``while`` loop of its function anywhere else.
 
+And no draw loop hides from them: a ``while True`` loop appears outside
+``multspec.errors`` only in the functions listed in ``WHILE_TRUE_LOOPS``.
+
+And work is metered only through ``multspec.errors``: outside it no function
+takes a ``budget``, ``ticks`` or ``metered`` parameter, except the one
+handle listed in ``METER_HANDLES``.
+
 And every import sits at module level: no ``import`` or ``from ... import``
 statement appears inside a function or method body.
 """
@@ -157,6 +164,55 @@ def test_draw_again_loops_live_in_errors():
         for line in _retry_clauses_in_loops(ast.parse(path.read_text()))
     ]
     assert loops == []
+
+
+# rejection sampling of a prime, the subresultant remainder sequence, and an
+# endless generator of power sums: none of them draws again on a condition
+WHILE_TRUE_LOOPS = ["exactalg._zz_resultant", "exactalg.random_prime", "polymoduli.two_cycle_power_sums.sums"]
+
+
+def _while_true_loops(tree, module):
+    """The qualified name of the function around each ``while True`` loop."""
+    out = []
+
+    def walk(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.While) and isinstance(child.test, ast.Constant) and child.test.value is True:
+                out.append(qual)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            walk(child, f"{qual}.{child.name}" if named else qual)
+
+    walk(tree, module)
+    return out
+
+
+def test_while_true_loops_are_listed():
+    found = [
+        qual
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "errors"
+        for qual in _while_true_loops(ast.parse(path.read_text()), path.stem)
+    ]
+    assert sorted(found) == WHILE_TRUE_LOOPS
+
+
+METER_PARAMETERS = {"budget", "ticks", "metered"}
+# buchberger reads errors.limited() once and tells each reduction whether to spend
+METER_HANDLES = ["groebner._reduce_terms.metered"]
+
+
+def test_work_is_metered_through_errors():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "errors":
+            continue
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = func.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x]
+                name = getattr(func, "name", "<lambda>")
+                found += [f"{path.stem}.{name}.{n}" for n in names if n in METER_PARAMETERS]
+    assert sorted(found) == METER_HANDLES
 
 
 def test_imports_sit_at_module_level():

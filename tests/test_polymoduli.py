@@ -15,6 +15,7 @@ from multspec.errors import (
     InvariantError,
     MathError,
     UsageError,
+    work_limit,
 )
 from multspec.exactalg import GF, QQ, UniPoly, compose, derivative, fp_roots, random_prime
 from multspec.groebner import GREVLEX, MultiPoly, buchberger, quotient_dimension
@@ -478,9 +479,10 @@ def test_config_basis_d5_reduction_steps():
     sys, basis = _d5_basis()
     assert quotient_dimension(basis) == 24
     assert linear_scan_steps(sys.gens) == (basis, 122)
-    with pytest.raises(BudgetExhaustedError):
-        buchberger(sys.gens, GREVLEX, budget=121)
-    assert buchberger(sys.gens, GREVLEX, budget=122) == basis
+    with pytest.raises(BudgetExhaustedError), work_limit(121):
+        buchberger(sys.gens, GREVLEX)
+    with work_limit(122):
+        assert buchberger(sys.gens, GREVLEX) == basis
 
 
 def test_sigma2_discrimination_d4_rational_points():

@@ -14,7 +14,7 @@ from multspec.dynamics import (
     period_polynomial,
     random_map,
 )
-from multspec.errors import BudgetExhaustedError, DegenerateInputError, InvariantError, MathError, UsageError
+from multspec.errors import BudgetExhaustedError, DegenerateInputError, InvariantError, MathError, UsageError, work_limit
 from multspec.exactalg import GF, QQ, derivative, fp_roots, poly_gcd, random_prime, squarefree_part
 from multspec.groebner import GREVLEX, buchberger, eliminant_of_form, quotient_dimension, random_linear_form
 from multspec.rat3 import (
@@ -336,7 +336,7 @@ def test_pinned_projection_multiplicities():
     # second point on z = 0, (1:p6:0), carry 2: 144 = 12 + 3 * 42 + 3 * 2
     sysm, pts = build_tau32_system(PINNED_F, *PINNED), degenerate_points(PINNED_F, *PINNED[:3])
     for seed in (3, 4):
-        bezout, _, simple, mults = rat3._projected_counts(sysm, pts, random.Random(seed), None)
+        bezout, _, simple, mults = rat3._projected_counts(sysm, pts, random.Random(seed))
         assert mults == (42, 42, 42, 2, 2, 2)
         assert bezout == simple + sum(mults)
 
@@ -410,7 +410,7 @@ def test_sampled_resultant_at_formal_y_degrees():
         return cs[::-1]
 
     for forms in ((h1, h2), (h2, h1)):
-        R = rat3._sampled_resultant(forms, F, None)
+        R = rat3._sampled_resultant(forms, F)
         for x in range(145):
             a, b = (column(t, x) for t in forms)
             m, n = len(a) - 1, len(b) - 1
@@ -585,10 +585,11 @@ def test_pinned_small_field_draws_projections_again():
 
 
 def test_deg_tau32_budget_and_small_fields():
-    # one budget tick per resultant sample: 2 x 146 per draw
-    deg_tau32_single(PINNED_F, *PINNED, random.Random(3), budget=292)
-    with pytest.raises(BudgetExhaustedError):
-        deg_tau32_single(PINNED_F, *PINNED, random.Random(3), budget=291)
+    # one work unit per resultant sample: 2 x 146 per draw
+    with work_limit(292):
+        deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
+    with pytest.raises(BudgetExhaustedError), work_limit(291):
+        deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
     F = GF(139)
     with pytest.raises(UsageError, match="p > 145"):
         deg_tau32_single(F, *(F.from_int(c) for c in (2, 3, 4, 5)), random.Random(3))
