@@ -8,9 +8,11 @@ Randomized counts draw primes, specializations, maps and linear forms.  A
 draw that lands on an excluded locus raises a retry class,
 DegenerateInputError or DegenerateMapError: it means "draw again", and
 every loop that draws again is one of three rules here: agreed_value (two
-consecutive draws agree), first_value (the first draw that is not
-degenerate) and agreeing_draws (independent first_value draws that all
-agree).  Every other error ends the run.  InvariantError marks a
+consecutive draws agree; its one caller is groebner.distinct_point_count),
+first_value (the first draw that is not degenerate; a caller may make
+running out a retry class too, so an outer loop draws again) and
+agreeing_draws (independent first_value draws that all agree).  Every
+other error ends the run.  InvariantError marks a
 theorem-level check that failed, a fault in the program; a plain MathError
 is a failure no new draw repairs (inconsistent data, draws that disagree,
 a search out of tries).  A command runs under one work_limit, and each
@@ -96,15 +98,16 @@ def agreed_value(draw, attempts: int, what: str):
     raise DegenerateInputError(f"no two consecutive {what} of {attempts} agree; draw again")
 
 
-def first_value(draw, attempts: int, what: str):
+def first_value(draw, attempts: int, what: str, exhausted=MathError):
     """The first value draw() returns, of at most `attempts` calls; a call
-    that raises a retry class is drawn again."""
+    that raises a retry class is drawn again, and running out raises
+    `exhausted`."""
     for _ in range(attempts):
         try:
             return draw()
         except (DegenerateInputError, DegenerateMapError):
             pass
-    raise MathError(f"no {what} found in {attempts} attempts")
+    raise exhausted(f"no {what} found in {attempts} attempts")
 
 
 def agreeing_draws(count: int, draw, attempts: int, key):

@@ -12,14 +12,17 @@ phi^2(beta) = beta and (phi^2)'(beta) = lambda_beta, cleared of
 denominators and homogenized in (alpha : beta : z).  Counting its points
 (distinct, degenerate, simple) at agreeing random specializations measures
 the fiber degree.  Every count is read off the resultant R of the two
-forms after a random projective change of coordinates: its roots are the
-projected intersection points with their intersection multiplicities, so
-the count with multiplicity (Bezout, 144) is the measured deg R.  A ledger
-over the six degenerate points proves the other points simple.  Two
-consecutive independent projections must agree (errors.agreed_value), so
-a draw takes two sampled resultants or more, and a non-generic or
-disagreeing projection is drawn again; a failed theorem-level check then
-raises InvariantError and is never retried.
+forms after one random projective change of coordinates, certified
+generic: the centre lies on neither curve, no point lies on Z = 0, and no
+line through the centre holds a degenerate point and another point.  Then
+the roots of R are the projected intersection points with their
+intersection multiplicities, so the count with multiplicity (Bezout, 144)
+is the measured deg R, and a ledger over the six degenerate points proves
+the other points simple.  A draw takes one sampled resultant unless a
+check fails: a non-generic projection, or a first ledger failure (two
+simple points on one line look like a tangency), is drawn again
+(errors.first_value); a failed theorem-level check raises InvariantError
+and is never retried.
 
 Reconstruction from (fixed points, multipliers) solves the Vandermonde
 system (1 - lambda_i) q(z_i) = p'(z_i) for the denominator of z - p/q,
@@ -39,8 +42,8 @@ from .errors import (
     InvariantError,
     MathError,
     UsageError,
-    agreed_value,
     agreeing_draws,
+    first_value,
     spend,
 )
 from .exactalg import (
@@ -253,23 +256,33 @@ def _shear(terms: dict, i: int, j: int, s: int, p: int) -> dict:
     return out
 
 
-def _sampled_resultant(forms, dom) -> UniPoly:
-    """R(X) = Res_Y(h1, h2)(X, 1) of two forms in (X, Y, Z), as term dicts,
-    that each hold a pure Y^deg term, so that no sample drops a Y-degree;
-    interpolated from X = 0 .. 145, one unit of work a sample.  One wrong
-    sample lifts R above degree 144."""
+def _restriction(forms, dom):
+    """The map x -> [h1(x, Y, 1), h2(x, Y, 1)], polynomials in Y, of two forms
+    in (X, Y, Z) given as term dicts over GF(p)."""
     p = dom.p
     tops = [max(map(sum, t)) for t in forms]
     cols = [[[0] * (top + 1) for _ in range(top + 1)] for top in tops]
     for t, cs in zip(forms, cols):
         for (a, b, _), c in t.items():
             cs[b][a] = c
+
+    def at(x):
+        pw = [pow(x, k, p) for k in range(max(tops) + 1)]
+        return [UniPoly(dom, "Y", [sum(map(mul, col, pw)) % p for col in cs]) for cs in cols]
+
+    return at
+
+
+def _sampled_resultant(forms, dom) -> UniPoly:
+    """R(X) = Res_Y(h1, h2)(X, 1) of two forms in (X, Y, Z), as term dicts,
+    that each hold a pure Y^deg term, so that no sample drops a Y-degree;
+    interpolated from X = 0 .. 145, one unit of work a sample.  One wrong
+    sample lifts R above degree 144."""
+    at = _restriction(forms, dom)
     ys = []
     for x in range(_DEGREE + 2):
         spend(1, "resultant sample")
-        pw = [pow(x, k, p) for k in range(max(tops) + 1)]
-        f1, f2 = (UniPoly(dom, "Y", [sum(map(mul, col, pw)) % p for col in cs]) for cs in cols)
-        ys.append(resultant(f1, f2))
+        ys.append(resultant(*at(x)))
     R = interpolate(ys, dom, "X")
     if R.degree > _DEGREE:
         raise InvariantError(f"the sampled resultant has degree {R.degree} > {_DEGREE}")
@@ -277,11 +290,17 @@ def _sampled_resultant(forms, dom) -> UniPoly:
 
 
 def _root_multiplicity(f: UniPoly, c) -> int:
-    """Multiplicity of c as a root of f."""
-    linear = UniPoly(f.dom, f.var, [f.dom.neg(c), f.dom.one])
-    m, (q, r) = 0, f.monic_divmod(linear)
-    while r.is_zero:
-        m, (q, r) = m + 1, q.monic_divmod(linear)
+    """Multiplicity of c as a root of a nonzero f over GF(p), by synthetic
+    division by X - c until a remainder is nonzero."""
+    p, cs, m = f.dom.p, f.coeffs[::-1], 0
+    while len(cs) > 1:
+        q, acc = [], 0
+        for a in cs:
+            acc = (acc * c + a) % p
+            q.append(acc)
+        if q.pop():
+            break
+        cs, m = q, m + 1
     return m
 
 
@@ -293,6 +312,9 @@ def _projected_counts(sys: Tau32FiberSystem, pts, rng):
     M^-1 P, each of P's intersection multiplicity, if the centre M (0 : 1 : 0)
     lies on neither curve nor on a line through two of the points and no
     point lies on the new line Z = 0 (Fulton, Algebraic Curves, ch. 5 sec. 1).
+    All of it is checked here, except a line through two points off pts: they
+    make a multiple root of R off the xs, which the caller's ledger catches.
+    A projection that fails a check raises DegenerateInputError.
     """
     dom, p = sys.dom, sys.dom.p
     b, c, d = (dom.rand_nonzero(rng) for _ in range(3))
@@ -302,34 +324,52 @@ def _projected_counts(sys: Tau32FiberSystem, pts, rng):
     R = _sampled_resultant(forms, dom)
     if R.degree != sys.hgens[0].total_degree() * sys.hgens[1].total_degree():
         raise DegenerateInputError("an intersection point lies on the line Z = 0; draw again")
-    g = poly_gcd(R, derivative(R))
-    sf = R.divmod(g)[0]  # R = prod g_i^i and p > deg R: g = prod g_i^(i-1), sf = prod g_i
     # M^-1 P = (a - d beta, beta, z - b a - c beta), off Z = 0 since deg R = 144
     xs = [dom.div((a - d * bt) % p, (z - b * a - c * bt) % p) for a, bt, z in pts]
     if len(set(xs)) != len(xs):
         raise DegenerateInputError("two degenerate points lie on one line through the centre; draw again")
+    at = _restriction(forms, dom)
+    for x in xs:  # on the line X = x Z the forms share one Y-root, the degenerate point's
+        common = poly_gcd(*at(x))
+        if common.degree - poly_gcd(common, derivative(common)).degree != 1:
+            raise DegenerateInputError("a degenerate point shares its line through the centre; draw again")
+    g = poly_gcd(R, derivative(R))
+    sf = R.divmod(g)[0]  # R = prod g_i^i and p > deg R: g = prod g_i^(i-1), sf = prod g_i
     simple = sf.degree - poly_gcd(sf, g).degree
     return R.degree, sf.degree, simple, tuple(_root_multiplicity(R, x) for x in xs)
 
 
 def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng) -> Tau32Draw:
     """All counts of Theorem-4.1 type for one specialization, read off the
-    first two consecutive random projections that agree, of at most
-    _PROJECTIONS."""
+    first certified random projection, of at most _PROJECTIONS; running out
+    raises DegenerateInputError, so the specialization is drawn again."""
     if not isinstance(dom, PrimeField) or dom.p <= _DEGREE + 1:
         raise UsageError(f"deg-tau32 needs GF(p) with p > {_DEGREE + 1}: it samples a resultant at X = 0 .. {_DEGREE + 1}")
     forced_multiplier(dom, (l0, l1, linf))  # reject non-generic parameter poles early
     sys = build_tau32_system(dom, l0, l1, linf, lbeta)
     pts = degenerate_points(dom, l0, l1, linf)
-    counts = agreed_value(lambda: _projected_counts(sys, pts, rng), _PROJECTIONS, "projections")
-    # the ledger deg R = simple + sum mult_P, every mult_P >= 2, leaves no other
-    # multiple point, so distinct = simple + 6
-    bezout, distinct, simple, mults = counts
-    for pt, mult in zip(pts, mults):
-        if mult < 2:
-            raise InvariantError(f"expected a multiple point at {pt}, got multiplicity {mult}")
-    if bezout != simple + sum(mults):
-        raise InvariantError(f"multiplicity ledger: deg R {bezout} != {simple} simple + {sum(mults)} degenerate")
+    ledger_broken = False
+
+    def certified():
+        # the ledger deg R = simple + sum mult_P, every mult_P >= 2, leaves no
+        # other multiple point, so distinct = simple + 6.  Two points off pts on
+        # one line through the centre break it as a tangency would, so its
+        # first failure draws one more projection and its second is a fault
+        nonlocal ledger_broken
+        counts = _projected_counts(sys, pts, rng)
+        bezout, _, simple, mults = counts
+        for pt, mult in zip(pts, mults):
+            if mult < 2:
+                raise InvariantError(f"expected a multiple point at {pt}, got multiplicity {mult}")
+        if bezout != simple + sum(mults):
+            message = f"multiplicity ledger: deg R {bezout} != {simple} simple + {sum(mults)} degenerate"
+            if ledger_broken:
+                raise InvariantError(message)
+            ledger_broken = True
+            raise DegenerateInputError(f"{message}; draw one more projection")
+        return counts
+
+    bezout, distinct, simple, _ = first_value(certified, _PROJECTIONS, "certified projection", DegenerateInputError)
     return Tau32Draw(
         prime=dom.char,
         lambdas=(l0, l1, linf, lbeta),

@@ -303,11 +303,11 @@ def test_exit_codes():
 
 
 def test_deg_tau32_budget_covers_every_draw():
-    # at seed 0 each of the three draws agrees on its first two projections,
-    # so the run takes 3 x 2 x 146 resultant samples under one limit
+    # at seed 0 each of the three draws certifies its first projection, so
+    # the run takes 3 x 146 resultant samples under one limit
     argv = ["deg-tau32", "--draws", "3", "--seed", "0", "--budget"]
-    assert run_json(argv + ["876"])[0] == 0
-    code, doc = run_json(argv + ["875"])
+    assert run_json(argv + ["438"])[0] == 0
+    code, doc = run_json(argv + ["437"])
     assert code == 3 and doc["kind"] == "budget"
 
 

@@ -66,9 +66,15 @@ def test_first_value_draws_again_on_either_retry_class():
 
 def test_first_value_gives_up_after_its_attempts():
     draw, calls = _draws(*[DegenerateMapError("shared root")] * 3)
-    with pytest.raises(MathError, match="^no maps found in 2 attempts$"):
+    with pytest.raises(MathError, match="^no maps found in 2 attempts$") as raised:
         first_value(draw, 2, "maps")
+    assert type(raised.value) is MathError
     assert len(calls) == 2
+    # a caller may make running out a retry class, for an outer loop to draw again
+    draw, calls = _draws(*[DegenerateInputError("pole")] * 3)
+    with pytest.raises(DegenerateInputError, match="^no forms found in 3 attempts$"):
+        first_value(draw, 3, "forms", DegenerateInputError)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("error", [InvariantError("broken"), MathError("inconsistent")])

@@ -309,7 +309,7 @@ def test_deg_tau32_single_counts():
 
 def test_deg_tau32_single_work_counts(monkeypatch):
     """One draw: no Groebner basis, quotient context or characteristic
-    polynomial; 2 x 146 sampled resultants (two projections)."""
+    polynomial; 146 sampled resultants (one certified projection)."""
     calls = Counter()
 
     def counting(name, fn):
@@ -326,7 +326,7 @@ def test_deg_tau32_single_work_counts(monkeypatch):
     monkeypatch.setattr(groebner, "_char_poly", char_poly)
     monkeypatch.setattr(rat3, "resultant", counting("resultant", exactalg.resultant))
     deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
-    assert calls == {"resultant": 2 * 146}
+    assert calls == {"resultant": 146}
     for name in ("buchberger", "quotient_dimension", "distinct_point_count", "eliminant_of_form", "fp_roots"):
         assert not hasattr(rat3, name)
 
@@ -446,8 +446,8 @@ def _fault_once_per_point(real, fault, which):
 
 
 def test_broken_invariant_fails_instead_of_retrying(monkeypatch):
-    # a degenerate multiplicity off by one in both projections breaks the
-    # ledger 144 = 12 + 132 of the first draw, which is not retried
+    # a degenerate multiplicity off by one in every projection breaks the
+    # ledger 144 = 12 + 132 of the first draw twice, which is not retried
     for fault in (1, -1):
         monkeypatch.setattr(rat3, "_root_multiplicity", _fault_once_per_point(rat3._root_multiplicity, fault, 0))
         message = f"multiplicity ledger: deg R 144 != 12 simple \\+ {132 + fault} degenerate"
@@ -463,11 +463,11 @@ def test_broken_invariant_fails_instead_of_retrying(monkeypatch):
         deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
 
 
-@pytest.mark.parametrize("target", [1, 146, 200])
+@pytest.mark.parametrize("target", [1, 73, 146])
 def test_one_wrong_resultant_sample_fails_the_draw(monkeypatch, target):
     # R has degree <= 144 and is sampled at 146 nodes, so one sample off by
-    # one (the first and last of the first projection, one of the second)
-    # lifts the interpolant to degree 145; the draw fails, not retried
+    # one (the first, a middle one and the last of the projection) lifts the
+    # interpolant to degree 145; the draw fails, not retried
     calls = []
 
     def perturbed(f, g):
@@ -478,7 +478,7 @@ def test_one_wrong_resultant_sample_fails_the_draw(monkeypatch, target):
     monkeypatch.setattr(rat3, "resultant", perturbed)
     with pytest.raises(InvariantError, match="sampled resultant has degree 145 > 144"):
         deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
-    assert len(calls) == -(-target // 146) * 146  # the projection of the wrong sample ends
+    assert len(calls) == 146  # the projection of the wrong sample ends, and no other is drawn
 
 
 def test_marked_map_criterion_draws_again_only_on_degenerate_input(monkeypatch):
@@ -529,7 +529,7 @@ def test_reconstruction_criterion_checks_every_drawn_map(monkeypatch):
 def test_corrupted_resultant_sample_is_an_invariant_error(monkeypatch):
     # one wrong sample of the 146 lifts R to degree 145.  Every sample off by
     # one keeps degree 144, but R + 1 is off: the degenerate points are no
-    # longer multiple roots, and both projections agree on that
+    # longer multiple roots, which no other projection repairs
     real = rat3.interpolate
 
     def corrupted(nodes):
@@ -547,9 +547,10 @@ def test_corrupted_resultant_sample_is_an_invariant_error(monkeypatch):
             deg_tau32_report(random.Random(0xC0FFEE), draws=1)
 
 
-def test_disagreeing_projections_are_retried(monkeypatch):
-    # a fault in the first projection only is an unlucky projection, not a
-    # broken theorem: the same draw goes on to two agreeing projections
+def test_ledger_failure_in_one_projection_draws_one_more(monkeypatch):
+    # a broken ledger in the first projection only may be two simple points
+    # on one line through the centre, not a broken theorem: the next
+    # projection certifies the same counts
     real = rat3._root_multiplicity
     calls = Counter()
 
@@ -560,35 +561,107 @@ def test_disagreeing_projections_are_retried(monkeypatch):
     monkeypatch.setattr(rat3, "_root_multiplicity", first_projection_off)
     draw = deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
     assert (draw.bezout, draw.distinct, draw.simple) == (144, 18, 12)
-    # a different fault in every projection: no two agree, and the draw
-    # fails as an unlucky one
+    assert calls["n"] == 2 * 6
+    # a broken ledger in two projections is a fault
+    calls.clear()
+
     def every_projection_off(f, c):
         calls["n"] += 1
         return real(f, c) + calls["n"]
 
     monkeypatch.setattr(rat3, "_root_multiplicity", every_projection_off)
-    with pytest.raises(MathError, match="no two consecutive projections of 6 agree") as err:
+    with pytest.raises(InvariantError, match="multiplicity ledger: deg R 144 != 12 simple"):
         deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
-    assert not isinstance(err.value, InvariantError)
+    assert calls["n"] == 2 * 6
 
 
-def test_pinned_small_field_draws_projections_again():
-    # over GF(157) a random projection often fails: at seed 2 the centre
-    # lies on a curve, at seed 5 an intersection point lies on Z = 0
+class _Forced(random.Random):
+    """A seeded generator whose first randrange calls return `forced`."""
+
+    def __init__(self, seed, forced):
+        super().__init__(seed)
+        self.forced = list(forced)
+
+    def randrange(self, *args):
+        return self.forced.pop(0) if self.forced else super().randrange(*args)
+
+
+def test_second_point_on_a_degenerate_line_draws_again(monkeypatch):
+    # Q is a rational simple point of this system.  Shears b, c and the d
+    # that puts the centre on the line through Q and a degenerate point P
+    # merge Q into P's root of R: its multiplicity and the simple count move
+    # by one each, so the ledger still balances and only the line check
+    # sees it; the projection is drawn again and the counts hold
+    F = PINNED_F
+    lams = [F.from_int(c) for c in (274282000, 384974577, 569125963, 31144125)]
+    q = (319194853, 48211010, 1)
+    sysm = build_tau32_system(F, *lams)
+    assert all(F.is_zero(h.eval(q)) for h in sysm.hgens)
+    real = rat3._sampled_resultant
+    calls = []
+    monkeypatch.setattr(rat3, "_sampled_resultant", lambda forms, dom: calls.append(1) or real(forms, dom))
+    pts = degenerate_points(F, *lams[:3])
+    b, c = 5, 7
+    for a, bt, z in pts:
+        dp, dq = (z - b * a - c * bt) % F.p, (q[2] - b * q[0] - c * q[1]) % F.p
+        d = F.div((q[0] * dp - a * dq) % F.p, (q[1] * dp - bt * dq) % F.p)
+        with pytest.raises(DegenerateInputError, match="shares its line through the centre"):
+            rat3._projected_counts(sysm, pts, _Forced(1, [b, c, d]))
+        calls.clear()
+        draw = deg_tau32_single(F, *lams, _Forced(1, [b, c, d]))
+        assert (draw.bezout, draw.distinct, draw.simple) == (144, 18, 12)
+        assert len(calls) == 2
+
+
+def test_exhausted_projections_draw_the_specialization_again(monkeypatch):
+    # at seed 5 the first projection over GF(157) puts a point on Z = 0;
+    # with one projection allowed the specialization runs out, and running
+    # out is a draw-again error, not a failure of the run
+    F = GF(157)
+    lams = [F.from_int(c) for c in (41, 4, 156, 7)]
+    monkeypatch.setattr(rat3, "_PROJECTIONS", 1)
+    with pytest.raises(DegenerateInputError, match="no certified projection found in 1 attempts"):
+        deg_tau32_single(F, *lams, random.Random(5))
+    monkeypatch.undo()
+    # the report then draws a new prime and multipliers
+    real = rat3._projected_counts
+    primes = []
+
+    def unlucky_first(sysm, pts, rng):
+        primes.append(sysm.dom.p)
+        if len(primes) <= rat3._PROJECTIONS:
+            raise DegenerateInputError("planted non-generic projection")
+        return real(sysm, pts, rng)
+
+    monkeypatch.setattr(rat3, "_projected_counts", unlucky_first)
+    (draw,) = deg_tau32_report(random.Random(0xC0FFEE), draws=1)
+    assert (draw.bezout, draw.distinct, draw.simple) == (144, 18, 12)
+    assert len(primes) == rat3._PROJECTIONS + 1 and len(set(primes[:-1])) == 1
+    assert draw.prime == primes[-1] != primes[0]
+
+
+def test_pinned_small_field_draws_projections_again(monkeypatch):
+    # over GF(157) a random projection often fails: the first one at seed 22
+    # has its centre on a curve, at seed 5 it puts a point on Z = 0
     F = GF(157)
     lams = [F.from_int(c) for c in (41, 4, 156, 7)]
     oracle = tau32_counts_by_groebner(build_tau32_system(F, *lams), degenerate_points(F, *lams[:3]), random.Random(1))
     assert oracle == (144, 18, 12, 8)
-    for seed in (2, 5):
+    real = rat3._projected_counts
+    calls = []
+    monkeypatch.setattr(rat3, "_projected_counts", lambda *args: calls.append(1) or real(*args))
+    for seed in (22, 5):
+        calls.clear()
         draw = deg_tau32_single(F, *lams, random.Random(seed))
         assert (draw.bezout, draw.distinct, draw.simple) == oracle[:3]
+        assert len(calls) == 2
 
 
 def test_deg_tau32_budget_and_small_fields():
-    # one work unit per resultant sample: 2 x 146 per draw
-    with work_limit(292):
+    # one work unit per resultant sample: 146 per certified projection
+    with work_limit(146):
         deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
-    with pytest.raises(BudgetExhaustedError), work_limit(291):
+    with pytest.raises(BudgetExhaustedError), work_limit(145):
         deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
     F = GF(139)
     with pytest.raises(UsageError, match="p > 145"):
