@@ -19,12 +19,17 @@ sum 1/(1 - lambda_i) = 0; experiment entry points take d-1 free multipliers
 and derive the last one with dynamics.forced_multiplier.  The cubic normal
 form z^3 + az + b is read off its multipliers in closed form (p3_from_sigma1).
 
-Class counting over Q is done by counting at random specializations over
+Class counting over QQ is done by counting at random specializations over
 prime fields with p = 1 mod (d-1), where the root-of-unity action is
 rational; independent draws must agree.  Comparing level-2 spectra across
 classes works from rational solutions when the system splits, and otherwise
-from class-invariant power sums computed in the quotient algebra, which
-never needs the (possibly huge) splitting field.
+from class-invariant power sums T_k in the quotient algebra Q, which never
+needs the (possibly huge) splitting field.  T_k sums ((phi^2)')^k over the d^2 affine
+fixed points of phi^2: the k-th level-2 power sum (infinity adds 0^k), and g_k +
+sum_i lambda_i^(2k), g_k over exact period 2.  On C = Q[a, b]/(phi(a) - b, phi(b) - a),
+basis a^i b^j (i, j < d), the Euler-Jacobi trace formula (Cattani, Dickenstein and
+Sturmfels, Residues and resultants, 1998) is Tr(x) = ell(x J), so T_k = ell(mu^(k+1) -
+mu^k): ell takes the a^(d-1) b^(d-1) coefficient, J = mu - 1, mu = phi'(a) phi'(b).
 """
 
 from __future__ import annotations
@@ -309,69 +314,64 @@ class Sigma2Report:
     invariant_power: int | None = None
 
 
+def _residue(dom: Domain, r, memo, alpha, beta):
+    """R(alpha, beta) = ell(a^alpha b^beta), phi = z^d + sum_c r[c] z^c: a^d = b - sum_c r[c] a^c
+    lowers the degree, a and b are symmetric, and memo holds the entries with alpha >= d."""
+    d = len(r)
+    alpha, beta = max(alpha, beta), min(alpha, beta)
+    if alpha + beta < 2 * d - 2 or alpha < d:
+        return dom.one if alpha + beta == 2 * d - 2 else dom.zero  # alpha = beta = d - 1
+    if (alpha, beta) not in memo:
+        v = _residue(dom, r, memo, alpha - d, beta + 1)
+        for c, rc in enumerate(r):
+            w = _residue(dom, r, memo, alpha - d + c, beta)
+            if not (dom.is_zero(rc) or dom.is_zero(w)):
+                v = dom.sub(v, dom.mul(rc, w))
+        memo[alpha, beta] = v
+    return memo[alpha, beta]
+
+
+def _period_two_traces(phi: UniPoly):
+    """T_1, T_2, ...: T_k = ell(mu^(k+1)) - ell(mu^k), ell(mu) = d^2.  With phi-adic
+    digits u = phi'^j = sum_t U_t phi^t, mu^j = u(a) u(b) = sum_(s,t) U_t(a) b^t U_s(b) a^s."""
+    dom, d, r = phi.dom, phi.degree, phi.coeffs[:-1]
+    dphi, memo = derivative(phi), {}
+    u, prev = dphi, dom.from_int(d * d)
+    while True:
+        u = q = u * dphi
+        digits = []
+        while q.degree >= d:
+            q, digit = q.monic_divmod(phi)
+            digits.append(digit)
+        terms = [(t, i, x) for t, U in enumerate(digits + [q]) for i, x in enumerate(U.coeffs) if not dom.is_zero(x)]
+        cur = dom.zero
+        for n, (t, i, x) in enumerate(terms):
+            for m, (s, j, y) in enumerate(terms[n:]):  # each unordered pair once
+                R = _residue(dom, r, memo, i + s, j + t)
+                if not dom.is_zero(R):
+                    w = dom.mul(dom.mul(x, y), R)
+                    cur = dom.add(cur, dom.add(w, w) if m else w)
+        yield dom.sub(cur, prev)
+        prev = cur
+
+
 def two_cycle_power_sums(basis: IdealBasis, d: int):
-    """The configuration quotient algebra Q = F[z]/I, and an iterator over
-    g_1, g_2, ...: g_k is the sum of the k-th powers of the 2-cycle
-    multipliers, as an element of Q.
-
-    All arithmetic happens in Q, which evaluates the sums at every
-    configuration simultaneously, so no point needs rational coordinates.
-    The maps are polynomials, so the second iterate is monic and both the
-    2-periodic factor psi and the Newton power sums of its roots come out
-    of ring operations alone.  With hbar = (phi^2)' mod psi, g_k pairs the
-    coefficients of hbar^k mod psi with those power sums; each g_k costs
-    one more power of hbar, taken only when g_k is asked for.
-    """
-    if len(basis.vars) != d - 1:
-        raise UsageError("basis must be the eliminated configuration system")
+    """Q = F[z_1..z_(d-1)]/I, and an iterator over the sigma_2 power sums T_1, T_2, ... in Q,
+    at every configuration at once; each costs one more power of phi', taken when asked."""
     Q = basis.quotient
-    base = Q.base
-    xs = [Q.project(MultiPoly.gen(base, basis.vars, v)) for v in basis.vars]
-    last = Q.zero
-    for x in xs:
-        last = Q.sub(last, x)
-    xs.append(last)
-    z = UniPoly.gen(Q, "z")
-    phi = UniPoly.const(Q, "z", Q.one)
-    for x in xs:
-        phi = phi * (z - UniPoly.const(Q, "z", x))
-    phi = phi + z
-    phi2 = compose(phi, phi)
-    psi = (phi2 - z).monic_divmod(phi - z)[0]
-    m = psi.degree  # d^2 - d points on genuine 2-cycles
-    # Newton identities, division free: e_j = (-1)^j coeff_(m-j) of psi;
-    # powers of hbar mod psi have degree < m, so p_0..p_(m-1) suffice
-    e = [Q.one] + [Q.zero] * (m - 1)
-    for j in range(1, m):
-        c = psi.coeff(m - j)
-        e[j] = c if j % 2 == 0 else Q.neg(c)
-    p = [Q.from_int(m)] + [Q.zero] * (m - 1)
-    for k in range(1, m):
-        acc = Q.zero
-        for i in range(1, k):  # the sign of term i is (-1)^(i-1)
-            acc = (Q.add if i % 2 else Q.sub)(acc, Q.mul(e[i], p[k - i]))
-        p[k] = (Q.add if k % 2 else Q.sub)(acc, Q.mul(Q.from_int(k), e[k]))
-    hbar = derivative(phi2).monic_divmod(psi)[1]
-
-    def sums():
-        power = hbar
-        while True:
-            g = Q.zero
-            for j in range(power.degree + 1):
-                g = Q.add(g, Q.mul(power.coeff(j), p[j]))
-            yield g
-            power = (power * hbar).monic_divmod(psi)[1]
-
-    return Q, sums()
+    P = UniPoly.const(Q, "z", Q.one)
+    for x in _coordinates(Q.base, d)[1]:
+        P = P.shift(1) - P.scale(Q.project(x))
+    return Q, _period_two_traces(P + UniPoly.gen(Q, "z"))
 
 
 _CERTIFICATE_POWERS = 3
 
 
 def _invariant_certificate(basis: IdealBasis, d: int, classes: int):
-    """Count distinct 2-cycle power-sum values, one power at a time up to
-    _CERTIFICATE_POWERS; matching the class count certifies pairwise
-    distinct level-2 spectra, and no later power is computed."""
+    """Count the distinct values of the sigma_2 power sums T_k, one power at a time
+    up to _CERTIFICATE_POWERS (T_k - g_k is a fiber constant); matching the class
+    count certifies pairwise distinct level-2 spectra, and no later T_k is computed."""
     Q, sums = two_cycle_power_sums(basis, d)
     best = 0
     for k, g in zip(range(1, _CERTIFICATE_POWERS + 1), sums):
@@ -397,10 +397,10 @@ def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16):
     grouped into conjugacy classes, each class's polynomial is built, and
     the sigma_2 vectors are compared directly.  When full splitting is out
     of reach (d = 5: the splitting field is large), distinctness is
-    certified instead by power sums of the 2-cycle multipliers evaluated in
-    the quotient algebra: they are class invariants determined by sigma_2,
-    so taking `classes` distinct values proves the spectra pairwise
-    distinct.  Either way, distinctness mod p certifies exact distinctness.
+    certified instead by power sums of the level-2 multipliers evaluated in
+    the quotient algebra by the trace formula: they are class invariants
+    determined by sigma_2, so `classes` distinct values prove the spectra
+    pairwise distinct.  Either way, distinctness mod p certifies exact distinctness.
     """
     lambdas = list(lambdas)
     if len(lambdas) != d:

@@ -314,18 +314,19 @@ def _projected_counts(sys: Tau32FiberSystem, pts, rng):
     point lies on the new line Z = 0 (Fulton, Algebraic Curves, ch. 5 sec. 1).
     All of it is checked here, except a line through two points off pts: they
     make a multiple root of R off the xs, which the caller's ledger catches.
-    A projection that fails a check raises DegenerateInputError.
+    A projection that fails a check raises DegenerateInputError; the checks
+    on pts need no R and run before it is sampled.
     """
     dom, p = sys.dom, sys.dom.p
     b, c, d = (dom.rand_nonzero(rng) for _ in range(3))
     forms = [_shear(_shear(_shear(h.terms, 2, 0, b, p), 2, 1, c, p), 0, 1, d, p) for h in sys.hgens]
     if not all(t.get((0, h.total_degree(), 0)) for t, h in zip(forms, sys.hgens)):
         raise DegenerateInputError("the projection centre lies on a curve; draw again")
-    R = _sampled_resultant(forms, dom)
-    if R.degree != sys.hgens[0].total_degree() * sys.hgens[1].total_degree():
+    # M^-1 P = (a - d beta, beta, z - b a - c beta)
+    zs = [(z - b * a - c * bt) % p for a, bt, z in pts]
+    if not all(zs):
         raise DegenerateInputError("an intersection point lies on the line Z = 0; draw again")
-    # M^-1 P = (a - d beta, beta, z - b a - c beta), off Z = 0 since deg R = 144
-    xs = [dom.div((a - d * bt) % p, (z - b * a - c * bt) % p) for a, bt, z in pts]
+    xs = [dom.div((a - d * bt) % p, zp) for (a, bt, _), zp in zip(pts, zs)]
     if len(set(xs)) != len(xs):
         raise DegenerateInputError("two degenerate points lie on one line through the centre; draw again")
     at = _restriction(forms, dom)
@@ -333,6 +334,9 @@ def _projected_counts(sys: Tau32FiberSystem, pts, rng):
         common = poly_gcd(*at(x))
         if common.degree - poly_gcd(common, derivative(common)).degree != 1:
             raise DegenerateInputError("a degenerate point shares its line through the centre; draw again")
+    R = _sampled_resultant(forms, dom)
+    if R.degree != sys.hgens[0].total_degree() * sys.hgens[1].total_degree():
+        raise DegenerateInputError("an intersection point lies on the line Z = 0; draw again")
     g = poly_gcd(R, derivative(R))
     sf = R.divmod(g)[0]  # R = prod g_i^i and p > deg R: g = prod g_i^(i-1), sf = prod g_i
     simple = sf.degree - poly_gcd(sf, g).degree

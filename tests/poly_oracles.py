@@ -26,11 +26,14 @@ routes and as an oracle for the integer matrix conjugation inside
 `dynamics.multiplier_char_poly`.
 `newton_interpolate` is interpolation at any nodes built from UniPoly
 products, an oracle for the integer QQ loop of `interpolate`.
+`companion_power_traces` takes the traces of the powers of h(C), C the
+companion matrix of a monic modulus, an oracle for the level-2 power sums
+that `polymoduli` reads off the trace formula.
 """
 
 import random
 
-from matrix_helpers import bareiss_det, exact_quotient
+from matrix_helpers import bareiss_det, exact_quotient, mat_mul
 from multspec.dynamics import ProjMap, ProjPoint, SigmaVector, iterate
 from multspec.errors import DegenerateInputError, DegenerateMapError, FieldMismatchError, MathError
 from multspec.exactalg import (
@@ -361,3 +364,24 @@ def tau31_phi_ab(dom: Domain, a, b) -> SigmaVector:
         dom.zero,
     )
     return SigmaVector(dom=dom, d=3, n=1, values=values)
+
+
+def companion_power_traces(modulus: UniPoly, h: UniPoly, kmax: int):
+    """[tr h(C)^k for k = 1..kmax], C the companion matrix of the monic
+    modulus over a field: the power sums of h over its roots, with
+    multiplicity.  Column i of h(C) holds z^i h mod modulus."""
+    F, m = modulus.dom, modulus.degree
+    z = UniPoly.gen(F, modulus.var)
+    cols, col = [], h.divmod(modulus)[1]
+    for _ in range(m):
+        cols.append([col.coeff(i) for i in range(m)])
+        col = (col * z).divmod(modulus)[1]
+    M = [list(row) for row in zip(*cols)]
+    out, P = [], M
+    for _ in range(kmax):
+        tr = F.zero
+        for i in range(m):
+            tr = F.add(tr, P[i][i])
+        out.append(tr)
+        P = mat_mul(P, M, F)
+    return out

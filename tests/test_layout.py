@@ -168,7 +168,7 @@ def test_draw_again_loops_live_in_errors():
 
 # rejection sampling of a prime, the subresultant remainder sequence, and an
 # endless generator of power sums: none of them draws again on a condition
-WHILE_TRUE_LOOPS = ["exactalg._zz_resultant", "exactalg.random_prime", "polymoduli.two_cycle_power_sums.sums"]
+WHILE_TRUE_LOOPS = ["exactalg._zz_resultant", "exactalg.random_prime", "polymoduli._period_two_traces"]
 
 
 def _while_true_loops(tree, module):

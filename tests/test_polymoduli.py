@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import random
@@ -36,8 +37,7 @@ from multspec.polymoduli import (
 from multspec.reproduce import run_criterion
 
 from groebner_oracles import config_system_by_substitution, linear_scan_steps, to_multipoly
-from matrix_helpers import mat_mul
-from poly_oracles import tau31_phi_ab
+from poly_oracles import companion_power_traces, tau31_phi_ab
 
 D4_LAMBDAS = [-5, 5, 4, Fraction(-7, 5)]
 D5_LAMBDAS = [-2, -3, -4, 8, Fraction(689, 269)]
@@ -370,49 +370,35 @@ def test_zeta_orbits_and_prescribed_multipliers():
         assert len(sigmas) == 1
 
 
+def _centred_phi(F, roots):
+    """z + prod (z - r): the polynomial map with these affine fixed points."""
+    z = UniPoly.gen(F, "z")
+    phi = UniPoly.const(F, "z", F.one)
+    for r in roots:
+        phi = phi * (z - UniPoly.const(F, "z", r))
+    return phi + z
+
+
 def test_two_cycle_power_sums_match_matrix_traces():
+    # T_k sums ((phi^2)')^k over all d^2 fixed points of phi^2: the 2-cycle
+    # points, the roots of psi = (phi^2 - z)/(phi - z), plus the fixed points,
+    # where (phi^2)' = lambda_i^2
     rng = random.Random(12)
     F, lams, sys, pts = _find_split_d4(rng)
     basis = buchberger(sys.gens, GREVLEX)
     Q, sums = two_cycle_power_sums(basis, 4)
     sums = [next(sums), next(sums)]
-
-    def trace_sums(pt, kmax):
-        # companion matrix of the 2-periodic factor; g_k = tr((phi2)'(C)^k)
-        z = UniPoly.gen(F, "z")
-        phi = UniPoly.const(F, "z", F.one)
-        for r in pt:
-            phi = phi * (z - UniPoly.const(F, "z", r))
-        phi = phi + z
+    z = UniPoly.gen(F, "z")
+    for pt in pts:
+        phi = _centred_phi(F, pt)
         phi2 = compose(phi, phi)
         psi = (phi2 - z).monic_divmod(phi - z)[0]
-        m = psi.degree
-        assert m == 12
-        C = [[F.zero] * m for _ in range(m)]
-        for i in range(1, m):
-            C[i][i - 1] = F.one
-        for i in range(m):
-            C[i][m - 1] = F.neg(psi.coeff(i))
-        M = [[F.zero] * m for _ in range(m)]
-        for c in reversed(derivative(phi2).coeffs):
-            M = mat_mul(M, C, F)
-            for i in range(m):
-                M[i][i] = F.add(M[i][i], c)
-        out, P = [], M
-        for k in range(kmax):
-            tr = F.zero
-            for i in range(m):
-                tr = F.add(tr, P[i][i])
-            out.append(tr)
-            if k + 1 < kmax:
-                P = mat_mul(P, M, F)
-        return out
-
-    for pt in pts:
-        want = trace_sums(pt, 2)
+        assert psi.degree == 12
+        want = companion_power_traces(psi, derivative(phi2), 2)
         for k in (1, 2):
+            fixed = sum(F.pow(lam, 2 * k) for lam in lams) % F.p
             got = to_multipoly(Q, sums[k - 1]).eval(pt[:-1])
-            assert got == want[k - 1]
+            assert got == F.add(want[k - 1], fixed)
 
     ok, power = _invariant_certificate(basis, 4, 2)
     assert ok and 1 <= power <= 3
@@ -420,6 +406,34 @@ def test_two_cycle_power_sums_match_matrix_traces():
         _invariant_certificate(basis, 4, 0)  # invariants always take a value
     with pytest.raises(UsageError):
         two_cycle_power_sums(basis, 5)
+
+
+def test_trace_formula_matches_companion_traces():
+    # over GF(p): T_k from the residue table against tr h(C)^k on
+    # GF(p)[z]/(phi^2(z) - z), h = (phi^2)'; and ell(J) = ell(mu) - ell(1) = d^2
+    # read off the table alone (phi' has degree d - 1, so it is its own digit)
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    F = GF(10007)
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(st.integers(2, 6), st.lists(st.integers(0, F.p - 1), min_size=5, max_size=5))
+    def check(d, free):
+        roots = free[: d - 1]
+        roots.append(F.neg(sum(roots) % F.p))
+        phi = _centred_phi(F, roots)
+        phi2 = compose(phi, phi)
+        want = companion_power_traces(phi2 - UniPoly.gen(F, "z"), derivative(phi2), 3)
+        sums = polymoduli._period_two_traces(phi)
+        assert [next(sums) for _ in range(3)] == want
+        r, memo, dphi = phi.coeffs[:-1], {}, derivative(phi).coeffs
+        ell_mu = F.zero
+        for i, x in enumerate(dphi):
+            for j, y in enumerate(dphi):
+                ell_mu = F.add(ell_mu, F.mul(F.mul(x, y), polymoduli._residue(F, r, memo, i, j)))
+        assert F.sub(ell_mu, polymoduli._residue(F, r, memo, 0, 0)) == F.from_int(d * d)
+
+    check()
 
 
 def _d5_basis():
@@ -436,40 +450,54 @@ def test_invariant_certificate_builds_only_the_powers_it_tests(monkeypatch):
         Q, sums = two_cycle_power_sums(basis, d)
         return Q, (drawn.append(g) or g for g in sums)
 
-    divmods = []
+    dividends = []
     monic_divmod = UniPoly.monic_divmod
 
     def counting_divmod(f, g):
-        divmods.append(g.degree)
+        dividends.append(f.degree)
         return monic_divmod(f, g)
 
     monkeypatch.setattr(polymoduli, "two_cycle_power_sums", counting_sums)
     monkeypatch.setattr(UniPoly, "monic_divmod", counting_divmod)
-    # psi = (phi^2 - z) / (phi - z), hbar = (phi^2)' mod psi (deg psi = 20),
-    # then one product mod psi per further power: hbar^2 for g_2, no hbar^3
+    # T_k needs mu^(k+1) = u(a) u(b), u = phi'^(k+1) of degree 4(k+1), split
+    # into phi-adic digits by divisions by phi (degree 5): phi'^2 for T_1,
+    # phi'^3 for T_2, and no phi'^4 (mu^4) once T_2 certifies
     assert _invariant_certificate(basis, 5, 6) == (True, 2)
-    assert len(drawn) == 2 and divmods == [5, 20, 20]
-    # with no certificate in reach it stops at kmax = 3: no hbar^4
+    assert len(drawn) == 2 and dividends == [8, 12, 7]
+    # with no certificate in reach it stops at kmax = 3: no phi'^5
     drawn.clear()
-    divmods.clear()
+    dividends.clear()
     assert _invariant_certificate(basis, 5, 7) == (False, 6)
-    assert len(drawn) == 3 and divmods == [5, 20, 20, 20]
+    assert len(drawn) == 3 and dividends == [8, 12, 7, 16, 11, 6]
 
 
 def test_quotient_rows_are_built_when_first_needed():
     # counting projects linear forms: one row of structure constants per
     # standard variable (the linear identity eliminates the fourth); the
-    # certificate's products in Q need every row, on the same context
+    # certificate's products in Q build further rows on the same context
     _, basis = _d5_basis()
     solutions = polymoduli.distinct_point_count(basis, random.Random(5))
     Q = basis.quotient
     built = lambda: sum(row is not None for row in Q._rows)  # noqa: E731
     assert (solutions, Q.dim, built()) == (24, 24, 3)
     assert _invariant_certificate(basis, 5, 6) == (True, 2)
-    assert basis.quotient is Q and built() == 24
+    assert basis.quotient is Q and built() > 3
     # symmetric fill: b_i * b_j is built once, for whichever row comes first
     rows = Q._rows
-    assert all(rows[i][j] is rows[j][i] for i in range(24) for j in range(i))
+    assert all(rows[i][j] is rows[j][i] for i in range(24) for j in range(i) if rows[i] and rows[j])
+
+
+def test_a_d5_certificate_leaves_no_reference_cycles():
+    # everything a d = 5 sigma2-check builds (bases, quotient contexts, the
+    # residue table) is freed by reference counting, not left to the collector
+    gc.collect()
+    gc.disable()
+    try:
+        rep = sigma2_discrimination(5, [-5, 5, -4, -2, Fraction(29, 9)], random.Random(1))
+        assert rep.method == "invariant-trace"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_config_basis_d5_reduction_steps():

@@ -591,7 +591,8 @@ def test_second_point_on_a_degenerate_line_draws_again(monkeypatch):
     # that puts the centre on the line through Q and a degenerate point P
     # merge Q into P's root of R: its multiplicity and the simple count move
     # by one each, so the ledger still balances and only the line check
-    # sees it; the projection is drawn again and the counts hold
+    # sees it; the projection is drawn again, before its R is sampled, and
+    # the counts hold
     F = PINNED_F
     lams = [F.from_int(c) for c in (274282000, 384974577, 569125963, 31144125)]
     q = (319194853, 48211010, 1)
@@ -610,7 +611,7 @@ def test_second_point_on_a_degenerate_line_draws_again(monkeypatch):
         calls.clear()
         draw = deg_tau32_single(F, *lams, _Forced(1, [b, c, d]))
         assert (draw.bezout, draw.distinct, draw.simple) == (144, 18, 12)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 def test_exhausted_projections_draw_the_specialization_again(monkeypatch):
@@ -655,6 +656,24 @@ def test_pinned_small_field_draws_projections_again(monkeypatch):
         draw = deg_tau32_single(F, *lams, random.Random(seed))
         assert (draw.bezout, draw.distinct, draw.simple) == oracle[:3]
         assert len(calls) == 2
+
+
+def test_checks_on_the_degenerate_points_run_before_the_resultant(monkeypatch):
+    # over GF(157) the first projection at seed 7 puts two degenerate points
+    # on one line through the centre; that check needs no R, so the rejected
+    # projection samples none and the draw fits one projection's 146 units
+    F = GF(157)
+    lams = [F.from_int(c) for c in (41, 4, 156, 7)]
+    sysm = build_tau32_system(F, *lams)
+    real = rat3._sampled_resultant
+    calls = []
+    monkeypatch.setattr(rat3, "_sampled_resultant", lambda forms, dom: calls.append(1) or real(forms, dom))
+    with pytest.raises(DegenerateInputError, match="one line through the centre"):
+        rat3._projected_counts(sysm, degenerate_points(F, *lams[:3]), random.Random(7))
+    assert calls == []
+    with work_limit(146):
+        draw = deg_tau32_single(F, *lams, random.Random(7))
+    assert (draw.bezout, draw.distinct, draw.simple) == (144, 18, 12) and len(calls) == 1
 
 
 def test_deg_tau32_budget_and_small_fields():
