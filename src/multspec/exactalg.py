@@ -7,8 +7,8 @@ or the integer ring ZZ used internally to keep resultants fraction-free.
 Polynomials are immutable dense coefficient tuples in ascending order.  The
 zero polynomial has degree -1.  One long-division loop (`UniPoly._divide`)
 serves division over QQ and division by a monic divisor over any ring.  Over
-GF(p), long division and resultants (the Euclidean recurrence) run as
-``% p`` kernels on plain ints.  Over ZZ one kernel on plain int lists takes
+GF(p), long division, modular powers and resultants (the Euclidean
+recurrence) run as ``% p`` kernels on plain ints.  Over ZZ one kernel on plain int lists takes
 pseudo-remainders and runs the subresultant sequence; resultants over QQ and
 the QQ gcd clear denominators and call it.  Interpolation takes the nodes
 0 .. n - 1 and runs one kernel on ints over one common denominator for both
@@ -453,6 +453,24 @@ def _fp_divmod(a, b, p):
     return q, r[:db]
 
 
+def _fp_mulmod(a, b, low, p):
+    """a * b mod x^n + sum_j low[j] x^j over GF(p), on ascending int lists of length <= n."""
+    if not a or not b:
+        return []
+    n = len(low)
+    r = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                r[j] += x * y
+    for k in range(len(r) - 1, n - 1, -1):
+        t = r[k] % p
+        if t:
+            for j, c in enumerate(low, k - n):
+                r[j] -= t * c
+    return [c % p for c in r[:n]]
+
+
 # ---------------------------------------------------------------------------
 # public univariate operations
 
@@ -661,6 +679,16 @@ def pow_mod(base: UniPoly, e: int, mod: UniPoly) -> UniPoly:
     """base**e mod `mod` over a field domain."""
     if not base.dom.is_field:
         raise UsageError("pow_mod requires a field domain")
+    if isinstance(base.dom, PrimeField) and e > 0 and mod.degree > 0:
+        _coerce_same(base, mod)
+        low, p = mod.monic().coeffs[:-1], base.dom.p
+        b = list(base.divmod(mod)[1].coeffs)
+        r = b
+        for bit in bin(e)[3:]:  # left to right, after the leading 1
+            r = _fp_mulmod(r, r, low, p)
+            if bit == "1":
+                r = _fp_mulmod(r, b, low, p)
+        return UniPoly(base.dom, base.var, r)
     r = UniPoly.const(base.dom, base.var, base.dom.one)
     b = base.divmod(mod)[1]
     while e:

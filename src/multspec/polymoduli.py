@@ -35,7 +35,8 @@ mu^k): ell takes the a^(d-1) b^(d-1) coefficient, J = mu - 1, mu = phi'(a) phi'(
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from itertools import combinations
+from math import factorial, prod
 
 from .dynamics import ProjMap, distinct_multipliers, fixed_point_index_sum, forced_multiplier, sigma_n
 from .errors import DegenerateInputError, InvariantError, MathError, UsageError, agreeing_draws, first_value
@@ -43,6 +44,7 @@ from .exactalg import GF, QQ, Domain, UniPoly, compose, derivative, random_prime
 from .groebner import (
     GREVLEX,
     IdealBasis,
+    ModularOperators,
     MultiPoly,
     buchberger,
     distinct_point_count,
@@ -389,34 +391,52 @@ _SPLIT_ATTEMPTS = 80  # primes tried on the rational-points route, d <= 4 only
 _MAX_PRIMES = 400
 
 
+def _split_screen(d: int, lambdas):
+    """The configuration operators over QQ that screen primes; None off the Bezout dimension."""
+    basis = buchberger(build_fixed_config_system(QQ, d, [QQ.from_rational(l) for l in lambdas]).gens, GREVLEX)
+    return ModularOperators(basis) if quotient_dimension(basis) == factorial(d - 1) else None
+
+
+def _bezout_exact(F, lams):
+    """Whether dim F_p[z]/I_p is the Bezout number (d-1)!: it is unless the top forms
+    sum_i w_i z_i^k (k < d, w_i = 1/(lambda_i - 1)) share a zero, and (Vandermonde) they
+    do iff some proper subset of the w_i sums to 0, z = d - |S| on S and -|S| off it."""
+    d, p, w = len(lams), F.p, [F.inv(F.sub(l, F.one)) for l in lams]
+    return p > d and all(sum(S) % p for k in range(1, d) for S in combinations(w, k))
+
+
 def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16):
     """Whether the level-2 spectrum separates the classes over a fiber.
 
-    Works at random primes p = 1 mod (d-1).  When the configuration system
-    splits completely over GF(p) (common for d = 4), the solutions are
-    grouped into conjugacy classes, each class's polynomial is built, and
-    the sigma_2 vectors are compared directly.  When full splitting is out
-    of reach (d = 5: the splitting field is large), distinctness is
-    certified instead by power sums of the level-2 multipliers evaluated in
-    the quotient algebra by the trace formula: they are class invariants
-    determined by sigma_2, so `classes` distinct values prove the spectra
-    pairwise distinct.  Either way, distinctness mod p certifies exact distinctness.
+    Works at random primes p = 1 mod (d-1).  When the configuration system splits
+    completely over GF(p) (common for d = 4), the solutions are grouped into conjugacy
+    classes, each class's polynomial is built, and the sigma_2 vectors are compared
+    directly.  From the second prime on, the split test reads the QQ operators of
+    _split_screen mod p, so only a prime that splits gets a basis over GF(p).  When full
+    splitting is out of reach (d = 5: the splitting field is large), distinctness is certified
+    by power sums of the level-2 multipliers evaluated in the quotient algebra by the trace
+    formula: they are class invariants determined by sigma_2, so `classes` distinct values
+    prove the spectra pairwise distinct.  Either way, distinctness mod p certifies exact distinctness.
     """
     lambdas = list(lambdas)
     if len(lambdas) != d:
         raise UsageError(f"need exactly {d} affine multipliers")
     _check_index_formula(QQ, [QQ.from_rational(l) for l in lambdas])
-    tried = 0
+    tried, screen = 0, None
 
     def draw():
-        nonlocal tried
+        nonlocal tried, screen
         tried += 1
+        if d <= 4 and tried == 2 <= _SPLIT_ATTEMPTS:  # the first prime missed: screen the rest
+            screen = _split_screen(d, lambdas)
         p = random_prime(rng, bits, 1, d - 1)
         F = GF(p)
         lams = [F.from_rational(l) for l in lambdas]
         if len(set(lams)) != len(lams) or F.one in lams:
             raise DegenerateInputError(f"multipliers collide or hit 1 mod {p}")
         if d <= 4 and tried <= _SPLIT_ATTEMPTS:
+            if screen and screen.den % p and _bezout_exact(F, lams) and not screen.splits(F, rng):
+                raise DegenerateInputError(f"the configurations do not split over GF({p})")
             sys = build_fixed_config_system(F, d, lams)
             pts = _solve_configurations(sys, rng)
             if not pts:

@@ -352,6 +352,22 @@ def test_pow_mod_and_fp_roots():
         assert g.eval(r) == r
 
 
+def test_pow_mod_over_gf_p_matches_repeated_multiplication():
+    # the GF(p) kernel (left-to-right squaring on ints) against b^e mod m one factor at a time
+    rng = random.Random(13)
+    for F in (GF(3), GF(101), GF(65537)):
+        for _ in range(40):
+            m = rand_poly(F, "x", rng.randint(1, 7), rng)
+            b = rand_poly(F, "x", rng.randint(0, 10), rng)
+            e = rng.choice([0, 1, 2, 3, rng.randrange(4, 300)])
+            want = UniPoly.const(F, "x", F.one)
+            for _ in range(e):
+                want = (want * b).divmod(m)[1]
+            assert pow_mod(b, e, m) == want
+        x = UniPoly.gen(F, "x")
+        assert pow_mod(x, 5, UniPoly.const(F, "x", F.from_int(2))).is_zero
+
+
 def test_inverse_mod():
     rng = random.Random(12)
     for F in (GF(3), GF(101), QQ):

@@ -22,8 +22,10 @@ from multspec.exactalg import GF, QQ, UniPoly, compose, derivative, fp_roots, ra
 from multspec.groebner import GREVLEX, MultiPoly, buchberger, quotient_dimension
 from multspec.polymoduli import (
     PolyNormalForm,
+    _bezout_exact,
     _invariant_certificate,
     _solve_configurations,
+    _split_screen,
     _zeta_orbits,
     build_fixed_config_system,
     complete_multipliers,
@@ -521,6 +523,59 @@ def test_sigma2_discrimination_d4_rational_points():
     assert len(rep.sigma2_values) == 2
     for vec in rep.sigma2_values:
         assert len(vec) == 17 and vec[-1] == 0  # d^2+1 entries, infinity kills e_17
+
+
+def test_split_screen_decides_as_the_gf_p_basis_does():
+    # at every prime the guard admits, the QQ operators read mod p pass exactly the primes
+    # where point extraction on the GF(p) basis gets past its split test, and leave rng
+    # where that extraction leaves it when it fails
+    screen = _split_screen(4, D4_LAMBDAS)
+    rng = random.Random(17)
+    passed = screened = 0
+    for _ in range(60):
+        p = random_prime(rng, 12, 1, 3)
+        F = GF(p)
+        lams = [F.from_rational(l) for l in D4_LAMBDAS]
+        if len(set(lams)) < 4 or F.one in lams or not (screen.den % p and _bezout_exact(F, lams)):
+            continue
+        seed = rng.random()
+        fast, full = random.Random(seed), random.Random(seed)
+        ok = screen.splits(F, fast)
+        try:
+            pts = _solve_configurations(build_fixed_config_system(F, 4, lams), full)
+        except DegenerateInputError:
+            pts = None
+        assert ok == (pts is not None)
+        if ok:
+            assert fast.getstate() == random.Random(seed).getstate() and len(pts) == 6
+        else:
+            assert fast.getstate() == full.getstate()
+        passed, screened = passed + ok, screened + 1
+    assert screened > 40 and 0 < passed < screened
+
+
+def test_bezout_guard_catches_a_zero_at_infinity():
+    # w = 1/(lambda - 1) = (-1/6, 1/4, 1/3, -5/12): w_1 + w_4 = -7/12 vanishes mod 7,
+    # where the system loses solutions to infinity and the screen does not apply
+    for p, exact in ((7, False), (13, True), (19, True)):
+        F = GF(p)
+        lams = [F.from_rational(l) for l in D4_LAMBDAS]
+        dim = quotient_dimension(buchberger(build_fixed_config_system(F, 4, lams).gens, GREVLEX))
+        assert _bezout_exact(F, lams) == exact and (dim == 6) == exact
+    # a vanishing sub-sum over QQ leaves no screen at all: 1/(lambda - 1) = (1, -1, 2, -2)
+    assert _split_screen(4, [2, 0, Fraction(3, 2), Fraction(1, 2)]) is None
+
+
+def test_sigma2_discrimination_d4_screen_changes_no_draw(monkeypatch):
+    # the screen only skips GF(p) bases at primes that do not split: same primes, same report
+    solved = []
+    real = polymoduli._solve_configurations
+    monkeypatch.setattr(polymoduli, "_solve_configurations", lambda sys, rng: solved.append(1) or real(sys, rng))
+    with_screen = [sigma2_discrimination(4, D4_LAMBDAS, random.Random(s)) for s in range(6)]
+    assert len(solved) == sum(min(rep.primes_tried, 2) for rep in with_screen)  # first prime, split prime
+    monkeypatch.setattr(polymoduli, "_split_screen", lambda d, lambdas: None)
+    assert [sigma2_discrimination(4, D4_LAMBDAS, random.Random(s)) for s in range(6)] == with_screen
+    assert max(rep.primes_tried for rep in with_screen) > 2
 
 
 def test_sigma2_discrimination_d4_invariant_path_agrees(monkeypatch):
