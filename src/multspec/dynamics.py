@@ -23,20 +23,25 @@ powers of the roots of chi: the characteristic polynomial of the k-th
 power of chi's companion matrix, in every characteristic.  chi*_m takes
 mu_m = (phi^m)' over the roots x of Phi*_m.  With phi^m = Num_m / Den_m,
 Per_m(x) = 0 is Num_m(x) = x Den_m(x), so mu_m(x) = 1 + Per_m'(x) /
-Den_m(x), Den_m(x) != 0 as the forms are coprime.  Over GF(p), chi*_m is the characteristic
-polynomial of multiplication by mu_m on k[z]/(Phi*_m); over QQ,
+Den_m(x), Den_m(x) != 0 as the forms are coprime.  Per_m, Den_m and Phi*_m are
+ascending int lists: residues over GF(p), where Phi*_m is monic, and over
+QQ primitive ZZ polynomials with a positive leading coefficient, so every
+dynatomic division is exact on ZZ (Gauss's lemma).  Over GF(p), chi*_m is
+the characteristic polynomial of multiplication by mu_m on k[z]/(Phi*_m); over QQ,
 R(w) = Res_z(Phi*_m, (w - 1) Den_m - Per_m') is c psi^m, psi the monic
 cycle polynomial of degree D / m, D = deg Phi*_m (exact period m points
 form m-cycles of one multiplier; formal-period points are limits of them),
 and c = Res_z(Phi*_m, Den_m).  psi(j) is the rational m-th root of R(j) / c
-at w = 0 .. D / m, signed for even m by psi mod p: the monic m-th root of
-the GF(p) chi*_m, for the first prime of a fixed list that reduces well.
+(at m = 1, R(j) / c itself) at w = 0 .. D / m, signed for even m by psi mod p:
+the monic m-th root of the GF(p) chi*_m, for the first prime of a fixed list
+that reduces well.  Only psi and chi_n are UniPolys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 from .errors import (
@@ -54,10 +59,14 @@ from .exactalg import (
     Domain,
     QQ,
     UniPoly,
+    _fp_divmod,
+    _fp_inverse,
+    _fp_mulmod,
+    _stripped,
+    _zz_resultant,
     clear_denominators,
     derivative,
     interpolate,
-    inverse_mod,
     resultant,
 )
 from .linalg import char_poly
@@ -289,9 +298,11 @@ def _chain(phi: ProjMap, n: int, m=(1, 0, 0, 1)) -> list:
 
 
 def _period_form(link, d: int) -> tuple:
-    """Per = Num - z Den and Den in z from a `_chain` link of formal degree d."""
-    num, den = (_affine(_padded(h, d), h.dom) for h in link)
-    return num - den.shift(1), den
+    """Per = Num - z Den and Den in z from a `_chain` link of formal degree d, as
+    ascending int lists with a nonzero top coefficient; over GF(p) those of Per
+    lie in (-p, p), so one is 0 mod p only if it is 0."""
+    num, den = (_padded(h, d)[::-1] for h in link)
+    return _stripped([a - b for a, b in zip(num + [0], [0] + den)]), _stripped(den)
 
 
 def iterate(phi: ProjMap, n: int) -> ProjMap:
@@ -324,22 +335,40 @@ def _good_position(phi: ProjMap, n: int) -> list:
     chain = _chain(phi, n)
     if chain[-1][1].coeff(0):
         return chain
-    per = _period_form(chain[-1], phi.d ** n)[0]
+    per = UniPoly.from_ints(chain[-1][0].dom, "z", _period_form(chain[-1], phi.d ** n)[0])
     for t in range(phi.dom.char or phi.d ** n + 1):  # Per_n has at most d^n roots
         if per.eval(t):
             return _chain(phi, n, (t, 1, 1, 0))
     raise MathError(f"every point of P^1(F_{phi.dom.char}) has period dividing {n}")
 
 
-def _mult_char_poly(mu: UniPoly, modulus: UniPoly) -> UniPoly:
-    """Char poly in w of multiplication by mu on k[x]/(modulus), modulus monic."""
-    size = modulus.degree
-    mu = mu.monic_divmod(modulus)[1]
-    cols = []  # column i is x^i * mu
-    for _ in range(size):
-        cols.append([mu.coeff(i) for i in range(size)])
-        mu = mu.shift(1).monic_divmod(modulus)[1]
-    return char_poly([list(row) for row in zip(*cols)], modulus.dom, "w")
+def _dynatomic_quotient(f: list, g: list, p: int, j: int, m: int) -> list:
+    """f / g for a factor f of Per_m and g = Phi*_j, ascending int lists, monic over
+    GF(p), or (p = 0) primitive over ZZ with positive leading coefficients: then the
+    quotient is too, and by Gauss's lemma every step is exact if g divides f over QQ."""
+    q, r, rem = [], list(f), 0
+    for i in range(len(f) - len(g), -1, -1):
+        c, rem = divmod(r.pop() % p if p else r.pop(), g[-1])
+        if rem:
+            break
+        q.insert(0, c)
+        r[i:] = [x - c * y for x, y in zip(r[i:], g)]
+    if rem or any(x % p if p else x for x in r):
+        raise InvariantError(f"Phi*_{j} does not divide Per_{m}")
+    return q
+
+
+def _mult_char_poly(mu: list, modulus: list, dom: Domain, shift: int = 0) -> UniPoly:
+    """Char poly in w of multiplication by x^shift mu on k[x]/(modulus), on
+    ascending lists of field values, modulus monic and len(mu) <= deg modulus;
+    native operators, ``% p`` over GF(p)."""
+    p, size = dom.char, len(modulus) - 1
+    cols = [list(mu) + [dom.zero] * (size - len(mu))]  # column i is x^i mu
+    for _ in range(shift + size - 1):  # x * col: move up, and take top * modulus off
+        top, col = cols[-1][-1], [dom.zero] + cols[-1][:-1]
+        col = [a - top * b for a, b in zip(col, modulus)]
+        cols.append([c % p for c in col] if p else col)
+    return char_poly([list(row) for row in zip(*cols[shift:])], dom, "w")
 
 
 _SIGN_PRIMES = (1000003, 1000033, 1000037)  # fixed, so no output depends on a seed
@@ -369,19 +398,22 @@ def _monic_root(chi: UniPoly, m: int) -> UniPoly:
     return UniPoly(chi.dom, chi.var, g[::-1])
 
 
-def _fp_char_poly(phis: UniPoly, num: UniPoly, den: UniPoly) -> UniPoly:
-    """chi*_m over GF(p): mu_m = num / den in k[z]/(Phi*_m), den = Den_m a unit there."""
-    return _mult_char_poly(num.monic_divmod(phis)[1] * inverse_mod(den, phis), phis)
+def _fp_char_poly(phis: list, num: list, den: list, F: Domain) -> UniPoly:
+    """chi*_m over F = GF(p): mu_m = num / den in F[z]/(Phi*_m), phis monic and den =
+    Den_m a unit there, on ascending int lists."""
+    mu = _fp_mulmod(_fp_divmod(num, phis, F.p)[1], _fp_inverse(den, phis, F.p), phis[:-1], F.p)
+    return _mult_char_poly(mu, phis, F)
 
 
-def _root_signs(phis, num, den, m, a, c, roots):
-    """roots[j] signed as psi(j) mod p; a prime dividing a * c (a denominator of
-    phis, or a bad reduction) or a nonzero root's numerator or denominator is passed over."""
+def _root_signs(phis, num, den, m, c, roots):
+    """roots[j] signed as psi(j) mod p; a prime dividing a * c (a = lc(phis), a
+    denominator of the monic Phi*_m, or a bad reduction) or a nonzero root's
+    numerator or denominator is passed over."""
     for p in _SIGN_PRIMES:
-        if a * c % p == 0 or any(r and r.numerator * r.denominator % p == 0 for r in roots):
+        if phis[-1] * c % p == 0 or any(r and r.numerator * r.denominator % p == 0 for r in roots):
             continue
-        F = GF(p)
-        psi = _monic_root(_fp_char_poly(*(g.map_coeffs(F, F.from_rational) for g in (phis, num, den))), m)
+        F, inv = GF(p), pow(phis[-1], -1, p)  # phis / a is monic; num / a over den / a is mu_m
+        psi = _monic_root(_fp_char_poly(*([x * inv % p for x in g] for g in (phis, num, den)), F), m)
         signed = []
         for j, r in enumerate(roots):
             v, rp = psi.eval(j), F.from_rational(r)
@@ -392,20 +424,26 @@ def _root_signs(phis, num, den, m, a, c, roots):
     raise MathError(f"no prime of {_SIGN_PRIMES} reduces chi*_{m} well")
 
 
-def _sampled_char_poly(phis: UniPoly, num: UniPoly, den: UniPoly, m: int) -> UniPoly:
-    """chi*_m = psi^m over QQ; phis monic over QQ, num = Per_m' + Den_m and den =
-    Den_m on ZZ, of degree d^m.  With f = a * phis on ZZ, a^(top - deg g) Res(f, g)
-    is a^top Res(phis, g) for every sample g = j * den - num; c is the w^D coefficient."""
-    (f,), a = clear_denominators(phis)
-    top, e = max(num.degree, den.degree), phis.degree // m
-    gs = [den.scale(j) - num for j in range(e + 1)] + [den]
-    spend(len(gs) * phis.degree, "resultant sample")  # deg phis a sample, all before the first
-    *ys, c = (resultant(f, g) * a ** (top - g.degree) for g in gs)
+def _sampled_char_poly(phis: list, num: list, den: list, m: int) -> UniPoly:
+    """chi*_m = psi^m over QQ; phis = Phi*_m primitive with leading coefficient
+    a > 0, num = Per_m' + Den_m and den = Den_m, ascending int lists, of degree
+    d^m.  a^(top - deg g) Res(phis, g) is a^top Res(phis / a, g) for every
+    sample g = j * den - num; c is the w^D coefficient.  At m = 1 the root
+    R(j) / c of a sample is psi(j) itself."""
+    a, size = phis[-1], len(phis) - 1
+    top, e = max(len(num), len(den)) - 1, size // m
+    gs = [_stripped([j * y - x for x, y in zip_longest(num, den, fillvalue=0)]) for j in range(e + 1)] + [den]
+    spend(len(gs) * size, "resultant sample")  # deg phis a sample, all before the first
+
+    def res(g):  # a^(top - deg g) Res(phis, g) at actual degrees
+        return (_zz_resultant(phis, g) if len(g) > 1 else g[0] ** size if g else 0) * a ** (top + 1 - len(g))
+
+    *ys, c = map(res, gs)
     if not c:
         raise InvariantError(f"a root of Phi*_{m} is a pole of phi^{m}")
-    roots = [_rational_root(Fraction(y, c), m) for y in ys]
+    roots = [Fraction(y, c) if m == 1 else _rational_root(Fraction(y, c), m) for y in ys]
     if m % 2 == 0:
-        roots = _root_signs(phis, num, den, m, a, c, roots)
+        roots = _root_signs(phis, num, den, m, c, roots)
     psi = interpolate(roots, QQ, "w")
     if psi.degree != e or psi.lc != 1:  # fails for one wrong sample, or a wrong c
         raise InvariantError(f"psi*_{m} through the samples is not monic of degree {e}")
@@ -422,26 +460,28 @@ def multiplier_char_poly(phi: ProjMap, n: int) -> UniPoly:
     """
     if n < 1:
         raise UsageError("period must be >= 1")
-    dom, poly = phi.dom, phi.is_polynomial
+    dom, poly, p = phi.dom, phi.is_polynomial, phi.dom.char
     chain = _chain(phi, n) if poly else _good_position(phi, n)
-    stars = {}
-    r = UniPoly.gen(dom, "w") if poly else UniPoly.const(dom, "w", dom.one)  # w: infinity, 0^k = 0
+    stars, r = {}, None
     for m in (m for m in range(1, n + 1) if n % m == 0):
         # over QQ on ZZ; every point of period dividing n but infinity is affine
         per, dd = _period_form(chain[m - 1], phi.d ** m)
-        if per.degree != phi.d ** m + (not poly):
-            raise InvariantError(f"Per_{m} has degree {per.degree}")
-        phis = per.map_coeffs(dom, dom.from_int).monic()
+        if len(per) - 1 != phi.d ** m + (not poly):
+            raise InvariantError(f"Per_{m} has degree {len(per) - 1}")
+        # monic over GF(p), primitive with a positive leading coefficient over ZZ
+        k = pow(per[-1], -1, p) if p else gcd(*per) if per[-1] > 0 else -gcd(*per)
+        phis = [c * k % p for c in per] if p else [c // k for c in per]
         for j in (j for j in stars if m % j == 0):
-            phis, rem = phis.monic_divmod(stars[j])
-            if not rem.is_zero:
-                raise InvariantError(f"Phi*_{j} does not divide Per_{m}")
+            phis = _dynatomic_quotient(phis, stars[j], p, j, m)
         stars[m] = phis
-        num = derivative(per) + dd  # mu_m = num / dd at every root of Per_m
-        chi = _sampled_char_poly(phis, num, dd, m) if dom.char == 0 else _fp_char_poly(phis, num, dd)
+        # mu_m = num / dd at every root of Per_m, num = Per_m' + Den_m
+        num = [i * c + e for i, (c, e) in enumerate(zip_longest(per, [0] + dd, fillvalue=0))][1:]
+        num = _stripped([c % p for c in num] if p else num)
+        chi = _fp_char_poly(phis, num, dd, dom) if p else _sampled_char_poly(phis, num, dd, m)
         if m < n:  # G_{n/m}
-            chi = _mult_char_poly(UniPoly.const(dom, "w", dom.one).shift(n // m), chi)
-        r = r * chi
+            chi = _mult_char_poly([dom.one], list(chi.coeffs), dom, n // m)
+        r = chi if r is None else r * chi
+    r = r.shift(1) if poly else r  # w: infinity, 0^k = 0
     if r.degree != phi.d ** n + 1:
         raise InvariantError("multiplier characteristic polynomial has wrong degree")
     return r

@@ -7,8 +7,8 @@ or the integer ring ZZ used internally to keep resultants fraction-free.
 Polynomials are immutable dense coefficient tuples in ascending order.  The
 zero polynomial has degree -1.  One long-division loop (`UniPoly._divide`)
 serves division over QQ and division by a monic divisor over any ring.  Over
-GF(p), long division, modular powers and resultants (the Euclidean
-recurrence) run as ``% p`` kernels on plain ints.  Over ZZ one kernel on plain int lists takes
+GF(p), long division, modular powers and inverses and resultants (the
+Euclidean recurrence) run as ``% p`` kernels on plain ints.  Over ZZ one kernel on plain int lists takes
 pseudo-remainders and runs the subresultant sequence; resultants over QQ and
 the QQ gcd clear denominators and call it.  Interpolation takes the nodes
 0 .. n - 1 and runs one kernel on ints over one common denominator for both
@@ -18,6 +18,7 @@ fields, reducing mod p over GF(p).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import DegenerateInputError, FieldMismatchError, InvariantError, MathError, UsageError, first_value
@@ -357,15 +358,14 @@ class UniPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise UsageError("negative polynomial power")
-        r = UniPoly.const(self.dom, self.var, self.dom.one)
-        b = self
+        r, b = None, self
         while n:
             if n & 1:
-                r = r * b
+                r = b if r is None else r * b
             n >>= 1
             if n:
                 b = b * b
-        return r
+        return UniPoly.const(self.dom, self.var, self.dom.one) if r is None else r
 
     def scale(self, c):
         dom = self.dom
@@ -454,7 +454,7 @@ def _fp_divmod(a, b, p):
 
 
 def _fp_mulmod(a, b, low, p):
-    """a * b mod x^n + sum_j low[j] x^j over GF(p), on ascending int lists of length <= n."""
+    """a * b mod x^n + sum_j low[j] x^j over GF(p), on ascending int lists."""
     if not a or not b:
         return []
     n = len(low)
@@ -471,14 +471,40 @@ def _fp_mulmod(a, b, low, p):
     return [c % p for c in r[:n]]
 
 
+def _fp_inverse(a, mod, p):
+    """a^-1 mod `mod` over GF(p) on ascending int lists, mod monic, by the extended
+    Euclidean algorithm, each Bezout factor t kept mod `mod`; MathError unless a
+    is a unit mod `mod`."""
+    r0, r1 = mod, _stripped(_fp_divmod(a, mod, p)[1])
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _fp_divmod(r0, r1, p)
+        qt = _fp_mulmod(q, t1, mod[:-1], p)
+        t0, t1 = t1, _stripped([(x - y) % p for x, y in zip_longest(t0, qt, fillvalue=0)])
+        r0, r1 = r1, _stripped(r)
+    if len(r0) != 1:
+        raise MathError("polynomial is not invertible modulo the given modulus")
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in t0]
+
+
+def _stripped(cs: list) -> list:
+    """cs, a coefficient list, without its zero top coefficients."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
 # ---------------------------------------------------------------------------
 # public univariate operations
 
 
 def derivative(f: UniPoly) -> UniPoly:
-    dom = f.dom
-    cs = [dom.mul(c, dom.from_int(i)) for i, c in enumerate(f.coeffs)][1:]
-    return UniPoly(dom, f.var, cs)
+    """f' on native operators: ``% p`` over GF(p), coordinatewise on quotient algebra vectors."""
+    p = f.dom.char
+    times = (lambda i, x: i * x % p) if p else (lambda i, x: i * x)
+    cs = [tuple(times(i, x) for x in c) if isinstance(c, tuple) else times(i, c) for i, c in enumerate(f.coeffs)]
+    return UniPoly(f.dom, f.var, cs[1:])
 
 
 def compose(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -590,9 +616,7 @@ def _zz_prem(a, b) -> list:
             for j, bj in enumerate(low, i - db):
                 r[j] -= c * bj
     del r[db:]
-    while r and not r[-1]:
-        r.pop()
-    return r
+    return _stripped(r)
 
 
 def _zz_resultant(a, b) -> int:
@@ -632,9 +656,7 @@ def _fp_resultant(a, b, p):
     Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r), r = f mod g."""
     acc = 1
     while len(b) > 1:
-        r = _fp_divmod(a, b, p)[1]
-        while r and not r[-1]:
-            r.pop()
+        r = _stripped(_fp_divmod(a, b, p)[1])
         if not r:
             return 0
         m, n = len(a) - 1, len(b) - 1
@@ -697,21 +719,6 @@ def pow_mod(base: UniPoly, e: int, mod: UniPoly) -> UniPoly:
         b = (b * b).divmod(mod)[1]
         e >>= 1
     return r
-
-
-def inverse_mod(a: UniPoly, mod: UniPoly) -> UniPoly:
-    """a^-1 mod `mod` over a field domain, by the extended Euclidean algorithm."""
-    if not a.dom.is_field:
-        raise UsageError("inverse_mod requires a field domain")
-    r0, r1 = mod, a.divmod(mod)[1]
-    t0, t1 = UniPoly.zero(a.dom, a.var), UniPoly.const(a.dom, a.var, a.dom.one)
-    while not r1.is_zero:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
-    if r0.degree != 0:
-        raise MathError("polynomial is not invertible modulo the given modulus")
-    return t0.scale(a.dom.inv(r0.lc))
 
 
 def fp_roots(f: UniPoly, rng) -> list[int]:

@@ -15,6 +15,10 @@ for the subresultant `resultant`; `chain_map_from_invariants` builds a
 marked cubic by a chain of divisions, one coefficient at a time, an oracle
 for the closed-form route `rat3.map_from_invariants`; `tau31_phi_ab` is
 sigma_1 of z^3 + az + b in closed form.  `exact_div` is exact polynomial division over any domain.
+`inverse_mod` is the UniPoly extended Euclidean algorithm over any field, an
+oracle for the GF(p) int-list kernel `exactalg._fp_inverse`;
+`mult_char_poly_oracle` is Res_x(f, w - mu) over k[w], an oracle for the
+int-list `dynamics._mult_char_poly`; `GF2` lets both run over GF(2).
 `prem` and `prs_resultant` are the pseudo-remainder and the subresultant
 sequence over any integral domain, the oracles for the plain-int ZZ kernel
 of `exactalg` and the resultant over a PolyRing; `zz_resultant_cases` draws
@@ -39,6 +43,7 @@ from multspec.errors import DegenerateInputError, DegenerateMapError, FieldMisma
 from multspec.exactalg import (
     ZZ,
     Domain,
+    PrimeField,
     UniPoly,
     derivative,
     interpolate,
@@ -55,6 +60,19 @@ def exact_div(f: UniPoly, g: UniPoly) -> UniPoly:
     if not r.is_zero:
         raise MathError("inexact polynomial division")
     return q
+
+
+def inverse_mod(a: UniPoly, mod: UniPoly) -> UniPoly:
+    """a^-1 mod `mod` over a field domain, by the extended Euclidean algorithm."""
+    r0, r1 = mod, a.divmod(mod)[1]
+    t0, t1 = UniPoly.zero(a.dom, a.var), UniPoly.const(a.dom, a.var, a.dom.one)
+    while not r1.is_zero:
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
+    if r0.degree != 0:
+        raise MathError("polynomial is not invertible modulo the given modulus")
+    return t0.scale(a.dom.inv(r0.lc))
 
 
 def sylvester_matrix(f: UniPoly, g: UniPoly, m: int | None = None, n: int | None = None):
@@ -193,6 +211,27 @@ class PolyRing(Domain):
 
     def __hash__(self):
         return hash(("PolyRing", self.base, self.var))
+
+
+def mult_char_poly_oracle(mu: UniPoly, modulus: UniPoly) -> UniPoly:
+    """Char poly in w of multiplication by mu on k[x]/(modulus), modulus monic:
+    Res_x(modulus, w - mu) over k[w], the product of w - mu(a) over its roots a."""
+    dom = modulus.dom
+    ring = PolyRing(dom, "w")
+
+    def lift(f):
+        return f.map_coeffs(ring, lambda c: UniPoly.const(dom, "w", c))
+
+    w = UniPoly.const(ring, modulus.var, UniPoly.gen(dom, "w"))
+    return prs_resultant(lift(modulus), w - lift(mu))
+
+
+class GF2(PrimeField):
+    """GF(2) as a coefficient domain.  PrimeField refuses p = 2, which the
+    package's map routines exclude; its int-list kernels take any prime."""
+
+    def __init__(self):
+        self.p = self.char = 2
 
 
 class Mobius:

@@ -334,6 +334,21 @@ def test_budget_stops_sigma_and_tau_promptly(field, n, spent, larger):
         assert time.perf_counter() - start < 5, argv
 
 
+@pytest.mark.parametrize(
+    "argv, spent",
+    [
+        (["relation", "--num", "4,7,6,-2,8,-7", "--den", "0,0,0,0,0,-9"], 40),
+        (["relation", "--num", "3,1,4,1,5,9", "--den", "2,6,5,3,5,8", "--field", "GF:1000003"], 11),
+        (["sigma", "-n", "2"] + QUINTIC + ["--field", "GF:1000003"], 92),
+    ],
+)
+def test_multiplier_route_spends_exactly(argv, spent):
+    # the work units of the multiplier route, pinned: that budget passes, one less exits 3
+    assert run_json(argv + ["--budget", str(spent)])[0] == 0
+    code, doc = run_json(argv + ["--budget", str(spent - 1)])
+    assert code == 3 and doc["kind"] == "budget"
+
+
 def test_reproduce_paper_only():
     code, doc = run_json(["reproduce-paper", "--only", "2"])
     assert code == 0 and doc["passed"] == 1 and doc["total"] == 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -23,13 +24,16 @@ from multspec import dynamics, exactalg
 from multspec.cli import run_command
 from multspec.dynamics import _forms_share_root
 from multspec.errors import DegenerateMapError, InvariantError, MathError, UsageError
-from multspec.exactalg import GF, QQ, UniPoly, derivative, poly_gcd, random_prime
+from multspec.exactalg import GF, QQ, ZZ, UniPoly, derivative, poly_gcd, random_prime
 
 from matrix_helpers import bareiss_det, mat_mul
 from poly_oracles import (
+    GF2,
     Mobius,
     bivariate_multiplier_char_poly,
     conjugate,
+    exact_div,
+    mult_char_poly_oracle,
     repositioned,
     sampled_multiplier_char_poly,
     sylvester_matrix,
@@ -362,17 +366,18 @@ def test_quintic_route_takes_resultants_against_dynatomic_factors(monkeypatch):
     # (degree 6), and 20 / 2 + 1 = 11 samples of the cycle polynomial and the
     # w^20 coefficient against Phi*_2 (degree 20); not 27 against Per_2
     # (degree 26), nor 21 against Phi*_2.  Every sample (w - 1) Den_m - Per_m'
-    # has degree d^m = 5 or 25, not the 10 or 50 of w Den_m^2 - Num_m
+    # has degree d^m = 5 or 25, not the 10 or 50 of w Den_m^2 - Num_m.  The
+    # samples are int lists that go to the ZZ subresultant kernel directly
     phi = random_map(QQ, 5, random.Random(61), height=9)
     degrees, sample_degrees = Counter(), {}
-    real = dynamics.resultant
+    real = dynamics._zz_resultant
 
     def recording(f, g):
-        degrees[f.degree] += 1
-        sample_degrees[f.degree] = max(sample_degrees.get(f.degree, 0), g.degree)
+        degrees[len(f) - 1] += 1
+        sample_degrees[len(f) - 1] = max(sample_degrees.get(len(f) - 1, 0), len(g) - 1)
         return real(f, g)
 
-    monkeypatch.setattr(dynamics, "resultant", recording)
+    monkeypatch.setattr(dynamics, "_zz_resultant", recording)
     assert multiplier_char_poly(phi, 2).degree == 26
     assert degrees == {6: 8, 20: 12}
     assert sample_degrees == {6: 5, 20: 25}
@@ -458,16 +463,19 @@ def test_one_wrong_fixed_point_sample_fails_the_run(monkeypatch, target):
 def test_one_wrong_two_cycle_sample_fails_the_run(monkeypatch):
     # Phi*_1 (degree 3) takes 4 samples and its w^3 coefficient; the 6th
     # resultant is the w = 0 sample against Phi*_2, which must be c psi(0)^2.
-    # Phi*_2 (degree 2) takes 2 samples and c before the roots are taken
-    real = dynamics.resultant
+    # Phi*_2 (degree 2) takes 2 samples and c before the roots are taken.
+    # The samples go to the ZZ subresultant kernel directly, and the CLI's
+    # Res(num, den) reaches it through `resultant`, so both bindings are hooked
+    real = exactalg._zz_resultant
     calls, target = [], [6]
 
     def perturbed(f, g):
-        calls.append(f.degree)
+        calls.append(len(f) - 1)
         return real(f, g) + (len(calls) == target[0])
 
     phi = ProjMap(QQ, [Fraction(c) for c in (1, 0, 1)], [Fraction(c) for c in (3, 1, 7)])
-    monkeypatch.setattr(dynamics, "resultant", perturbed)
+    monkeypatch.setattr(dynamics, "_zz_resultant", perturbed)
+    monkeypatch.setattr(exactalg, "_zz_resultant", perturbed)
     with pytest.raises(InvariantError, match="sample of chi\\*_2 is not psi\\^2"):
         multiplier_char_poly(phi, 2)
     assert calls == [3] * 5 + [2] * 3
@@ -477,6 +485,50 @@ def test_one_wrong_two_cycle_sample_fails_the_run(monkeypatch):
     code, text = run_command(SIGMA_ARGV)
     assert code == 1 and '"kind": "math"' in text and "sample of chi*_2 is not psi^2" in text
     assert calls == [2] + [3] * 5 + [2] * 3
+
+
+def test_mult_char_poly_matches_resultant_oracle():
+    # the int-list char poly of multiplication by x^k mu on F[x]/(f), f monic, for
+    # chi*_m over GF(p) (k = 0) and G_k over both fields, against Res_x(f, w - x^k mu)
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ints = st.lists(st.integers(-50, 50), max_size=6)
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from((0, 2, 3, 5, 7, 101, 1000003)), ints.filter(bool), ints, st.integers(0, 3))
+    def check(p, low, mu, k):
+        F = QQ if p == 0 else GF2() if p == 2 else GF(p)
+        modulus, mu = [F.from_int(c) for c in low] + [F.one], [F.from_int(c) for c in mu[: len(low)]]
+        want = mult_char_poly_oracle(UniPoly(F, "x", mu) * UniPoly.gen(F, "x") ** k, UniPoly(F, "x", modulus))
+        assert dynamics._mult_char_poly(mu, modulus, F, k) == want
+
+    check()
+
+
+def test_dynatomic_quotient_is_exact_over_zz():
+    # primitive g, h with positive leading coefficients: f = g h is primitive
+    # (Gauss), f / g is h step by step, and f + 1 is not a multiple of g
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ints = st.lists(st.integers(-99, 99), min_size=1, max_size=6)
+
+    def primitive(cs):
+        cs = list(UniPoly(ZZ, "x", cs).coeffs)
+        k = math.gcd(*cs) if cs[-1] > 0 else -math.gcd(*cs)
+        return [c // k for c in cs]
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+    @hyp.given(ints.filter(lambda g: any(g[1:])), ints.filter(any))
+    def check(g, h):
+        g, h = primitive(g), primitive(h)
+        f = list((UniPoly(ZZ, "x", g) * UniPoly(ZZ, "x", h)).coeffs)
+        assert dynamics._dynatomic_quotient(f, g, 0, 1, 2) == h
+        assert list(exact_div(UniPoly(ZZ, "x", f), UniPoly(ZZ, "x", g)).coeffs) == h
+        f[0] += 1
+        with pytest.raises(InvariantError, match="Phi\\*_1 does not divide Per_2"):
+            dynamics._dynatomic_quotient(f, g, 0, 1, 2)
+
+    check()
 
 
 def quadratic(F, c):

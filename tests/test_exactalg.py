@@ -17,7 +17,6 @@ from multspec.exactalg import (
     field_to_str,
     fp_roots,
     interpolate,
-    inverse_mod,
     is_prime,
     poly_gcd,
     pow_mod,
@@ -30,8 +29,10 @@ from multspec.exactalg import (
 from codec_helpers import scalar_to_str
 from matrix_helpers import bareiss_det
 from poly_oracles import (
+    GF2,
     PolyRing,
     exact_div,
+    inverse_mod,
     newton_interpolate,
     prs_resultant,
     resultant_bareiss,
@@ -369,6 +370,8 @@ def test_pow_mod_over_gf_p_matches_repeated_multiplication():
 
 
 def test_inverse_mod():
+    # the GF(p) int-list kernel against the UniPoly extended Euclid of the
+    # oracles, which checks itself against a * inv = 1 and serves QQ too
     rng = random.Random(12)
     for F in (GF(3), GF(101), QQ):
         for _ in range(10):
@@ -376,15 +379,46 @@ def test_inverse_mod():
             a = rand_poly(F, "x", rng.randint(0, 9), rng)
             one = UniPoly.const(F, "x", F.one)
             if poly_gcd(a, m) != one:
-                with pytest.raises(MathError):
+                with pytest.raises(MathError, match="not invertible"):
                     inverse_mod(a, m)
+                if F != QQ:
+                    with pytest.raises(MathError, match="not invertible"):
+                        exactalg._fp_inverse(list(a.coeffs), list(m.coeffs), F.p)
                 continue
             inv = inverse_mod(a, m)
             assert inv.degree < m.degree and (a * inv).divmod(m)[1] == one
+            if F != QQ:
+                assert exactalg._fp_inverse(list(a.coeffs), list(m.coeffs), F.p) == list(inv.coeffs)
     F = GF(101)
     m = poly_from_roots(F, "x", [3, 7])
-    with pytest.raises(MathError):
-        inverse_mod(poly_from_roots(F, "x", [7, 9, 9]), m)
+    a = poly_from_roots(F, "x", [7, 9, 9])
+    with pytest.raises(MathError, match="not invertible"):
+        exactalg._fp_inverse(list(a.coeffs), list(m.coeffs), 101)
+    with pytest.raises(MathError, match="not invertible"):
+        exactalg._fp_inverse([], list(m.coeffs), 101)
+
+
+def test_fp_inverse_matches_extended_euclid():
+    # the int-list inverse against the UniPoly extended Euclid over GF(2 .. 1000003),
+    # a non-unit (a zero a among them) raising MathError on both routes
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    low = st.lists(st.integers(0, 10**6), min_size=1, max_size=6)
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from((2, 3, 5, 7, 101, 1000003)), low, st.lists(st.integers(0, 10**6), max_size=9))
+    def check(p, low, a):
+        F = GF2() if p == 2 else GF(p)
+        m, a = [c % p for c in low] + [1], [c % p for c in a]
+        try:
+            want = list(inverse_mod(UniPoly(F, "x", a), UniPoly(F, "x", m)).coeffs)
+        except MathError:
+            with pytest.raises(MathError, match="not invertible"):
+                exactalg._fp_inverse(a, m, p)
+            return
+        assert exactalg._fp_inverse(a, m, p) == want
+
+    check()
 
 
 def test_fp_roots_complete():

@@ -21,6 +21,9 @@ CORPUS = {
     # d = 5 certifies by power sums in the quotient algebra (invariant-trace)
     "sigma2-check-d5": ["sigma2-check", "-d", "5", "--lambdas=-5,5,-4,-2,29/9", "--seed", "1"],
     "relation": ["relation", "--map", "(z^3+2*z+1)/(z^2-3)"],
+    # a polynomial quintic over QQ, and a rational quintic over GF(p)
+    "relation-polynomial": ["relation", "--num", "4,7,6,-2,8,-7", "--den", "0,0,0,0,0,-9"],
+    "relation-gf": ["relation", "--num", "3,1,4,1,5,9", "--den", "2,6,5,3,5,8", "--field", "GF:1000003"],
     "sigma": ["sigma", "--map", "z^3+a*z+b", "-a", "2", "-b", "-1", "-n", "2"],
     # rational coefficients, so clearing denominators rescales the resultant samples
     "sigma-qq-quadratic": ["sigma", "--map", "(z^2/2-5/3)/(2/3*z+1)", "-n", "2"],
