@@ -391,20 +391,21 @@ class UniPoly:
     def _divide(self, other, quotient_coeff):
         """Long division of self by other, the loop under divmod and
         monic_divmod off GF(p); quotient_coeff(c) cancels the leading
-        coefficient c."""
+        coefficient c, so only other's lower nonzero coefficients are applied."""
         _coerce_same(self, other)
         dom = self.dom
         sub, mul = dom.sub, dom.mul
         db = other.degree
+        low = [(j - db, c) for j, c in enumerate(other.coeffs[:-1]) if not dom.is_zero(c)]
         q = [dom.zero] * max(0, self.degree - db + 1)
         r = list(self.coeffs)
         for i in range(len(r) - 1, db - 1, -1):
             if dom.is_zero(r[i]):
                 continue
             f = q[i - db] = quotient_coeff(r[i])
-            for j, c in enumerate(other.coeffs, i - db):
-                r[j] = sub(r[j], mul(f, c))
-        return UniPoly(dom, self.var, q), UniPoly(dom, self.var, r)
+            for j, c in low:
+                r[i + j] = sub(r[i + j], mul(f, c))
+        return UniPoly(dom, self.var, q), UniPoly(dom, self.var, r[:db])
 
     def divmod(self, other):
         """Quotient and remainder over a field domain."""

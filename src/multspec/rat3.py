@@ -18,9 +18,16 @@ line through the centre holds a degenerate point and another point.  Then
 the roots of R are the projected intersection points with their
 intersection multiplicities, so the count with multiplicity (Bezout, 144)
 is the measured deg R, and a ledger over the six degenerate points proves
-the other points simple.  A draw takes one sampled resultant unless a
-check fails: a non-generic projection, or a first ledger failure (two
-simple points on one line look like a tangency), is drawn again
+the other points simple.  Off the curves, the centre makes the Y^9
+coefficient c of h1 a nonzero constant, a unit, so h2 = q h1 + r with
+deg_Y r < 9 is computed once, and as Res(f, g) = lc(f)^(deg g - deg r)
+Res(f, r) for r = g mod f, each of the 146 samples of R is
+R(x) = c^(16 - deg r(x)) Res_Y(h1(x), r(x)): 0 where r(x) = 0, c^16 r0^9
+where r(x) is a constant r0.  With R = prod (X - x_P)^m_P S over the
+degenerate points P and S(x_P) != 0, distinct = #{m_P > 0} + deg sf(S) and
+simple = (simple roots of S) + #{m_P = 1}.  A draw takes one sampled
+resultant unless a check fails: a non-generic projection, or a first ledger
+failure (two simple points on one line look like a tangency), is drawn again
 (errors.first_value); a failed theorem-level check raises InvariantError
 and is never retried.
 
@@ -51,11 +58,12 @@ from .exactalg import (
     Domain,
     PrimeField,
     UniPoly,
+    _fp_resultant,
+    _stripped,
     derivative,
     interpolate,
     poly_gcd,
     random_prime,
-    resultant,
 )
 from .groebner import MultiPoly
 from .linalg import solve_linear
@@ -248,51 +256,66 @@ _PROJECTIONS = 6  # projections drawn per specialization before giving up
 
 def _shear(terms: dict, i: int, j: int, s: int, p: int) -> dict:
     """The substitution x_i -> x_i + s x_j on a term dict over GF(p)."""
+    rows = [[comb(n, t) * pow(s, t, p) % p for t in range(n + 1)] for n in range(max(e[i] for e in terms) + 1)]
     out = {}
     for e, c in terms.items():
-        for t in range(e[i] + 1):
-            e2 = tuple(k + t * ((v == j) - (v == i)) for v, k in enumerate(e))
-            out[e2] = (out.get(e2, 0) + c * comb(e[i], t) * pow(s, t, p)) % p
-    return out
+        a = list(e)
+        for w in rows[e[i]]:  # C(e_i, t) s^t x_i^(e_i - t) x_j^(e_j + t)
+            e2 = tuple(a)
+            out[e2] = out.get(e2, 0) + c * w
+            a[i], a[j] = a[i] - 1, a[j] + 1
+    return {e: c % p for e, c in out.items()}
 
 
-def _restriction(forms, dom):
-    """The map x -> [h1(x, Y, 1), h2(x, Y, 1)], polynomials in Y, of two forms
-    in (X, Y, Z) given as term dicts over GF(p)."""
-    p = dom.p
+def _y_reduction(forms, p):
+    """(at, sample) for two forms in (X, Y, Z), term dicts over GF(p) with pure
+    Y^deg terms: at(x) = (f(x, Y, 1), r(x, Y, 1)) as int lists, f the form of
+    lower Y-degree and r the other reduced by f once in GF(p)[X][Y], and
+    sample(x) = Res_Y(h1, h2)(x, 1), as _projected_counts states."""
     tops = [max(map(sum, t)) for t in forms]
-    cols = [[[0] * (top + 1) for _ in range(top + 1)] for top in tops]
+    cols = [[[0] * (top + 1 - b) for b in range(top + 1)] for top in tops]
     for t, cs in zip(forms, cols):
         for (a, b, _), c in t.items():
             cs[b][a] = c
+    (m, f), (n, g) = sorted(zip(tops, cols), key=lambda tc: tc[0])
+    sign, c = (-1) ** (m * n * (tops[0] > tops[1])), f[m][0]
+    inv = pow(c, -1, p)
+    for i in range(n, m - 1, -1):  # g -= (g_i / c) Y^(i - m) f, from the top
+        q = [a * inv % p for a in g[i]]
+        for fj, row in zip(f, g[i - m : i]):
+            for s, qs in enumerate(q):
+                for k, fk in enumerate(fj, s):
+                    row[k] -= qs * fk
+    r = [[a % p for a in col] for col in g[:m]]
 
     def at(x):
-        pw = [pow(x, k, p) for k in range(max(tops) + 1)]
-        return [UniPoly(dom, "Y", [sum(map(mul, col, pw)) % p for col in cs]) for cs in cols]
+        pw = [pow(x, k, p) for k in range(n + 1)]
+        return [sum(map(mul, col, pw)) % p for col in f], _stripped([sum(map(mul, col, pw)) % p for col in r])
 
-    return at
+    def sample(x):
+        fx, rx = at(x)
+        return sign * pow(c, n + 1 - len(rx), p) * _fp_resultant(fx, rx, p) % p if rx else 0
+
+    return at, sample
 
 
-def _sampled_resultant(forms, dom) -> UniPoly:
-    """R(X) = Res_Y(h1, h2)(X, 1) of two forms in (X, Y, Z), as term dicts,
-    that each hold a pure Y^deg term, so that no sample drops a Y-degree;
-    interpolated from X = 0 .. 145, one unit of work a sample.  One wrong
-    sample lifts R above degree 144."""
-    at = _restriction(forms, dom)
+def _sampled_resultant(sample, dom) -> UniPoly:
+    """R(X) = Res_Y(h1, h2)(X, 1) interpolated from sample(x) at X = 0 .. 145,
+    one unit of work a sample.  One wrong sample lifts R above degree 144."""
     ys = []
     for x in range(_DEGREE + 2):
         spend(1, "resultant sample")
-        ys.append(resultant(*at(x)))
+        ys.append(sample(x))
     R = interpolate(ys, dom, "X")
     if R.degree > _DEGREE:
         raise InvariantError(f"the sampled resultant has degree {R.degree} > {_DEGREE}")
     return R
 
 
-def _root_multiplicity(f: UniPoly, c) -> int:
-    """Multiplicity of c as a root of a nonzero f over GF(p), by synthetic
-    division by X - c until a remainder is nonzero."""
-    p, cs, m = f.dom.p, f.coeffs[::-1], 0
+def _deflate(cs, c, p):
+    """(m, f / (X - c)^m) for a nonzero f over GF(p), a descending coefficient list,
+    and m the multiplicity of its root c: divide by X - c until a remainder is nonzero."""
+    m = 0
     while len(cs) > 1:
         q, acc = [], 0
         for a in cs:
@@ -301,7 +324,21 @@ def _root_multiplicity(f: UniPoly, c) -> int:
         if q.pop():
             break
         cs, m = q, m + 1
-    return m
+    return m, cs
+
+
+def _root_counts(R: UniPoly, xs):
+    """(distinct roots, simple roots, multiplicities at xs) of a nonzero R over
+    GF(p), p > deg R, xs distinct, read off the deflated cofactor S."""
+    p, cs, mults = R.dom.p, R.coeffs[::-1], []
+    for x in xs:
+        m, cs = _deflate(cs, x, p)
+        mults.append(m)
+    S = UniPoly(R.dom, R.var, cs[::-1])
+    g = poly_gcd(S, derivative(S))
+    sf = S.divmod(g)[0]  # S = prod g_i^i and p > deg S: g = prod g_i^(i-1), sf = prod g_i
+    simple = sf.degree - poly_gcd(sf, g).degree + mults.count(1)
+    return sf.degree + sum(m > 0 for m in mults), simple, tuple(mults)
 
 
 def _projected_counts(sys: Tau32FiberSystem, pts, rng):
@@ -316,6 +353,14 @@ def _projected_counts(sys: Tau32FiberSystem, pts, rng):
     make a multiple root of R off the xs, which the caller's ledger catches.
     A projection that fails a check raises DegenerateInputError; the checks
     on pts need no R and run before it is sampled.
+
+    Past the centre check the Y^9 coefficient c of h1 is a nonzero constant,
+    a unit, so h2 = q h1 + r with deg_Y r < 9 once (_y_reduction), and a
+    sample is R(x) = c^(16 - deg r(x)) Res_Y(h1(x), r(x)): 0 where r(x) = 0,
+    c^16 r0^9 where r(x) is a constant r0.  On the line X = x the forms' gcd
+    in Y is gcd(h1(x), r(x)).  With R = prod (X - x_P)^m_P S, no S(x_P) = 0
+    (_root_counts), distinct = #{P : m_P > 0} + deg sf(S) and simple = the
+    simple roots of S + #{P : m_P = 1}.
     """
     dom, p = sys.dom, sys.dom.p
     b, c, d = (dom.rand_nonzero(rng) for _ in range(3))
@@ -329,18 +374,15 @@ def _projected_counts(sys: Tau32FiberSystem, pts, rng):
     xs = [dom.div((a - d * bt) % p, zp) for (a, bt, _), zp in zip(pts, zs)]
     if len(set(xs)) != len(xs):
         raise DegenerateInputError("two degenerate points lie on one line through the centre; draw again")
-    at = _restriction(forms, dom)
+    at, sample = _y_reduction(forms, p)
     for x in xs:  # on the line X = x Z the forms share one Y-root, the degenerate point's
-        common = poly_gcd(*at(x))
+        common = poly_gcd(*(UniPoly(dom, "Y", cs) for cs in at(x)))
         if common.degree - poly_gcd(common, derivative(common)).degree != 1:
             raise DegenerateInputError("a degenerate point shares its line through the centre; draw again")
-    R = _sampled_resultant(forms, dom)
+    R = _sampled_resultant(sample, dom)
     if R.degree != sys.hgens[0].total_degree() * sys.hgens[1].total_degree():
         raise DegenerateInputError("an intersection point lies on the line Z = 0; draw again")
-    g = poly_gcd(R, derivative(R))
-    sf = R.divmod(g)[0]  # R = prod g_i^i and p > deg R: g = prod g_i^(i-1), sf = prod g_i
-    simple = sf.degree - poly_gcd(sf, g).degree
-    return R.degree, sf.degree, simple, tuple(_root_multiplicity(R, x) for x in xs)
+    return (R.degree, *_root_counts(R, xs))
 
 
 def deg_tau32_single(dom: Domain, l0, l1, linf, lbeta, rng) -> Tau32Draw:

@@ -7,16 +7,19 @@ dropping unused variables and dehomogenization, Jacobian determinants at a
 point, the count of non-simple points through a basis with the Jacobian
 adjoined, quotient-algebra elements written back as polynomials, the
 fixed-configuration system built in d variables and cut down to d-1, and
-the Groebner route to the deg tau_{3,2} counts.  They check `buchberger`
-against its definition and the level-2 fiber system against its geometry;
-the package itself works on packed reducers, quotient contexts and
-sampled resultants instead.
+the Groebner route to the deg tau_{3,2} counts with the unreduced resultant
+samples of a projected pair.  They check `buchberger` against its
+definition and the level-2 fiber system against its geometry; the package
+itself works on packed reducers, quotient contexts and reduced resultant
+samples instead.
 """
+
+from operator import mul
 
 from matrix_helpers import bareiss_det, random_invertible
 from multspec import groebner
 from multspec.errors import MathError, UsageError, work_limit
-from multspec.exactalg import UniPoly, derivative, fp_roots, poly_gcd, squarefree_part
+from multspec.exactalg import UniPoly, derivative, fp_roots, poly_gcd, resultant, squarefree_part
 from multspec.groebner import (
     GREVLEX,
     IdealBasis,
@@ -250,6 +253,29 @@ def _root_multiplicity(f: UniPoly, c) -> int:
     while f.eval(c) == f.dom.zero:
         f, m = derivative(f), m + 1
     return m
+
+
+def restriction(forms, dom):
+    """The map x -> [h1(x, Y, 1), h2(x, Y, 1)], polynomials in Y, of two forms
+    in (X, Y, Z) given as term dicts over GF(p)."""
+    p = dom.p
+    tops = [max(map(sum, t)) for t in forms]
+    cols = [[[0] * (top + 1) for _ in range(top + 1)] for top in tops]
+    for t, cs in zip(forms, cols):
+        for (a, b, _), c in t.items():
+            cs[b][a] = c
+
+    def at(x):
+        pw = [pow(x, k, p) for k in range(max(tops) + 1)]
+        return [UniPoly(dom, "Y", [sum(map(mul, col, pw)) % p for col in cs]) for cs in cols]
+
+    return at
+
+
+def unreduced_sample(forms, dom, x):
+    """Res_Y(h1, h2)(x, 1) of two forms, from the restrictions to X = x at
+    their actual Y-degrees: the sampler `rat3._y_reduction` replaces."""
+    return resultant(*restriction(forms, dom)(x))
 
 
 def tau32_counts_by_groebner(sys, degenerate, rng):

@@ -114,6 +114,24 @@ def test_monic_divmod_needs_no_inverses():
         UniPoly.from_ints(ZZ, "x", [1, 1]).monic_divmod(UniPoly.zero(ZZ, "x"))
 
 
+def test_long_division_multiplies_only_by_lower_nonzero_divisor_coefficients():
+    # x^6 + 3x^2 + 2 = (x^3 + x)(x^3 - x) + 4x^2 + 2: the divisor's leading 1
+    # only cancels the top coefficient and its x^2 and x^0 coefficients are
+    # 0, so each quotient step multiplies once, by the -1
+    class CountingZZ(type(ZZ)):
+        calls = 0
+
+        def mul(self, a, b):
+            CountingZZ.calls += 1
+            return a * b
+
+    dom = CountingZZ()
+    f, g = UniPoly(dom, "x", [2, 0, 3, 0, 0, 0, 1]), UniPoly(dom, "x", [0, -1, 0, 1])
+    q, r = f.monic_divmod(g)
+    assert (q.coeffs, r.coeffs) == ((0, 1, 0, 1), (2, 0, 4))
+    assert CountingZZ.calls == 2  # the x^5 and x^3 steps find r[i] = 0
+
+
 def test_exact_div_over_zz():
     f = UniPoly.from_ints(ZZ, "x", [2, 4, 6])
     g = UniPoly.from_ints(ZZ, "x", [1, 2, 3])

@@ -15,7 +15,7 @@ from multspec.dynamics import (
     random_map,
 )
 from multspec.errors import BudgetExhaustedError, DegenerateInputError, InvariantError, MathError, UsageError, work_limit
-from multspec.exactalg import GF, QQ, derivative, fp_roots, poly_gcd, random_prime, squarefree_part
+from multspec.exactalg import GF, QQ, UniPoly, derivative, fp_roots, poly_gcd, random_prime, squarefree_part
 from multspec.groebner import GREVLEX, buchberger, eliminant_of_form, quotient_dimension, random_linear_form
 from multspec.rat3 import (
     Deg3Invariants,
@@ -30,14 +30,17 @@ from multspec.rat3 import (
 from multspec.reproduce import run_criterion
 
 from groebner_oracles import (
+    _root_multiplicity,
     dehomogenize,
     drop_vars,
     jacobian_det_at,
     linear_change,
     non_simple_point_count,
+    restriction,
     substitute,
     tau32_counts_by_groebner,
     to_unipoly,
+    unreduced_sample,
 )
 from matrix_helpers import bareiss_det, random_invertible
 from poly_oracles import Mobius, chain_map_from_invariants, conjugate
@@ -324,7 +327,7 @@ def test_deg_tau32_single_work_counts(monkeypatch):
     char_poly = counting("char_poly", linalg.char_poly)
     monkeypatch.setattr(linalg, "char_poly", char_poly)
     monkeypatch.setattr(groebner, "_char_poly", char_poly)
-    monkeypatch.setattr(rat3, "resultant", counting("resultant", exactalg.resultant))
+    monkeypatch.setattr(rat3, "_fp_resultant", counting("resultant", exactalg._fp_resultant))
     deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
     assert calls == {"resultant": 146}
     for name in ("buchberger", "quotient_dimension", "distinct_point_count", "eliminant_of_form", "fp_roots"):
@@ -361,7 +364,7 @@ def test_pinned_multiplicity_ledger():
             f, m = derivative(f), m + 1
         mults.append(m)
     assert mults == [42, 42, 2, 2]
-    assert [rat3._root_multiplicity(e, u.eval(pt)) for pt in affine] == mults
+    assert [_root_multiplicity(e, u.eval(pt)) for pt in affine] == mults
     assert quotient_dimension(basis) == 100 == (count - 4) + sum(mults)
 
 
@@ -410,13 +413,96 @@ def test_sampled_resultant_at_formal_y_degrees():
         return cs[::-1]
 
     for forms in ((h1, h2), (h2, h1)):
-        R = rat3._sampled_resultant(forms, F)
+        R = rat3._sampled_resultant(rat3._y_reduction(forms, F.p)[1], F)
         for x in range(145):
             a, b = (column(t, x) for t in forms)
             m, n = len(a) - 1, len(b) - 1
             rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
             rows += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
             assert R.eval(x) == bareiss_det(rows, F)
+
+
+def test_reduced_samples_match_the_unreduced_oracle():
+    # random forms h1, h2 of degrees m <= n in (X, Y, Z), each with a pure
+    # Y^deg term, in either order: every sample of _y_reduction is the
+    # resultant of the unreduced restrictions, and on each line X = x the
+    # gcd of h1(x) and r(x) = h2(x) mod h1(x) is that of h1(x) and h2(x).
+    # Over small primes r(x) drops degree or vanishes at some x; h2 = q h1,
+    # or q h1 + e Z^n, makes r(x) vanish or a constant at every x
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seen = Counter()
+
+    def form(draw, p, deg):
+        t = {(a, b, deg - a - b): draw(st.integers(0, p - 1)) for a in range(deg + 1) for b in range(deg + 1 - a)}
+        t[(0, deg, 0)] = draw(st.integers(1, p - 1))
+        return t
+
+    @st.composite
+    def pairs(draw):
+        p = draw(st.sampled_from((3, 5, 7, 11, 10007, 1000003)))
+        m = draw(st.integers(1, 4))
+        n = draw(st.integers(m, 6))
+        F, xyz = GF(p), ("X", "Y", "Z")
+        h1 = form(draw, p, m)
+        h2 = form(draw, p, n)
+        planted = draw(st.sampled_from((None, 0, 1)))
+        if planted is not None:  # h2 = q h1 + e Z^n, e = 0 or not
+            q = groebner.MultiPoly(F, xyz, form(draw, p, n - m)) * groebner.MultiPoly(F, xyz, h1)
+            h2 = dict(q.terms)
+            h2[(0, 0, n)] = (h2.get((0, 0, n), 0) + planted * draw(st.integers(1, p - 1))) % p
+        return F, h1, h2
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+    @hyp.given(pairs())
+    def check(case):
+        F, h1, h2 = case
+        xs = range(min(F.p, 12))
+        for forms in ((h1, h2), (h2, h1)):
+            sample = rat3._y_reduction(forms, F.p)[1]
+            assert [sample(x) for x in xs] == [unreduced_sample(forms, F, x) for x in xs]
+        at, oracle, m = rat3._y_reduction((h1, h2), F.p)[0], restriction((h1, h2), F), max(map(sum, h1))
+        for x in xs:
+            f, r = at(x)
+            assert poly_gcd(UniPoly(F, "Y", f), UniPoly(F, "Y", r)) == poly_gcd(*oracle(x))
+            seen["vanishes" if not r else "constant" if len(r) == 1 else "drops" if len(r) < m else "full"] += 1
+
+    check()
+    assert all(seen[kind] for kind in ("vanishes", "constant", "drops", "full"))
+
+
+def test_deflated_cofactor_counts_match_the_gcd_counts():
+    # R = lc * prod (X - x_P)^m_P * prod f_i^k_i with m_P in 0 .. 4, f_i random
+    # of degree 1 .. 3: the counts off the deflated cofactor S are the counts
+    # the gcd of R and R' gives, and the multiplicities are R's at the x_P
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seen = Counter()
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+    @hyp.given(
+        st.sampled_from((151, 10007, 1000003)),
+        st.lists(st.integers(0, 4), min_size=6, max_size=6),
+        st.lists(st.tuples(st.lists(st.integers(0, 150), min_size=1, max_size=3), st.integers(1, 3)), max_size=3),
+        st.integers(1, 150),
+    )
+    def check(p, mults, factors, lc):
+        F = GF(p)
+        X = UniPoly.gen(F, "X")
+        xs = random.Random(p + sum(mults)).sample(range(p), 6)
+        R = UniPoly.const(F, "X", lc)
+        for x, m in zip(xs, mults):
+            R = R * (X - UniPoly.const(F, "X", x)) ** m
+        for low, k in factors:
+            R = R * UniPoly(F, "X", [*low, 1]) ** k
+        g = poly_gcd(R, derivative(R))
+        sf = R.divmod(g)[0]
+        want = (sf.degree, sf.degree - poly_gcd(sf, g).degree, tuple(_root_multiplicity(R, x) for x in xs))
+        assert rat3._root_counts(R, xs) == want
+        seen.update(want[2])
+
+    check()
+    assert seen[0] and seen[1]
 
 
 def test_alpha_projection_centre_on_h1():
@@ -435,12 +521,13 @@ def test_alpha_projection_centre_on_h1():
 
 
 def _fault_once_per_point(real, fault, which):
-    """_root_multiplicity off by `fault` at degenerate point `which` of every projection."""
+    """_deflate's multiplicity off by `fault` at degenerate point `which` of every projection."""
     calls = Counter()
 
-    def faulty(f, c):
+    def faulty(cs, c, p):
         calls["n"] += 1
-        return real(f, c) + (fault if (calls["n"] - 1) % 6 == which else 0)
+        m, q = real(cs, c, p)
+        return m + (fault if (calls["n"] - 1) % 6 == which else 0), q
 
     return faulty
 
@@ -449,7 +536,7 @@ def test_broken_invariant_fails_instead_of_retrying(monkeypatch):
     # a degenerate multiplicity off by one in every projection breaks the
     # ledger 144 = 12 + 132 of the first draw twice, which is not retried
     for fault in (1, -1):
-        monkeypatch.setattr(rat3, "_root_multiplicity", _fault_once_per_point(rat3._root_multiplicity, fault, 0))
+        monkeypatch.setattr(rat3, "_deflate", _fault_once_per_point(rat3._deflate, fault, 0))
         message = f"multiplicity ledger: deg R 144 != 12 simple \\+ {132 + fault} degenerate"
         with pytest.raises(InvariantError, match=message):
             deg_tau32_report(random.Random(0xC0FFEE), draws=1)
@@ -458,7 +545,7 @@ def test_broken_invariant_fails_instead_of_retrying(monkeypatch):
         assert f"deg R 144 != 12 simple + {132 + fault} degenerate" in result.detail
         monkeypatch.undo()
     # at a multiplicity-2 point, -1 leaves a simple point where a multiple one belongs
-    monkeypatch.setattr(rat3, "_root_multiplicity", _fault_once_per_point(rat3._root_multiplicity, -1, 5))
+    monkeypatch.setattr(rat3, "_deflate", _fault_once_per_point(rat3._deflate, -1, 5))
     with pytest.raises(InvariantError, match="expected a multiple point at .* got multiplicity 1"):
         deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
 
@@ -470,12 +557,12 @@ def test_one_wrong_resultant_sample_fails_the_draw(monkeypatch, target):
     # interpolant to degree 145; the draw fails, not retried
     calls = []
 
-    def perturbed(f, g):
+    def perturbed(a, b, p):
         calls.append(1)
-        r = exactalg.resultant(f, g)
-        return (r + 1) % f.dom.p if len(calls) == target else r
+        r = exactalg._fp_resultant(a, b, p)
+        return (r + 1) % p if len(calls) == target else r
 
-    monkeypatch.setattr(rat3, "resultant", perturbed)
+    monkeypatch.setattr(rat3, "_fp_resultant", perturbed)
     with pytest.raises(InvariantError, match="sampled resultant has degree 145 > 144"):
         deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
     assert len(calls) == 146  # the projection of the wrong sample ends, and no other is drawn
@@ -551,25 +638,27 @@ def test_ledger_failure_in_one_projection_draws_one_more(monkeypatch):
     # a broken ledger in the first projection only may be two simple points
     # on one line through the centre, not a broken theorem: the next
     # projection certifies the same counts
-    real = rat3._root_multiplicity
+    real = rat3._deflate
     calls = Counter()
 
-    def first_projection_off(f, c):
+    def first_projection_off(cs, c, p):
         calls["n"] += 1
-        return real(f, c) + (calls["n"] == 1)
+        m, q = real(cs, c, p)
+        return m + (calls["n"] == 1), q
 
-    monkeypatch.setattr(rat3, "_root_multiplicity", first_projection_off)
+    monkeypatch.setattr(rat3, "_deflate", first_projection_off)
     draw = deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
     assert (draw.bezout, draw.distinct, draw.simple) == (144, 18, 12)
     assert calls["n"] == 2 * 6
     # a broken ledger in two projections is a fault
     calls.clear()
 
-    def every_projection_off(f, c):
+    def every_projection_off(cs, c, p):
         calls["n"] += 1
-        return real(f, c) + calls["n"]
+        m, q = real(cs, c, p)
+        return m + calls["n"], q
 
-    monkeypatch.setattr(rat3, "_root_multiplicity", every_projection_off)
+    monkeypatch.setattr(rat3, "_deflate", every_projection_off)
     with pytest.raises(InvariantError, match="multiplicity ledger: deg R 144 != 12 simple"):
         deg_tau32_single(PINNED_F, *PINNED, random.Random(3))
     assert calls["n"] == 2 * 6
