@@ -203,7 +203,7 @@ def _cmd_poly_classes(args):
         # the count needs no (d-1)-st root of unity; p = 1 mod (d-1) keeps seeded primes
         args.dom = GF(random_prime(args.rng, 20, 1, args.d - 1))
     lams = _affine_multipliers(args)
-    solutions, classes, _ = count_fixed_configurations(args.dom, args.d, lams, args.rng)
+    solutions, classes = count_fixed_configurations(args.dom, args.d, lams, args.rng)
     return {
         "command": "poly-classes",
         "field": field_to_str(args.dom),

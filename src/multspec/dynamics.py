@@ -5,9 +5,9 @@ resultant, stored as full coefficient tuples in descending powers of X
 (num[0] is the X^d coefficient).  Construction scales so the first nonzero
 coefficient of the concatenated tuple is 1, which makes equality of
 coefficient vectors meaningful.  Composition, conjugation and iteration
-multiply forms as UniPolys in Y: the tuple of F, descending in X, is the
-ascending coefficient list of F(1, Y).  A product drops vanishing top Y
-coefficients, so results are padded back to their formal degree.
+multiply forms as int lists of formal length: the tuple of F, descending in
+X, is the ascending coefficient list of F(1, Y), reduced mod p over GF(p)
+and over QQ cleared to ZZ once.
 
 The n-multiplier spectrum is read off chi_n = prod (w - (phi^n)'(P)) over
 the roots P of Per_n, the monic vanishing polynomial of the affine points
@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DegenerateInputError,
@@ -62,9 +62,9 @@ from .exactalg import (
     _fp_divmod,
     _fp_inverse,
     _fp_mulmod,
+    _product,
     _stripped,
     _zz_resultant,
-    clear_denominators,
     derivative,
     interpolate,
     resultant,
@@ -90,24 +90,17 @@ def form_eval(coeffs, dom, x, y):
     return acc
 
 
-def _form(coeffs, dom) -> UniPoly:
-    return UniPoly(dom, "y", coeffs)
+def _reduced(cs: list, p: int) -> list:
+    return [c % p for c in cs] if p else cs
 
 
-def _padded(f: UniPoly, d: int):
-    """Coefficient list of the form f of formal degree d."""
-    return list(f.coeffs) + [f.dom.zero] * (d + 1 - len(f.coeffs))
-
-
-def _form_compose(coeffs, p: UniPoly, q: UniPoly) -> UniPoly:
-    """C(P, Q) for the form C with coefficient list `coeffs` and forms P, Q."""
-    dom = p.dom
-    acc = _form(coeffs[:1], dom)
-    qpow = _form([dom.one], dom)
+def _form_compose(coeffs, f: list, g: list, p: int) -> list:
+    """C(F, G) for the form C with coefficient list `coeffs` and forms F, G of one
+    formal degree, as int lists, residues mod p for p > 0."""
+    acc, gpow = coeffs[:1], [1]
     for c in coeffs[1:]:
-        acc = acc * p
-        qpow = qpow * q
-        acc = acc + qpow.scale(c)
+        gpow = _reduced(_product(gpow, g), p)
+        acc = _reduced([a + c * b for a, b in zip(_product(acc, f), gpow)], p)
     return acc
 
 
@@ -266,42 +259,41 @@ class ProjMap:
         return f"({self.affine_num()}) / ({self.affine_den()})"
 
 
-def conjugate(f: UniPoly, g: UniPoly, d: int, m) -> tuple:
-    """Forms adj(m) . (f, g) . m of the conjugate of the degree-d map (f, g) by
-    z -> (a z + b) / (c z + e), m = (a, b, c, e) integers; over ZZ primitive."""
-    dom = f.dom
-    a, b, c, e = map(dom.from_int, m)
-    mx, my = UniPoly.from_ints(dom, "y", m[:2]), UniPoly.from_ints(dom, "y", m[2:])
-    f, g = (_form_compose(_padded(h, d), mx, my) for h in (f, g))
-    f, g = f.scale(e) - g.scale(b), g.scale(a) - f.scale(c)
-    if dom.char == 0:
-        k = gcd(*f.coeffs, *g.coeffs)
-        f, g = (h.map_coeffs(dom, lambda x: x // k) for h in (f, g))
-    return f, g
+def conjugate(f: list, g: list, m, p: int) -> tuple:
+    """Forms adj(m) . (f, g) . m of the conjugate of the map with `_chain` forms (f, g)
+    by z -> (a z + b) / (c z + e), m = (a, b, c, e) integers; over ZZ (p = 0) primitive."""
+    a, b, c, e = m
+    f, g = (_form_compose(h, [a, b], [c, e], p) for h in (f, g))
+    f, g = [e * x - b * y for x, y in zip(f, g)], [a * y - c * x for x, y in zip(f, g)]
+    if p:
+        return _reduced(f, p), _reduced(g, p)
+    k = gcd(*f, *g)
+    return [x // k for x in f], [y // k for y in g]
 
 
 def _chain(phi: ProjMap, n: int, m=(1, 0, 0, 1)) -> list:
     """Forms (num, den) of psi^1 .. psi^n from one composition loop, psi the
-    `conjugate` of phi by m; over QQ on ZZ, cleared once, as a common scalar
-    does not change psi^k.  Spends d^k work units on link k, all up front."""
+    `conjugate` of phi by m; ascending int lists in y of formal length d^k + 1,
+    over QQ on ZZ, cleared once by the lcm of the denominators, as a common
+    scalar does not change psi^k.  Spends d^k work units on link k, all up front."""
     spend(sum(phi.d**k for k in range(1, n + 1)), "iterate")
-    link = _form(phi.num, phi.dom), _form(phi.den, phi.dom)
-    if phi.dom.char == 0:
-        link, _ = clear_denominators(*link)
+    p, link = phi.dom.char, (list(phi.num), list(phi.den))
+    if not p:
+        k = lcm(*(c.denominator for c in phi.num + phi.den))
+        link = tuple([c.numerator * (k // c.denominator) for c in h] for h in link)
     if m != (1, 0, 0, 1):
-        link = conjugate(*link, phi.d, m)
-    links = [link]
-    f, g = (_padded(h, phi.d) for h in link)  # not h.coeffs: a zero top y coefficient is dropped
+        link = conjugate(*link, m, p)
+    links, (f, g) = [link], link
     for _ in range(n - 1):
-        links.append((_form_compose(f, *links[-1]), _form_compose(g, *links[-1])))
+        links.append((_form_compose(f, *links[-1], p), _form_compose(g, *links[-1], p)))
     return links
 
 
-def _period_form(link, d: int) -> tuple:
-    """Per = Num - z Den and Den in z from a `_chain` link of formal degree d, as
-    ascending int lists with a nonzero top coefficient; over GF(p) those of Per
-    lie in (-p, p), so one is 0 mod p only if it is 0."""
-    num, den = (_padded(h, d)[::-1] for h in link)
+def _period_form(link) -> tuple:
+    """Per = Num - z Den and Den in z from a `_chain` link, as ascending int lists
+    with a nonzero top coefficient; over GF(p) those of Per lie in (-p, p), so one
+    is 0 mod p only if it is 0."""
+    num, den = (h[::-1] for h in link)
     return _stripped([a - b for a, b in zip(num + [0], [0] + den)]), _stripped(den)
 
 
@@ -309,9 +301,8 @@ def iterate(phi: ProjMap, n: int) -> ProjMap:
     """phi^n as a degree d^n morphism (composition keeps forms coprime)."""
     if n < 1:
         raise UsageError("iteration count must be >= 1")
-    dom, d = phi.dom, phi.d ** n
-    num, den = (map(dom.from_int, _padded(h, d)) for h in _chain(phi, n)[-1])
-    return ProjMap(dom, num, den, check=False)
+    num, den = (map(phi.dom.from_int, h) for h in _chain(phi, n)[-1])
+    return ProjMap(phi.dom, num, den, check=False)
 
 
 def period_polynomial(phi: ProjMap, n: int) -> UniPoly:
@@ -333,9 +324,9 @@ def _good_position(phi: ProjMap, n: int) -> list:
     phi when phi^n moves infinity, den_n(1, 0) != 0; else by z -> t + 1/z,
     which sends infinity to t, for the least t = 0, 1, .. off Per_n."""
     chain = _chain(phi, n)
-    if chain[-1][1].coeff(0):
+    if chain[-1][1][0]:
         return chain
-    per = UniPoly.from_ints(chain[-1][0].dom, "z", _period_form(chain[-1], phi.d ** n)[0])
+    per = UniPoly.from_ints(phi.dom, "z", _period_form(chain[-1])[0])
     for t in range(phi.dom.char or phi.d ** n + 1):  # Per_n has at most d^n roots
         if per.eval(t):
             return _chain(phi, n, (t, 1, 1, 0))
@@ -465,7 +456,7 @@ def multiplier_char_poly(phi: ProjMap, n: int) -> UniPoly:
     stars, r = {}, None
     for m in (m for m in range(1, n + 1) if n % m == 0):
         # over QQ on ZZ; every point of period dividing n but infinity is affine
-        per, dd = _period_form(chain[m - 1], phi.d ** m)
+        per, dd = _period_form(chain[m - 1])
         if len(per) - 1 != phi.d ** m + (not poly):
             raise InvariantError(f"Per_{m} has degree {len(per) - 1}")
         # monic over GF(p), primitive with a positive leading coefficient over ZZ
@@ -550,7 +541,8 @@ def multiplier_at_point(phi: ProjMap, p: ProjPoint, n: int):
     if phi.dom != p.dom:
         raise FieldMismatchError("point and map over different fields")
     dom = phi.dom
-    affine, at_infinity = (phi.affine_num(), phi.affine_den()), (_form(phi.num, dom), _form(phi.den, dom))
+    affine = phi.affine_num(), phi.affine_den()
+    at_infinity = UniPoly(dom, "y", phi.num), UniPoly(dom, "y", phi.den)  # F(1, Y), G(1, Y)
     acc, q = dom.one, p
     for _ in range(n):
         r = phi.apply(q)

@@ -454,16 +454,21 @@ def _fp_divmod(a, b, p):
     return q, r[:db]
 
 
-def _fp_mulmod(a, b, low, p):
-    """a * b mod x^n + sum_j low[j] x^j over GF(p), on ascending int lists."""
-    if not a or not b:
-        return []
-    n = len(low)
+def _product(a, b):
+    """a * b on nonempty ascending int lists, with all len(a) + len(b) - 1 entries."""
     r = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
                 r[j] += x * y
+    return r
+
+
+def _fp_mulmod(a, b, low, p):
+    """a * b mod x^n + sum_j low[j] x^j over GF(p), on ascending int lists."""
+    if not a or not b:
+        return []
+    n, r = len(low), _product(a, b)
     for k in range(len(r) - 1, n - 1, -1):
         t = r[k] % p
         if t:
@@ -699,27 +704,18 @@ def resultant(f: UniPoly, g: UniPoly):
 
 
 def pow_mod(base: UniPoly, e: int, mod: UniPoly) -> UniPoly:
-    """base**e mod `mod` over a field domain."""
-    if not base.dom.is_field:
-        raise UsageError("pow_mod requires a field domain")
-    if isinstance(base.dom, PrimeField) and e > 0 and mod.degree > 0:
-        _coerce_same(base, mod)
-        low, p = mod.monic().coeffs[:-1], base.dom.p
-        b = list(base.divmod(mod)[1].coeffs)
-        r = b
-        for bit in bin(e)[3:]:  # left to right, after the leading 1
-            r = _fp_mulmod(r, r, low, p)
-            if bit == "1":
-                r = _fp_mulmod(r, b, low, p)
-        return UniPoly(base.dom, base.var, r)
-    r = UniPoly.const(base.dom, base.var, base.dom.one)
-    b = base.divmod(mod)[1]
-    while e:
-        if e & 1:
-            r = (r * b).divmod(mod)[1]
-        b = (b * b).divmod(mod)[1]
-        e >>= 1
-    return r
+    """base**e mod `mod` over GF(p): left-to-right squaring on ascending int lists,
+    from 1 mod `mod` (0 for a constant modulus)."""
+    if not isinstance(base.dom, PrimeField) or e < 0:
+        raise UsageError("pow_mod takes an exponent e >= 0 over a prime field")
+    _coerce_same(base, mod)
+    low, p = mod.monic().coeffs[:-1], base.dom.p
+    b, r = list(base.divmod(mod)[1].coeffs), [1]
+    for bit in bin(e)[2:]:
+        r = _fp_mulmod(r, r, low, p)
+        if bit == "1":
+            r = _fp_mulmod(r, b, low, p)
+    return UniPoly(base.dom, base.var, r)
 
 
 def fp_roots(f: UniPoly, rng) -> list[int]:

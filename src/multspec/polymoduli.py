@@ -19,12 +19,12 @@ sum 1/(1 - lambda_i) = 0; experiment entry points take d-1 free multipliers
 and derive the last one with dynamics.forced_multiplier.  The cubic normal
 form z^3 + az + b is read off its multipliers in closed form (p3_from_sigma1).
 
-Class counting over QQ is done by counting at random specializations over
-prime fields with p = 1 mod (d-1), where the root-of-unity action is
-rational; independent draws must agree.  Comparing level-2 spectra across
-classes works from rational solutions when the system splits, and otherwise
-from class-invariant power sums T_k in the quotient algebra Q, which never
-needs the (possibly huge) splitting field.  T_k sums ((phi^2)')^k over the d^2 affine
+Class counting over QQ counts at random specializations over prime fields
+with p = 1 mod (d-1); independent draws must agree.  Level-2 spectra are
+compared across classes from rational solutions when the system splits, and
+otherwise by a certificate on class-invariant power sums T_k in the quotient
+algebra Q that proves both counts itself and never needs the (possibly huge)
+splitting field (_invariant_certificate).  T_k sums ((phi^2)')^k over the d^2 affine
 fixed points of phi^2: the k-th level-2 power sum (infinity adds 0^k), and g_k +
 sum_i lambda_i^(2k), g_k over exact period 2.  On C = Q[a, b]/(phi(a) - b, phi(b) - a),
 basis a^i b^j (i, j < d), the Euler-Jacobi trace formula (Cattani, Dickenstein and
@@ -189,22 +189,27 @@ def _check_index_formula(dom: Domain, lambdas):
         raise DegenerateInputError(f"multipliers fail the index formula by {res}")
 
 
-def count_fixed_configurations(dom: Domain, d: int, lambdas, rng):
-    """(solutions, conjugacy classes, basis) of the configuration system;
-    multipliers that fail the index formula are rejected before any basis
-    is built."""
-    sys = build_fixed_config_system(dom, d, lambdas)
-    _check_index_formula(dom, sys.lambdas)
+def _configuration_basis(sys: FixedConfigSystem) -> IdealBasis:
+    """The basis of the configuration system, zero-dimensional and checked
+    against the product equations."""
     basis = buchberger(sys.gens, GREVLEX)
     if quotient_dimension(basis) is None:
         raise DegenerateInputError("configuration system is not zero-dimensional")
     _check_product_equations(sys, basis)
-    solutions = distinct_point_count(basis, rng)
+    return basis
+
+
+def count_fixed_configurations(dom: Domain, d: int, lambdas, rng):
+    """(solutions, conjugacy classes) of the configuration system; multipliers
+    that fail the index formula are rejected before any basis is built."""
+    sys = build_fixed_config_system(dom, d, lambdas)
+    _check_index_formula(dom, sys.lambdas)
+    solutions = distinct_point_count(_configuration_basis(sys), rng)
     if solutions % (d - 1) != 0:
         raise DegenerateInputError(
             f"{solutions} configurations not divisible by {d - 1}: non-generic multipliers"
         )
-    return solutions, solutions // (d - 1), basis
+    return solutions, solutions // (d - 1)
 
 
 def _unit_root(F, k, rng):
@@ -220,17 +225,8 @@ def _unit_root(F, k, rng):
 
 def _solve_configurations(sys: FixedConfigSystem, rng):
     """Rational solutions as full d-tuples (last coordinate reconstructed)."""
-    dom = sys.dom
-    basis = buchberger(sys.gens, GREVLEX)
-    _check_product_equations(sys, basis)
-    pts = solve_rational_points(basis, rng)
-    full = []
-    for pt in pts:
-        total = dom.zero
-        for c in pt:
-            total = dom.add(total, c)
-        full.append(pt + (dom.neg(total),))
-    return full
+    F = sys.dom
+    return [pt + (F.neg(sum(pt) % F.p),) for pt in solve_rational_points(_configuration_basis(sys), rng)]
 
 
 def _zeta_orbits(points, F, d, rng):
@@ -296,7 +292,7 @@ def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, lambdas
             lams = [F.from_rational(l) for l in lambdas]
             if len(set(lams)) < len(lams):
                 raise DegenerateInputError(f"multipliers collide mod {p}")
-        solutions, classes, _ = count_fixed_configurations(F, d, lams, rng)
+        solutions, classes = count_fixed_configurations(F, d, lams, rng)
         return FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=solutions, classes=classes)
 
     return agreeing_draws(draws, draw, 24, lambda r: (r.solutions, r.classes))
@@ -370,21 +366,21 @@ def two_cycle_power_sums(basis: IdealBasis, d: int):
 _CERTIFICATE_POWERS = 3
 
 
-def _invariant_certificate(basis: IdealBasis, d: int, classes: int):
-    """Count the distinct values of the sigma_2 power sums T_k, one power at a time
-    up to _CERTIFICATE_POWERS (T_k - g_k is a fiber constant); matching the class
-    count certifies pairwise distinct level-2 spectra, and no later T_k is computed."""
+def _invariant_certificate(basis: IdealBasis, d: int):
+    """The first k <= _CERTIFICATE_POWERS at which T_k takes V = dim Q / (d-1) distinct
+    values, or None; no later T_k is computed.  T_k - g_k is a fiber constant, so T_k is
+    constant on a class, a free orbit of z -> zeta z of exactly d-1 points (z = 0 fails
+    s_(d-1) = 1).  V values then need V (d-1) of the at most dim Q points: V (d-1) = dim Q
+    proves dim Q distinct configurations in V classes with pairwise distinct level-2
+    spectra, and V (d-1) > dim Q is a broken invariant."""
     Q, sums = two_cycle_power_sums(basis, d)
-    best = 0
     for k, g in zip(range(1, _CERTIFICATE_POWERS + 1), sums):
-        E = _char_poly(Q.mult_matrix(g), Q.base)
-        count = squarefree_part(E).degree
-        if count > classes:
+        points = squarefree_part(_char_poly(Q.mult_matrix(g), Q.base)).degree * (d - 1)
+        if points > Q.dim:
             raise InvariantError("invariant takes more values than there are classes")
-        if count == classes:
-            return True, k
-        best = max(best, count)
-    return False, best
+        if points == Q.dim:
+            return k
+    return None
 
 
 _SPLIT_ATTEMPTS = 80  # primes tried on the rational-points route, d <= 4 only
@@ -412,11 +408,11 @@ def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16):
     completely over GF(p) (common for d = 4), the solutions are grouped into conjugacy
     classes, each class's polynomial is built, and the sigma_2 vectors are compared
     directly.  From the second prime on, the split test reads the QQ operators of
-    _split_screen mod p, so only a prime that splits gets a basis over GF(p).  When full
-    splitting is out of reach (d = 5: the splitting field is large), distinctness is certified
-    by power sums of the level-2 multipliers evaluated in the quotient algebra by the trace
-    formula: they are class invariants determined by sigma_2, so `classes` distinct values
-    prove the spectra pairwise distinct.  Either way, distinctness mod p certifies exact distinctness.
+    _split_screen mod p, so only a prime that splits gets a basis over GF(p).  Otherwise
+    (d = 5: the splitting field is large) _invariant_certificate proves dim Q distinct
+    configurations in dim Q / (d-1) classes with pairwise distinct level-2 spectra, from
+    power sums of the level-2 multipliers in the quotient algebra; no point is counted.
+    Either way, distinctness mod p certifies exact distinctness.
     """
     lambdas = list(lambdas)
     if len(lambdas) != d:
@@ -455,18 +451,19 @@ def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16):
                 normal_forms=forms,
                 sigma2_values=sigmas,
             )
-        solutions, classes, basis = count_fixed_configurations(F, d, lams, rng)
-        if classes == 0:
+        basis = _configuration_basis(build_fixed_config_system(F, d, lams))
+        if basis.contains_one():
             raise DegenerateInputError(f"no configurations over GF({p})")
-        ok, k = _invariant_certificate(basis, d, classes)
-        if not ok:
-            raise DegenerateInputError(f"GF({p}) may identify two exact level-2 values")
+        k = _invariant_certificate(basis, d)
+        if k is None:
+            raise DegenerateInputError(f"GF({p}) may identify two configurations or two level-2 values")
+        dim = basis.quotient.dim
         return Sigma2Report(
             d=d,
             prime=p,
             primes_tried=tried,
-            solutions=solutions,
-            classes=classes,
+            solutions=dim,
+            classes=dim // (d - 1),
             all_distinct=True,
             method="invariant-trace",
             invariant_power=k,

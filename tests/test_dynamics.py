@@ -423,7 +423,7 @@ def test_non_exact_dynatomic_division_fails_the_run(monkeypatch):
     def faulty(psi, n, m=(1, 0, 0, 1)):
         calls.append(n)
         (num, den), *rest = real(psi, n, m)
-        return [(num + UniPoly.const(num.dom, "y", num.dom.one).shift(psi.d), den)] + rest
+        return [([*num[:-1], num[-1] + 1], den)] + rest  # num + y^d
 
     monkeypatch.setattr(dynamics, "_chain", faulty)
     phi = ProjMap(QQ, [Fraction(c) for c in (1, 0, 1)], [Fraction(c) for c in (3, 1, 7)])

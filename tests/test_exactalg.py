@@ -385,6 +385,11 @@ def test_pow_mod_over_gf_p_matches_repeated_multiplication():
             assert pow_mod(b, e, m) == want
         x = UniPoly.gen(F, "x")
         assert pow_mod(x, 5, UniPoly.const(F, "x", F.from_int(2))).is_zero
+    # only the GF(p) loop is left: QQ and negative exponents are usage errors
+    for F, e in ((QQ, 2), (GF(101), -1)):
+        x = UniPoly.gen(F, "x")
+        with pytest.raises(UsageError, match="pow_mod"):
+            pow_mod(x, e, x * x + x)
 
 
 def test_inverse_mod():

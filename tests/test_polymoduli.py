@@ -237,6 +237,16 @@ def test_pinned_multipliers_that_collide_mod_p_fail_the_attempt():
         fiber_degree_experiment(3, random.Random(1), draws=1, bits=3, lambdas=[-2, 5, 13])
 
 
+def _seven_values(calls):
+    """A planted squarefree part of degree 7: at d = 5, 7 * 4 > dim Q = 24 points."""
+
+    def planted(E):
+        calls.append(E)
+        return UniPoly(E.dom, E.var, [E.dom.one] * 8)
+
+    return planted
+
+
 def test_broken_invariant_in_a_fiber_count_is_not_retried(monkeypatch):
     # the retry loops of criteria 5 and 6 re-raise InvariantError instead of drawing again
     def broken(basis, rng):
@@ -247,13 +257,20 @@ def test_broken_invariant_in_a_fiber_count_is_not_retried(monkeypatch):
         fiber_degree_experiment(3, random.Random(8), draws=1, bits=14)
     with pytest.raises(InvariantError, match="planted"):
         fiber_degree_experiment(5, random.Random(9), draws=1, bits=18, lambdas=D5_LAMBDAS)
-    with monkeypatch.context() as m, pytest.raises(InvariantError, match="planted"):
+    result = run_criterion(5)
+    assert not result.passed and result.detail == "planted broken count"
+    # the certificate route of sigma2-check counts no points: break its invariant instead
+    calls = []
+    monkeypatch.setattr(polymoduli, "squarefree_part", _seven_values(calls))
+    with monkeypatch.context() as m, pytest.raises(InvariantError, match="more values"):
         m.setattr(polymoduli, "_MAX_PRIMES", 6)
         sigma2_discrimination(5, D5_LAMBDAS, random.Random(1))
-    for number in (5, 6):
-        result = run_criterion(number)
-        assert not result.passed
-        assert result.detail == "planted broken count"
+    assert len(calls) == 1
+    calls.clear()
+    result = run_criterion(6)
+    assert not result.passed
+    assert result.detail == "invariant takes more values than there are classes"
+    assert len(calls) == 1
 
 
 def test_only_degenerate_input_is_drawn_again(monkeypatch):
@@ -402,10 +419,7 @@ def test_two_cycle_power_sums_match_matrix_traces():
             got = to_multipoly(Q, sums[k - 1]).eval(pt[:-1])
             assert got == F.add(want[k - 1], fixed)
 
-    ok, power = _invariant_certificate(basis, 4, 2)
-    assert ok and 1 <= power <= 3
-    with pytest.raises(MathError):
-        _invariant_certificate(basis, 4, 0)  # invariants always take a value
+    assert 1 <= _invariant_certificate(basis, 4) <= 3
     with pytest.raises(UsageError):
         two_cycle_power_sums(basis, 5)
 
@@ -464,12 +478,14 @@ def test_invariant_certificate_builds_only_the_powers_it_tests(monkeypatch):
     # T_k needs mu^(k+1) = u(a) u(b), u = phi'^(k+1) of degree 4(k+1), split
     # into phi-adic digits by divisions by phi (degree 5): phi'^2 for T_1,
     # phi'^3 for T_2, and no phi'^4 (mu^4) once T_2 certifies
-    assert _invariant_certificate(basis, 5, 6) == (True, 2)
+    assert _invariant_certificate(basis, 5) == 2
     assert len(drawn) == 2 and dividends == [8, 12, 7]
-    # with no certificate in reach it stops at kmax = 3: no phi'^5
+    # with no certificate in reach (every T_k planted to one value) it stops
+    # at kmax = 3: no phi'^5
     drawn.clear()
     dividends.clear()
-    assert _invariant_certificate(basis, 5, 7) == (False, 6)
+    monkeypatch.setattr(polymoduli, "squarefree_part", lambda E: UniPoly.gen(E.dom, E.var))
+    assert _invariant_certificate(basis, 5) is None
     assert len(drawn) == 3 and dividends == [8, 12, 7, 16, 11, 6]
 
 
@@ -482,7 +498,7 @@ def test_quotient_rows_are_built_when_first_needed():
     Q = basis.quotient
     built = lambda: sum(row is not None for row in Q._rows)  # noqa: E731
     assert (solutions, Q.dim, built()) == (24, 24, 3)
-    assert _invariant_certificate(basis, 5, 6) == (True, 2)
+    assert _invariant_certificate(basis, 5) == 2
     assert basis.quotient is Q and built() > 3
     # symmetric fill: b_i * b_j is built once, for whichever row comes first
     rows = Q._rows
@@ -710,9 +726,28 @@ def test_unit_root_faults_are_broken_invariants(monkeypatch):
 
 
 def test_an_invariant_with_too_many_values_is_a_broken_invariant(monkeypatch):
-    # a count of 8 configurations at d = 5 claims 2 classes; the second
-    # 2-cycle power sum takes 6 values, outside the retry loop of sigma2-check
-    monkeypatch.setattr(polymoduli, "distinct_point_count", lambda basis, rng: 8)
+    # 7 values of the first 2-cycle power sum at d = 5 need 7 * 4 = 28 of the
+    # at most dim Q = 24 configurations: a fault, outside the retry loop of sigma2-check
+    calls = []
+    monkeypatch.setattr(polymoduli, "squarefree_part", _seven_values(calls))
     monkeypatch.setattr(polymoduli, "_MAX_PRIMES", 40)
     with pytest.raises(InvariantError, match="more values than there are classes"):
         sigma2_discrimination(5, D5_LAMBDAS, random.Random(15), bits=16)
+    assert len(calls) == 1
+
+
+def test_a_d5_sigma2_check_proves_its_counts_without_counting_points(monkeypatch):
+    # the certificate proves dim Q distinct configurations in dim Q / 4 classes:
+    # no random-form count and no linear form on the way
+    def no_count(*args):
+        raise AssertionError("a random-form count ran")
+
+    bases = []
+    real = polymoduli._configuration_basis
+    monkeypatch.setattr(polymoduli, "_configuration_basis", lambda sys: bases.append(real(sys)) or bases[-1])
+    monkeypatch.setattr(polymoduli, "distinct_point_count", no_count)
+    monkeypatch.setattr(groebner, "random_linear_form", no_count)
+    code, text = run_command(["sigma2-check", "-d", "5", "--lambdas=-2,-3,-4,8", "--seed", "3"])
+    doc = json.loads(text)
+    assert code == 0 and doc["method"] == "invariant-trace" and doc["all_distinct"]
+    assert (doc["solutions"], doc["classes"]) == (bases[-1].quotient.dim, bases[-1].quotient.dim // 4) == (24, 6)
