@@ -4,37 +4,33 @@ A map is a pair of homogeneous degree-d binary forms (F, G) with nonzero
 resultant, stored as full coefficient tuples in descending powers of X
 (num[0] is the X^d coefficient).  Construction scales so the first nonzero
 coefficient of the concatenated tuple is 1, which makes equality of
-coefficient vectors meaningful.  Composition, conjugation and iteration
-multiply forms as int lists of formal length: the tuple of F, descending in
-X, is the ascending coefficient list of F(1, Y), reduced mod p over GF(p)
-and over QQ cleared to ZZ once.
+coefficient vectors meaningful.  Composition and iteration multiply forms
+as int lists of formal length: the tuple of F, descending in X, is the
+ascending coefficient list of F(1, Y), reduced mod p over GF(p) and over QQ
+cleared to ZZ once.
 
 The n-multiplier spectrum is read off chi_n = prod (w - (phi^n)'(P)) over
-the roots P of Per_n, the monic vanishing polynomial of the affine points
-with phi^n(P) = P.  A rational map whose phi^n fixes infinity is first
-conjugated by z -> t + 1/z, t the least of 0, 1, .. off Per_n, so that
-none of them sits there.  A polynomial is not: infinity is a
-totally invariant fixed point of multiplier 0 in every characteristic,
-the one periodic point off the affine chart, so Per_m has degree d^m and
-chi_n has the factor w.  Per_n is the product of the dynatomic factors
-Phi*_m, m | n, and a root of Phi*_m has n-multiplier ((phi^m)')^(n/m), so
-chi_n is the product of G_{n/m}(chi*_m), where G_k(chi) has the k-th
-powers of the roots of chi: the characteristic polynomial of the k-th
-power of chi's companion matrix, in every characteristic.  chi*_m takes
-mu_m = (phi^m)' over the roots x of Phi*_m.  With phi^m = Num_m / Den_m,
-Per_m(x) = 0 is Num_m(x) = x Den_m(x), so mu_m(x) = 1 + Per_m'(x) /
-Den_m(x), Den_m(x) != 0 as the forms are coprime.  Per_m, Den_m and Phi*_m are
-ascending int lists: residues over GF(p), where Phi*_m is monic, and over
-QQ primitive ZZ polynomials with a positive leading coefficient, so every
-dynatomic division is exact on ZZ (Gauss's lemma).  Over GF(p), chi*_m is
-the characteristic polynomial of multiplication by mu_m on k[z]/(Phi*_m); over QQ,
-R(w) = Res_z(Phi*_m, (w - 1) Den_m - Per_m') is c psi^m, psi the monic
-cycle polynomial of degree D / m, D = deg Phi*_m (exact period m points
-form m-cycles of one multiplier; formal-period points are limits of them),
-and c = Res_z(Phi*_m, Den_m).  psi(j) is the rational m-th root of R(j) / c
-(at m = 1, R(j) / c itself) at w = 0 .. D / m, signed for even m by psi mod p:
-the monic m-th root of the GF(p) chi*_m, for the first prime of a fixed list
-that reduces well.  Only psi and chi_n are UniPolys.
+the points P of P^1 with phi^n(P) = P.  Per_n = Y Num_n - X Den_n is the
+product of the dynatomic forms Phi*_m, m | n, and a root of Phi*_m has
+n-multiplier ((phi^m)')^(n/m), so chi_n is the product of G_{n/m}(chi*_m),
+G_k(chi) the characteristic polynomial of the k-th power of chi's companion
+matrix, whose roots are the k-th powers of those of chi in every
+characteristic.  Infinity, a root of Phi*_m of multiplicity k_m, adds
+(w - (phi^m)'(infinity))^k_m to chi*_m, read in the chart w = 1/z; the
+affine roots x of Phi*_m(z, 1) give the rest.  With phi^m = Num_m / Den_m,
+Per_m(x) = 0 is Num_m(x) = x Den_m(x), so mu_m(x) = (phi^m)'(x) =
+1 + Per_m'(x) / Den_m(x), Den_m(x) != 0 as the forms are coprime.  Per_m,
+Den_m and Phi*_m are ascending int lists: residues over GF(p), where Phi*_m
+is monic, and over QQ primitive ZZ polynomials with a positive leading
+coefficient, so every dynatomic division is exact on ZZ (Gauss's lemma).
+Over GF(p), the affine chi*_m is the characteristic polynomial of
+multiplication by mu_m on k[z]/(Phi*_m).  Over QQ, chi*_m = psi^m, psi the
+monic cycle polynomial of degree (D + k_m) / m, D = deg Phi*_m(z, 1) (exact
+period m points form m-cycles of one multiplier; formal-period points are
+limits of them): psi(j) is the rational m-th root of a resultant sample
+(`_sampled_char_poly`) at w = 0 .. (D + k_m) / m, signed for even m by the
+monic m-th root of chi*_m mod p, for the first prime of a fixed list that
+reduces well.  Only psi and chi_n are UniPolys.
 """
 
 from __future__ import annotations
@@ -259,30 +255,21 @@ class ProjMap:
         return f"({self.affine_num()}) / ({self.affine_den()})"
 
 
-def conjugate(f: list, g: list, m, p: int) -> tuple:
-    """Forms adj(m) . (f, g) . m of the conjugate of the map with `_chain` forms (f, g)
-    by z -> (a z + b) / (c z + e), m = (a, b, c, e) integers; over ZZ (p = 0) primitive."""
-    a, b, c, e = m
-    f, g = (_form_compose(h, [a, b], [c, e], p) for h in (f, g))
-    f, g = [e * x - b * y for x, y in zip(f, g)], [a * y - c * x for x, y in zip(f, g)]
-    if p:
-        return _reduced(f, p), _reduced(g, p)
-    k = gcd(*f, *g)
-    return [x // k for x in f], [y // k for y in g]
+def conjugate(f: list, g: list) -> tuple:
+    """The map of `_chain` forms (f, g) in the chart w = 1/z: G(Y, X) / F(Y, X)."""
+    return g[::-1], f[::-1]
 
 
-def _chain(phi: ProjMap, n: int, m=(1, 0, 0, 1)) -> list:
-    """Forms (num, den) of psi^1 .. psi^n from one composition loop, psi the
-    `conjugate` of phi by m; ascending int lists in y of formal length d^k + 1,
-    over QQ on ZZ, cleared once by the lcm of the denominators, as a common
-    scalar does not change psi^k.  Spends d^k work units on link k, all up front."""
+def _chain(phi: ProjMap, n: int) -> list:
+    """Forms (num, den) of phi^1 .. phi^n from one composition loop, ascending
+    int lists in y of formal length d^k + 1, over QQ on ZZ, cleared once by the
+    lcm of the denominators, as a common scalar does not change phi^k.  Spends
+    d^k work units on link k, all up front."""
     spend(sum(phi.d**k for k in range(1, n + 1)), "iterate")
     p, link = phi.dom.char, (list(phi.num), list(phi.den))
     if not p:
         k = lcm(*(c.denominator for c in phi.num + phi.den))
         link = tuple([c.numerator * (k // c.denominator) for c in h] for h in link)
-    if m != (1, 0, 0, 1):
-        link = conjugate(*link, m, p)
     links, (f, g) = [link], link
     for _ in range(n - 1):
         links.append((_form_compose(f, *links[-1], p), _form_compose(g, *links[-1], p)))
@@ -317,20 +304,6 @@ def period_polynomial(phi: ProjMap, n: int) -> UniPoly:
     if v.is_zero:
         raise MathError("degenerate period polynomial")
     return v.monic()
-
-
-def _good_position(phi: ProjMap, n: int) -> list:
-    """`_chain` of phi, or of a conjugate, with all n-periodic points affine:
-    phi when phi^n moves infinity, den_n(1, 0) != 0; else by z -> t + 1/z,
-    which sends infinity to t, for the least t = 0, 1, .. off Per_n."""
-    chain = _chain(phi, n)
-    if chain[-1][1][0]:
-        return chain
-    per = UniPoly.from_ints(phi.dom, "z", _period_form(chain[-1])[0])
-    for t in range(phi.dom.char or phi.d ** n + 1):  # Per_n has at most d^n roots
-        if per.eval(t):
-            return _chain(phi, n, (t, 1, 1, 0))
-    raise MathError(f"every point of P^1(F_{phi.dom.char}) has period dividing {n}")
 
 
 def _dynatomic_quotient(f: list, g: list, p: int, j: int, m: int) -> list:
@@ -396,15 +369,17 @@ def _fp_char_poly(phis: list, num: list, den: list, F: Domain) -> UniPoly:
     return _mult_char_poly(mu, phis, F)
 
 
-def _root_signs(phis, num, den, m, c, roots):
-    """roots[j] signed as psi(j) mod p; a prime dividing a * c (a = lc(phis), a
-    denominator of the monic Phi*_m, or a bad reduction) or a nonzero root's
-    numerator or denominator is passed over."""
+def _root_signs(phis, num, den, m, c, roots, lam, k):
+    """roots[j] signed as psi(j) mod p, psi^m = chi*_m as in `_sampled_char_poly`; a
+    prime dividing a * c * ld (a = lc(phis), a denominator of the monic Phi*_m, or a
+    bad reduction; lam = ln / ld) or a nonzero root's numerator or denominator is
+    passed over."""
     for p in _SIGN_PRIMES:
-        if phis[-1] * c % p == 0 or any(r and r.numerator * r.denominator % p == 0 for r in roots):
+        if phis[-1] * c * lam[1] % p == 0 or any(r and r.numerator * r.denominator % p == 0 for r in roots):
             continue
         F, inv = GF(p), pow(phis[-1], -1, p)  # phis / a is monic; num / a over den / a is mu_m
-        psi = _monic_root(_fp_char_poly(*([x * inv % p for x in g] for g in (phis, num, den)), F), m)
+        chi = _fp_char_poly(*([x * inv % p for x in g] for g in (phis, num, den)), F)
+        psi = _monic_root(chi * UniPoly.from_ints(F, "w", [-lam[0] * pow(lam[1], -1, p), 1]) ** k, m)
         signed = []
         for j, r in enumerate(roots):
             v, rp = psi.eval(j), F.from_rational(r)
@@ -415,26 +390,36 @@ def _root_signs(phis, num, den, m, c, roots):
     raise MathError(f"no prime of {_SIGN_PRIMES} reduces chi*_{m} well")
 
 
-def _sampled_char_poly(phis: list, num: list, den: list, m: int) -> UniPoly:
-    """chi*_m = psi^m over QQ; phis = Phi*_m primitive with leading coefficient
-    a > 0, num = Per_m' + Den_m and den = Den_m, ascending int lists, of degree
-    d^m.  a^(top - deg g) Res(phis, g) is a^top Res(phis / a, g) for every
-    sample g = j * den - num; c is the w^D coefficient.  At m = 1 the root
-    R(j) / c of a sample is psi(j) itself."""
+def _sampled_char_poly(phis: list, num: list, den: list, m: int, lam: tuple, k: int) -> UniPoly:
+    """chi*_m = psi^m over QQ; phis = Phi*_m(z, 1) primitive of degree D with leading
+    coefficient a > 0, num = Per_m' + Den_m and den = Den_m ascending int lists,
+    and infinity a root of Phi*_m of multiplicity k and multiplier lam = ln / ld.
+
+    a^(top - deg g) Res(phis, g) is a^top Res(phis / a, g) = a^top prod g(x) over
+    the roots x of phis, so the sample g = j den - num is R(j) = a^top prod Den(x)
+    (j - mu_m(x)), and c, that of g = den, is a^top prod Den(x), the w^D
+    coefficient of R.  So chi*_m = R(w) (w - lam)^k / c is monic of degree D + k =
+    m e, and psi(j) is its m-th root at j = 0 .. e (at m = 1 the value itself):
+    the one Fraction R(j) (j ld - ln)^k / (c ld^k), 0 with no resultant at j = lam."""
     a, size = phis[-1], len(phis) - 1
-    top, e = max(len(num), len(den)) - 1, size // m
-    gs = [_stripped([j * y - x for x, y in zip_longest(num, den, fillvalue=0)]) for j in range(e + 1)] + [den]
+    (ln, ld), top, e = lam, max(len(num), len(den)) - 1, (size + k) // m
+    fs = [(j * ld - ln) ** k for j in range(e + 1)]
+    gs = [_stripped([j * y - x for x, y in zip_longest(num, den, fillvalue=0)]) for j, f in enumerate(fs) if f] + [den]
     spend(len(gs) * size, "resultant sample")  # deg phis a sample, all before the first
 
-    def res(g):  # a^(top - deg g) Res(phis, g) at actual degrees
+    def res(g):  # a^(top - deg g) Res(phis, g) at actual degrees; a^top when D = 0
+        if not size:
+            return a**top
         return (_zz_resultant(phis, g) if len(g) > 1 else g[0] ** size if g else 0) * a ** (top + 1 - len(g))
 
     *ys, c = map(res, gs)
     if not c:
         raise InvariantError(f"a root of Phi*_{m} is a pole of phi^{m}")
-    roots = [Fraction(y, c) if m == 1 else _rational_root(Fraction(y, c), m) for y in ys]
+    ys = iter(ys)
+    roots = [Fraction(next(ys) * f if f else 0, c * ld**k) for f in fs]
+    roots = roots if m == 1 else [_rational_root(q, m) for q in roots]
     if m % 2 == 0:
-        roots = _root_signs(phis, num, den, m, c, roots)
+        roots = _root_signs(phis, num, den, m, c, roots, lam, k)
     psi = interpolate(roots, QQ, "w")
     if psi.degree != e or psi.lc != 1:  # fails for one wrong sample, or a wrong c
         raise InvariantError(f"psi*_{m} through the samples is not monic of degree {e}")
@@ -444,35 +429,49 @@ def _sampled_char_poly(phis: list, num: list, den: list, m: int) -> UniPoly:
 def multiplier_char_poly(phi: ProjMap, n: int) -> UniPoly:
     """Monic char poly of the multiplier at the d^n + 1 points of period n.
 
-    prod over points P with phi^n(P) = P of (w - (phi^n)'(P)), counted with
-    the multiplicity of P as a root of the period polynomial; taken as the
-    product of G_{n/m}(chi*_m) over the dynatomic factors Phi*_m, m | n,
-    times w for a polynomial map, whose fixed point infinity is not in Per_n.
+    prod over P in P^1 with phi^n(P) = P of (w - (phi^n)'(P)), with the
+    multiplicity of P as a root of Per_n(X, Y) = Y Num_n - X Den_n: the product
+    of G_{n/m}(chi*_m) over the dynatomic forms Phi*_m, m | n, off one `_chain`.
+
+    Per_m(X, Y) = prod_{j | m} Phi*_j, so Phi*_m has degree nu_m = d^m + 1 -
+    sum_{j | m, j < m} nu_j.  Setting Y = 1 is a ring map, so the affine
+    Phi*_m(z, 1) divide exactly, and a form loses one degree in z per factor Y:
+    infinity is a root of Phi*_m | Per_m of multiplicity k_m = nu_m - deg
+    Phi*_m(z, 1), so k_m < 0, or k_m > 0 where phi^m moves infinity, is an
+    InvariantError.  In the chart w = Y/X, phi^m is the `conjugate`
+    Den_m(1, w) / Num_m(1, w), so lambda_m = (phi^m)'(infinity) is mu_m at its
+    root w = 0 of Per.  chi*_m is the affine chi*_m times (w - lambda_m)^k_m,
+    and G_{n/m} takes (w - lambda)^k to (w - lambda^(n/m))^k: a polynomial has
+    k_1 = 1, lambda_1 = 0.
     """
     if n < 1:
         raise UsageError("period must be >= 1")
-    dom, poly, p = phi.dom, phi.is_polynomial, phi.dom.char
-    chain = _chain(phi, n) if poly else _good_position(phi, n)
-    stars, r = {}, None
+    dom, p, chain = phi.dom, phi.dom.char, _chain(phi, n)
+    stars, nus, r = {}, {}, None
     for m in (m for m in range(1, n + 1) if n % m == 0):
-        # over QQ on ZZ; every point of period dividing n but infinity is affine
         per, dd = _period_form(chain[m - 1])
-        if len(per) - 1 != phi.d ** m + (not poly):
-            raise InvariantError(f"Per_{m} has degree {len(per) - 1}")
         # monic over GF(p), primitive with a positive leading coefficient over ZZ
-        k = pow(per[-1], -1, p) if p else gcd(*per) if per[-1] > 0 else -gcd(*per)
-        phis = [c * k % p for c in per] if p else [c // k for c in per]
-        for j in (j for j in stars if m % j == 0):
+        u = pow(per[-1], -1, p) if p else gcd(*per) if per[-1] > 0 else -gcd(*per)
+        phis = [c * u % p for c in per] if p else [c // u for c in per]
+        divisors = [j for j in stars if m % j == 0]
+        for j in divisors:
             phis = _dynatomic_quotient(phis, stars[j], p, j, m)
-        stars[m] = phis
+        stars[m], nus[m] = phis, phi.d**m + 1 - sum(nus[j] for j in divisors)
+        k, lam = nus[m] - len(phis) + 1, (0, 1)  # k: the multiplicity of infinity in Phi*_m
+        if k:  # lam = mu_m at w = 0, as the int pair (numerator, denominator > 0) in lowest terms
+            wper, wden = _period_form(conjugate(*chain[m - 1]))
+            if k < 0 or wper[0]:
+                raise InvariantError(f"infinity is not a root of Phi*_{m} of multiplicity {k}")
+            lam = Fraction(wper[1] + wden[0], wden[0]).as_integer_ratio()
         # mu_m = num / dd at every root of Per_m, num = Per_m' + Den_m
         num = [i * c + e for i, (c, e) in enumerate(zip_longest(per, [0] + dd, fillvalue=0))][1:]
         num = _stripped([c % p for c in num] if p else num)
-        chi = _fp_char_poly(phis, num, dd, dom) if p else _sampled_char_poly(phis, num, dd, m)
+        chi = _fp_char_poly(phis, num, dd, dom) if p else _sampled_char_poly(phis, num, dd, m, lam, k)
         if m < n:  # G_{n/m}
             chi = _mult_char_poly([dom.one], list(chi.coeffs), dom, n // m)
+        if p and k:  # G_{n/m}((w - lam)^k)
+            chi = chi * UniPoly.from_ints(dom, "w", [-pow(lam[0] * pow(lam[1], -1, p), n // m, p), 1]) ** k
         r = chi if r is None else r * chi
-    r = r.shift(1) if poly else r  # w: infinity, 0^k = 0
     if r.degree != phi.d ** n + 1:
         raise InvariantError("multiplier characteristic polynomial has wrong degree")
     return r

@@ -337,8 +337,8 @@ QUINTIC = ["--num", "1,2,0,3,1,5", "--den", "0,1,4,0,2,1"]
 @pytest.mark.parametrize(
     "field, n, spent, larger",
     [
-        ("GF:10007", 3, 442, [["sigma", "-n", "4"], ["sigma", "-n", "6"], ["tau", "-n", "6"]]),
-        ("QQ", 2, 374, [["sigma", "-n", "3"], ["sigma", "-n", "6"]]),
+        ("GF:10007", 3, 283, [["sigma", "-n", "4"], ["sigma", "-n", "6"], ["tau", "-n", "6"]]),
+        ("QQ", 2, 324, [["sigma", "-n", "3"], ["sigma", "-n", "6"]]),
     ],
 )
 def test_budget_stops_sigma_and_tau_promptly(field, n, spent, larger):
@@ -359,7 +359,7 @@ def test_budget_stops_sigma_and_tau_promptly(field, n, spent, larger):
     [
         (["relation", "--num", "4,7,6,-2,8,-7", "--den", "0,0,0,0,0,-9"], 40),
         (["relation", "--num", "3,1,4,1,5,9", "--den", "2,6,5,3,5,8", "--field", "GF:1000003"], 11),
-        (["sigma", "-n", "2"] + QUINTIC + ["--field", "GF:1000003"], 92),
+        (["sigma", "-n", "2"] + QUINTIC + ["--field", "GF:1000003"], 58),
     ],
 )
 def test_multiplier_route_spends_exactly(argv, spent):

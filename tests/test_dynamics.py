@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -250,45 +251,49 @@ def test_char_poly_integer_map_reduces_mod_p():
 
 
 def lifted_char_poly(phi, n):
-    """chi_n of a polynomial map over GF(p), taken over QQ and reduced mod p.
+    """chi_n of a map over GF(p), taken over QQ and reduced mod p.
 
-    The coefficients are lifted to 0 .. p - 1, and the lift is conjugated
-    so that infinity is not totally invariant, so chi_n comes from the
-    rational route, not the polynomial one.  The leading coefficient is a
-    unit mod p, so the lift reduces well."""
+    The coefficients are lifted to 0 .. p - 1, and the lift is conjugated by
+    z -> (z + 1) / (z + 2), of determinant 1, so that over QQ another point
+    sits at infinity.  The lift is a morphism with good reduction at p, so
+    chi_n reduces well."""
     F = phi.dom
     lift = ProjMap(QQ, map(Fraction, phi.num), map(Fraction, phi.den))
     psi = conjugate(lift, Mobius.from_ints(QQ, 1, 1, 1, 2))
-    assert not psi.is_polynomial
     return multiplier_char_poly(psi, n).map_coeffs(F, F.from_rational)
 
 
 def test_polynomial_maps_over_small_fields_match_the_lift_to_qq():
-    # a polynomial keeps infinity, a fixed point of multiplier 0, and takes
-    # no conjugate.  Over GF(3) and GF(5) some cubics have an iterate that
-    # fixes all of P^1(F_p), so no conjugate over F_p has every n-periodic
-    # point affine: those 56 used to be refused, and are all checked here,
-    # with a seeded sample of every field, degree and level, half of them
-    # with constant term 0 (a zero top y coefficient of the form)
+    # over GF(3) and GF(5) some maps have an iterate that fixes all of P^1(F_p),
+    # so no conjugate over F_p has every n-periodic point affine; infinity's
+    # factor of chi_n is read in its own chart.  Checked here: every map of
+    # degree <= 3 over GF(3) and every polynomial cubic over GF(5) with such an
+    # iterate, n <= 3, and a seeded sample of polynomials of every field, degree
+    # and level, half of them with constant term 0 (a zero top y coefficient of
+    # the form)
     rng = random.Random(59)
-    cases, unplaceable = [], 0
-    for p, d in ((3, 3), (5, 3)):
+    cases = []
+    for p, d, polynomial in ((3, 2, False), (3, 3, False), (5, 3, True)):
         F, pts = all_points(p)
-        for lead, *low in itertools.product(range(1, p), *[range(p)] * d):
-            phi = ProjMap(F, [lead, *low], [0] * d + [1])
-            orbit = pts
+        if polynomial:
+            forms = (([lead, *low], [0] * d + [1]) for lead, *low in itertools.product(range(1, p), *[range(p)] * d))
+        else:  # one scaling of each pair: the first nonzero coefficient is 1
+            coeffs = itertools.product(range(p), repeat=2 * d + 2)
+            forms = ((cs[: d + 1], cs[d + 1 :]) for cs in coeffs if next(c for c in cs + (1,) if c) == 1)
+        for num, den in forms:
+            if _forms_share_root(num, den, F, d):
+                continue
+            phi, orbit = ProjMap(F, num, den), pts
             for n in (1, 2, 3):
                 orbit = [phi.apply(x) for x in orbit]
                 if orbit == pts:
                     cases.append((phi, n))
-                    unplaceable += 1
-    assert unplaceable == 56
+    assert Counter((phi.dom.p, phi.is_polynomial) for phi, _ in cases) == {(3, False): 84, (3, True): 16, (5, True): 40}
     for p, d, n in itertools.product((3, 5, 7), (2, 3), (1, 2, 3)):
         for zero in (False, True):
             low = [rng.randrange(p) for _ in range(d - 1)] + [0 if zero else rng.randrange(1, p)]
             cases.append((ProjMap(GF(p), [rng.randrange(1, p), *low], [0] * d + [1]), n))
     for phi, n in cases:
-        assert phi.is_polynomial
         assert multiplier_char_poly(phi, n) == lifted_char_poly(phi, n), (phi, n)
 
 
@@ -420,9 +425,9 @@ def test_non_exact_dynatomic_division_fails_the_run(monkeypatch):
     calls = []
     real = dynamics._chain
 
-    def faulty(psi, n, m=(1, 0, 0, 1)):
+    def faulty(psi, n):
         calls.append(n)
-        (num, den), *rest = real(psi, n, m)
+        (num, den), *rest = real(psi, n)
         return [([*num[:-1], num[-1] + 1], den)] + rest  # num + y^d
 
     monkeypatch.setattr(dynamics, "_chain", faulty)
@@ -755,36 +760,41 @@ def test_multiplier_at_point_on_cycles_through_infinity(p, d, periods, draws, wa
     assert (counts[False], counts[True]) == want
 
 
-def test_good_position_conjugates_only_when_phi_n_fixes_infinity(monkeypatch):
-    # over QQ, a map whose phi^n fixes infinity takes the identity chain and
-    # one conjugate by z -> t + 1/z, t the least of 0, 1, .. off Per_n; one
-    # that moves infinity takes the identity chain alone
+def test_one_chain_per_multiplier_char_poly(monkeypatch):
+    # every map takes one iterate chain, whether or not phi^n fixes infinity:
+    # infinity's factor of chi_n is read in its own chart, with no conjugate
     calls = []
     real = dynamics._chain
 
-    def counted(psi, n, m=(1, 0, 0, 1)):
-        calls.append((n, m))
-        return real(psi, n, m)
+    def counted(psi, n):
+        calls.append(n)
+        return real(psi, n)
 
     monkeypatch.setattr(dynamics, "_chain", counted)
     cases = (
-        ((1, 0, 1), (0, 1, 1), 2, [(2, (1, 0, 0, 1)), (2, (0, 1, 1, 0))]),  # (z^2 + 1) / (z + 1): 0 -> 1 -> 1
-        ((1, 0, 0), (0, 1, 1), 1, [(1, (1, 0, 0, 1)), (1, (1, 1, 1, 0))]),  # z^2 / (z + 1) fixes 0
-        ((1, 0, 1), (3, 1, 7), 2, [(2, (1, 0, 0, 1))]),
+        ((1, 0, 1), (0, 1, 1), 2),  # (z^2 + 1) / (z + 1): 0 -> 1 -> 1, infinity fixed
+        ((1, 0, 0), (0, 1, 1), 1),  # z^2 / (z + 1) fixes 0 and infinity
+        ((1, 0, 1), (3, 1, 7), 2),  # phi moves infinity
+        ((1, 0, 1), (0, 1, 0), 3),  # z + 1/z: infinity is a triple fixed point
     )
-    for num, den, n, want in cases:
+    for num, den, n in cases:
         phi = ProjMap(QQ, map(Fraction, num), map(Fraction, den))
         calls.clear()
         chi = multiplier_char_poly(phi, n)
-        assert calls == want
+        assert calls == [n]
         assert chi == sampled_multiplier_char_poly(phi, n)
     # (z^3 + z^2 + z + 1) / (z^3 + 2z^2 + 2z) permutes P^1(F_3) as the 4-cycle
-    # inf -> 1 -> 2 -> 0, so no t in F_3 is off Per_4
+    # inf -> 1 -> 2 -> 0, so every point of P^1(F_3) has period dividing 4;
+    # sigma_4 is the lift's over QQ reduced mod 3
+    argv = ["sigma", "--num", "1,1,1,1", "--den", "1,2,2,0", "-n", "4"]
     calls.clear()
-    code, text = run_command(["sigma", "--num", "1,1,1,1", "--den", "1,2,2,0", "-n", "4", "--field", "GF:3"])
-    assert code == 1 and '"kind": "math"' in text
-    assert "every point of P^1(F_3) has period dividing 4" in text
-    assert calls == [(4, (1, 0, 0, 1))]
+    code, text = run_command(argv + ["--field", "GF:3"])
+    assert code == 0 and calls == [4]
+    code_q, text_q = run_command(argv)
+    assert code_q == 0
+    F = GF(3)
+    got, lift = (json.loads(t)["sigma"] for t in (text, text_q))
+    assert got == [str(F.from_rational(Fraction(v))) for v in lift]
 
 
 def test_tau_levels():
