@@ -298,7 +298,7 @@ def period_polynomial(phi: ProjMap, n: int) -> UniPoly:
     Degree is d^n + 1 exactly when no n-periodic point sits at infinity;
     otherwise the degree drops (to d^n for a polynomial).
     """
-    psi = iterate(phi, n) if n > 1 else phi
+    psi = iterate(phi, n)
     z = UniPoly.gen(phi.dom, "z")
     v = psi.affine_num() - z * psi.affine_den()
     if v.is_zero:

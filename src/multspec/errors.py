@@ -4,15 +4,14 @@ Three broad classes matter to callers: usage errors (bad input, mismatched
 fields), mathematical failures (validation that exact arithmetic can detect),
 and an exhausted work limit.  The CLI maps them to exit codes 2, 1 and 3.
 
-Randomized counts draw primes, specializations, maps and linear forms.  A
-draw that lands on an excluded locus raises a retry class,
-DegenerateInputError or DegenerateMapError: it means "draw again", and
-every loop that draws again is one of three rules here: agreed_value (two
-consecutive draws agree; its one caller is groebner.distinct_point_count),
-first_value (the first draw that is not degenerate; a caller may make
-running out a retry class too, so an outer loop draws again) and
-agreeing_draws (independent first_value draws that all agree).  Every
-other error ends the run.  InvariantError marks a
+Randomized experiments draw primes, specializations, maps and linear
+forms; a distinct-point count itself draws nothing.  A draw that lands on
+an excluded locus raises a retry class, DegenerateInputError or
+DegenerateMapError: it means "draw again", and every loop that draws again
+is one of two rules here: first_value (the first draw that is not
+degenerate; a caller may make running out a retry class too, so an outer
+loop draws again) and agreeing_draws (independent first_value draws that
+all agree).  Every other error ends the run.  InvariantError marks a
 theorem-level check that failed, a fault in the program; a plain MathError
 is a failure no new draw repairs (inconsistent data, draws that disagree,
 a search out of tries).  A command runs under one work_limit, and each
@@ -81,21 +80,6 @@ def spend(cost: int, what: str):
         left[0] -= cost
         if left[0] < 0:
             raise BudgetExhaustedError(f"{what} budget exhausted")
-
-
-def agreed_value(draw, attempts: int, what: str):
-    """The first value two consecutive calls of draw() return, of at most
-    `attempts`; a call that raises a retry class has no value."""
-    last = None
-    for _ in range(attempts):
-        try:
-            value = draw()
-        except (DegenerateInputError, DegenerateMapError):
-            value = None
-        if value is not None and value == last:
-            return value
-        last = value
-    raise DegenerateInputError(f"no two consecutive {what} of {attempts} agree; draw again")
 
 
 def first_value(draw, attempts: int, what: str, exhausted=MathError):

@@ -15,14 +15,13 @@ it is made.  Products of polynomials, normal-form vectors and
 quotient-algebra sums and products accumulate with native operators, one
 loop for QQ and GF(p); over GF(p) each sum takes one ``% p`` at the end.
 
-Counting distinct solutions never leaves the base field: a random linear
-form u gets a multiplication matrix on the standard monomial basis, its
-characteristic polynomial is the eliminant of u, and the degree of the
-squarefree part counts distinct points over the algebraic closure.  Two
-independent draws of u must agree.  A basis has one quotient context
-(``IdealBasis.quotient``): its normal-form vectors and the rows of
-structure constants it has built serve every later form, eliminant and
-quotient computation on that basis.  Rational points are extracted from
+Counting distinct solutions never leaves the base field and draws nothing:
+a coordinate's eliminant, the characteristic polynomial of its
+multiplication matrix, proves the count or joins the generators of the
+radical, whose quotient dimension is the count.  A basis has one quotient
+context (``IdealBasis.quotient``): its normal-form vectors and rows of
+structure constants serve every later form, eliminant and quotient
+computation on that basis.  Rational points are extracted from
 left eigenvectors of the multiplication matrix (the evaluation
 functionals), which avoids one Groebner run per root.  A quotient over QQ
 read mod p (``ModularOperators``) runs the same split test at a prime
@@ -44,7 +43,6 @@ from .errors import (
     InvariantError,
     MathError,
     UsageError,
-    agreed_value,
     first_value,
     limited,
     spend,
@@ -709,29 +707,36 @@ def random_linear_form(vars_, dom, rng) -> MultiPoly:
     return first_value(draw, 100, "nonzero linear form")
 
 
-def eliminant_of_form(basis: IdealBasis, u: MultiPoly, var: str = "t") -> UniPoly:
+def eliminant_of_form(basis: IdealBasis, u: MultiPoly) -> UniPoly:
     """Characteristic polynomial of multiplication by u on the quotient."""
     Q = basis.quotient
-    return _char_poly(Q.mult_matrix(Q.project(u)), u.dom, var)
+    return _char_poly(Q.mult_matrix(Q.project(u)), u.dom)
 
 
-_COUNT_ATTEMPTS = 6
+def distinct_point_count(basis: IdealBasis) -> int:
+    """Number of distinct solutions over the algebraic closure, proved: no draw.
 
-
-def distinct_point_count(basis: IdealBasis, rng) -> int:
-    """Number of distinct solutions over the algebraic closure.
-
-    The count is the degree of the squarefree part of the eliminant of a
-    random linear form; two consecutive independent draws must agree.
+    The eliminant E_i of the coordinate x_i has E_i(x_i) in I (Cayley-Hamilton)
+    and the values of x_i at the points as roots (Stickelberger), so x_i takes
+    deg sf(E_i) <= #points <= dim Q values: deg sf(E_i) = dim Q proves dim Q
+    points.  Otherwise J = I + (sf(E_i)(x_i))_i lies in the radical of I and
+    holds a squarefree polynomial in each variable, so over the perfect base
+    field J is that radical (Seidenberg's lemma; Kreuzer and Robbiano,
+    Computational Commutative Algebra 1, section 3.7): dim k[x]/J counts.
     """
     if basis.contains_one():
         return 0
-    dom = basis.gens[0].dom
-    return agreed_value(
-        lambda: squarefree_part(eliminant_of_form(basis, random_linear_form(basis.vars, dom, rng))).degree,
-        _COUNT_ATTEMPTS,
-        "eliminant degrees",
-    )
+    vars_, dom, D = basis.vars, basis.gens[0].dom, basis.quotient.dim
+    radical = list(basis.gens)
+    # the last variable first: the smallest in grevlex, it is standard (one
+    # row of structure constants) unless x_n - c lies in I
+    for i, v in reversed(list(enumerate(vars_))):
+        e = squarefree_part(eliminant_of_form(basis, MultiPoly.gen(dom, vars_, v)))
+        if e.degree == D:
+            return D
+        before, after = (0,) * i, (0,) * (len(vars_) - 1 - i)
+        radical.append(MultiPoly(dom, vars_, {(*before, k, *after): c for k, c in enumerate(e.coeffs)}))
+    return quotient_dimension(buchberger(radical, basis.order))
 
 
 def solve_rational_points(basis: IdealBasis, rng):

@@ -19,8 +19,8 @@ sum 1/(1 - lambda_i) = 0; experiment entry points take d-1 free multipliers
 and derive the last one with dynamics.forced_multiplier.  The cubic normal
 form z^3 + az + b is read off its multipliers in closed form (p3_from_sigma1).
 
-Class counting over QQ counts at random specializations over prime fields
-with p = 1 mod (d-1); independent draws must agree.  Level-2 spectra are
+Class counting over QQ counts at random primes p = 1 mod (d-1), each count
+proved and drawing nothing; independent draws must agree.  Level-2 spectra are
 compared across classes from rational solutions when the system splits, and
 otherwise by a certificate on class-invariant power sums T_k in the quotient
 algebra Q that proves both counts itself and never needs the (possibly huge)
@@ -199,12 +199,12 @@ def _configuration_basis(sys: FixedConfigSystem) -> IdealBasis:
     return basis
 
 
-def count_fixed_configurations(dom: Domain, d: int, lambdas, rng):
-    """(solutions, conjugacy classes) of the configuration system; multipliers
-    that fail the index formula are rejected before any basis is built."""
+def count_fixed_configurations(dom: Domain, d: int, lambdas):
+    """(solutions, conjugacy classes) of the configuration system, proved;
+    multipliers failing the index formula are rejected before any basis."""
     sys = build_fixed_config_system(dom, d, lambdas)
     _check_index_formula(dom, sys.lambdas)
-    solutions = distinct_point_count(_configuration_basis(sys), rng)
+    solutions = distinct_point_count(_configuration_basis(sys))
     if solutions % (d - 1) != 0:
         raise DegenerateInputError(
             f"{solutions} configurations not divisible by {d - 1}: non-generic multipliers"
@@ -292,7 +292,7 @@ def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, lambdas
             lams = [F.from_rational(l) for l in lambdas]
             if len(set(lams)) < len(lams):
                 raise DegenerateInputError(f"multipliers collide mod {p}")
-        solutions, classes = count_fixed_configurations(F, d, lams, rng)
+        solutions, classes = count_fixed_configurations(F, d, lams)
         return FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=solutions, classes=classes)
 
     return agreeing_draws(draws, draw, 24, lambda r: (r.solutions, r.classes))

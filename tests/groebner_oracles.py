@@ -6,17 +6,20 @@ S-polynomials, lex elimination, substitution, linear changes of variables,
 dropping unused variables and dehomogenization, Jacobian determinants at a
 point, the count of non-simple points through a basis with the Jacobian
 adjoined, quotient-algebra elements written back as polynomials, the
-fixed-configuration system built in d variables and cut down to d-1, and
-the Groebner route to the deg tau_{3,2} counts with the unreduced resultant
-samples of a projected pair.  They check `buchberger` against its
-definition and the level-2 fiber system against its geometry; the package
-itself works on packed reducers, quotient contexts and reduced resultant
-samples instead.
+fixed-configuration system built in d variables and cut down to d-1, the
+Groebner route to the deg tau_{3,2} counts with the unreduced resultant
+samples of a projected pair, and three distinct counts of a zero-dimensional
+basis: two random forms that agree, the rank of Hermite's trace form and the
+rank of Frobenius.  They check `buchberger` against its definition, the
+level-2 fiber system against its geometry and `distinct_point_count`
+against other theorems; the package itself works on packed reducers,
+quotient contexts, reduced resultant samples and coordinate eliminants
+instead.
 """
 
 from operator import mul
 
-from matrix_helpers import bareiss_det, random_invertible
+from matrix_helpers import bareiss_det, mat_mul, random_invertible
 from multspec import groebner
 from multspec.errors import MathError, UsageError, work_limit
 from multspec.exactalg import UniPoly, derivative, fp_roots, poly_gcd, resultant, squarefree_part
@@ -28,7 +31,6 @@ from multspec.groebner import (
     _Packing,
     _reduce_terms,
     buchberger,
-    distinct_point_count,
     eliminant_of_form,
     mono_div,
     mono_divides,
@@ -36,6 +38,7 @@ from multspec.groebner import (
     quotient_dimension,
     random_linear_form,
 )
+from multspec.linalg import row_reduce
 
 LEX = MonomialOrder("lex", lambda e: e, lambda n: [])
 
@@ -212,10 +215,89 @@ def jacobian_det_at(gens, vars_, point):
 
 def non_simple_point_count(gens, rng) -> int:
     """Distinct points of two polynomials in two variables where their Jacobian
-    vanishes: the distinct count of a basis with the Jacobian adjoined."""
+    vanishes: the agreed form count of a basis with the Jacobian adjoined."""
     (f, g), (x, y) = gens, gens[0].vars
     jac = f.derivative(x) * g.derivative(y) - f.derivative(y) * g.derivative(x)
-    return distinct_point_count(buchberger([f, g, jac], GREVLEX), rng)
+    return agreed_form_count(buchberger([f, g, jac], GREVLEX), rng)
+
+
+# ---------------------------------------------------------------------------
+# distinct counts by other theorems than `distinct_point_count`'s
+
+
+def agreed_form_count(basis: IdealBasis, rng) -> int:
+    """The squarefree degree of a random linear form's eliminant, once two
+    consecutive forms of at most six agree.
+
+    A form that separates the points has that many distinct eigenvalues, and
+    over a large field a random form separates them with high probability.
+    Over a small field two forms that both fail to separate can agree on too
+    few points, so this count is for large fields only.
+    """
+    if basis.contains_one():
+        return 0
+    dom, last = basis.gens[0].dom, None
+    for _ in range(6):
+        count = squarefree_part(eliminant_of_form(basis, random_linear_form(basis.vars, dom, rng))).degree
+        if count == last:
+            return count
+        last = count
+    raise MathError("no two consecutive eliminant degrees of 6 agree")
+
+
+def hermite_rank(basis: IdealBasis) -> int:
+    """Rank of the trace form H_ij = Tr(b_i b_j) on Q = k[x]/I (Hermite; Cox,
+    Little and O'Shea, Using Algebraic Geometry, ch. 2 section 5).
+
+    H splits over the local factors of Q, and nilpotents have trace 0, so a
+    point of multiplicity m adds 1 to the rank when the characteristic does
+    not divide m and 0 when it does: over QQ, or over GF(p) with p > dim Q,
+    the rank is the distinct count.  Tr(b_k) sums the b_i-coefficients of
+    b_k b_i, and H_ij = sum_k c_ij^k Tr(b_k), read off the structure constants.
+    """
+    Q = basis.quotient
+    F, D = Q.base, Q.dim
+    rows = [Q._row(i) for i in range(D)]
+
+    def total(values):
+        acc = F.zero
+        for v in values:
+            acc = F.add(acc, v)
+        return acc
+
+    trace = [total(c for i in range(D) for k, c in rows[b][i] if k == i) for b in range(D)]
+    form = [[total(F.mul(c, trace[k]) for k, c in rows[i][j]) for j in range(D)] for i in range(D)]
+    return len(row_reduce(form, F)[1])
+
+
+def frobenius_rank(basis: IdealBasis) -> int:
+    """Rank of x -> x^(p^k) on Q = GF(p)[x]/I with p^k >= dim Q: the distinct
+    count at any p.
+
+    Frobenius is GF(p)-linear and multiplicative on Q.  Q is the product of
+    its local factors, and a factor of dimension m has a maximal ideal N with
+    N^m = 0, m <= dim Q <= p^k, so x^(p^k) kills exactly the nilradical and
+    its rank is dim Q/nil(Q), the number of points over the algebraic
+    closure.  The image of a standard monomial b = x_i b' is x_i^p b'^p, p
+    multiplications by x_i applied to the image of b'.
+    """
+    Q = basis.quotient
+    F, D, n = Q.base, Q.dim, len(Q.vars)
+    p = F.p
+    by = [Q.mult_matrix(Q.project(MultiPoly.gen(F, Q.vars, v))) for v in Q.vars]
+    image = {(0,) * n: list(Q.one)}
+    for b in sorted(Q.std, key=sum)[1:]:
+        i = next(i for i, e in enumerate(b) if e)
+        v = image[b[:i] + (b[i] - 1,) + b[i + 1 :]]
+        for _ in range(p):
+            v = [sum(map(mul, row, v)) % p for row in by[i]]
+        image[b] = v
+    # row j holds the image of b_j: the transpose of Frobenius, of the same rank
+    frob = power = [image[b] for b in Q.std]
+    q = p
+    while q < D:
+        power, q = mat_mul(power, frob, F), q * p
+    return len(row_reduce(power, F)[1])
 
 
 def to_multipoly(Q, a) -> MultiPoly:
@@ -300,7 +382,7 @@ def tau32_counts_by_groebner(sys, degenerate, rng):
     bezout = quotient_dimension(buchberger(moved, GREVLEX))
     basis = buchberger(list(sys.gens), GREVLEX)
     d_affine = quotient_dimension(basis)
-    n_affine = distinct_point_count(basis, rng)
+    n_affine = agreed_form_count(basis, rng)
     n_multiple = non_simple_point_count(list(sys.gens), rng)
     u = random_linear_form(sys.vars, F, rng)
     e = eliminant_of_form(basis, u)

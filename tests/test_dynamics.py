@@ -185,6 +185,13 @@ def test_period_polynomial_keeps_coordinates():
     assert period_polynomial(sq, 1) == UniPoly.from_ints(QQ, "z", [0, -1, 1])
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_period_polynomial_needs_a_positive_period(n):
+    # as for iterate: no Per_n for n < 1, where Per_1 used to come back
+    with pytest.raises(UsageError, match="^iteration count must be >= 1$"):
+        period_polynomial(poly_map(GF(7), [1, 0, 1]), n)
+
+
 def test_multiplier_char_poly_square_map():
     sq = poly_map(QQ, [1, 0, 0])  # z -> z^2
     # fixed points 0, infinity (multiplier 0) and 1 (multiplier 2)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from multspec import groebner
 from multspec.errors import BudgetExhaustedError, DegenerateInputError, MathError, UsageError, work_limit
 from multspec.exactalg import GF, QQ, UniPoly
 from multspec.groebner import (
@@ -21,12 +22,14 @@ from multspec.groebner import (
     solve_rational_points,
 )
 from multspec.linalg import char_poly
-from multspec.polymoduli import build_fixed_config_system
+from multspec.polymoduli import build_fixed_config_system, complete_multipliers
 
 from groebner_oracles import (
     LEX,
     dehomogenize,
     eliminate,
+    frobenius_rank,
+    hermite_rank,
     jacobian_det_at,
     linear_change,
     linear_scan_steps,
@@ -155,7 +158,7 @@ def test_quotient_dimension_known_systems():
     # containing 1
     gb3 = buchberger([mp(F, ("x", "y"), {(0, 0): 5})], GREVLEX)
     assert quotient_dimension(gb3) == 0
-    assert distinct_point_count(gb3, random.Random(0)) == 0
+    assert distinct_point_count(gb3) == 0
 
 
 def test_quotient_dimension_counts_multiplicity():
@@ -165,8 +168,8 @@ def test_quotient_dimension_counts_multiplicity():
     g2 = mp(F, ("x", "y"), {(0, 1): 1})
     gb = buchberger([g1, g2], GREVLEX)
     assert quotient_dimension(gb) == 3
+    assert distinct_point_count(gb) == 2
     rng = random.Random(33)
-    assert distinct_point_count(gb, rng) == 2
     # a form's eliminant carries each point's multiplicity as a root multiplicity
     u = random_linear_form(gb.vars, F, rng)
     e = eliminant_of_form(gb, u)
@@ -219,9 +222,70 @@ def test_multiplication_matrix_is_not_shared():
 
 def test_distinct_point_count_three_points():
     F = GF(101)
-    rng = random.Random(34)
     gb = buchberger(gens_xy(F), GREVLEX)
-    assert distinct_point_count(gb, rng) == 3
+    assert distinct_point_count(gb) == 3
+
+
+X2_TIMES_X_MINUS_1 = {(3, 0): 1, (2, 0): -1}  # x^2 (x - 1)
+
+
+@pytest.mark.parametrize(
+    "p, gens, want, trace_rank",
+    [
+        (101, [{(2, 0): 1}, {(0, 1): 1, (1, 0): -1}], 1, 1),  # (x^2, y - x): one double point
+        (3, [X2_TIMES_X_MINUS_1, {(0, 2): 1, (0, 0): -1}], 4, 4),  # no form over GF(3) separates the 4 points
+        (10007, [X2_TIMES_X_MINUS_1, {(0, 2): 1, (0, 0): -1}], 4, 4),
+        (3, [{(3, 0): 1}, {(0, 2): 1}], 1, 0),  # (x^3, y^2): multiplicity 6 = 0 mod 3
+    ],
+)
+def test_distinct_point_count_of_planted_non_reduced_systems(p, gens, want, trace_rank):
+    # no coordinate takes dim Q values on these, so each count is the
+    # dimension of the radical; Frobenius agrees at any p, the trace form
+    # misses a point whose multiplicity p divides
+    F = GF(p)
+    gb = buchberger([mp(F, ("x", "y"), g) for g in gens], GREVLEX)
+    assert quotient_dimension(gb) > want
+    assert distinct_point_count(gb) == frobenius_rank(gb) == want
+    assert hermite_rank(gb) == trace_rank
+
+
+def _free_lists(F, d):
+    """Every set of d - 1 distinct free multipliers other than 1 that the
+    index formula completes, completed."""
+    values = [F.from_int(c) for c in range(F.p) if c != 1]
+    for free in itertools.combinations(values, d - 1):
+        try:
+            yield complete_multipliers(F, d, free)
+        except DegenerateInputError:
+            continue
+
+
+def _sweep(p, d, oracle, monkeypatch):
+    """(lists, radical-path counts) of `distinct_point_count` on the
+    configuration basis of every free list over GF(p), each count checked
+    against the oracle."""
+    radicals = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda gens, order: radicals.append(gens) or real(gens, order))
+    F, lists = GF(p), 0
+    for lams in _free_lists(F, d):
+        basis = real(build_fixed_config_system(F, d, lams).gens, GREVLEX)
+        assert distinct_point_count(basis) == oracle(basis), lams
+        lists += 1
+    return lists, len(radicals)
+
+
+def test_distinct_point_count_matches_the_trace_form_on_every_d4_list_over_gf17(monkeypatch):
+    # p = 17 > dim Q = 6, so the rank of the trace form is the distinct count
+    # (groebner_oracles.agreed_form_count miscounts or gives up on 3 to 13 of
+    # them at each rng seed 0-3)
+    assert _sweep(17, 4, hermite_rank, monkeypatch) == (528, 0)
+
+
+def test_distinct_point_count_matches_frobenius_on_every_d5_list_over_gf11(monkeypatch):
+    # p = 11 < dim Q = 24: the Frobenius rank counts at any p, and 10 of
+    # these systems have no coordinate that takes dim Q values
+    assert _sweep(11, 5, frobenius_rank, monkeypatch) == (190, 10)
 
 
 def test_solve_rational_points_grid():
@@ -357,8 +421,7 @@ def test_buchberger_over_qq():
     g2 = MultiPoly(QQ, ("x", "y"), {(0, 1): Fraction(1), (1, 0): Fraction(-2)})
     gb = buchberger([g1, g2], GREVLEX)
     assert quotient_dimension(gb) == 2
-    rng = random.Random(38)
-    assert distinct_point_count(gb, rng) == 2
+    assert distinct_point_count(gb) == 2
 
 
 def test_lex_elimination_order_blocks():

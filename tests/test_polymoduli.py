@@ -225,9 +225,9 @@ def test_fiber_degree_d5_pinned():
     draws = fiber_degree_experiment(5, rng, draws=2, bits=18, lambdas=D5_LAMBDAS)
     assert (draws[0].solutions, draws[0].classes) == (24, 6)
     # the primes a pinned list is reduced at are the ones random draws would use
-    assert [d.prime for d in draws] == [252449, 141793]
+    assert [d.prime for d in draws] == [252449, 201101]
     assert draws[0].lambdas == (252447, 252446, 252445, 8, 52557)
-    assert draws[1].lambdas == (141791, 141790, 141789, 8, 134416)
+    assert draws[1].lambdas == (201099, 201098, 201097, 8, 127840)
 
 
 def test_pinned_multipliers_that_collide_mod_p_fail_the_attempt():
@@ -249,7 +249,7 @@ def _seven_values(calls):
 
 def test_broken_invariant_in_a_fiber_count_is_not_retried(monkeypatch):
     # the retry loops of criteria 5 and 6 re-raise InvariantError instead of drawing again
-    def broken(basis, rng):
+    def broken(basis):
         raise InvariantError("planted broken count")
 
     monkeypatch.setattr(polymoduli, "distinct_point_count", broken)
@@ -280,11 +280,11 @@ def test_only_degenerate_input_is_drawn_again(monkeypatch):
     calls = []
 
     def planted(error):
-        def count(basis, rng):
+        def count(basis):
             calls.append(basis)
             if len(calls) == 1:
                 raise error("planted count failure")
-            return real(basis, rng)
+            return real(basis)
 
         return count
 
@@ -333,17 +333,14 @@ def test_relation_violating_multipliers_have_no_configurations(monkeypatch):
     # the index formula is necessary: these systems generate the unit ideal
     for F, lams in cases:
         assert buchberger(build_fixed_config_system(F, len(lams), lams).gens, GREVLEX).contains_one()
-    # so the count rejects them before it builds a basis or draws a random number
+    # so the count rejects them before it builds a basis
     def no_basis(*args):
         raise AssertionError("a basis was built")
 
     monkeypatch.setattr(polymoduli, "buchberger", no_basis)
     for F, lams in cases:
-        rng = random.Random(10)
-        state = rng.getstate()
         with pytest.raises(DegenerateInputError, match="index formula"):
-            count_fixed_configurations(F, len(lams), lams, rng)
-        assert rng.getstate() == state
+            count_fixed_configurations(F, len(lams), lams)
     # a pinned rational list is rejected once, before a prime is drawn
     for lams in ([0, 2, 5], [2, 3, 5, 7]):
         rng = random.Random(1)
@@ -490,16 +487,16 @@ def test_invariant_certificate_builds_only_the_powers_it_tests(monkeypatch):
 
 
 def test_quotient_rows_are_built_when_first_needed():
-    # counting projects linear forms: one row of structure constants per
-    # standard variable (the linear identity eliminates the fourth); the
-    # certificate's products in Q build further rows on the same context
+    # counting multiplies by the coordinate z1, a standard monomial: one row
+    # of structure constants, and z1 takes dim Q values, so no other row;
+    # the certificate's products in Q build further rows on the same context
     _, basis = _d5_basis()
-    solutions = polymoduli.distinct_point_count(basis, random.Random(5))
+    solutions = polymoduli.distinct_point_count(basis)
     Q = basis.quotient
     built = lambda: sum(row is not None for row in Q._rows)  # noqa: E731
-    assert (solutions, Q.dim, built()) == (24, 24, 3)
+    assert (solutions, Q.dim, built()) == (24, 24, 1)
     assert _invariant_certificate(basis, 5) == 2
-    assert basis.quotient is Q and built() > 3
+    assert basis.quotient is Q and built() > 1
     # symmetric fill: b_i * b_j is built once, for whichever row comes first
     rows = Q._rows
     assert all(rows[i][j] is rows[j][i] for i in range(24) for j in range(i) if rows[i] and rows[j])
@@ -738,9 +735,9 @@ def test_an_invariant_with_too_many_values_is_a_broken_invariant(monkeypatch):
 
 def test_a_d5_sigma2_check_proves_its_counts_without_counting_points(monkeypatch):
     # the certificate proves dim Q distinct configurations in dim Q / 4 classes:
-    # no random-form count and no linear form on the way
+    # no point count and no linear form on the way
     def no_count(*args):
-        raise AssertionError("a random-form count ran")
+        raise AssertionError("a point count ran")
 
     bases = []
     real = polymoduli._configuration_basis
