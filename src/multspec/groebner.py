@@ -23,16 +23,13 @@ context (``IdealBasis.quotient``): its normal-form vectors and rows of
 structure constants serve every later form, eliminant and quotient
 computation on that basis.  Rational points are extracted from
 left eigenvectors of the multiplication matrix (the evaluation
-functionals), which avoids one Groebner run per root.  A quotient over QQ
-read mod p (``ModularOperators``) runs the same split test at a prime
-before any basis over GF(p) is built.
+functionals), which avoids one Groebner run per root.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, mul, sub
@@ -742,8 +739,10 @@ def distinct_point_count(basis: IdealBasis) -> int:
 def solve_rational_points(basis: IdealBasis, rng):
     """All solutions with coordinates in the base prime field.
 
-    Requires the eliminant of a separating form to split into distinct
-    linear factors over GF(p); raises DegenerateInputError otherwise so
+    Requires the eliminant E_u of a random linear form u to be squarefree and
+    to split into linear factors over GF(p).  E_u is squarefree iff the scheme
+    is reduced and u separates; a fresh u fixes the second failure mode, so up
+    to 4 forms are drawn.  Either failure raises DegenerateInputError, so
     callers can draw another prime.  A squarefree eliminant of degree D that
     splits proves D distinct rational points, so they are not recounted.
     Points are read off left eigenvectors of the multiplication matrix
@@ -764,7 +763,16 @@ def solve_rational_points(basis: IdealBasis, rng):
         return []
     Q = basis.quotient
     D, j0 = Q.dim, Q._index[(0,) * len(basis.vars)]
-    m, esf = _split_eliminant(basis.vars, dom, lambda u: Q.mult_matrix(Q.project(u)), rng)
+    for _ in range(4):
+        m = Q.mult_matrix(Q.project(random_linear_form(basis.vars, dom, rng)))
+        esf = squarefree_part(_char_poly(m, dom))
+        if esf.degree == D:
+            break
+    else:
+        raise DegenerateInputError("eliminant is not squarefree")
+    x = UniPoly.gen(dom, esf.var)
+    if poly_gcd(esf, pow_mod(x, dom.p, esf) - x).degree != D:
+        raise DegenerateInputError("eliminant does not split over GF(p)")
     roots = sorted(split_linear(esf, rng))
 
     # normal forms of the coordinate functions, for coordinate read-off
@@ -790,69 +798,6 @@ def solve_rational_points(basis: IdealBasis, rng):
     if len(set(points)) != len(points):
         raise InvariantError("separating form failed to separate")
     return points
-
-
-def _split_eliminant(vars_, dom: PrimeField, matrix_of, rng):
-    """(M_u, E_u) for a random linear form u, M_u = matrix_of(u) and E_u its
-    characteristic polynomial, once E_u is squarefree and splits over GF(p).
-
-    E_u is squarefree iff the scheme is reduced and u separates; a fresh u
-    fixes the second failure mode, so up to 4 forms are drawn.  Either
-    failure raises DegenerateInputError, so callers can draw another prime.
-    """
-    for _ in range(4):
-        u = random_linear_form(vars_, dom, rng)
-        m = matrix_of(u)
-        e = _char_poly(m, dom)
-        esf = squarefree_part(e)
-        if esf.degree == e.degree:
-            break
-    else:
-        raise DegenerateInputError("eliminant is not squarefree")
-    x = UniPoly.gen(dom, esf.var)
-    if poly_gcd(esf, pow_mod(x, dom.p, esf) - x).degree != esf.degree:
-        raise DegenerateInputError("eliminant does not split over GF(p)")
-    return m, esf
-
-
-class ModularOperators:
-    """The coordinate multiplication operators of a zero-dimensional quotient
-    QQ[x]/I, read mod p to test a prime before any basis over GF(p) is built.
-
-    Let G be the reduced basis of I, ``den`` a common denominator of G and
-    the operators, and p a prime not dividing it.  Division by the monic,
-    p-integral G keeps every quotient p-integral, so the generators of I_p
-    (I's generators mod p) lie in (G mod p), the S-pairs of G mod p still
-    reduce to 0, and (G mod p) has the standard monomials of G.  A caller
-    that knows dim F_p[x]/I_p = dim QQ[x]/I thus knows I_p = (G mod p),
-    whose operators are these ones mod p.
-    """
-
-    def __init__(self, basis: IdealBasis):
-        Q = basis.quotient
-        ops = [Q.mult_matrix(Q.project(MultiPoly.gen(Q.base, basis.vars, v))) for v in basis.vars]
-        coeffs = [c for g in basis.gens for c in g.terms.values()] + [x for M in ops for r in M for x in r]
-        self.vars, self.den = basis.vars, math.lcm(*(c.denominator for c in coeffs))
-        self._units = [tuple(int(j == i) for j in range(len(self.vars))) for i in range(len(self.vars))]
-        self._ops = [[[int(x * self.den) for x in r] for r in M] for M in ops]
-
-    def splits(self, F: PrimeField, rng) -> bool:
-        """Whether solve_rational_points on I_p = (G mod p) gets past its split
-        test.  If not, rng is left where that call leaves it when it raises;
-        if so, rng is as it was.  Valid only where I_p = (G mod p)."""
-        p, state = F.p, rng.getstate()
-        scale = pow(self.den, -1, p)
-
-        def matrix_of(u):
-            cs = [u.terms.get(e, 0) * scale for e in self._units]
-            return [[sum(map(mul, cs, col)) % p for col in zip(*rows)] for rows in zip(*self._ops)]
-
-        try:
-            _split_eliminant(self.vars, F, matrix_of, rng)
-        except DegenerateInputError:
-            return False
-        rng.setstate(state)
-        return True
 
 
 def _dot(dom, a, b):

@@ -20,13 +20,17 @@ and derive the last one with dynamics.forced_multiplier.  The cubic normal
 form z^3 + az + b is read off its multipliers in closed form (p3_from_sigma1).
 
 Class counting over QQ counts at random primes p = 1 mod (d-1), each count
-proved and drawing nothing; independent draws must agree.  Level-2 spectra are
-compared across classes from rational solutions when the system splits, and
-otherwise by a certificate on class-invariant power sums T_k in the quotient
-algebra Q that proves both counts itself and never needs the (possibly huge)
-splitting field (_invariant_certificate).  T_k sums ((phi^2)')^k over the d^2 affine
-fixed points of phi^2: the k-th level-2 power sum (infinity adds 0^k), and g_k +
-sum_i lambda_i^(2k), g_k over exact period 2.  On C = Q[a, b]/(phi(a) - b, phi(b) - a),
+proved and drawing nothing; independent draws must agree.  A prime where a
+proper subset of the 1/(lambda_i - 1) sums to 0 loses configurations to
+infinity, so its fiber is not the QQ fiber mod p: it is drawn again
+(_bezout_exact).  Level-2 spectra are compared across classes by a
+certificate on class-invariant power sums T_k in the quotient algebra Q that
+proves both counts itself and never needs the (possibly huge) splitting field
+(_invariant_certificate); only where it cannot decide are the classes' sigma_2
+compared directly, from rational solutions at a prime where the system splits.
+T_k sums ((phi^2)')^k over the d^2 affine fixed points of phi^2: the k-th
+level-2 power sum (infinity adds 0^k), and g_k + sum_i lambda_i^(2k), g_k over
+exact period 2.  On C = Q[a, b]/(phi(a) - b, phi(b) - a),
 basis a^i b^j (i, j < d), the Euler-Jacobi trace formula (Cattani, Dickenstein and
 Sturmfels, Residues and resultants, 1998) is Tr(x) = ell(x J), so T_k = ell(mu^(k+1) -
 mu^k): ell takes the a^(d-1) b^(d-1) coefficient, J = mu - 1, mu = phi'(a) phi'(b).
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial, prod
+from math import prod
 
 from .dynamics import ProjMap, distinct_multipliers, fixed_point_index_sum, forced_multiplier, sigma_n
 from .errors import DegenerateInputError, InvariantError, MathError, UsageError, agreeing_draws, first_value
@@ -44,7 +48,6 @@ from .exactalg import GF, QQ, Domain, UniPoly, compose, derivative, random_prime
 from .groebner import (
     GREVLEX,
     IdealBasis,
-    ModularOperators,
     MultiPoly,
     buchberger,
     distinct_point_count,
@@ -223,12 +226,6 @@ def _unit_root(F, k, rng):
     raise MathError(f"found no element of order {k} in GF({F.p})")
 
 
-def _solve_configurations(sys: FixedConfigSystem, rng):
-    """Rational solutions as full d-tuples (last coordinate reconstructed)."""
-    F = sys.dom
-    return [pt + (F.neg(sum(pt) % F.p),) for pt in solve_rational_points(_configuration_basis(sys), rng)]
-
-
 def _zeta_orbits(points, F, d, rng):
     """Partition configurations into orbits of z -> zeta z, zeta^(d-1) = 1."""
     if d == 2:
@@ -272,9 +269,10 @@ def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, lambdas
     Each draw picks a fresh prime p = 1 mod (d-1).  Rational `lambdas` are
     reduced mod p; without them the draw takes random free affine
     multipliers and completes the last one.  A reduction that is not
-    invertible, repeats a value or hits 1 fails the attempt, as does a
-    non-generic count; all draws must agree.  A rational list that fails the
-    index formula is rejected once, before any prime is drawn.
+    invertible, repeats a value, hits 1 or is not Bezout exact fails the
+    attempt, as does a non-generic count; all draws must agree.  A rational
+    list that fails the index formula is rejected once, before any prime is
+    drawn.
     """
     if d < 2:
         raise UsageError("degree must be >= 2")
@@ -290,8 +288,7 @@ def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, lambdas
             lams = complete_multipliers(F, d, distinct_multipliers(F, d - 1, rng))
         else:
             lams = [F.from_rational(l) for l in lambdas]
-            if len(set(lams)) < len(lams):
-                raise DegenerateInputError(f"multipliers collide mod {p}")
+        _check_reduction(F, lams)
         solutions, classes = count_fixed_configurations(F, d, lams)
         return FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=solutions, classes=classes)
 
@@ -307,8 +304,6 @@ class Sigma2Report:
     classes: int
     all_distinct: bool
     method: str
-    normal_forms: tuple | None = None
-    sigma2_values: tuple | None = None
     invariant_power: int | None = None
 
 
@@ -383,14 +378,7 @@ def _invariant_certificate(basis: IdealBasis, d: int):
     return None
 
 
-_SPLIT_ATTEMPTS = 80  # primes tried on the rational-points route, d <= 4 only
 _MAX_PRIMES = 400
-
-
-def _split_screen(d: int, lambdas):
-    """The configuration operators over QQ that screen primes; None off the Bezout dimension."""
-    basis = buchberger(build_fixed_config_system(QQ, d, [QQ.from_rational(l) for l in lambdas]).gens, GREVLEX)
-    return ModularOperators(basis) if quotient_dimension(basis) == factorial(d - 1) else None
 
 
 def _bezout_exact(F, lams):
@@ -401,73 +389,50 @@ def _bezout_exact(F, lams):
     return p > d and all(sum(S) % p for k in range(1, d) for S in combinations(w, k))
 
 
+def _check_reduction(F, lams):
+    """Reject (draw again) multipliers mod p that collide or hit 1, or whose
+    configurations escape to infinity: off the Bezout dimension the GF(p) fiber
+    is not the QQ fiber mod p."""
+    if len(set(lams)) < len(lams) or F.one in lams or not _bezout_exact(F, lams):
+        raise DegenerateInputError(f"multipliers collide, hit 1 or lose configurations to infinity mod {F.p}")
+
+
 def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16):
     """Whether the level-2 spectrum separates the classes over a fiber.
 
-    Works at random primes p = 1 mod (d-1).  When the configuration system splits
-    completely over GF(p) (common for d = 4), the solutions are grouped into conjugacy
-    classes, each class's polynomial is built, and the sigma_2 vectors are compared
-    directly.  From the second prime on, the split test reads the QQ operators of
-    _split_screen mod p, so only a prime that splits gets a basis over GF(p).  Otherwise
-    (d = 5: the splitting field is large) _invariant_certificate proves dim Q distinct
-    configurations in dim Q / (d-1) classes with pairwise distinct level-2 spectra, from
-    power sums of the level-2 multipliers in the quotient algebra; no point is counted.
-    Either way, distinctness mod p certifies exact distinctness.
+    Works at random primes p = 1 mod (d-1) where the reduced multipliers are
+    distinct, none is 1 and the configuration system is Bezout exact, so that its
+    quotient Q over GF(p) is the QQ quotient mod p, of dimension (d-1)!.  On that
+    basis _invariant_certificate proves dim Q distinct configurations in dim Q / (d-1)
+    classes with pairwise distinct level-2 spectra, from power sums of the level-2
+    multipliers in Q; no point is counted.  Only where it cannot (two classes share
+    the power sums mod p, or over QQ) are the configurations read off the same basis
+    as rational points, grouped into classes, and each class's sigma_2 compared
+    directly; a prime over which they do not all split is drawn again.  Either
+    way, distinctness mod p certifies exact distinctness.
     """
     lambdas = list(lambdas)
     if len(lambdas) != d:
         raise UsageError(f"need exactly {d} affine multipliers")
     _check_index_formula(QQ, [QQ.from_rational(l) for l in lambdas])
-    tried, screen = 0, None
+    tried = 0
 
     def draw():
-        nonlocal tried, screen
+        nonlocal tried
         tried += 1
-        if d <= 4 and tried == 2 <= _SPLIT_ATTEMPTS:  # the first prime missed: screen the rest
-            screen = _split_screen(d, lambdas)
         p = random_prime(rng, bits, 1, d - 1)
         F = GF(p)
         lams = [F.from_rational(l) for l in lambdas]
-        if len(set(lams)) != len(lams) or F.one in lams:
-            raise DegenerateInputError(f"multipliers collide or hit 1 mod {p}")
-        if d <= 4 and tried <= _SPLIT_ATTEMPTS:
-            if screen and screen.den % p and _bezout_exact(F, lams) and not screen.splits(F, rng):
-                raise DegenerateInputError(f"the configurations do not split over GF({p})")
-            sys = build_fixed_config_system(F, d, lams)
-            pts = _solve_configurations(sys, rng)
-            if not pts:
-                raise DegenerateInputError(f"no configuration is rational over GF({p})")
-            orbits = _zeta_orbits(pts, F, d, rng)
-            forms = tuple(poly_from_fixed_points(F, min(o)) for o in orbits)
-            sigmas = tuple(sigma_n(nf.to_map(), 2).values for nf in forms)
-            return Sigma2Report(
-                d=d,
-                prime=p,
-                primes_tried=tried,
-                solutions=len(pts),
-                classes=len(orbits),
-                all_distinct=len(set(sigmas)) == len(sigmas),
-                method="rational-points",
-                normal_forms=forms,
-                sigma2_values=sigmas,
-            )
+        _check_reduction(F, lams)
         basis = _configuration_basis(build_fixed_config_system(F, d, lams))
-        if basis.contains_one():
-            raise DegenerateInputError(f"no configurations over GF({p})")
         k = _invariant_certificate(basis, d)
-        if k is None:
-            raise DegenerateInputError(f"GF({p}) may identify two configurations or two level-2 values")
-        dim = basis.quotient.dim
-        return Sigma2Report(
-            d=d,
-            prime=p,
-            primes_tried=tried,
-            solutions=dim,
-            classes=dim // (d - 1),
-            all_distinct=True,
-            method="invariant-trace",
-            invariant_power=k,
-        )
+        if k is not None:
+            dim = basis.quotient.dim
+            return Sigma2Report(d, p, tried, dim, dim // (d - 1), True, "invariant-trace", invariant_power=k)
+        pts = [pt + (F.neg(sum(pt) % p),) for pt in solve_rational_points(basis, rng)]
+        orbits = _zeta_orbits(pts, F, d, rng)
+        sigmas = {sigma_n(poly_from_fixed_points(F, min(o)).to_map(), 2).values for o in orbits}
+        return Sigma2Report(d, p, tried, len(pts), len(orbits), len(sigmas) == len(orbits), "rational-points")
 
     return first_value(draw, _MAX_PRIMES, "usable prime")
 

@@ -19,13 +19,12 @@ from multspec.errors import (
     work_limit,
 )
 from multspec.exactalg import GF, QQ, UniPoly, compose, derivative, fp_roots, random_prime
-from multspec.groebner import GREVLEX, MultiPoly, buchberger, quotient_dimension
+from multspec.groebner import GREVLEX, MultiPoly, buchberger, quotient_dimension, solve_rational_points
 from multspec.polymoduli import (
     PolyNormalForm,
     _bezout_exact,
+    _configuration_basis,
     _invariant_certificate,
-    _solve_configurations,
-    _split_screen,
     _zeta_orbits,
     build_fixed_config_system,
     complete_multipliers,
@@ -305,7 +304,9 @@ def test_only_degenerate_input_is_drawn_again(monkeypatch):
 def test_a_broken_point_extraction_fails_sigma2_check(monkeypatch):
     # once the eliminant is squarefree and splits, each eigenspace is one
     # evaluation functional (solve_rational_points): a fault there ends the
-    # run on the first system that reaches point extraction
+    # run on the first system that reaches point extraction, which only the
+    # fallback of sigma2-check does
+    monkeypatch.setattr(polymoduli, "_CERTIFICATE_POWERS", 0)
     real_split, real_eval = groebner.split_linear, MultiPoly.eval
     split = []
 
@@ -359,7 +360,7 @@ def _find_split_d4(rng, max_tries=120):
             continue
         sys = build_fixed_config_system(F, 4, lams)
         try:
-            pts = _solve_configurations(sys, rng)
+            pts = [pt + (F.neg(sum(pt) % p),) for pt in solve_rational_points(_configuration_basis(sys), rng)]
         except DegenerateInputError:
             continue
         if pts:
@@ -528,76 +529,99 @@ def test_config_basis_d5_reduction_steps():
         assert buchberger(sys.gens, GREVLEX) == basis
 
 
-def test_sigma2_discrimination_d4_rational_points():
+def test_sigma2_discrimination_d4_rational_points(monkeypatch):
+    # the fallback, forced: the classes' sigma_2 vectors are compared directly
+    monkeypatch.setattr(polymoduli, "_CERTIFICATE_POWERS", 0)
+    vectors = []
+    real = polymoduli.sigma_n
+    monkeypatch.setattr(polymoduli, "sigma_n", lambda phi, n: vectors.append(real(phi, n)) or vectors[-1])
     rep = sigma2_discrimination(4, D4_LAMBDAS, random.Random(13), bits=16)
-    assert rep.method == "rational-points"
+    assert rep.method == "rational-points" and rep.invariant_power is None
     assert (rep.solutions, rep.classes) == (6, 2)
     assert rep.all_distinct
-    assert len(rep.sigma2_values) == 2
-    for vec in rep.sigma2_values:
+    assert len(vectors) == 2 and vectors[0] != vectors[1]
+    for vec in (v.values for v in vectors):
         assert len(vec) == 17 and vec[-1] == 0  # d^2+1 entries, infinity kills e_17
-
-
-def test_split_screen_decides_as_the_gf_p_basis_does():
-    # at every prime the guard admits, the QQ operators read mod p pass exactly the primes
-    # where point extraction on the GF(p) basis gets past its split test, and leave rng
-    # where that extraction leaves it when it fails
-    screen = _split_screen(4, D4_LAMBDAS)
-    rng = random.Random(17)
-    passed = screened = 0
-    for _ in range(60):
-        p = random_prime(rng, 12, 1, 3)
-        F = GF(p)
-        lams = [F.from_rational(l) for l in D4_LAMBDAS]
-        if len(set(lams)) < 4 or F.one in lams or not (screen.den % p and _bezout_exact(F, lams)):
-            continue
-        seed = rng.random()
-        fast, full = random.Random(seed), random.Random(seed)
-        ok = screen.splits(F, fast)
-        try:
-            pts = _solve_configurations(build_fixed_config_system(F, 4, lams), full)
-        except DegenerateInputError:
-            pts = None
-        assert ok == (pts is not None)
-        if ok:
-            assert fast.getstate() == random.Random(seed).getstate() and len(pts) == 6
-        else:
-            assert fast.getstate() == full.getstate()
-        passed, screened = passed + ok, screened + 1
-    assert screened > 40 and 0 < passed < screened
 
 
 def test_bezout_guard_catches_a_zero_at_infinity():
     # w = 1/(lambda - 1) = (-1/6, 1/4, 1/3, -5/12): w_1 + w_4 = -7/12 vanishes mod 7,
-    # where the system loses solutions to infinity and the screen does not apply
+    # where the system loses solutions to infinity
     for p, exact in ((7, False), (13, True), (19, True)):
         F = GF(p)
         lams = [F.from_rational(l) for l in D4_LAMBDAS]
         dim = quotient_dimension(buchberger(build_fixed_config_system(F, 4, lams).gens, GREVLEX))
         assert _bezout_exact(F, lams) == exact and (dim == 6) == exact
-    # a vanishing sub-sum over QQ leaves no screen at all: 1/(lambda - 1) = (1, -1, 2, -2)
-    assert _split_screen(4, [2, 0, Fraction(3, 2), Fraction(1, 2)]) is None
 
 
-def test_sigma2_discrimination_d4_screen_changes_no_draw(monkeypatch):
-    # the screen only skips GF(p) bases at primes that do not split: same primes, same report
-    solved = []
-    real = polymoduli._solve_configurations
-    monkeypatch.setattr(polymoduli, "_solve_configurations", lambda sys, rng: solved.append(1) or real(sys, rng))
-    with_screen = [sigma2_discrimination(4, D4_LAMBDAS, random.Random(s)) for s in range(6)]
-    assert len(solved) == sum(min(rep.primes_tried, 2) for rep in with_screen)  # first prime, split prime
-    monkeypatch.setattr(polymoduli, "_split_screen", lambda d, lambdas: None)
-    assert [sigma2_discrimination(4, D4_LAMBDAS, random.Random(s)) for s in range(6)] == with_screen
-    assert max(rep.primes_tried for rep in with_screen) > 2
+@pytest.mark.parametrize(
+    "d, lambdas, seed, bad",
+    [(5, "2,64613/64612,4/3,6/5", 0, 64613), (4, "2,56431/56430,4/3", 2, 56431)],
+)
+def test_sigma2_check_draws_again_where_configurations_escape_to_infinity(d, lambdas, seed, bad):
+    # lambda_2 = 0 mod p makes w_1 + w_2 = 1 - 1 = 0: at that prime (the first draw) the
+    # GF(p) fiber loses configurations to infinity and must not stand for the QQ fiber
+    code, text = run_command(["sigma2-check", "-d", str(d), f"--lambdas={lambdas}", "--seed", str(seed)])
+    doc = json.loads(text)
+    assert code == 0 and doc["prime"] != bad and doc["primes_tried"] == 2
+    assert (doc["solutions"], doc["classes"], doc["all_distinct"]) == (math.factorial(d - 1), math.factorial(d - 2), True)
 
 
-def test_sigma2_discrimination_d4_invariant_path_agrees(monkeypatch):
-    monkeypatch.setattr(polymoduli, "_SPLIT_ATTEMPTS", 0)
+def test_fiber_degree_draws_again_where_configurations_escape_to_infinity():
+    # the first prime, 753341, sends lambda_2 to 0 and loses 8 of the 24 configurations
+    lams = [2, Fraction(753341, 753340), Fraction(4, 3), Fraction(6, 5), Fraction(753348, 753349)]
+    draws = fiber_degree_experiment(5, random.Random(0), lambdas=lams)
+    assert [(r.solutions, r.classes) for r in draws] == [(24, 6)] * 3
+    assert 753341 not in [r.prime for r in draws]
+
+
+def test_a_random_draw_that_loses_configurations_is_drawn_again(monkeypatch):
+    # free multipliers (2, 0, 4/3, 6/5) have w_1 + w_2 = 1 - 1 = 0 at every prime: planted
+    # as the first random draw, they must not count 16 configurations in 4 classes
+    real, planted = polymoduli.distinct_multipliers, []
+
+    def first_bad(F, k, rng):
+        if planted:
+            return real(F, k, rng)
+        planted.append(F.p)
+        return [F.from_rational(l) for l in (2, 0, Fraction(4, 3), Fraction(6, 5))]
+
+    monkeypatch.setattr(polymoduli, "distinct_multipliers", first_bad)
+    (draw,) = fiber_degree_experiment(5, random.Random(0), draws=1)
+    assert (draw.solutions, draw.classes) == (24, 6) and draw.prime != planted[0]
+
+
+def test_sigma2_discrimination_d4_invariant_path_agrees():
     rep = sigma2_discrimination(4, D4_LAMBDAS, random.Random(14), bits=16)
     assert rep.method == "invariant-trace"
     assert (rep.solutions, rep.classes) == (6, 2)
     assert rep.all_distinct
-    assert rep.sigma2_values is None
+
+
+def test_the_fallback_reports_classes_that_sigma_2_does_not_separate(monkeypatch):
+    # a planted sigma_n that gives every class the same level-2 spectrum: only the
+    # fallback compares sigma_2 itself, and it must say the classes are not separated
+    same = sigma_n(PolyNormalForm(QQ, 4, (0, 0, 1)).to_map(), 2)
+    monkeypatch.setattr(polymoduli, "_CERTIFICATE_POWERS", 0)
+    monkeypatch.setattr(polymoduli, "sigma_n", lambda phi, n: same)
+    rep = sigma2_discrimination(4, D4_LAMBDAS, random.Random(13), bits=16)
+    assert rep.method == "rational-points"
+    assert (rep.solutions, rep.classes, rep.all_distinct) == (6, 2, False)
+    code, text = run_command(["sigma2-check", "-d", "4", "--lambdas=-5,5,4", "--seed", "3"])
+    assert code == 0 and json.loads(text)["all_distinct"] is False
+
+
+@pytest.mark.parametrize("free", [(-5, 5, 4), (2, 3, 13), (-2, 7, Fraction(1, 3))])
+def test_the_certificate_and_the_fallback_agree_at_d4(monkeypatch, free):
+    lams = complete_multipliers(QQ, 4, [QQ.from_rational(l) for l in free])
+    key = lambda rep: (rep.solutions, rep.classes, rep.all_distinct)  # noqa: E731
+    for seed in range(3):
+        certified = sigma2_discrimination(4, lams, random.Random(seed))
+        with monkeypatch.context() as m:
+            m.setattr(polymoduli, "_CERTIFICATE_POWERS", 0)
+            read_off = sigma2_discrimination(4, lams, random.Random(seed))
+        assert (certified.method, read_off.method) == ("invariant-trace", "rational-points")
+        assert key(certified) == key(read_off) == (6, 2, True)
 
 
 def test_sigma2_discrimination_d5_certificate(monkeypatch):
@@ -701,9 +725,10 @@ def test_a_fault_in_the_system_builder_fails_the_run(monkeypatch):
     with pytest.raises(InvariantError, match="product equation"):
         fiber_degree_experiment(5, random.Random(9), draws=1, bits=18, lambdas=D5_LAMBDAS)
     assert len(built) == 1
-    # the split path of sigma2-check (d = 4) and its invariant-trace path
-    for split_attempts in (polymoduli._SPLIT_ATTEMPTS, 0):
-        monkeypatch.setattr(polymoduli, "_SPLIT_ATTEMPTS", split_attempts)
+    # sigma2-check (d = 4), with the certificate and with the fallback forced:
+    # both read the one checked basis
+    for powers in (polymoduli._CERTIFICATE_POWERS, 0):
+        monkeypatch.setattr(polymoduli, "_CERTIFICATE_POWERS", powers)
         built.clear()
         with pytest.raises(InvariantError, match="product equation"):
             sigma2_discrimination(4, D4_LAMBDAS, random.Random(13))
@@ -716,8 +741,9 @@ def test_unit_root_faults_are_broken_invariants(monkeypatch):
     monkeypatch.setattr(polymoduli, "_unit_root", lambda F, k, rng: F.from_int(2))
     with pytest.raises(InvariantError, match="not closed"):
         _zeta_orbits(pts, F, 4, random.Random(0))
-    # zeta = 1 fixes every configuration
+    # zeta = 1 fixes every configuration; only the fallback groups points by zeta
     monkeypatch.setattr(polymoduli, "_unit_root", lambda F, k, rng: F.one)
+    monkeypatch.setattr(polymoduli, "_CERTIFICATE_POWERS", 0)
     with pytest.raises(InvariantError, match="not free"):
         sigma2_discrimination(4, D4_LAMBDAS, random.Random(13), bits=16)
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from multspec import exactalg, groebner, linalg, rat3, reproduce
+from multspec.cli import run_command
 from multspec.dynamics import (
     ProjMap,
     ProjPoint,
@@ -745,6 +747,28 @@ def test_pinned_small_field_draws_projections_again(monkeypatch):
         draw = deg_tau32_single(F, *lams, random.Random(seed))
         assert (draw.bezout, draw.distinct, draw.simple) == oracle[:3]
         assert len(calls) == 2
+
+
+GF251_DOUBLE_POINTS = ["--lambdas", "168,109,39,16", "--field", "GF:251"]
+
+
+def test_a_gf251_fiber_has_two_double_points_off_the_degenerate_set():
+    # the oracle's ledger: 144 = 8 simple + 132 at the degenerate set + 2 x 2 at two
+    # double points elsewhere, 16 distinct points in all
+    F = GF(251)
+    lams = [F.from_int(c) for c in (168, 109, 39, 16)]
+    oracle = tau32_counts_by_groebner(build_tau32_system(F, *lams), degenerate_points(F, *lams[:3]), random.Random(1))
+    assert oracle[:3] == (144, 16, 8)
+
+
+@pytest.mark.xfail(strict=True, reason="double points off the degenerate set fail the multiplicity ledger as a fault")
+def test_deg_tau32_counts_a_fiber_with_double_points_off_the_degenerate_set():
+    # deg-tau32 exits 1 with "multiplicity ledger: deg R 144 != 8 simple + 132
+    # degenerate", a program fault, where the specialization is only special
+    for seed in range(8):
+        code, text = run_command(["deg-tau32", *GF251_DOUBLE_POINTS, "--seed", str(seed)])
+        doc = json.loads(text)
+        assert code == 0 and (doc["bezout"], doc["distinct"], doc["simple"]) == (144, 16, 8)
 
 
 def test_checks_on_the_degenerate_points_run_before_the_resultant(monkeypatch):
