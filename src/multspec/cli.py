@@ -17,10 +17,11 @@ from dataclasses import asdict
 from . import parsing
 from .dynamics import ProjMap, sigma1_relation_residual, sigma_n, tau
 from .errors import BudgetExhaustedError, MathError, UsageError, work_limit
-from .exactalg import GF, QQ, field_from_str, field_to_str, random_prime, scalar_from_str
+from .exactalg import GF, QQ, field_from_str, field_to_str, scalar_from_str
 from .polymoduli import (
     complete_multipliers,
     count_fixed_configurations,
+    fiber_degree_experiment,
     p3_from_sigma1,
     sigma2_discrimination,
 )
@@ -199,14 +200,15 @@ def _affine_multipliers(args):
 
 
 def _cmd_poly_classes(args):
-    if args.field in (None, "random"):
-        # the count needs no (d-1)-st root of unity; p = 1 mod (d-1) keeps seeded primes
-        args.dom = GF(random_prime(args.rng, 20, 1, args.d - 1))
-    lams = _affine_multipliers(args)
-    solutions, classes = count_fixed_configurations(args.dom, args.d, lams)
+    dom, lams = args.dom, _affine_multipliers(args)
+    if args.field in (None, "random"):  # the QQ count, proved at one random prime
+        r = fiber_degree_experiment(args.d, args.rng, lambdas=lams)
+        dom, lams, solutions, classes = GF(r.prime), r.lambdas, r.solutions, r.classes
+    else:
+        solutions, classes = count_fixed_configurations(dom, args.d, lams)
     return {
         "command": "poly-classes",
-        "field": field_to_str(args.dom),
+        "field": field_to_str(dom),
         "degree": args.d,
         "lambdas": [parsing.scalar_doc(l) for l in lams],
         "solutions": solutions,

@@ -19,10 +19,10 @@ sum 1/(1 - lambda_i) = 0; experiment entry points take d-1 free multipliers
 and derive the last one with dynamics.forced_multiplier.  The cubic normal
 form z^3 + az + b is read off its multipliers in closed form (p3_from_sigma1).
 
-Class counting over QQ counts at random primes p = 1 mod (d-1), each count
-proved and drawing nothing; independent draws must agree.  A prime where a
-proper subset of the 1/(lambda_i - 1) sums to 0 loses configurations to
-infinity, so its fiber is not the QQ fiber mod p: it is drawn again
+Class counting over QQ counts at one random prime p = 1 mod (d-1), where the
+count is proved and proves the QQ count (fiber_degree_experiment).  A prime
+where a proper subset of the 1/(lambda_i - 1) sums to 0 loses configurations
+to infinity, so its fiber is not the QQ fiber mod p: it is drawn again
 (_bezout_exact).  Level-2 spectra are compared across classes by a
 certificate on class-invariant power sums T_k in the quotient algebra Q that
 proves both counts itself and never needs the (possibly huge) splitting field
@@ -43,7 +43,7 @@ from itertools import combinations
 from math import prod
 
 from .dynamics import ProjMap, distinct_multipliers, fixed_point_index_sum, forced_multiplier, sigma_n
-from .errors import DegenerateInputError, InvariantError, MathError, UsageError, agreeing_draws, first_value
+from .errors import DegenerateInputError, InvariantError, MathError, UsageError, first_value
 from .exactalg import GF, QQ, Domain, UniPoly, compose, derivative, random_prime, squarefree_part
 from .groebner import (
     GREVLEX,
@@ -263,17 +263,18 @@ class FiberDegreeDraw:
     classes: int
 
 
-def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, lambdas=None):
-    """Configuration counts (FiberDegreeDraw) at `draws` independent specializations.
-
-    Each draw picks a fresh prime p = 1 mod (d-1).  Rational `lambdas` are
-    reduced mod p; without them the draw takes random free affine
-    multipliers and completes the last one.  A reduction that is not
-    invertible, repeats a value, hits 1 or is not Bezout exact fails the
-    attempt, as does a non-generic count; all draws must agree.  A rational
-    list that fails the index formula is rejected once, before any prime is
-    drawn.
-    """
+def fiber_degree_experiment(d: int, rng, bits: int = 20, lambdas=None) -> FiberDegreeDraw:
+    """The fiber degree, proved at the first of at most 24 draws (_draw_basis) with all
+    configurations distinct mod p; rational `lambdas` off the index formula are rejected
+    before any prime.  Proof, N = (d-1)!: Bezout exactness mod p means the top forms share
+    no zero, so the configuration scheme A is finite near p with both fibers of dimension N.
+    A is then free of rank N: for a rational list, a finitely generated Z_(p)-module with
+    fibers of equal dimension; for a random draw, a finite complete intersection over the
+    regular local ring of the multiplier space, so flat (Matsumura, Commutative Ring Theory,
+    Thm 23.1).  N distinct points make A/p reduced, so etale over the perfect field GF(p):
+    A's discriminant is a unit, and the fiber over QQ (or the generic fiber) is etale, with
+    N distinct configurations.  mu_(d-1) acts freely on them (z = 0 is no solution): N/(d-1)
+    classes."""
     if d < 2:
         raise UsageError("degree must be >= 2")
     if lambdas is not None:
@@ -282,17 +283,13 @@ def fiber_degree_experiment(d: int, rng, draws: int = 3, bits: int = 20, lambdas
         _check_index_formula(QQ, [QQ.from_rational(l) for l in lambdas])
 
     def draw():
-        p = random_prime(rng, bits, 1, d - 1)
-        F = GF(p)
-        if lambdas is None:
-            lams = complete_multipliers(F, d, distinct_multipliers(F, d - 1, rng))
-        else:
-            lams = [F.from_rational(l) for l in lambdas]
-        _check_reduction(F, lams)
-        solutions, classes = count_fixed_configurations(F, d, lams)
-        return FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=solutions, classes=classes)
+        p, lams, basis = _draw_basis(d, lambdas, rng, bits)
+        solutions = distinct_point_count(basis)
+        if solutions < basis.quotient.dim:
+            raise DegenerateInputError(f"only {solutions} of {basis.quotient.dim} configurations distinct mod {p}")
+        return FiberDegreeDraw(prime=p, lambdas=tuple(lams), solutions=solutions, classes=solutions // (d - 1))
 
-    return agreeing_draws(draws, draw, 24, lambda r: (r.solutions, r.classes))
+    return first_value(draw, 24, "certifying prime")
 
 
 @dataclass(frozen=True)
@@ -389,21 +386,26 @@ def _bezout_exact(F, lams):
     return p > d and all(sum(S) % p for k in range(1, d) for S in combinations(w, k))
 
 
-def _check_reduction(F, lams):
-    """Reject (draw again) multipliers mod p that collide or hit 1, or whose
-    configurations escape to infinity: off the Bezout dimension the GF(p) fiber
-    is not the QQ fiber mod p."""
-    if len(set(lams)) < len(lams) or F.one in lams or not _bezout_exact(F, lams):
+def _draw_basis(d: int, lambdas, rng, bits: int):
+    """(p, lams, basis): a random prime p = 1 mod (d-1), the rational `lambdas` mod p or random
+    free multipliers completed, and their checked configuration basis.  Multipliers that
+    collide or hit 1 mod p, or lose configurations to infinity (_bezout_exact), draw again."""
+    F = GF(random_prime(rng, bits, 1, d - 1))
+    if lambdas is None:
+        lams = complete_multipliers(F, d, distinct_multipliers(F, d - 1, rng))
+    else:
+        lams = [F.from_rational(l) for l in lambdas]
+    if len(set(lams)) < d or F.one in lams or not _bezout_exact(F, lams):
         raise DegenerateInputError(f"multipliers collide, hit 1 or lose configurations to infinity mod {F.p}")
+    return F.p, lams, _configuration_basis(build_fixed_config_system(F, d, lams))
 
 
 def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16):
     """Whether the level-2 spectrum separates the classes over a fiber.
 
-    Works at random primes p = 1 mod (d-1) where the reduced multipliers are
-    distinct, none is 1 and the configuration system is Bezout exact, so that its
-    quotient Q over GF(p) is the QQ quotient mod p, of dimension (d-1)!.  On that
-    basis _invariant_certificate proves dim Q distinct configurations in dim Q / (d-1)
+    Works on the basis of a random draw (_draw_basis), whose quotient Q over GF(p)
+    is the QQ quotient mod p, of dimension (d-1)!.  On that basis
+    _invariant_certificate proves dim Q distinct configurations in dim Q / (d-1)
     classes with pairwise distinct level-2 spectra, from power sums of the level-2
     multipliers in Q; no point is counted.  Only where it cannot (two classes share
     the power sums mod p, or over QQ) are the configurations read off the same basis
@@ -420,15 +422,12 @@ def sigma2_discrimination(d: int, lambdas, rng, bits: int = 16):
     def draw():
         nonlocal tried
         tried += 1
-        p = random_prime(rng, bits, 1, d - 1)
-        F = GF(p)
-        lams = [F.from_rational(l) for l in lambdas]
-        _check_reduction(F, lams)
-        basis = _configuration_basis(build_fixed_config_system(F, d, lams))
+        p, _, basis = _draw_basis(d, lambdas, rng, bits)
         k = _invariant_certificate(basis, d)
         if k is not None:
             dim = basis.quotient.dim
             return Sigma2Report(d, p, tried, dim, dim // (d - 1), True, "invariant-trace", invariant_power=k)
+        F = GF(p)
         pts = [pt + (F.neg(sum(pt) % p),) for pt in solve_rational_points(basis, rng)]
         orbits = _zeta_orbits(pts, F, d, rng)
         sigmas = {sigma_n(poly_from_fixed_points(F, min(o)).to_map(), 2).values for o in orbits}

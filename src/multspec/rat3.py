@@ -74,14 +74,13 @@ from .linalg import solve_linear
 
 @dataclass(frozen=True)
 class Deg3Invariants:
-    """Marked data (l0, l1, linf, alpha), optionally with a 2-cycle multiplier."""
+    """Marked data (l0, l1, linf, alpha)."""
 
     dom: Domain
     l0: object
     l1: object
     linf: object
     alpha: object
-    lbeta: object = None
 
     def __post_init__(self):
         dom = self.dom

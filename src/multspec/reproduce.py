@@ -125,14 +125,14 @@ def _isospectral_quartics(rng):
 
 
 def _fiber_degrees(rng):
-    r3 = fiber_degree_experiment(3, rng, draws=3)[0]
+    r3 = fiber_degree_experiment(3, rng)
     assert (r3.solutions, r3.classes) == (2, 1), f"d=3 gave {r3}"
-    r4 = fiber_degree_experiment(4, rng, draws=3)[0]
+    r4 = fiber_degree_experiment(4, rng)
     assert (r4.solutions, r4.classes) == (6, 2), f"d=4 gave {r4}"
     free = [Fraction(-2), Fraction(-3), Fraction(-4), Fraction(8)]
     lam5 = complete_multipliers(QQ, 5, free)
     assert lam5[-1] == Fraction(689, 269), f"derived fifth multiplier {lam5[-1]}"
-    r5 = fiber_degree_experiment(5, rng, draws=3, lambdas=lam5)[0]
+    r5 = fiber_degree_experiment(5, rng, lambdas=lam5)
     assert (r5.solutions, r5.classes) == (24, 6), f"d=5 gave {r5}"
     return "classes 1 (d=3), 2 (d=4) at random draws; pinned d=5 list gives 24 solutions, 6 classes"
 

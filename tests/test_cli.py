@@ -182,6 +182,14 @@ def test_poly_classes_exact_over_qq_at_degree_5():
     assert (doc["solutions"], doc["classes"]) == (24, 6)
 
 
+def test_poly_classes_counts_at_a_prime_where_no_configuration_escapes():
+    # at the first prime drawn, 753341, lambda_2 = 0 makes w_1 + w_2 = 0: that GF(p) fiber
+    # has 16 configurations in 4 classes, and the QQ fiber that poly-classes counts has 24 in 6
+    code, doc = run_json(["poly-classes", "-d", "5", "--lambdas=2,753341/753340,4/3,6/5", "--seed", "0"])
+    assert code == 0 and doc["field"] == "GF 979553"
+    assert (doc["solutions"], doc["classes"]) == (24, 6)
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("lambdas, field", [("2,3,13", "GF:17"), ("4,8,10", "GF:11")])
 def test_poly_classes_over_a_small_field(lambdas, field, seed):

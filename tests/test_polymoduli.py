@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -37,7 +38,7 @@ from multspec.polymoduli import (
 )
 from multspec.reproduce import run_criterion
 
-from groebner_oracles import config_system_by_substitution, linear_scan_steps, to_multipoly
+from groebner_oracles import config_system_by_substitution, hermite_rank, linear_scan_steps, to_multipoly
 from poly_oracles import companion_power_traces, tau31_phi_ab
 
 D4_LAMBDAS = [-5, 5, 4, Fraction(-7, 5)]
@@ -210,30 +211,25 @@ def test_config_system_vanishes_on_real_configurations():
 
 def test_fiber_degrees_small():
     rng = random.Random(8)
-    draws = fiber_degree_experiment(2, rng, draws=2, bits=14)
-    assert (draws[0].solutions, draws[0].classes) == (1, 1)
-    draws = fiber_degree_experiment(3, rng, draws=2, bits=14)
-    assert (draws[0].solutions, draws[0].classes) == (2, 1)
-    draws = fiber_degree_experiment(4, rng, draws=2, bits=14)
-    assert [(d.solutions, d.classes) for d in draws] == [(6, 2)] * 2
-    assert len({d.prime for d in draws}) == 2
+    for d, counts in ((2, (1, 1)), (3, (2, 1)), (4, (6, 2))):
+        draw = fiber_degree_experiment(d, rng, bits=14)
+        assert (draw.solutions, draw.classes) == counts
 
 
 def test_fiber_degree_d5_pinned():
     rng = random.Random(9)
-    draws = fiber_degree_experiment(5, rng, draws=2, bits=18, lambdas=D5_LAMBDAS)
-    assert (draws[0].solutions, draws[0].classes) == (24, 6)
-    # the primes a pinned list is reduced at are the ones random draws would use
-    assert [d.prime for d in draws] == [252449, 201101]
-    assert draws[0].lambdas == (252447, 252446, 252445, 8, 52557)
-    assert draws[1].lambdas == (201099, 201098, 201097, 8, 127840)
+    draw = fiber_degree_experiment(5, rng, bits=18, lambdas=D5_LAMBDAS)
+    assert (draw.solutions, draw.classes) == (24, 6)
+    # the prime a pinned list is reduced at is the one a random draw would use
+    assert draw.prime == 252449
+    assert draw.lambdas == (252447, 252446, 252445, 8, 52557)
 
 
 def test_pinned_multipliers_that_collide_mod_p_fail_the_attempt():
     # 7 is the only 3-bit prime drawn, and -2 = 5 mod 7 (13 completes the
     # list over QQ): each attempt fails, and the draw gives up after 24 of them
     with pytest.raises(MathError, match="24 attempts"):
-        fiber_degree_experiment(3, random.Random(1), draws=1, bits=3, lambdas=[-2, 5, 13])
+        fiber_degree_experiment(3, random.Random(1), bits=3, lambdas=[-2, 5, 13])
 
 
 def _seven_values(calls):
@@ -253,9 +249,9 @@ def test_broken_invariant_in_a_fiber_count_is_not_retried(monkeypatch):
 
     monkeypatch.setattr(polymoduli, "distinct_point_count", broken)
     with pytest.raises(InvariantError, match="planted"):
-        fiber_degree_experiment(3, random.Random(8), draws=1, bits=14)
+        fiber_degree_experiment(3, random.Random(8), bits=14)
     with pytest.raises(InvariantError, match="planted"):
-        fiber_degree_experiment(5, random.Random(9), draws=1, bits=18, lambdas=D5_LAMBDAS)
+        fiber_degree_experiment(5, random.Random(9), bits=18, lambdas=D5_LAMBDAS)
     result = run_criterion(5)
     assert not result.passed and result.detail == "planted broken count"
     # the certificate route of sigma2-check counts no points: break its invariant instead
@@ -289,7 +285,7 @@ def test_only_degenerate_input_is_drawn_again(monkeypatch):
 
     monkeypatch.setattr(polymoduli, "distinct_point_count", planted(MathError))
     with pytest.raises(MathError, match="planted") as err:
-        fiber_degree_experiment(3, random.Random(8), draws=1, bits=14)
+        fiber_degree_experiment(3, random.Random(8), bits=14)
     assert type(err.value) is MathError and len(calls) == 1
     calls.clear()
     result = run_criterion(5)
@@ -297,7 +293,7 @@ def test_only_degenerate_input_is_drawn_again(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     monkeypatch.setattr(polymoduli, "distinct_point_count", planted(DegenerateInputError))
-    (draw,) = fiber_degree_experiment(3, random.Random(8), draws=1, bits=14)
+    draw = fiber_degree_experiment(3, random.Random(8), bits=14)
     assert (draw.solutions, draw.classes) == (2, 1) and len(calls) == 2
 
 
@@ -347,7 +343,7 @@ def test_relation_violating_multipliers_have_no_configurations(monkeypatch):
         rng = random.Random(1)
         state = rng.getstate()
         with pytest.raises(DegenerateInputError, match="index formula"):
-            fiber_degree_experiment(len(lams), rng, draws=1, bits=14, lambdas=lams)
+            fiber_degree_experiment(len(lams), rng, bits=14, lambdas=lams)
         assert rng.getstate() == state
 
 
@@ -570,9 +566,8 @@ def test_sigma2_check_draws_again_where_configurations_escape_to_infinity(d, lam
 def test_fiber_degree_draws_again_where_configurations_escape_to_infinity():
     # the first prime, 753341, sends lambda_2 to 0 and loses 8 of the 24 configurations
     lams = [2, Fraction(753341, 753340), Fraction(4, 3), Fraction(6, 5), Fraction(753348, 753349)]
-    draws = fiber_degree_experiment(5, random.Random(0), lambdas=lams)
-    assert [(r.solutions, r.classes) for r in draws] == [(24, 6)] * 3
-    assert 753341 not in [r.prime for r in draws]
+    draw = fiber_degree_experiment(5, random.Random(0), lambdas=lams)
+    assert (draw.solutions, draw.classes) == (24, 6) and draw.prime != 753341
 
 
 def test_a_random_draw_that_loses_configurations_is_drawn_again(monkeypatch):
@@ -587,8 +582,79 @@ def test_a_random_draw_that_loses_configurations_is_drawn_again(monkeypatch):
         return [F.from_rational(l) for l in (2, 0, Fraction(4, 3), Fraction(6, 5))]
 
     monkeypatch.setattr(polymoduli, "distinct_multipliers", first_bad)
-    (draw,) = fiber_degree_experiment(5, random.Random(0), draws=1)
+    draw = fiber_degree_experiment(5, random.Random(0))
     assert (draw.solutions, draw.classes) == (24, 6) and draw.prime != planted[0]
+
+
+def test_a_list_whose_configurations_escape_over_qq_never_certifies():
+    # free multipliers (2, 0, 4/3, 6/5) have w_1 + w_2 = 1 - 1 = 0 over QQ: no prime is
+    # Bezout exact, so no fiber degree follows, and the QQ fiber itself has 16 configurations
+    lams = complete_multipliers(QQ, 5, qq(2, 0, Fraction(4, 3), Fraction(6, 5)))
+    with pytest.raises(MathError, match="24 attempts"):
+        fiber_degree_experiment(5, random.Random(0), lambdas=lams)
+    code, text = run_command(["poly-classes", "-d", "5", "--lambdas=2,0,4/3,6/5"])
+    assert code == 1 and json.loads(text)["kind"] == "math"
+    code, text = run_command(["poly-classes", "-d", "5", "--lambdas=2,0,4/3,6/5", "--field", "QQ"])
+    doc = json.loads(text)
+    assert code == 0 and (doc["solutions"], doc["classes"]) == (16, 4)
+
+
+def test_a_draw_whose_configurations_merge_mod_p_is_drawn_again(monkeypatch):
+    # dim Q - 1 distinct points mod p prove nothing about QQ: that prime is drawn again,
+    # and a list that never certifies ends after 24 primes
+    real_count, real_prime = polymoduli.distinct_point_count, polymoduli.random_prime
+    primes = []
+
+    def prime(*args):
+        primes.append(real_prime(*args))
+        return primes[-1]
+
+    def one_short(always):
+        calls = []
+
+        def count(basis):
+            calls.append(basis)
+            return basis.quotient.dim - 1 if always or len(calls) == 1 else real_count(basis)
+
+        return count
+
+    monkeypatch.setattr(polymoduli, "random_prime", prime)
+    monkeypatch.setattr(polymoduli, "distinct_point_count", one_short(False))
+    draw = fiber_degree_experiment(5, random.Random(9), bits=18, lambdas=D5_LAMBDAS)
+    assert (draw.solutions, draw.classes) == (24, 6)
+    assert len(primes) == 2 and primes[0] == 252449 and draw.prime == primes[1]
+    primes.clear()
+    monkeypatch.setattr(polymoduli, "distinct_point_count", one_short(True))
+    with pytest.raises(MathError, match="24 attempts"):
+        fiber_degree_experiment(5, random.Random(9), bits=18, lambdas=D5_LAMBDAS)
+    assert len(primes) == 24
+
+
+def test_certified_fiber_degrees_agree_with_the_trace_form_over_qq():
+    # every d = 4 list completed from 3 free multipliers of a small set, its 4 entries
+    # distinct: one that certifies has trace-form rank 6 on its QQ basis (Hermite, an
+    # oracle that shares no code with the count), and one that does not certify has no
+    # QQ quotient of 6 distinct points
+    values = [-3, -2, 2, 3, 4, Fraction(1, 2), Fraction(-1, 2)]
+    certified = uncertified = 0
+    for free in combinations(values, 3):
+        try:
+            lams = complete_multipliers(QQ, 4, qq(*free))
+        except DegenerateInputError:
+            continue  # the last multiplier sits at infinity
+        if len(set(lams)) < 4:
+            continue
+        basis = _configuration_basis(build_fixed_config_system(QQ, 4, lams))
+        six_points = basis.quotient.dim == 6 and hermite_rank(basis) == 6
+        try:
+            draw = fiber_degree_experiment(4, random.Random(0), lambdas=lams)
+        except MathError:
+            assert not six_points, lams
+            uncertified += 1
+        else:
+            assert (draw.solutions, draw.classes) == (6, 2) and six_points, lams
+            certified += 1
+    assert (certified, uncertified) == (26, 5)
 
 
 def test_sigma2_discrimination_d4_invariant_path_agrees():
@@ -723,7 +789,7 @@ def test_a_fault_in_the_system_builder_fails_the_run(monkeypatch):
     # a broken invariant is not retried: one system, one attempt
     built.clear()
     with pytest.raises(InvariantError, match="product equation"):
-        fiber_degree_experiment(5, random.Random(9), draws=1, bits=18, lambdas=D5_LAMBDAS)
+        fiber_degree_experiment(5, random.Random(9), bits=18, lambdas=D5_LAMBDAS)
     assert len(built) == 1
     # sigma2-check (d = 4), with the certificate and with the fallback forced:
     # both read the one checked basis
